@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Subcommands: validate (rigidity certificate), synth (stress search),
-simulate (scenario run with trace/summary/plot outputs), stability
-(closed-loop stability report), riccati (gain solver), batch (many
-scenarios, optionally in parallel).
+simulate (scenario run; trace, summary and plots are written from the
+run's trace columns), stability (closed-loop stability report), riccati
+(gain solver), batch (many scenarios, optionally in parallel).
 
 Exit codes: 0 success/converged, 1 certificate or search failure, 2 parse
-or validation failure, 3 diverged, 4 step budget exhausted, 5 numerical
-solver failure. Console numerics are printed to 6 significant digits;
-files carry full precision. AFFINESIM_SEED overrides any scenario or
-manifest seed.
+or validation failure (a linear-law scenario with a schedule included),
+3 diverged, 4 step budget exhausted, 5 numerical solver failure (singular
+follower block, Riccati budget). Console numerics are printed to 6
+significant digits; files carry full precision. AFFINESIM_SEED overrides
+any scenario or manifest seed.
 """
 
 from __future__ import annotations
@@ -130,19 +131,19 @@ def cmd_synth(args) -> int:
 
 
 def _write_run_outputs(spec, result, out_dir: Path, plot: bool):
-    n, d = spec.framework.config.n, spec.framework.config.d
-    fileio.write_trace(result.records, n, d, out_dir / "trace.csv")
-    fileio.write_summary(result, spec.partition, d, out_dir / "summary.json")
+    d = spec.framework.config.d
+    fileio.write_trace(result, out_dir / "trace.csv")
+    fileio.write_summary(result, spec.partition, out_dir / "summary.json")
     written = ["manifest.json", "trace.csv", "summary.json"]
     if plot:
         if d == 2:
             (out_dir / "trajectories.svg").write_text(
-                trajectory_svg(result.records, spec.partition, d)
+                trajectory_svg(result, spec.partition)
             )
             written.append("trajectories.svg")
         else:
             print("trajectory plot skipped: only d=2 is drawable")
-        (out_dir / "delta.svg").write_text(delta_svg(result.records))
+        (out_dir / "delta.svg").write_text(delta_svg(result))
         written.append("delta.svg")
     return written
 

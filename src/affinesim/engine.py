@@ -1,9 +1,14 @@
 """Deterministic discrete-time scenario engine.
 
 Wires a framework, a stress matrix, a manoeuvre schedule and one of the
-control laws into a step-by-step run with per-step trace records,
-disagreement measurement against the instantaneous follower targets, and
-convergence/divergence detection.
+control laws into a run. Each run is compiled once: the stress is
+resolved and certified, the follower-block guard runs once while forming
+the target map G = -Omega_ff^-1 Omega_fl, the law's constant operators are
+built, and every leader waypoint the run can reach is generated as one
+array. A single stepping loop then advances the state, measures the
+disagreement against the instantaneous follower targets, and detects
+convergence and divergence. The trace is kept as columns on RunResult;
+RunResult.records rebuilds per-step TraceRecords from them on demand.
 """
 
 from __future__ import annotations
@@ -17,15 +22,12 @@ from .control import (
     LinearPlant,
     check_period,
     dynamic_law_stable,
-    dynamic_leader_step,
-    linear_step,
     local_control_input_dynamic,
     local_control_input_stationary,
     solve_mare,
     spectral_radius,
     stationary_disagreement_matrix,
     stationary_law_stable,
-    stationary_leader_step,
 )
 from .framework import Framework, LeaderPartition
 from .maneuvers import ManoeuvreSchedule, leader_waypoints
@@ -35,9 +37,9 @@ from .stress import (
     StressMatrix,
     assemble_stress,
     check_rigidity_certificate,
-    follower_targets,
     min_eig_neg_ff,
     partition_stress,
+    solve_follower_block,
     synthesize_stress,
 )
 
@@ -64,7 +66,8 @@ class ScenarioSpec:
     weights=None requests stress synthesis (seeded by `seed`). The linear
     law additionally needs a plant whose state dimension equals d; its gain
     comes from the Riccati solver with weight matrix q_matrix (identity
-    when omitted).
+    when omitted). Under the linear law every agent, leaders included,
+    evolves by the law, so it takes no manoeuvre schedule.
     """
 
     framework: Framework
@@ -111,6 +114,8 @@ class ScenarioSpec:
                 raise ValueError("linear law requires a plant")
             if self.plant.m != self.framework.config.d:
                 raise ValueError("plant state dimension must equal the ambient dimension")
+            if self.schedule.segments:
+                raise ValueError("linear law takes no schedule: its leaders evolve under the law")
             q = np.eye(self.plant.m) if self.q_matrix is None else np.array(self.q_matrix, dtype=float)
             q.setflags(write=False)
             object.__setattr__(self, "q_matrix", q)
@@ -135,9 +140,17 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class RunResult:
-    """A finished run: trace, the stress it used, and outcome flags."""
+    """A finished run: its trace as columns, the stress it used, and outcome flags.
 
-    records: tuple
+    Row k of each column is step k: states (K+1, n, d) in agent order,
+    targets (K+1, n_f, d), deltas (K+1,) and the per-record flags.
+    """
+
+    states: np.ndarray
+    targets: np.ndarray
+    deltas: np.ndarray
+    converged_flags: np.ndarray
+    diverged_flags: np.ndarray
     weights: dict
     stress: StressMatrix
     blocks: StressBlocks
@@ -148,16 +161,24 @@ class RunResult:
     budget_exhausted: bool
 
     @property
+    def records(self) -> tuple:
+        """Per-step TraceRecords rebuilt from the columns (compatibility view)."""
+        scalars = zip(
+            self.deltas.tolist(), self.converged_flags.tolist(), self.diverged_flags.tolist()
+        )
+        rows = enumerate(zip(self.states, self.targets, scalars))
+        return tuple(TraceRecord(k, x.ravel(), t.ravel(), *rest) for k, (x, t, rest) in rows)
+
+    @property
     def steps(self) -> int:
-        return self.records[-1].k
+        return len(self.deltas) - 1
 
     @property
     def final_delta(self) -> float:
-        return self.records[-1].delta_norm
+        return float(self.deltas[-1])
 
     def final_positions(self) -> np.ndarray:
-        n = self.blocks.n_leaders + self.blocks.n_followers
-        return self.records[-1].x.reshape(n, -1)
+        return self.states[-1]
 
 
 def disagreement(x_f, x_f_star) -> float:
@@ -185,7 +206,7 @@ def detect_convergence(trace, tol: float, window: int = CONVERGENCE_WINDOW):
     return None
 
 
-def _stability_flags(spec: ScenarioSpec, blocks: StressBlocks, gain_info=None) -> dict:
+def _stability_flags(spec: ScenarioSpec, blocks: StressBlocks, stress: StressMatrix, solution) -> dict:
     if spec.law == "stationary":
         mu_min = min_eig_neg_ff(blocks)
         return {
@@ -203,17 +224,20 @@ def _stability_flags(spec: ScenarioSpec, blocks: StressBlocks, gain_info=None) -
             "decay_factor": abs(1.0 - spec.T),
             "stable": dynamic_law_stable(spec.T),
         }
-    gain, solution = gain_info
+    # Diagonalising the stress splits the closed loop into the modes
+    # A + (1 - eps * lambda_i) B K, one per eigenvalue lambda_i of the stress.
+    A, BK = spec.plant.A, spec.plant.B @ solution.K
+    lams = np.linalg.eigvalsh(stress.entries)
+    modal = max(spectral_radius(A + (1.0 - spec.epsilon * lam) * BK) for lam in lams)
     return {
         "law": "linear",
         "T": spec.T,
         "epsilon": spec.epsilon,
-        "closed_loop_spectral_radius": spectral_radius(
-            spec.plant.A + spec.plant.B @ gain
-        ),
+        "closed_loop_spectral_radius": spectral_radius(A + BK),
+        "modal_spectral_radius": modal,
         "riccati_residual": solution.residual,
         "riccati_iterations": solution.iterations,
-        "stable": True,
+        "stable": modal < 1.0,
     }
 
 
@@ -228,66 +252,79 @@ def _resolve_stress(spec: ScenarioSpec):
     return weights, stress, certificate
 
 
-def _initial_state(spec: ScenarioSpec) -> np.ndarray:
-    reference = spec.framework.config
-    leaders_now, _ = leader_waypoints(spec.schedule, reference, spec.partition, 0)
-    x = np.zeros((reference.n, reference.d))
-    for row, agent in enumerate(spec.partition.leaders):
-        x[agent - 1] = leaders_now[row]
-    for row, agent in enumerate(spec.partition.followers):
-        x[agent - 1] = spec.initial_followers[row]
-    return x
+def _law_step(spec: ScenarioSpec, blocks: StressBlocks, stress, solution, G, leaders, targets):
+    """Map (k, z, target) -> (z, target) at k+1 for a leaders-first state z.
+
+    Steps past the end of leaders and targets hold their last entry."""
+    n_l = blocks.n_leaders
+    if spec.law == "linear":
+        perm = [i - 1 for i in spec.partition.order()]
+        coupling = np.eye(stress.n) - spec.epsilon * stress.entries[np.ix_(perm, perm)]
+        A_t, BK_t = spec.plant.A.T, (spec.plant.B @ solution.K).T
+
+        def step(k, z, target):
+            z = z @ A_t + coupling @ z @ BK_t
+            return z, G @ z[:n_l]
+
+        return step
+
+    T, last, ff, fl = spec.T, len(leaders) - 1, blocks.ff, blocks.fl
+
+    def step(k, z, target):
+        j = min(k + 1, last)
+        x_l, x_f = z[:n_l], z[n_l:]
+        if spec.law == "stationary":
+            x_f = x_f - T * (ff @ x_f + fl @ x_l)
+        else:
+            # Dynamic law: the follower error to the targets t = G x_l
+            # contracts by (1 - T); at T = 1 the followers land on t exactly.
+            x_f = (1.0 - T) * (x_f - target) + targets[j]
+        return np.concatenate((leaders[j], x_f)), targets[j]
+
+    return step
 
 
 def run_scenario(spec: ScenarioSpec) -> RunResult:
     """Execute a scenario to convergence, divergence, or budget exhaustion.
 
-    The run is refused outright when the stress fails the rigidity
-    certificate; a violated stability condition is only recorded in the
-    stability flags, since boundary experiments need unstable runs to
-    proceed. Convergence is declared after CONVERGENCE_WINDOW consecutive
-    in-tolerance records, and never before the schedule has finished.
+    The run is refused when the stress fails the rigidity certificate
+    (CertificateError) or its follower block is singular
+    (LocalizabilityError); a violated stability condition is only recorded
+    in the stability flags, since boundary experiments need unstable runs
+    to proceed. Convergence is declared after CONVERGENCE_WINDOW
+    consecutive in-tolerance records, and never before the schedule ends.
     """
     weights, stress, certificate = _resolve_stress(spec)
-    blocks = partition_stress(stress, spec.partition)
-    reference = spec.framework.config
     partition = spec.partition
-    follower_rows = [i - 1 for i in partition.followers]
-    leader_rows = [i - 1 for i in partition.leaders]
-
-    gain_info = None
+    blocks = partition_stress(stress, partition)
+    solution = None
     if spec.law == "linear":
         solution = solve_mare(spec.plant, spec.q_matrix, tol=spec.riccati_tol)
-        gain_info = (solution.K, solution)
-    flags = _stability_flags(spec, blocks, gain_info)
+    # The follower-block guard runs once, here; G maps leaders to follower targets.
+    G = -solve_follower_block(blocks, blocks.fl)
+    flags = _stability_flags(spec, blocks, stress, solution)
 
-    x = _initial_state(spec)
-    records = []
+    settle_after = spec.schedule.last_step()
+    count = min(spec.budget, settle_after + 1) + 1
+    leaders = leader_waypoints(spec.schedule, spec.framework.config, partition, 0, count)
+    targets = G @ leaders
+    step = _law_step(spec, blocks, stress, solution, G, leaders, targets)
+
+    n_l = blocks.n_leaders
+    z = np.concatenate((leaders[0], spec.initial_followers))
+    target = targets[0]
+    zs, ts, deltas = [], [], []
     run_below_tol = 0
     converged_at = None
-    diverged = False
-    settle_after = spec.schedule.last_step()
-
     for k in range(spec.budget + 1):
-        leaders_now, leaders_next = leader_waypoints(spec.schedule, reference, partition, k)
-        x_l = x[leader_rows]
-        targets = follower_targets(blocks, x_l.ravel())
-        delta = disagreement(x[follower_rows].ravel(), targets)
-        diverged = bool(delta > DIVERGENCE_LIMIT or not np.isfinite(delta))
-        converged_now = bool(delta <= spec.tolerance)
-        records.append(
-            TraceRecord(
-                k=k,
-                x=x.ravel().copy(),
-                x_f_star=targets.copy(),
-                delta_norm=delta,
-                converged=converged_now,
-                diverged=diverged,
-            )
-        )
+        delta = disagreement(z[n_l:], target)
+        zs.append(z)
+        ts.append(target)
+        deltas.append(delta)
+        diverged = delta > DIVERGENCE_LIMIT or not np.isfinite(delta)
         if diverged:
             break
-        if converged_now and k >= settle_after:
+        if delta <= spec.tolerance and k >= settle_after:
             run_below_tol += 1
             if run_below_tol >= CONVERGENCE_WINDOW:
                 converged_at = k - CONVERGENCE_WINDOW + 1
@@ -296,26 +333,25 @@ def run_scenario(spec: ScenarioSpec) -> RunResult:
             run_below_tol = 0
         if k == spec.budget:
             break
+        z, target = step(k, z, target)
 
-        if spec.law == "stationary":
-            x_f_next = stationary_leader_step(blocks, spec.T, x[follower_rows].ravel(), x_l.ravel())
-            x = x.copy()
-            x[follower_rows] = x_f_next.reshape(-1, reference.d)
-            x[leader_rows] = leaders_next
-        elif spec.law == "dynamic":
-            x_f_next = dynamic_leader_step(
-                blocks, spec.T, x[follower_rows].ravel(), x_l.ravel(), leaders_next.ravel()
-            )
-            x = x.copy()
-            x[follower_rows] = x_f_next.reshape(-1, reference.d)
-            x[leader_rows] = leaders_next
-        else:
-            x_next = linear_step(spec.plant, gain_info[0], spec.epsilon, stress, x.ravel())
-            x = x_next.reshape(reference.n, reference.d)
-
-    budget_exhausted = converged_at is None and not diverged
+    # One buffer filled in agent order: no second full-size copy of the trace.
+    order = np.array([i - 1 for i in partition.order()])
+    states = np.empty((len(zs), partition.n, spec.framework.config.d))
+    for k, z in enumerate(zs):
+        states[k, order] = z
+    deltas = np.array(deltas)
+    columns = {
+        "states": states,
+        "targets": np.stack(ts),
+        "deltas": deltas,
+        "converged_flags": deltas <= spec.tolerance,
+        "diverged_flags": (deltas > DIVERGENCE_LIMIT) | ~np.isfinite(deltas),
+    }
+    for column in columns.values():
+        column.setflags(write=False)
     return RunResult(
-        records=tuple(records),
+        **columns,
         weights=dict(weights),
         stress=stress,
         blocks=blocks,
@@ -323,7 +359,7 @@ def run_scenario(spec: ScenarioSpec) -> RunResult:
         stability_flags=flags,
         converged_at=converged_at,
         diverged=diverged,
-        budget_exhausted=budget_exhausted,
+        budget_exhausted=converged_at is None and not diverged,
     )
 
 
@@ -336,63 +372,25 @@ def run_batch(specs, max_workers: int | None = None):
         return list(pool.map(run_scenario, specs))
 
 
-def _neighbor_weights(framework: Framework, weights: dict) -> dict:
-    table = {i: {} for i in range(1, framework.graph.n + 1)}
-    for (i, j), w in weights.items():
-        table[i][j] = w
-        table[j][i] = w
-    return table
-
-
 def compare_forms(spec: ScenarioSpec) -> float:
     """Max deviation between the matrix-form run and per-agent updates.
 
-    Replays the scenario stepping the global law, and at every step also
-    advances each follower with its per-agent control input; returns the
-    largest entrywise state difference seen. The dynamic per-agent form
-    consumes neighbor states at k+1, which are read off the global solve.
+    Runs the scenario, then advances each follower of every traced state
+    with its per-agent control input and compares the result with the next
+    traced state; returns the largest entrywise difference. The dynamic
+    per-agent form consumes neighbor states at k+1, read off the trace.
     """
     if spec.law not in ("stationary", "dynamic"):
         raise ValueError("form comparison is defined for the stationary and dynamic laws")
-    weights, stress, _ = _resolve_stress(spec)
-    blocks = partition_stress(stress, spec.partition)
-    reference = spec.framework.config
-    partition = spec.partition
-    follower_rows = [i - 1 for i in partition.followers]
-    leader_rows = [i - 1 for i in partition.leaders]
-    incident = _neighbor_weights(spec.framework, weights)
-
-    x = _initial_state(spec)
+    result = run_scenario(spec)
+    graph = spec.framework.graph
+    incident = {
+        i: {j: result.weights[min(i, j), max(i, j)] for j in graph.neighbors(i)}
+        for i in spec.partition.followers
+    }
     worst = 0.0
-    run_below_tol = 0
-    settle_after = spec.schedule.last_step()
-    for k in range(spec.budget + 1):
-        leaders_now, leaders_next = leader_waypoints(spec.schedule, reference, partition, k)
-        x_l = x[leader_rows]
-        targets = follower_targets(blocks, x_l.ravel())
-        delta = disagreement(x[follower_rows].ravel(), targets)
-        if delta > DIVERGENCE_LIMIT or not np.isfinite(delta):
-            break
-        if delta <= spec.tolerance and k >= settle_after:
-            run_below_tol += 1
-            if run_below_tol >= CONVERGENCE_WINDOW:
-                break
-        else:
-            run_below_tol = 0
-        if k == spec.budget:
-            break
-
-        if spec.law == "stationary":
-            x_f_next = stationary_leader_step(blocks, spec.T, x[follower_rows].ravel(), x_l.ravel())
-        else:
-            x_f_next = dynamic_leader_step(
-                blocks, spec.T, x[follower_rows].ravel(), x_l.ravel(), leaders_next.ravel()
-            )
-        x_next = x.copy()
-        x_next[follower_rows] = x_f_next.reshape(-1, reference.d)
-        x_next[leader_rows] = leaders_next
-
-        for agent in partition.followers:
+    for x, x_next in zip(result.states, result.states[1:]):
+        for agent in spec.partition.followers:
             states_now = {j: x[j - 1] for j in incident[agent]}
             if spec.law == "stationary":
                 u = local_control_input_stationary(agent, x[agent - 1], states_now, incident[agent])
@@ -403,5 +401,4 @@ def compare_forms(spec: ScenarioSpec) -> float:
                 )
             per_agent = x[agent - 1] + spec.T * u
             worst = max(worst, float(np.abs(per_agent - x_next[agent - 1]).max()))
-        x = x_next
     return worst

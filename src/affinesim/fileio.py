@@ -310,27 +310,27 @@ def load_matrix(path) -> np.ndarray:
     return mat
 
 
-def write_trace(records, n: int, d: int, path):
-    """Write trace records to CSV, one row per (step, agent, coordinate)."""
+def write_trace(result: RunResult, path):
+    """Write a run's trace to CSV, one row per (step, agent, coordinate).
+
+    Formats from the columns with one write per step; the bytes are what
+    csv.writer produces for the same rows, as no field needs quoting.
+    """
+    _, n, d = result.states.shape
+    cells = [f"{agent},{coord}," for agent in range(1, n + 1) for coord in range(d)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_HEADER)
-        for rec in records:
-            state = rec.x.reshape(n, d)
-            flags = (int(rec.converged), int(rec.diverged))
-            for agent in range(1, n + 1):
-                for coord in range(d):
-                    writer.writerow(
-                        (
-                            rec.k,
-                            agent,
-                            coord,
-                            repr(float(state[agent - 1, coord])),
-                            repr(float(rec.delta_norm)),
-                            flags[0],
-                            flags[1],
-                        )
-                    )
+        fh.write(",".join(TRACE_HEADER) + "\n")
+        rows = zip(
+            result.states,
+            result.deltas.tolist(),
+            result.converged_flags.tolist(),
+            result.diverged_flags.tolist(),
+        )
+        for k, (state, delta, converged, diverged) in enumerate(rows):
+            head = f"{k},"
+            tail = f",{delta!r},{int(converged)},{int(diverged)}\n"
+            values = map(repr, state.ravel().tolist())
+            fh.write(head + (tail + head).join(map(str.__add__, cells, values)) + tail)
 
 
 def read_trace(path):
@@ -358,8 +358,8 @@ def _json_safe(value):
     return value
 
 
-def summary_dict(result: RunResult, partition: LeaderPartition, d: int) -> dict:
-    final = result.records[-1].x.reshape(partition.n, d)
+def summary_dict(result: RunResult, partition: LeaderPartition) -> dict:
+    final = result.final_positions()
     return _json_safe(
         {
             "final_delta": result.final_delta,
@@ -374,7 +374,7 @@ def summary_dict(result: RunResult, partition: LeaderPartition, d: int) -> dict:
     )
 
 
-def write_summary(result: RunResult, partition: LeaderPartition, d: int, path):
+def write_summary(result: RunResult, partition: LeaderPartition, path):
     with open(path, "w") as fh:
-        json.dump(summary_dict(result, partition, d), fh, indent=2, sort_keys=True)
+        json.dump(summary_dict(result, partition), fh, indent=2, sort_keys=True)
         fh.write("\n")

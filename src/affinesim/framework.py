@@ -12,13 +12,6 @@ import numpy as np
 RANK_RTOL = 1e-10
 
 
-def readonly_array(values, dtype=float) -> np.ndarray:
-    """Copy ``values`` into a locked ndarray so frozen dataclasses stay frozen."""
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph on nodes 1..n.

@@ -160,14 +160,25 @@ class ManoeuvreSchedule:
 
     def transform_at(self, d: int, k: int) -> AffineTransform:
         """Cumulative transform in effect at step k."""
+        return next(self.transforms(d, k, 1))
+
+    def transforms(self, d: int, k: int, count: int):
+        """Cumulative transforms at steps k, k+1, ..., k+count-1, in order.
+
+        Segments do not overlap: the finished ones form a prefix, composed
+        once, and at most one is in progress."""
         if k < 0:
             raise ValueError("step index must be nonnegative")
-        total = AffineTransform.identity(d)
-        for seg in self.segments:
-            if k < seg.k0:
-                break
-            total = make_transform(seg.kind, seg.params, d, seg.progress(k)).compose(total)
-        return total
+        done, pending = AffineTransform.identity(d), list(self.segments)
+        for step in range(k, k + count):
+            while pending and pending[0].k1 <= step:
+                seg = pending.pop(0)
+                done = make_transform(seg.kind, seg.params, d, 1.0).compose(done)
+            seg = pending[0] if pending else None
+            if seg is not None and seg.k0 <= step:
+                yield make_transform(seg.kind, seg.params, d, seg.progress(step)).compose(done)
+            else:
+                yield done
 
     def last_step(self) -> int:
         return self.segments[-1].k1 if self.segments else 0
@@ -178,18 +189,18 @@ def leader_waypoints(
     reference: Configuration,
     partition: LeaderPartition,
     k: int,
-):
-    """Leader positions at steps k and k+1 as a pair of (n_l, d) arrays.
+    count: int = 2,
+) -> np.ndarray:
+    """Leader positions at steps k, k+1, ..., k+count-1 as one (count, n_l, d) array.
 
-    The dynamic law consumes both endpoints of the sampling interval, so
-    the pair is produced together. Steps past the schedule hold the final
-    transform, leaving the leaders stationary.
+    The default pair unpacks as (now, next), the two endpoints of the
+    sampling interval the dynamic law consumes; the engine asks for a whole
+    run at once. Steps past the schedule hold the final transform.
     """
-    if k < 0:
-        raise ValueError("step index must be nonnegative")
     if partition.n != reference.n:
         raise ValueError("partition does not match configuration")
-    rows = [i - 1 for i in partition.leaders]
-    now = apply_affine(schedule.transform_at(reference.d, k), reference)
-    nxt = apply_affine(schedule.transform_at(reference.d, k + 1), reference)
-    return now.positions[rows], nxt.positions[rows]
+    leaders = reference.positions[[i - 1 for i in partition.leaders]]
+    out = np.empty((count, len(leaders), reference.d))
+    for row, transform in enumerate(schedule.transforms(reference.d, k, count)):
+        out[row] = leaders @ transform.theta.T + transform.b
+    return out

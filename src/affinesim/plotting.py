@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 PALETTE = (
     "#1f77b4",
     "#d62728",
@@ -23,40 +25,40 @@ HEIGHT = 640
 MARGIN = 40
 
 
-def _scaler(xs, ys):
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+def _scaler(points):
+    """Map plane coordinates (scalars or arrays) to pixels, framing the (m, 2) points."""
+    (x0, y0), (x1, y1) = np.nanmin(points, axis=0).tolist(), np.nanmax(points, axis=0).tolist()
     span_x = (x1 - x0) or 1.0
     span_y = (y1 - y0) or 1.0
     scale = min((WIDTH - 2 * MARGIN) / span_x, (HEIGHT - 2 * MARGIN) / span_y)
 
     def to_px(x, y):
-        px = MARGIN + (x - x0) * scale
         # SVG y grows downward; flip so the plane reads normally.
-        py = HEIGHT - MARGIN - (y - y0) * scale
-        return f"{px:.2f},{py:.2f}"
+        return MARGIN + (x - x0) * scale, HEIGHT - MARGIN - (y - y0) * scale
 
     return to_px
 
 
-def trajectory_svg(records, partition, d: int) -> str:
-    """Planar trajectories: one polyline per agent, a marker per agent.
+def _points(px, py) -> str:
+    pairs = zip(np.ravel(px).tolist(), np.ravel(py).tolist())
+    return " ".join(f"{x:.2f},{y:.2f}" for x, y in pairs)
+
+
+def trajectory_svg(result, partition) -> str:
+    """Planar trajectories of a run: one polyline per agent, a marker per agent.
 
     Follower markers sit at the final follower targets, leader markers at
     the final leader positions. Only d=2 is drawable.
     """
-    if d != 2:
+    states = result.states
+    if states.shape[2] != 2:
         raise ValueError("trajectory plots are only available for d=2")
     n = partition.n
-    states = [rec.x.reshape(n, d) for rec in records]
-    final_targets = records[-1].x_f_star.reshape(partition.n_followers, d)
-    markers = {i: states[-1][i - 1] for i in partition.leaders}
-    for row, i in enumerate(partition.followers):
-        markers[i] = final_targets[row]
+    markers = states[-1].copy()
+    markers[[i - 1 for i in partition.followers]] = result.targets[-1]
 
-    xs = [s[i, 0] for s in states for i in range(n)] + [m[0] for m in markers.values()]
-    ys = [s[i, 1] for s in states for i in range(n)] + [m[1] for m in markers.values()]
-    to_px = _scaler(xs, ys)
+    corners = (np.nanmin(states, axis=(0, 1)), np.nanmax(states, axis=(0, 1)))
+    to_px = _scaler(np.vstack((*corners, markers)))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -65,13 +67,13 @@ def trajectory_svg(records, partition, d: int) -> str:
     ]
     for agent in range(1, n + 1):
         color = PALETTE[(agent - 1) % len(PALETTE)]
-        pts = " ".join(to_px(s[agent - 1, 0], s[agent - 1, 1]) for s in states)
+        pts = _points(*to_px(states[:, agent - 1, 0], states[:, agent - 1, 1]))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
     for agent in range(1, n + 1):
         color = PALETTE[(agent - 1) % len(PALETTE)]
-        cx, cy = to_px(markers[agent][0], markers[agent][1]).split(",")
+        cx, cy = _points(*to_px(markers[agent - 1, 0], markers[agent - 1, 1])).split(",")
         shape = "3,1" if agent in partition.leaders else None
         dash = f' stroke-dasharray="{shape}"' if shape else ""
         parts.append(
@@ -86,22 +88,17 @@ def trajectory_svg(records, partition, d: int) -> str:
     return "\n".join(parts) + "\n"
 
 
-def delta_svg(records) -> str:
-    """Disagreement norm against step index, log10-scaled vertically."""
+def delta_svg(result) -> str:
+    """Disagreement norm of a run against step index, log10-scaled vertically."""
     floor = 1e-16
-    ks = [rec.k for rec in records]
-    logs = [math.log10(max(float(rec.delta_norm), floor)) for rec in records]
+    logs = [math.log10(max(delta, floor)) for delta in result.deltas.tolist()]
     lo, hi = min(logs), max(logs)
     if hi == lo:
         hi = lo + 1.0
-    k_hi = max(ks[-1], 1)
-
-    def to_px(k, v):
-        px = MARGIN + k / k_hi * (WIDTH - 2 * MARGIN)
-        py = HEIGHT - MARGIN - (v - lo) / (hi - lo) * (HEIGHT - 2 * MARGIN)
-        return f"{px:.2f},{py:.2f}"
-
-    pts = " ".join(to_px(k, v) for k, v in zip(ks, logs))
+    k_last = len(logs) - 1
+    px = MARGIN + np.arange(len(logs)) / max(k_last, 1) * (WIDTH - 2 * MARGIN)
+    py = HEIGHT - MARGIN - (np.array(logs) - lo) / (hi - lo) * (HEIGHT - 2 * MARGIN)
+    pts = _points(px, py)
     axis = (
         f'<polyline points="{MARGIN},{MARGIN} {MARGIN},{HEIGHT - MARGIN} '
         f'{WIDTH - MARGIN},{HEIGHT - MARGIN}" fill="none" stroke="#333" stroke-width="1"/>'
@@ -109,7 +106,7 @@ def delta_svg(records) -> str:
     labels = (
         f'<text x="4" y="{MARGIN}" font-size="11" fill="#333">1e{hi:.1f}</text>'
         f'<text x="4" y="{HEIGHT - MARGIN}" font-size="11" fill="#333">1e{lo:.1f}</text>'
-        f'<text x="{WIDTH - MARGIN}" y="{HEIGHT - 12}" font-size="11" fill="#333">k={ks[-1]}</text>'
+        f'<text x="{WIDTH - MARGIN}" y="{HEIGHT - 12}" font-size="11" fill="#333">k={k_last}</text>'
         f'<text x="{MARGIN}" y="{HEIGHT - 12}" font-size="11" fill="#333">k=0</text>'
     )
     return (

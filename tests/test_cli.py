@@ -237,3 +237,27 @@ def test_env_seed_invalid(bench, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("AFFINESIM_SEED", "lucky")
     assert main(["simulate", str(bench), "--out", str(tmp_path / "x")]) == 2
     assert "AFFINESIM_SEED" in capsys.readouterr().err
+
+
+def test_simulate_singular_follower_block_exit_code(bench, tmp_path, capsys):
+    framework = json.loads((tmp_path / "framework.json").read_text())
+    framework["leaders"] = [1, 4, 5]  # collinear: the follower block is singular
+    (tmp_path / "framework.json").write_text(json.dumps(framework))
+    data = json.loads(bench.read_text())
+    data["initial_followers"] = [[0.0, 1.0], [0.0, -1.0]]
+    bench.write_text(json.dumps(data))
+    assert main(["simulate", str(bench), "--out", str(tmp_path / "singular")]) == 5
+    assert "follower stress block is singular" in capsys.readouterr().err
+
+
+def test_simulate_rejects_linear_law_schedule(bench, tmp_path, capsys):
+    data = json.loads(bench.read_text())
+    data.update(
+        law="linear",
+        plant={"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[1.0, 0.0], [0.0, 1.0]]},
+        epsilon=0.1,
+        schedule={"segments": [{"k0": 0, "k1": 5, "kind": "translation", "params": {"v": [1, 0]}}]},
+    )
+    bench.write_text(json.dumps(data))
+    assert main(["simulate", str(bench), "--out", str(tmp_path / "linear")]) == 2
+    assert "linear law takes no schedule" in capsys.readouterr().err

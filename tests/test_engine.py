@@ -9,15 +9,21 @@ from affinesim import (
     LeaderPartition,
     LinearPlant,
     ManoeuvreSchedule,
+    LocalizabilityError,
     ScenarioSpec,
     ScheduleSegment,
     compare_forms,
     detect_convergence,
     disagreement,
+    dynamic_leader_step,
     follower_targets,
+    leader_waypoints,
+    linear_step,
     partition_stress,
     run_batch,
     run_scenario,
+    solve_mare,
+    stationary_leader_step,
     verify_equilibrium,
 )
 from affinesim.engine import TraceRecord
@@ -283,3 +289,93 @@ def test_trace_record_flags_are_instantaneous(framework, partition):
     assert all(crossing[first:])
     assert not any(rec.diverged for rec in result.records)
     assert isinstance(result.records[0], TraceRecord)
+
+
+def public_steps(spec, result):
+    """Step the scenario through the public one-step functions."""
+    blocks, config = result.blocks, spec.framework.config
+    f_rows = [i - 1 for i in spec.partition.followers]
+    l_rows = [i - 1 for i in spec.partition.leaders]
+    x = np.zeros((config.n, config.d))
+    x[l_rows] = leader_waypoints(spec.schedule, config, spec.partition, 0)[0]
+    x[f_rows] = spec.initial_followers
+    K = solve_mare(spec.plant, spec.q_matrix).K if spec.law == "linear" else None
+    states, targets = [], []
+    for k in range(result.steps + 1):
+        states.append(x.copy())
+        targets.append(follower_targets(blocks, x[l_rows]).reshape(-1, config.d))
+        now, nxt = leader_waypoints(spec.schedule, config, spec.partition, k)
+        if spec.law == "linear":
+            x = linear_step(spec.plant, K, spec.epsilon, result.stress, x).reshape(config.n, config.d)
+            continue
+        if spec.law == "stationary":
+            x_f = stationary_leader_step(blocks, spec.T, x[f_rows], now)
+        else:
+            x_f = dynamic_leader_step(blocks, spec.T, x[f_rows], now, nxt)
+        x = x.copy()
+        x[f_rows] = x_f.reshape(-1, config.d)
+        x[l_rows] = nxt
+    return np.array(states), np.array(targets)
+
+
+@pytest.mark.parametrize(
+    "law, budget", [("stationary", 150), ("dynamic", 150), ("linear", 150), ("dynamic", 30)]
+)
+def test_compiled_run_matches_public_steps(framework, partition, law, budget):
+    overrides = dict(law=law, T=0.7, budget=budget, tolerance=1e-12)
+    if law == "linear":
+        overrides.update(plant=LinearPlant(np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([[0.0], [1.0]])),
+                         epsilon=0.2)
+    else:
+        seg = ScheduleSegment(k0=3, k1=60, kind="rotation", params={"angle": 1.2}, interp="linear")
+        overrides.update(schedule=ManoeuvreSchedule((seg,)))
+    spec = scenario(framework, partition, **overrides)
+    result = run_scenario(spec)
+    assert result.steps >= min(budget, 60)
+    states, targets = public_steps(spec, result)
+    np.testing.assert_allclose(result.states, states, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(result.targets, targets, rtol=0.0, atol=1e-12)
+    deltas = [disagreement(s[[3, 4]], t) for s, t in zip(states, targets)]
+    np.testing.assert_allclose(result.deltas, deltas, rtol=0.0, atol=1e-12)
+
+
+def test_trace_columns_and_records_agree(framework, partition):
+    result = run_scenario(scenario(framework, partition, T=1.4, budget=500))
+    steps = result.steps
+    assert result.states.shape == (steps + 1, 5, 2)
+    assert result.targets.shape == (steps + 1, 2, 2)
+    assert result.diverged_flags.tolist() == [False] * steps + [True]
+    for rec in result.records:
+        assert np.array_equal(rec.x, result.states[rec.k].ravel())
+        assert np.array_equal(rec.x_f_star, result.targets[rec.k].ravel())
+        assert rec.delta_norm == result.deltas[rec.k]
+        assert rec.converged == result.converged_flags[rec.k]
+    assert not result.states.flags.writeable
+
+
+def test_linear_law_flags_predict_divergence(framework, partition):
+    # With A = 1.2 I and B = I the gain cancels A, so rho(A + BK) = 0, but
+    # the coupled modes 1.2 * lambda_i of the stress are unstable.
+    plant = LinearPlant(1.2 * np.eye(2), np.eye(2))
+    result = run_scenario(scenario(framework, partition, law="linear", plant=plant, epsilon=1.0))
+    assert result.diverged and result.steps == 21
+    flags = result.stability_flags
+    assert flags["closed_loop_spectral_radius"] == 0.0
+    lam_max = np.linalg.eigvalsh(result.stress.entries)[-1]
+    assert flags["modal_spectral_radius"] == pytest.approx(1.2 * lam_max, rel=1e-12)
+    assert flags["stable"] is False
+
+
+def test_linear_law_rejects_schedule(framework, partition):
+    seg = ScheduleSegment(k0=0, k1=10, kind="translation", params={"v": [1.0, 0.0]})
+    plant = LinearPlant(np.eye(2), np.eye(2))
+    with pytest.raises(ValueError, match="no schedule"):
+        scenario(framework, partition, law="linear", plant=plant, schedule=ManoeuvreSchedule((seg,)))
+
+
+def test_singular_follower_block_raises(framework):
+    # Leaders 1, 4, 5 are collinear, so the follower block is singular.
+    collinear = LeaderPartition.from_leaders((1, 4, 5), 5)
+    spec = scenario(framework, collinear, initial_followers=[(0.0, 1.0), (0.0, -1.0)])
+    with pytest.raises(LocalizabilityError):
+        run_scenario(spec)
