@@ -35,6 +35,7 @@ from .engine import (
     disagreement,
     run_batch,
     run_scenario,
+    stability_flags,
 )
 from .framework import (
     Configuration,
@@ -45,6 +46,7 @@ from .framework import (
     affine_span_dimension,
     is_k_connected,
     validate_leader_selection,
+    vertex_separator,
 )
 from .maneuvers import (
     AffineTransform,

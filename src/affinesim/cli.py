@@ -1,16 +1,16 @@
 """Command-line front end.
 
-Subcommands: validate (rigidity certificate), synth (stress search),
+Subcommands: validate (rigidity certificate), synth (stress synthesis),
 simulate (scenario run; trace, summary and plots are written from the
-run's trace columns), stability (closed-loop stability report), riccati
-(gain solver), batch (many scenarios, optionally in parallel).
+run's trace columns), stability (the engine's stability flags for a law),
+riccati (gain solver), batch (many scenarios, run one after another).
 
-Exit codes: 0 success/converged, 1 certificate or search failure, 2 parse
+Exit codes: 0 success/converged, 1 certificate or synthesis failure, 2 parse
 or validation failure (a linear-law scenario with a schedule included),
 3 diverged, 4 step budget exhausted, 5 numerical solver failure (singular
 follower block, Riccati budget). Console numerics are printed to 6
 significant digits; files carry full precision. AFFINESIM_SEED overrides
-any scenario or manifest seed.
+any scenario or manifest seed, which does not change a synthesized stress.
 """
 
 from __future__ import annotations
@@ -25,15 +25,14 @@ import numpy as np
 
 from . import __version__, fileio
 from .control import SolverError, LinearPlant, solve_mare, spectral_radius, check_period
-from .engine import CertificateError, run_batch, run_scenario
-from .framework import LeaderPartition, validate_leader_selection
+from .engine import CertificateError, run_batch, run_scenario, stability_flags
+from .framework import LeaderPartition, validate_leader_selection, vertex_separator
 from .plotting import delta_svg, trajectory_svg
 from .stress import (
     LocalizabilityError,
     SynthesisError,
     assemble_stress,
     check_rigidity_certificate,
-    min_eig_neg_ff,
     partition_stress,
     synthesize_stress,
     verify_equilibrium,
@@ -67,12 +66,23 @@ def _env_seed():
         raise fileio.ParseError(f"AFFINESIM_SEED={raw!r} is not an integer") from exc
 
 
+def _connectivity(separator) -> str:
+    if separator is None:
+        return "yes"
+    return f"no (removing {', '.join(map(str, separator)) or 'nothing'} disconnects the graph)"
+
+
 def _print_certificate(cert) -> None:
     print(f"rank: {cert.rank}/{cert.expected_rank}")
     print(f"min eigenvalue: {_fmt(cert.min_eigenvalue)}")
     print(f"PSD: {'yes' if cert.psd else 'no'}")
-    print(f"connectivity: {'yes' if cert.connectivity_ok else 'no'}")
+    print(f"connectivity: {_connectivity(cert.separator)}")
     print(f"certificate: {'PASS' if cert.passed else 'FAIL'}")
+
+
+def _print_flags(flags: dict) -> None:
+    for key, value in sorted(flags.items()):
+        print(f"{key}: {value if isinstance(value, (str, bool)) else _fmt(value)}")
 
 
 def cmd_validate(args) -> int:
@@ -96,14 +106,12 @@ def cmd_validate(args) -> int:
         )
 
     if stress is None:
-        from .framework import is_k_connected
-
         size_ok = n >= d + 2
-        conn_ok = size_ok and is_k_connected(framework.graph, d + 1)
         if not size_ok:
             print(f"certificate impossible: n = {n} < d+2 = {d + 2}")
-        print(f"connectivity ({d + 1}-connected): {'yes' if conn_ok else 'no'}")
-        passed = size_ok and conn_ok and leaders_ok
+        separator = vertex_separator(framework.graph, d + 1) if size_ok else ()
+        print(f"connectivity ({d + 1}-connected): {_connectivity(separator) if size_ok else 'no'}")
+        passed = size_ok and separator is None and leaders_ok
         print(f"structural checks: {'PASS' if passed else 'FAIL'} (no stress supplied)")
         return EXIT_OK if passed else EXIT_CERTIFICATE
 
@@ -120,9 +128,7 @@ def cmd_validate(args) -> int:
 def cmd_synth(args) -> int:
     framework, _ = fileio.load_framework(args.framework)
     seed = _env_seed()
-    if seed is None:
-        seed = args.seed
-    weights = synthesize_stress(framework, seed=seed, restarts=args.restarts)
+    weights = synthesize_stress(framework, seed=args.seed if seed is None else seed)
     fileio.save_weights(weights, args.out)
     print(f"wrote {args.out}")
     cert = check_rigidity_certificate(assemble_stress(framework.graph, weights), framework)
@@ -170,8 +176,7 @@ def cmd_simulate(args) -> int:
 
     print(f"steps: {result.steps}")
     print(f"final delta: {_fmt(result.final_delta)}")
-    for key, value in sorted(result.stability_flags.items()):
-        print(f"{key}: {value if isinstance(value, (str, bool)) else _fmt(value)}")
+    _print_flags(result.stability_flags)
     if result.converged_at is not None:
         print(f"outcome: converged at k={result.converged_at}")
     elif result.diverged:
@@ -196,7 +201,7 @@ def cmd_batch(args) -> int:
         fileio.save_manifest(spec, raw, out_dir, out_dir / "manifest.json")
         runs.append((raw, spec, out_dir))
 
-    results = run_batch([spec for _, spec, _ in runs], max_workers=args.jobs)
+    results = run_batch([spec for _, spec, _ in runs])
     codes = []
     for (raw, spec, out_dir), result in zip(runs, results):
         _write_run_outputs(spec, result, out_dir, args.plot)
@@ -215,30 +220,36 @@ def cmd_stability(args) -> int:
     T = check_period(args.T)
     print(f"law: {args.law}")
     if args.law == "dynamic":
-        factor = abs(1.0 - T)
+        flags = stability_flags("dynamic", T)
+        factor = flags["decay_factor"]
         print(f"decay factor |1-T|: {_fmt(factor)}")
         print(f"disagreement spectral radius: {_fmt(factor)}")
-        if factor < 1.0:
+        if flags["stable"]:
             print(f"T = {_fmt(T)} < 2: stable, decay {_fmt(factor)} per step")
-        elif factor == 1.0 and T == 2.0:
+        elif T == 2.0:
             print("marginally unstable (|1-T| = 1)")
         else:
             print(f"T = {_fmt(T)}: UNSTABLE (|1-T| = {_fmt(factor)} >= 1)")
         return EXIT_OK
 
-    if not args.stress or not args.leaders:
+    if args.law == "linear" and not (args.stress and args.A and args.B):
+        raise fileio.ParseError("linear stability needs --stress, --A and --B")
+    if args.law == "stationary" and not (args.stress and args.leaders):
         raise fileio.ParseError("stationary stability needs --stress and --leaders")
     stress = fileio.load_stress(args.stress)
+    if args.law == "linear":
+        plant = LinearPlant(fileio.load_matrix(args.A), fileio.load_matrix(args.B))
+        solution = solve_mare(plant, np.eye(plant.m))
+        _print_flags(stability_flags("linear", T, None, stress, plant, solution, args.epsilon))
+        return EXIT_OK
+
     leaders = [int(tok) for tok in args.leaders.split(",") if tok.strip()]
     partition = LeaderPartition.from_leaders(leaders, stress.n)
-    blocks = partition_stress(stress, partition)
-    mu_min = min_eig_neg_ff(blocks)
-    print(f"mu_min: {_fmt(mu_min)}")
-    product = T * mu_min
-    verdict = "stable" if product > -2.0 else "UNSTABLE"
-    print(f"T*mu_min = {_fmt(product)} {'>' if product > -2.0 else '<='} -2: {verdict}")
-    rho = spectral_radius(np.eye(blocks.n_followers) - T * blocks.ff)
-    print(f"disagreement spectral radius: {_fmt(rho)}")
+    flags = stability_flags("stationary", T, partition_stress(stress, partition))
+    print(f"mu_min: {_fmt(flags['mu_min'])}")
+    relation, verdict = (">", "stable") if flags["stable"] else ("<=", "UNSTABLE")
+    print(f"T*mu_min = {_fmt(flags['T_mu_min'])} {relation} -2: {verdict}")
+    print(f"disagreement spectral radius: {_fmt(flags['spectral_radius'])}")
     return EXIT_OK
 
 
@@ -270,11 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", help="edge weights JSON file (assembled into a stress)")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("synth", help="search for a certificate-passing stress")
+    p = sub.add_parser("synth", help="synthesize a certificate-passing stress")
     p.add_argument("framework", help="framework JSON file")
     p.add_argument("--out", default="weights.json", help="output weights file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=20)
+    p.add_argument("--seed", type=int, default=0, help="accepted; does not change the stress")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("simulate", help="run a scenario (or re-run a manifest)")
@@ -283,18 +293,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot", action="store_true", help="also write SVG plots")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("batch", help="run several scenarios, optionally in parallel")
+    p = sub.add_parser("batch", help="run several scenarios one after another")
     p.add_argument("scenarios", nargs="+", help="scenario JSON files")
     p.add_argument("--out", required=True, help="output root directory")
-    p.add_argument("--jobs", type=int, default=None, help="parallel workers")
     p.add_argument("--plot", action="store_true")
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("stability", help="stability report for a law and sampling period")
-    p.add_argument("--law", choices=("stationary", "dynamic"), required=True)
+    p.add_argument("--law", choices=("stationary", "dynamic", "linear"), required=True)
     p.add_argument("--T", type=float, required=True, help="sampling period")
-    p.add_argument("--stress", help="stress JSON (stationary law)")
+    p.add_argument("--stress", help="stress JSON (stationary and linear laws)")
     p.add_argument("--leaders", help="comma-separated leader ids (stationary law)")
+    p.add_argument("--A", help="plant state matrix JSON (linear law)")
+    p.add_argument("--B", help="plant input matrix JSON (linear law)")
+    p.add_argument("--epsilon", type=float, default=0.0, help="stress coupling (linear law)")
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("riccati", help="solve the modified Riccati equation for a gain")

@@ -13,7 +13,6 @@ RunResult.records rebuilds per-step TraceRecords from them on demand.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,11 +62,11 @@ class ScenarioSpec:
     """Complete, reproducible description of one simulation run.
 
     The framework's configuration is the reference the schedule transforms.
-    weights=None requests stress synthesis (seeded by `seed`). The linear
-    law additionally needs a plant whose state dimension equals d; its gain
-    comes from the Riccati solver with weight matrix q_matrix (identity
-    when omitted). Under the linear law every agent, leaders included,
-    evolves by the law, so it takes no manoeuvre schedule.
+    weights=None requests stress synthesis, which does not depend on `seed`.
+    The linear law additionally needs a plant whose state dimension equals
+    d; its gain comes from the Riccati solver with weight matrix q_matrix
+    (identity when omitted). Under the linear law every agent, leaders
+    included, evolves by the law, so it takes no manoeuvre schedule.
     """
 
     framework: Framework
@@ -206,33 +205,36 @@ def detect_convergence(trace, tol: float, window: int = CONVERGENCE_WINDOW):
     return None
 
 
-def _stability_flags(spec: ScenarioSpec, blocks: StressBlocks, stress: StressMatrix, solution) -> dict:
-    if spec.law == "stationary":
+def stability_flags(law, T, blocks=None, stress=None, plant=None, solution=None, epsilon=0.0):
+    """Stability diagnostics of one law at period T: the stationary law reads
+    the stress blocks, the linear law the stress, plant, Riccati solution
+    and coupling epsilon, and the dynamic law T alone."""
+    if law == "stationary":
         mu_min = min_eig_neg_ff(blocks)
         return {
             "law": "stationary",
-            "T": spec.T,
+            "T": T,
             "mu_min": mu_min,
-            "T_mu_min": spec.T * mu_min,
-            "stable": stationary_law_stable(spec.T, mu_min),
-            "spectral_radius": spectral_radius(stationary_disagreement_matrix(blocks, spec.T)),
+            "T_mu_min": T * mu_min,
+            "stable": stationary_law_stable(T, mu_min),
+            "spectral_radius": spectral_radius(stationary_disagreement_matrix(blocks, T)),
         }
-    if spec.law == "dynamic":
+    if law == "dynamic":
         return {
             "law": "dynamic",
-            "T": spec.T,
-            "decay_factor": abs(1.0 - spec.T),
-            "stable": dynamic_law_stable(spec.T),
+            "T": T,
+            "decay_factor": abs(1.0 - T),
+            "stable": dynamic_law_stable(T),
         }
     # Diagonalising the stress splits the closed loop into the modes
     # A + (1 - eps * lambda_i) B K, one per eigenvalue lambda_i of the stress.
-    A, BK = spec.plant.A, spec.plant.B @ solution.K
+    A, BK = plant.A, plant.B @ solution.K
     lams = np.linalg.eigvalsh(stress.entries)
-    modal = max(spectral_radius(A + (1.0 - spec.epsilon * lam) * BK) for lam in lams)
+    modal = max(spectral_radius(A + (1.0 - epsilon * lam) * BK) for lam in lams)
     return {
         "law": "linear",
-        "T": spec.T,
-        "epsilon": spec.epsilon,
+        "T": T,
+        "epsilon": epsilon,
         "closed_loop_spectral_radius": spectral_radius(A + BK),
         "modal_spectral_radius": modal,
         "riccati_residual": solution.residual,
@@ -244,7 +246,7 @@ def _stability_flags(spec: ScenarioSpec, blocks: StressBlocks, stress: StressMat
 def _resolve_stress(spec: ScenarioSpec):
     weights = spec.weights
     if weights is None:
-        weights = synthesize_stress(spec.framework, seed=spec.seed)
+        weights = synthesize_stress(spec.framework)
     stress = assemble_stress(spec.framework.graph, weights)
     certificate = check_rigidity_certificate(stress, spec.framework)
     if not certificate.passed:
@@ -302,7 +304,7 @@ def run_scenario(spec: ScenarioSpec) -> RunResult:
         solution = solve_mare(spec.plant, spec.q_matrix, tol=spec.riccati_tol)
     # The follower-block guard runs once, here; G maps leaders to follower targets.
     G = -solve_follower_block(blocks, blocks.fl)
-    flags = _stability_flags(spec, blocks, stress, solution)
+    flags = stability_flags(spec.law, spec.T, blocks, stress, spec.plant, solution, spec.epsilon)
 
     settle_after = spec.schedule.last_step()
     count = min(spec.budget, settle_after + 1) + 1
@@ -363,13 +365,9 @@ def run_scenario(spec: ScenarioSpec) -> RunResult:
     )
 
 
-def run_batch(specs, max_workers: int | None = None):
-    """Run independent scenarios concurrently; results in input order."""
-    specs = list(specs)
-    if not specs:
-        return []
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(run_scenario, specs))
+def run_batch(specs):
+    """Run independent scenarios one after another; results in input order."""
+    return [run_scenario(spec) for spec in specs]
 
 
 def compare_forms(spec: ScenarioSpec) -> float:

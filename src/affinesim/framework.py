@@ -3,7 +3,6 @@ affine-span predicates used by rigidity certification and leader selection."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,35 +178,55 @@ def affine_span_dimension(points) -> int:
 
 
 def is_k_connected(graph: Graph, k: int) -> bool:
-    """True iff removing any fewer than k vertices leaves the graph connected.
+    """True iff removing any fewer than k vertices leaves the graph connected."""
+    return vertex_separator(graph, k) is None
 
-    Exhaustive cut enumeration; intended for desk-scale graphs (n up to ~20).
+
+def vertex_separator(graph: Graph, k: int):
+    """Sorted ids of fewer than k nodes whose removal disconnects the graph.
+
+    () when already disconnected, None when k-connected. Even's test (SIAM
+    J. Comput. 1975): such a separator misses one of the nodes 1..k, so only
+    non-adjacent pairs s < t with s <= k are checked, each by a unit-capacity
+    max-flow on the vertex-split digraph stopped after k augmenting paths.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if graph.n <= k:
         raise ValueError(f"k-connectivity with k={k} needs more than k nodes, got n={graph.n}")
     adj = graph.adjacency()
-    nodes = list(adj)
-    for size in range(k):
-        for cut in itertools.combinations(nodes, size):
-            if not _connected_without(adj, set(cut)):
-                return False
-    return True
-
-
-def _connected_without(adj: dict, removed: set) -> bool:
-    remaining = set(adj) - removed
-    start = next(iter(remaining))
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v in remaining and v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == len(remaining)
+    pairs = [(s, t) for s in range(1, k + 1) for t in range(s + 1, graph.n + 1) if t not in adj[s]]
+    if not pairs:
+        return None
+    # Node 2v is v's entry and 2v+1 its exit. entry -> exit has capacity 1;
+    # each edge gives exit -> entry arcs both ways with capacity k, which a
+    # cut of value below k can never contain.
+    split = [(2 * v, 2 * v + 1, 1) for v in adj]
+    split += [arc for i, j in graph.edges for arc in ((2 * i + 1, 2 * j, k), (2 * j + 1, 2 * i, k))]
+    base, arcs = {}, {a: [] for a in range(2, 2 * graph.n + 2)}
+    for tail, head, cap in split:
+        base[tail, head], base[head, tail] = cap, 0
+        arcs[tail].append(head)
+        arcs[head].append(tail)
+    for s, t in pairs:
+        residual, source, sink = dict(base), 2 * s + 1, 2 * t
+        for _ in range(k):
+            parent, queue = {source: None}, [source]
+            for a in queue:  # breadth-first: the loop visits what it appends
+                if sink in parent:
+                    break
+                for b in arcs[a]:
+                    if b not in parent and residual[a, b] > 0:
+                        parent[b] = a
+                        queue.append(b)
+            if sink not in parent:  # entry reached, exit not: a minimum separator
+                return tuple(v for v in adj if 2 * v in parent and 2 * v + 1 not in parent)
+            b = sink
+            while b != source:
+                residual[parent[b], b] -= 1
+                residual[b, parent[b]] += 1
+                b = parent[b]
+    return None
 
 
 def validate_leader_selection(

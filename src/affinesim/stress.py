@@ -1,6 +1,6 @@
 """Stress matrices: assembly from edge weights, equilibrium verification,
 the universal-rigidity certificate, leader/follower block partitioning,
-follower-target computation, and a nullspace-search stress synthesizer."""
+follower-target computation, and a concave-ascent stress synthesizer."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from .framework import (
     LeaderPartition,
     affine_span_dimension,
     is_k_connected,
+    vertex_separator,
 )
 
 # A matrix is accepted as PSD when its smallest eigenvalue is above
@@ -26,6 +27,11 @@ COND_LIMIT = 1e12
 # exactly zero row sums; matrices transcribed from rounded decimal sources
 # carry defects up to about the rounding quantum, which this admits.
 ROW_SUM_SLACK = 1e-2
+# Stress synthesis: iteration cap, soft-min temperature (times n-d-1) at the
+# first and last iteration, and the |gradient| * |c| that counts as converged.
+SYNTH_MAX_ITER = 500
+SYNTH_TEMPERATURE = (10.0, 1e4)
+SYNTH_GRAD_TOL = 1e-12
 
 
 class LocalizabilityError(ValueError):
@@ -33,7 +39,12 @@ class LocalizabilityError(ValueError):
 
 
 class SynthesisError(RuntimeError):
-    """No positive-semidefinite stress of the required rank was found."""
+    """No PSD stress of the required rank was found; best_min_eigenvalue is
+    the best lambda_min at trace 1 the ascent reached (None if it never ran)."""
+
+    def __init__(self, message: str, best_min_eigenvalue: float | None = None):
+        super().__init__(message)
+        self.best_min_eigenvalue = best_min_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -110,7 +121,7 @@ class StressBlocks:
 
 @dataclass(frozen=True)
 class RigidityCertificate:
-    """Outcome of the universal-rigidity check for a stress/framework pair."""
+    """Universal-rigidity check outcome; separator is vertex_separator(graph, d+1)."""
 
     rank: int
     expected_rank: int
@@ -118,6 +129,7 @@ class RigidityCertificate:
     psd: bool
     connectivity_ok: bool
     passed: bool
+    separator: tuple | None = None
 
 
 def assemble_stress(graph: Graph, weights) -> StressMatrix:
@@ -212,6 +224,7 @@ def check_rigidity_certificate(stress: StressMatrix, framework: Framework) -> Ri
         psd=psd,
         connectivity_ok=connectivity_ok,
         passed=(rank == expected) and psd and connectivity_ok,
+        separator=None if connectivity_ok else vertex_separator(framework.graph, d + 1),
     )
 
 
@@ -281,84 +294,79 @@ def stress_basis(framework: Framework):
     return edges, vt[rank:].T.copy()
 
 
-def synthesize_stress(framework: Framework, seed: int = 0, restarts: int = 20) -> dict:
-    """Search the equilibrium-stress space for a certificate-passing stress.
+def synthesize_stress(framework: Framework, seed: int = 0) -> dict:
+    """Certificate-passing equilibrium stress (edge -> weight) by concave ascent.
 
-    The weight space is the nullspace of the equilibrium constraint matrix;
-    within it, coordinate ascent over unit-norm coefficient vectors maximizes
-    the (d+2)-th smallest eigenvalue of the assembled matrix, which is
-    positive exactly when the stress is PSD with the full allowed rank
-    n-d-1. Restarts are seeded, so results are reproducible; the first
-    restarts deterministically cover the +/- basis axes.
-
-    Returns an edge -> weight mapping. Raises SynthesisError when the
-    framework fails the structural preconditions, the stress space is
-    trivial, or no restart certifies.
+    With Q an orthonormal basis of the complement of [P, 1] and B the stress
+    basis, Omega(Bc) = Q M(c) Q^T is PSD with rank n-d-1 exactly when
+    lambda_min(M(c)) > 0. The ascent maximises that concave function on
+    tr M(c) = a.c = 1 from c0 = a/|a|^2 and returns the first iterate that
+    passes check_rigidity_certificate; see README, Certification. `seed` is
+    kept for older callers and changes nothing. Raises SynthesisError when a
+    precondition fails, a = 0, or the best lambda_min is <= 0 at the end.
     """
     graph, config = framework.graph, framework.config
     n, d = graph.n, config.d
     if n < d + 2:
         raise SynthesisError(f"no valid certificate possible: n={n} < d+2={d + 2}")
     if not is_k_connected(graph, d + 1):
-        raise SynthesisError(f"graph is not {d + 1}-connected")
+        cut = ", ".join(map(str, vertex_separator(graph, d + 1))) or "nothing"
+        raise SynthesisError(f"graph is not {d + 1}-connected: removing {cut} disconnects it")
     if affine_span_dimension(config.positions) != d:
         raise SynthesisError("configuration does not affinely span the ambient space")
 
     edges, basis = stress_basis(framework)
-    s = basis.shape[1]
-    if s == 0:
-        raise SynthesisError("equilibrium-stress space is trivial (only the zero stress)")
+    a = 2.0 * basis.sum(axis=0)  # a_i = tr Omega(B_i)
+    if np.linalg.norm(a) <= 2.0 * np.sqrt(len(edges)) * RANK_RTOL:
+        raise SynthesisError(f"a = 0: no stress has trace 1 (stress dimension {basis.shape[1]})")
 
-    def objective(coeffs: np.ndarray) -> float:
-        weights = basis @ coeffs
+    size = n - d - 1
+    q = np.linalg.svd(np.column_stack([np.ones(n), config.positions]))[0][:, d + 1 :]
+    i, j = (np.array(ends) - 1 for ends in zip(*edges))
+    # |Omega(Bc)|_2 <= 2 sqrt(max degree) |c|, so the soft minimum's gradient is
+    # (t * lipschitz)-Lipschitz and a step of 1 / (t * lipschitz) always ascends.
+    lipschitz = 4.0 * np.bincount(np.concatenate((i, j))).max()
+
+    def spectrum(c):
+        weights = basis @ c
         mat = np.zeros((n, n))
-        for col, (i, j) in enumerate(edges):
-            w = weights[col]
-            mat[i - 1, j - 1] -= w
-            mat[j - 1, i - 1] -= w
-            mat[i - 1, i - 1] += w
-            mat[j - 1, j - 1] += w
-        return float(np.linalg.eigvalsh(mat)[d + 1])
+        mat[i, j] = mat[j, i] = -weights
+        mat[np.diag_indices(n)] = np.bincount(i, weights, n) + np.bincount(j, weights, n)
+        return (weights, *np.linalg.eigh(q.T @ mat @ q))
 
-    rng = np.random.default_rng(seed)
-    starts = []
-    for axis in range(s):
-        for sign in (1.0, -1.0):
-            starts.append(sign * np.eye(s)[axis])
-    while len(starts) < max(restarts, 2 * s):
-        v = rng.normal(size=s)
-        starts.append(v / np.linalg.norm(v))
+    def soft_min(lam, t):
+        return lam[0] - np.log(np.exp(-t * (lam - lam[0])).sum()) / t
 
-    best_value = -np.inf
-    best_coeffs = None
-    for start in starts:
-        coeffs = start.copy()
-        value = objective(coeffs)
-        step = 1.0
-        while step > 1e-4:
-            improved = False
-            for axis in range(s):
-                for sign in (1.0, -1.0):
-                    trial = coeffs + sign * step * np.eye(s)[axis]
-                    norm = np.linalg.norm(trial)
-                    if norm < 1e-12:
-                        continue
-                    trial /= norm
-                    trial_value = objective(trial)
-                    if trial_value > value:
-                        coeffs, value = trial, trial_value
-                        improved = True
-            if not improved:
-                step /= 2.0
-        if value > best_value:
-            best_value, best_coeffs = value, coeffs
-
-    if best_value <= 0.0:
-        raise SynthesisError(
-            f"search failed to certify: best spectral-gap objective {best_value:.3g} <= 0"
-        )
-    weights = dict(zip(edges, (basis @ best_coeffs).tolist()))
-    certificate = check_rigidity_certificate(assemble_stress(graph, weights), framework)
-    if not certificate.passed:
-        raise SynthesisError(f"search result failed certification: {certificate}")
-    return weights
+    c = a / (a @ a)
+    weights, lam, vec = spectrum(c)
+    first, last = SYNTH_TEMPERATURE
+    best, eta = -np.inf, 1.0 / (lipschitz * size * first)
+    for it in range(SYNTH_MAX_ITER):
+        best = max(best, lam[0])
+        if lam[0] > 0.0:
+            result = dict(zip(edges, weights.tolist()))
+            if check_rigidity_certificate(assemble_stress(graph, result), framework).passed:
+                return result
+        t = size * first * (last / first) ** (it / (SYNTH_MAX_ITER - 1))
+        p, u = np.exp(-t * (lam - lam[0])), q @ vec
+        y = (u * (p / p.sum())) @ u.T
+        g = basis.T @ (np.diag(y)[i] + np.diag(y)[j] - 2.0 * y[i, j])
+        g -= (a @ g) / (a @ a) * a
+        if np.linalg.norm(g) * np.linalg.norm(c) <= SYNTH_GRAD_TOL:
+            break
+        # Backtracking: double the last step, halve it until the soft minimum
+        # rises by half the first-order gain or the step is the safe one.
+        f, eta = soft_min(lam, t), 2.0 * eta
+        while True:
+            trial = spectrum(c + eta * g)
+            if soft_min(trial[1], t) >= f + 0.5 * eta * (g @ g) or eta * t * lipschitz <= 1.0:
+                break
+            eta /= 2.0
+        c = c + eta * g
+        weights, lam, vec = trial
+    condition = "no iterate passed the certificate" if best > 0.0 else "the best lambda_min is <= 0"
+    raise SynthesisError(
+        f"{condition} (best lambda_min {best:.6g} at trace 1, bound {1.0 / size:.6g}, "
+        f"stress-space dimension {basis.shape[1]}, iterations run: {it + 1})",
+        best_min_eigenvalue=float(best),
+    )

@@ -125,7 +125,7 @@ def test_batch_aggregates_exit_codes(bench, tmp_path, capsys):
     data["budget"] = 500
     bad = tmp_path / "unstable.json"
     bad.write_text(json.dumps(data))
-    rc = main(["batch", str(bench), str(bad), "--out", str(tmp_path / "batch"), "--jobs", "2"])
+    rc = main(["batch", str(bench), str(bad), "--out", str(tmp_path / "batch")])
     out = capsys.readouterr().out
     assert rc == 3
     assert "scenario.json: converged" in out
@@ -174,6 +174,79 @@ def test_stability_dynamic_reports(capsys):
 
     assert main(["stability", "--law", "dynamic", "--T", "2.5"]) == 0
     assert "UNSTABLE" in capsys.readouterr().out
+
+
+def test_stability_linear_reports_modal_test(tmp_path, capsys):
+    stress = assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS)
+    save_stress(stress, tmp_path / "stress.json")
+    a = write_matrix(tmp_path / "A.json", [[1.2, 0.0], [0.0, 1.2]])
+    b = write_matrix(tmp_path / "B.json", [[1.0, 0.0], [0.0, 1.0]])
+    base = ["stability", "--law", "linear", "--T", "1.0", "--stress", str(tmp_path / "stress.json"),
+            "--A", a, "--B", b]
+    # K = -A, so each mode A + (1 - eps lambda_i) B K is 1.2 eps lambda_i I.
+    assert main(base + ["--epsilon", "1.0"]) == 0
+    out = capsys.readouterr().out
+    lam_max = np.linalg.eigvalsh(stress.entries)[-1]
+    assert f"modal_spectral_radius: {1.2 * lam_max:.6g}" in out
+    assert "stable: False" in out
+    assert main(base) == 0
+    out = capsys.readouterr().out
+    assert "modal_spectral_radius: 0" in out
+    assert "stable: True" in out
+
+
+def test_stability_linear_needs_inputs(capsys):
+    assert main(["stability", "--law", "linear", "--T", "1.0"]) == 2
+    assert "needs --stress, --A and --B" in capsys.readouterr().err
+
+
+# Node 1 of this framework hangs off nodes 2 and 3 only.
+KITE = {
+    "d": 2,
+    "positions": [[0.0, 2.0], [-1.0, 1.0], [1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]],
+    "edges": [[1, 2], [1, 3], [2, 3], [2, 4], [2, 5], [3, 4], [3, 5], [4, 5]],
+    "leaders": [1, 2, 3],
+}
+
+
+def test_validate_structural_names_separator(tmp_path, capsys):
+    path = tmp_path / "kite.json"
+    path.write_text(json.dumps(KITE))
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "connectivity (3-connected): no (removing 2, 3 disconnects the graph)" in out
+    assert "structural checks: FAIL" in out
+
+
+def test_refused_run_names_separator(tmp_path, capsys):
+    (tmp_path / "kite.json").write_text(json.dumps(KITE))
+    scenario = {
+        "framework": "kite.json",
+        "law": "dynamic",
+        "T": 1.0,
+        "initial_followers": [[0.0, 0.0], [0.5, 0.0]],
+        "weights": {"edges": [[i, j, 1.0] for i, j in KITE["edges"]]},
+    }
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+    assert main(["simulate", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "run")]) == 1
+    captured = capsys.readouterr()
+    assert "run refused" in captured.err
+    assert "connectivity: no (removing 2, 3 disconnects the graph)" in captured.out
+
+
+def test_synth_failure_reports_best_eigenvalue(tmp_path, capsys):
+    data = {
+        "d": 1,
+        "positions": [[0.0], [2.0], [1.0], [3.0]],
+        "edges": [[1, 2], [2, 3], [3, 4], [1, 4]],
+    }
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(data))
+    assert main(["synth", str(path), "--out", str(tmp_path / "w.json")]) == 1
+    err = capsys.readouterr().err
+    assert "synthesis failed: the best lambda_min is <= 0 (best lambda_min -" in err
+    assert "stress-space dimension 1" in err
+    assert not (tmp_path / "w.json").exists()
 
 
 def test_riccati_scalar(tmp_path, capsys):

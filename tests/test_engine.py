@@ -273,7 +273,7 @@ def test_run_batch_matches_individual_runs(framework, partition):
         scenario(framework, partition, budget=100, tolerance=1e-6),
         scenario(framework, partition, T=0.7, budget=100, tolerance=1e-6),
     ]
-    batch = run_batch(specs, max_workers=2)
+    batch = run_batch(specs)
     for spec, got in zip(specs, batch):
         solo = run_scenario(spec)
         assert len(solo.records) == len(got.records)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from affinesim import (
     affine_span_dimension,
     is_k_connected,
     validate_leader_selection,
+    vertex_separator,
 )
 
 
@@ -102,6 +105,64 @@ def test_is_k_connected():
 def test_benchmark_graph_is_three_connected(graph):
     assert is_k_connected(graph, 3)
     assert not is_k_connected(graph, 4)
+    separator = vertex_separator(graph, 4)
+    assert len(separator) == 3 and not connected_without(graph, separator)
+
+
+def connected_without(graph, removed) -> bool:
+    """Whether the graph stays connected once the nodes in removed are deleted."""
+    adj = graph.adjacency()
+    remaining = set(adj) - set(removed)
+    start = next(iter(remaining))
+    seen, stack = {start}, [start]
+    while stack:
+        for v in adj[stack.pop()]:
+            if v in remaining and v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == len(remaining)
+
+
+def enumerated_k_connected(graph, k) -> bool:
+    """Reference: try every vertex cut of fewer than k nodes."""
+    return all(
+        connected_without(graph, cut)
+        for size in range(k)
+        for cut in itertools.combinations(range(1, graph.n + 1), size)
+    )
+
+
+def test_vertex_separator_cases():
+    path = Graph(4, [(1, 2), (2, 3), (3, 4)])
+    assert vertex_separator(path, 2) == (2,)
+    assert vertex_separator(Graph(4, [(1, 2), (3, 4)]), 1) == ()
+    k5 = Graph(5, list(itertools.combinations(range(1, 6), 2)))
+    assert vertex_separator(k5, 4) is None
+    # Node 1 hangs off nodes 2 and 3 only.
+    kite = Graph(5, [(1, 2), (1, 3), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)])
+    assert vertex_separator(kite, 3) == (2, 3)
+    with pytest.raises(ValueError):
+        vertex_separator(path, 4)
+
+
+def test_is_k_connected_matches_cut_enumeration():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 9), label="n")
+        k = data.draw(st.integers(1, min(4, n - 1)), label="k")
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        mask = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        graph = Graph(n, [pair for pair, keep in zip(pairs, mask) if keep])
+        separator = vertex_separator(graph, k)
+        assert is_k_connected(graph, k) == enumerated_k_connected(graph, k) == (separator is None)
+        if separator is not None:
+            assert len(separator) < k and not connected_without(graph, separator)
+
+    check()
 
 
 def test_leader_selection(framework, partition):

@@ -186,3 +186,83 @@ def test_synthesize_rejects_weak_graphs():
     fw3 = Framework(tri, Configuration([(0, 0), (1, 0), (0, 1)]))
     with pytest.raises(SynthesisError):
         synthesize_stress(fw3)
+
+
+def certified_complete_framework(n, d, rng):
+    """Complete-graph framework with a certificate by construction.
+
+    With A = [P, 1] split into leader rows A_l (nodes 1..d+1) and follower
+    rows A_f, Omega = W^T Omega_ff W with W = [-A_f A_l^-1 | I] and Omega_ff
+    positive definite vanishes on A, is PSD and has rank n-d-1.
+    """
+    positions = rng.uniform(-1.5, 1.5, size=(n, d))
+    aug = np.hstack([positions, np.ones((n, 1))])
+    w_map = np.hstack([-aug[d + 1 :] @ np.linalg.inv(aug[: d + 1]), np.eye(n - d - 1)])
+    root = rng.normal(size=(n - d - 1, n - d - 1))
+    omega = w_map.T @ (root @ root.T + np.eye(n - d - 1)) @ w_map
+    graph = Graph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+    weights = {(i, j): -omega[i - 1, j - 1] for i, j in graph.edges}
+    return Framework(graph, Configuration(positions)), weights
+
+
+def test_synthesize_certifies_constructed_frameworks():
+    rng = np.random.default_rng(2024)
+    for d in (2, 3):
+        for _ in range(20):
+            fw, truth = certified_complete_framework(7, d, rng)
+            assert check_rigidity_certificate(assemble_stress(fw.graph, truth), fw).passed
+            weights = synthesize_stress(fw)
+            stress = assemble_stress(fw.graph, weights)
+            assert verify_equilibrium(stress, fw.config) <= 1e-9
+            assert check_rigidity_certificate(stress, fw).passed
+
+
+def perturbed_triangulated_grid():
+    """4x4 grid with both diagonals per cell and the distance-2 edges, jittered."""
+    rng = np.random.default_rng(0)
+    positions = [(x, y) for y in range(4) for x in range(4)] + rng.uniform(-0.1, 0.1, (16, 2))
+    node = {(x, y): 4 * y + x + 1 for y in range(4) for x in range(4)}
+    steps = ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2))
+    edges = {
+        (node[x, y], node[x + dx, y + dy])
+        for (x, y) in node
+        for dx, dy in steps
+        if (x + dx, y + dy) in node
+    }
+    edges |= {(node[x + 1, y], node[x, y + 1]) for x in range(3) for y in range(3)}
+    return Framework(Graph(16, edges), Configuration(positions))
+
+
+def test_synthesize_certifies_perturbed_grid():
+    fw = perturbed_triangulated_grid()
+    edges, basis = stress_basis(fw)
+    assert (len(edges), basis.shape[1]) == (58, 29)
+    weights = synthesize_stress(fw)
+    assert check_rigidity_certificate(assemble_stress(fw.graph, weights), fw).passed
+
+
+def test_synthesize_reports_missing_psd_stress():
+    # The 4-cycle at 0, 2, 1, 3 on a line carries a single stress direction,
+    # (3, -6, 3, -2) on edges 12, 23, 34, 14, which is indefinite.
+    cycle = Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    fw = Framework(cycle, Configuration([(0.0,), (2.0,), (1.0,), (3.0,)]))
+    assert stress_basis(fw)[1].shape == (4, 1)
+    with pytest.raises(SynthesisError) as info:
+        synthesize_stress(fw)
+    assert info.value.best_min_eigenvalue < 0.0
+    assert "best lambda_min is <= 0" in str(info.value)
+    assert "stress-space dimension 1" in str(info.value)
+
+    # At 0, 2, 1, -1 the single stress (1, -2, -1, 2) sums to zero: a = 0.
+    fw = Framework(cycle, Configuration([(0.0,), (2.0,), (1.0,), (-1.0,)]))
+    with pytest.raises(SynthesisError, match="a = 0: no stress has trace 1"):
+        synthesize_stress(fw)
+
+
+def test_synthesize_is_bit_identical_across_calls_and_seeds():
+    fw = perturbed_triangulated_grid()
+    first = synthesize_stress(fw)
+    for seed in (0, 0, 12):
+        again = synthesize_stress(fw, seed=seed)
+        assert list(again) == list(first)
+        assert np.array(list(again.values())).tobytes() == np.array(list(first.values())).tobytes()
