@@ -191,9 +191,9 @@ def cmd_batch(args) -> int:
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
     env_seed = _env_seed()
-    runs = []
+    runs, parsed = [], {}
     for raw in args.scenarios:
-        spec = fileio.load_scenario(raw)
+        spec = fileio.load_scenario(raw, _parsed=parsed)
         if env_seed is not None:
             spec = replace(spec, seed=env_seed)
         out_dir = out_root / Path(raw).stem

@@ -5,9 +5,10 @@ control laws into a run. Each run is compiled once: the stress is
 resolved and certified, the follower-block guard runs once while forming
 the target map G = -Omega_ff^-1 Omega_fl, the law's constant operators are
 built, and every leader waypoint the run can reach is generated as one
-array. A single stepping loop then advances the state, measures the
-disagreement against the instantaneous follower targets, and detects
-convergence and divergence. The trace is kept as columns on RunResult;
+array; run_batch compiles what its runs share only once. A single
+stepping loop then advances the state, measures the disagreement against
+the instantaneous follower targets, and detects convergence and
+divergence. The trace is kept as columns on RunResult;
 RunResult.records rebuilds per-step TraceRecords from them on demand.
 """
 
@@ -229,8 +230,8 @@ def stability_flags(law, T, blocks=None, stress=None, plant=None, solution=None,
     # Diagonalising the stress splits the closed loop into the modes
     # A + (1 - eps * lambda_i) B K, one per eigenvalue lambda_i of the stress.
     A, BK = plant.A, plant.B @ solution.K
-    lams = np.linalg.eigvalsh(stress.entries)
-    modal = max(spectral_radius(A + (1.0 - epsilon * lam) * BK) for lam in lams)
+    modes = A + (1.0 - epsilon * np.linalg.eigvalsh(stress.entries))[:, None, None] * BK
+    modal = float(np.abs(np.linalg.eigvals(modes)).max())
     return {
         "law": "linear",
         "T": T,
@@ -243,7 +244,13 @@ def stability_flags(law, T, blocks=None, stress=None, plant=None, solution=None,
     }
 
 
+def _array_key(a: np.ndarray):
+    return a.shape, a.tobytes()
+
+
 def _resolve_stress(spec: ScenarioSpec):
+    """Stress, certificate, blocks and the target map G of a framework,
+    weights (or synthesis) and leader set."""
     weights = spec.weights
     if weights is None:
         weights = synthesize_stress(spec.framework)
@@ -251,7 +258,33 @@ def _resolve_stress(spec: ScenarioSpec):
     certificate = check_rigidity_certificate(stress, spec.framework)
     if not certificate.passed:
         raise CertificateError(certificate)
-    return weights, stress, certificate
+    blocks = partition_stress(stress, spec.partition)
+    # The follower-block guard runs here; G maps leaders to follower targets.
+    G = -solve_follower_block(blocks, blocks.fl)
+    G.setflags(write=False)
+    return weights, stress, certificate, blocks, G
+
+
+def _compile(spec: ScenarioSpec, memo: dict):
+    """A run's constant inputs (weights, stress, certificate, blocks, G,
+    Riccati solution or None), each worked out once per memo. Keys compare
+    exact bytes and values: positions, graph, weights (None for synthesis)
+    and leader list; A, B, Q and riccati_tol."""
+    framework = spec.framework
+    weights = None
+    if spec.weights is not None:
+        weights = tuple(sorted((edge, w.hex()) for edge, w in spec.weights.items()))
+    positions = _array_key(framework.config.positions)
+    stress_key = ("stress", positions, framework.graph, weights, spec.partition)
+    if stress_key not in memo:
+        memo[stress_key] = _resolve_stress(spec)
+    if spec.law != "linear":
+        return (*memo[stress_key], None)
+    plant = spec.plant
+    riccati_key = ("riccati", *map(_array_key, (plant.A, plant.B, spec.q_matrix)), spec.riccati_tol)
+    if riccati_key not in memo:
+        memo[riccati_key] = solve_mare(plant, spec.q_matrix, tol=spec.riccati_tol)
+    return (*memo[stress_key], memo[riccati_key])
 
 
 def _law_step(spec: ScenarioSpec, blocks: StressBlocks, stress, solution, G, leaders, targets):
@@ -286,7 +319,7 @@ def _law_step(spec: ScenarioSpec, blocks: StressBlocks, stress, solution, G, lea
     return step
 
 
-def run_scenario(spec: ScenarioSpec) -> RunResult:
+def run_scenario(spec: ScenarioSpec, *, _memo=None) -> RunResult:
     """Execute a scenario to convergence, divergence, or budget exhaustion.
 
     The run is refused when the stress fails the rigidity certificate
@@ -295,15 +328,10 @@ def run_scenario(spec: ScenarioSpec) -> RunResult:
     in the stability flags, since boundary experiments need unstable runs
     to proceed. Convergence is declared after CONVERGENCE_WINDOW
     consecutive in-tolerance records, and never before the schedule ends.
+    _memo is run_batch's: what the batch's runs share is compiled once.
     """
-    weights, stress, certificate = _resolve_stress(spec)
+    weights, stress, certificate, blocks, G, solution = _compile(spec, {} if _memo is None else _memo)
     partition = spec.partition
-    blocks = partition_stress(stress, partition)
-    solution = None
-    if spec.law == "linear":
-        solution = solve_mare(spec.plant, spec.q_matrix, tol=spec.riccati_tol)
-    # The follower-block guard runs once, here; G maps leaders to follower targets.
-    G = -solve_follower_block(blocks, blocks.fl)
     flags = stability_flags(spec.law, spec.T, blocks, stress, spec.plant, solution, spec.epsilon)
 
     settle_after = spec.schedule.last_step()
@@ -366,8 +394,14 @@ def run_scenario(spec: ScenarioSpec) -> RunResult:
 
 
 def run_batch(specs):
-    """Run independent scenarios one after another; results in input order."""
-    return [run_scenario(spec) for spec in specs]
+    """Run independent scenarios one after another; results in input order.
+
+    Runs that share a framework, weights and leader set share one stress,
+    certificate and target map; runs that share a plant, Q and riccati_tol
+    share one Riccati solve. Each result equals its run_scenario result.
+    """
+    memo = {}
+    return [run_scenario(spec, _memo=memo) for spec in specs]
 
 
 def compare_forms(spec: ScenarioSpec) -> float:

@@ -183,14 +183,27 @@ def load_schedule(path) -> ManoeuvreSchedule:
     return schedule_from_dict(_load_json(path))
 
 
-def _resolve(value, base_dir: Path):
-    """Inline mapping, or a path (relative to the referencing file)."""
-    if isinstance(value, str):
-        path = Path(value)
-        if not path.is_absolute():
-            path = base_dir / path
-        return _load_json(path)
-    return value
+def _resolve(value, base_dir: Path, parse, parsed: dict):
+    """parse() of an inline mapping, or of the file a path string names
+    (relative to the referencing file); a file is parsed once per parsed
+    dict, which is keyed by its absolute path. Symlinks are not followed:
+    an alias is parsed again, which costs time but never mixes files."""
+    if not isinstance(value, str):
+        return parse(value)
+    path = Path(value)
+    if not path.is_absolute():
+        path = base_dir / path
+    key = (parse, path.absolute())
+    if key not in parsed:
+        parsed[key] = parse(_load_json(path))
+    return parsed[key]
+
+
+def _plant_from_dict(raw: dict) -> LinearPlant:
+    try:
+        return LinearPlant(_require(raw, "A", "plant"), _require(raw, "B", "plant"))
+    except (ValueError, TypeError) as exc:
+        raise ParseError(f"plant: {exc}") from exc
 
 
 def scenario_from_dict(data: dict, base_dir=".") -> ScenarioSpec:
@@ -200,9 +213,12 @@ def scenario_from_dict(data: dict, base_dir=".") -> ScenarioSpec:
     mappings or path strings resolved against base_dir. Omitted weights
     request synthesis.
     """
-    base_dir = Path(base_dir)
-    framework, partition = framework_from_dict(
-        _resolve(_require(data, "framework", "scenario"), base_dir)
+    return _scenario_from_dict(data, Path(base_dir), {})
+
+
+def _scenario_from_dict(data: dict, base_dir: Path, parsed: dict) -> ScenarioSpec:
+    framework, partition = _resolve(
+        _require(data, "framework", "scenario"), base_dir, framework_from_dict, parsed
     )
     if partition is None:
         raise ParseError("scenario: framework must declare leaders")
@@ -211,19 +227,15 @@ def scenario_from_dict(data: dict, base_dir=".") -> ScenarioSpec:
 
     weights = None
     if data.get("weights") is not None:
-        weights = weights_from_dict(_resolve(data["weights"], base_dir))
+        weights = _resolve(data["weights"], base_dir, weights_from_dict, parsed)
     schedule = ManoeuvreSchedule()
     if data.get("schedule") is not None:
-        schedule = schedule_from_dict(_resolve(data["schedule"], base_dir))
+        schedule = _resolve(data["schedule"], base_dir, schedule_from_dict, parsed)
 
     plant = None
     q_matrix = None
     if data.get("plant") is not None:
-        raw = _resolve(data["plant"], base_dir)
-        try:
-            plant = LinearPlant(_require(raw, "A", "plant"), _require(raw, "B", "plant"))
-        except (ValueError, TypeError) as exc:
-            raise ParseError(f"plant: {exc}") from exc
+        plant = _resolve(data["plant"], base_dir, _plant_from_dict, parsed)
         if data.get("q") is not None:
             q_matrix = np.array(data["q"], dtype=float)
 
@@ -269,13 +281,17 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict:
     return data
 
 
-def load_scenario(path) -> ScenarioSpec:
-    """Load a scenario or manifest file into a ScenarioSpec."""
+def load_scenario(path, *, _parsed=None) -> ScenarioSpec:
+    """Load a scenario or manifest file into a ScenarioSpec.
+
+    _parsed is a batch's: scenarios loaded with the same dict share each
+    framework, weights, schedule or plant file they reference, parsed once.
+    """
     path = Path(path)
     data = _load_json(path)
     if "scenario" in data:
-        return scenario_from_dict(_require(data, "scenario", "manifest"), path.parent)
-    return scenario_from_dict(data, path.parent)
+        data = _require(data, "scenario", "manifest")
+    return _scenario_from_dict(data, path.parent, {} if _parsed is None else _parsed)
 
 
 def manifest_dict(spec: ScenarioSpec, scenario_path, out_dir) -> dict:

@@ -73,34 +73,47 @@ def make_transform(kind: str, params: dict, d: int, s: float) -> AffineTransform
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"progress must lie in [0, 1], got {s}")
+    theta, b = _stacked_transform(kind, params, d, np.array([s]))
+    return AffineTransform(theta[0], b[0])
+
+
+def _stacked_transform(kind: str, params: dict, d: int, s: np.ndarray):
+    """make_transform at each progress value of s, as (m, d, d) and (m, d)
+    arrays; the params are validated here."""
+    axis = np.arange(d)
+    theta = np.zeros((len(s), d, d))
+    theta[:, axis, axis] = 1.0
+    b = np.zeros((len(s), d))
     if kind == "translation":
         v = np.asarray(params["v"], dtype=float)
         if v.shape != (d,):
             raise ValueError(f"translation vector must have length {d}")
-        return AffineTransform(np.eye(d), s * v)
-    if kind == "scaling":
+        b = s[:, None] * v
+    elif kind == "scaling":
         if "diag" in params:
             full = np.asarray(params["diag"], dtype=float)
             if full.shape != (d,):
                 raise ValueError(f"scaling diagonal must have length {d}")
         else:
             full = float(params["c"]) * np.ones(d)
-        return AffineTransform(np.diag(1.0 + s * (full - 1.0)), np.zeros(d))
-    if kind in ("rotation", "shear"):
+        theta[:, axis, axis] = 1.0 + s[:, None] * (full - 1.0)
+    elif kind in ("rotation", "shear"):
         a0, a1 = (int(a) for a in params.get("axes", (0, 1)))
         if not (0 <= a0 < d and 0 <= a1 < d) or a0 == a1:
             raise ValueError(f"axes ({a0}, {a1}) invalid for dimension {d}")
-        theta = np.eye(d)
         if kind == "rotation":
             angle = s * float(params["angle"])
-            theta[a0, a0] = np.cos(angle)
-            theta[a1, a1] = np.cos(angle)
-            theta[a0, a1] = -np.sin(angle)
-            theta[a1, a0] = np.sin(angle)
+            theta[:, a0, a0] = np.cos(angle)
+            theta[:, a1, a1] = np.cos(angle)
+            theta[:, a0, a1] = -np.sin(angle)
+            theta[:, a1, a0] = np.sin(angle)
         else:
-            theta[a0, a1] = s * float(params["factor"])
-        return AffineTransform(theta, np.zeros(d))
-    raise ValueError(f"unknown manoeuvre kind {kind!r}")
+            theta[:, a0, a1] = s * float(params["factor"])
+    else:
+        raise ValueError(f"unknown manoeuvre kind {kind!r}")
+    if not (np.isfinite(theta).all() and np.isfinite(b).all()):
+        raise ValueError("transform entries must be finite")
+    return theta, b
 
 
 @dataclass(frozen=True)
@@ -163,22 +176,39 @@ class ManoeuvreSchedule:
         return next(self.transforms(d, k, 1))
 
     def transforms(self, d: int, k: int, count: int):
-        """Cumulative transforms at steps k, k+1, ..., k+count-1, in order.
+        """Cumulative transforms at steps k, k+1, ..., k+count-1, in order."""
+        return map(AffineTransform, *self._evaluate(d, k, count))
 
-        Segments do not overlap: the finished ones form a prefix, composed
-        once, and at most one is in progress."""
+    def _evaluate(self, d: int, k: int, count: int):
+        """Cumulative transforms at steps k, ..., k+count-1 as (count, d, d) and
+        (count, d) arrays, in closed form.
+
+        Steps outside every segment hold the composition of the finished
+        ones. Each segment the steps reach is stacked once, at the progress
+        of its steps in range plus full progress, and composed onto that
+        prefix by one batched product; the full-progress row extends it."""
         if k < 0:
             raise ValueError("step index must be nonnegative")
-        done, pending = AffineTransform.identity(d), list(self.segments)
-        for step in range(k, k + count):
-            while pending and pending[0].k1 <= step:
-                seg = pending.pop(0)
-                done = make_transform(seg.kind, seg.params, d, 1.0).compose(done)
-            seg = pending[0] if pending else None
-            if seg is not None and seg.k0 <= step:
-                yield make_transform(seg.kind, seg.params, d, seg.progress(step)).compose(done)
-            else:
-                yield done
+        thetas = np.empty((count, d, d))
+        bs = np.empty((count, d))
+        theta, b = np.eye(d), np.zeros(d)
+        row = 0
+        for seg in self.segments:
+            if seg.k0 >= k + count:
+                break
+            start = min(max(seg.k0 - k, row), count)
+            thetas[row:start], bs[row:start] = theta, b
+            stop = min(max(seg.k1 - k, start), count)
+            progress = np.ones(stop - start + 1)
+            if seg.interp == "linear":
+                progress[:-1] = (np.arange(k + start, k + stop) - seg.k0) / (seg.k1 - seg.k0)
+            ramp, shift = _stacked_transform(seg.kind, seg.params, d, progress)
+            ramp_thetas, ramp_bs = ramp @ theta, ramp @ b + shift
+            thetas[start:stop], bs[start:stop] = ramp_thetas[:-1], ramp_bs[:-1]
+            theta, b = ramp_thetas[-1], ramp_bs[-1]
+            row = stop
+        thetas[row:], bs[row:] = theta, b
+        return thetas, bs
 
     def last_step(self) -> int:
         return self.segments[-1].k1 if self.segments else 0
@@ -200,7 +230,5 @@ def leader_waypoints(
     if partition.n != reference.n:
         raise ValueError("partition does not match configuration")
     leaders = reference.positions[[i - 1 for i in partition.leaders]]
-    out = np.empty((count, len(leaders), reference.d))
-    for row, transform in enumerate(schedule.transforms(reference.d, k, count)):
-        out[row] = leaders @ transform.theta.T + transform.b
-    return out
+    thetas, bs = schedule._evaluate(reference.d, k, count)
+    return leaders @ thetas.transpose(0, 2, 1) + bs[:, None, :]

@@ -210,12 +210,18 @@ def check_rigidity_certificate(stress: StressMatrix, framework: Framework) -> Ri
     n, d = stress.n, framework.config.d
     if n < d + 2:
         raise ValueError(f"certificate needs n >= d+2 nodes, got n={n}, d={d}")
+    return _certificate(stress, framework, is_k_connected(framework.graph, d + 1))
+
+
+def _certificate(stress: StressMatrix, framework: Framework, connectivity_ok: bool):
+    """check_rigidity_certificate for a stress of checked size, given the
+    outcome of the connectivity test, which depends on the graph alone."""
+    n, d = stress.n, framework.config.d
     eig = np.linalg.eigvalsh(stress.entries)
     scale = float(np.abs(eig).max())
     rank = int(np.sum(np.abs(eig) > max(n, d) * scale * RANK_RTOL)) if scale > 0 else 0
     min_eig = float(eig[0])
     psd = min_eig >= -PSD_ATOL * max(1.0, scale)
-    connectivity_ok = is_k_connected(framework.graph, d + 1)
     expected = n - d - 1
     return RigidityCertificate(
         rank=rank,
@@ -345,7 +351,8 @@ def synthesize_stress(framework: Framework, seed: int = 0) -> dict:
         best = max(best, lam[0])
         if lam[0] > 0.0:
             result = dict(zip(edges, weights.tolist()))
-            if check_rigidity_certificate(assemble_stress(graph, result), framework).passed:
+            # The precondition found the graph (d+1)-connected.
+            if _certificate(assemble_stress(graph, result), framework, True).passed:
                 return result
         t = size * first * (last / first) ** (it / (SYNTH_MAX_ITER - 1))
         p, u = np.exp(-t * (lam - lam[0])), q @ vec

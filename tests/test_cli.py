@@ -134,6 +134,45 @@ def test_batch_aggregates_exit_codes(bench, tmp_path, capsys):
     assert (tmp_path / "batch" / "unstable" / "summary.json").exists()
 
 
+def test_batch_loads_each_scenarios_own_files(tmp_path, capsys):
+    # Both scenarios reference "framework.json"; b's is the reference scaled by 2.
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    first = write_benchmark_files(a)
+    write_benchmark_files(b)
+    scaled = json.loads((b / "framework.json").read_text())
+    scaled["positions"] = [[2.0 * x for x in p] for p in scaled["positions"]]
+    (b / "framework.json").write_text(json.dumps(scaled))
+    second = (b / "scenario.json").rename(b / "scaled.json")
+    assert main(["batch", str(first), str(second), "--out", str(tmp_path / "batch")]) == 0
+    for scenario, factor in ((first, 1.0), (second, 2.0)):
+        run = tmp_path / "batch" / scenario.stem
+        summary = json.loads((run / "summary.json").read_text())
+        np.testing.assert_allclose(summary["final_followers"], factor * np.array(FOLLOWER_TARGETS), atol=1e-8)
+        assert main(["simulate", str(scenario), "--out", str(tmp_path / scenario.stem)]) == 0
+        assert (run / "trace.csv").read_bytes() == (tmp_path / scenario.stem / "trace.csv").read_bytes()
+    capsys.readouterr()
+
+
+def test_batch_parses_each_shared_file_once(bench, tmp_path, monkeypatch, capsys):
+    from affinesim import fileio
+
+    parsed = []
+    for name in ("framework_from_dict", "weights_from_dict"):
+        original = getattr(fileio, name)
+        monkeypatch.setattr(fileio, name, lambda data, _f=original: parsed.append(_f) or _f(data))
+    copies = []
+    for T in (0.5, 0.8):
+        data = json.loads(bench.read_text())
+        data["T"] = T
+        copies.append(tmp_path / f"T{T}.json")
+        copies[-1].write_text(json.dumps(data))
+    assert main(["batch", str(bench), *map(str, copies), "--out", str(tmp_path / "batch")]) == 0
+    assert len(parsed) == 2
+    capsys.readouterr()
+
+
 def test_plot_outputs(bench, tmp_path, capsys):
     plain = tmp_path / "plain"
     plotted = tmp_path / "plotted"

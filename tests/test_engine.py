@@ -12,6 +12,7 @@ from affinesim import (
     LocalizabilityError,
     ScenarioSpec,
     ScheduleSegment,
+    assemble_stress,
     compare_forms,
     detect_convergence,
     disagreement,
@@ -23,6 +24,8 @@ from affinesim import (
     run_batch,
     run_scenario,
     solve_mare,
+    spectral_radius,
+    stability_flags,
     stationary_leader_step,
     verify_equilibrium,
 )
@@ -269,16 +272,62 @@ def test_compare_forms_rejects_linear(framework, partition):
 
 
 def test_run_batch_matches_individual_runs(framework, partition):
+    double = {edge: 2.0 * w for edge, w in EXACT_WEIGHTS.items()}
+    other_leaders = LeaderPartition.from_leaders((1, 2, 5), 5)
+    seg = ScheduleSegment(k0=0, k1=20, kind="rotation", params={"angle": 0.5}, interp="linear")
+    double_integrator = LinearPlant(np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([[0.0], [1.0]]))
+    plants = [double_integrator, LinearPlant(0.9 * np.eye(2), np.eye(2))]
+    linear = dict(law="linear", budget=60, epsilon=0.1)
     specs = [
         scenario(framework, partition, budget=100, tolerance=1e-6),
         scenario(framework, partition, T=0.7, budget=100, tolerance=1e-6),
+        # Must not share: a second weight set, another leader set, synthesis.
+        scenario(framework, partition, T=0.7, weights=double, budget=100, tolerance=1e-6),
+        scenario(framework, other_leaders, T=0.5, budget=100, tolerance=1e-6),
+        scenario(framework, partition, weights=None, law="dynamic", T=0.5, budget=100,
+                 schedule=ManoeuvreSchedule((seg,))),
+        # Linear runs on two plants and two Q matrices.
+        scenario(framework, partition, plant=plants[0], **linear),
+        scenario(framework, partition, plant=plants[1], **linear),
+        scenario(framework, partition, plant=plants[0], q_matrix=2.0 * np.eye(2), **linear),
+        scenario(framework, partition, plant=plants[0], weights=double, **linear),
     ]
     batch = run_batch(specs)
+    assert len({id(result.stress) for result in batch}) == 4
     for spec, got in zip(specs, batch):
         solo = run_scenario(spec)
-        assert len(solo.records) == len(got.records)
-        for ra, rb in zip(solo.records, got.records):
-            assert np.array_equal(ra.x, rb.x)
+        for column in ("states", "targets", "deltas", "converged_flags", "diverged_flags"):
+            assert np.array_equal(getattr(solo, column), getattr(got, column))
+        assert solo.stability_flags == got.stability_flags
+        assert solo.weights == got.weights
+        assert (solo.converged_at, solo.diverged) == (got.converged_at, got.diverged)
+    assert batch[0].weights != batch[2].weights
+    flags = [result.stability_flags for result in batch[5:]]
+    assert len({f["modal_spectral_radius"] for f in flags}) == 4
+
+
+def test_run_batch_shares_certificate_and_riccati_solve(framework, partition, monkeypatch):
+    import affinesim.engine as engine
+
+    calls = {"check_rigidity_certificate": 0, "solve_mare": 0}
+    for name in calls:
+        original = getattr(engine, name)
+
+        def counted(*args, _name=name, _f=original, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, counted)
+    plant = LinearPlant(np.eye(2), np.eye(2))
+    specs = [
+        scenario(framework, partition, law="linear", plant=plant, epsilon=eps, budget=40)
+        for eps in (0.05, 0.1, 0.2)
+    ]
+    specs += [scenario(framework, partition, T=T, budget=40) for T in (0.5, 1.0)]
+    results = run_batch(specs)
+    assert calls == {"check_rigidity_certificate": 1, "solve_mare": 1}
+    assert all(result.stress is results[0].stress for result in results)
+    assert not results[0].blocks.ff.flags.writeable
 
 
 def test_trace_record_flags_are_instantaneous(framework, partition):
@@ -364,6 +413,27 @@ def test_linear_law_flags_predict_divergence(framework, partition):
     lam_max = np.linalg.eigvalsh(result.stress.entries)[-1]
     assert flags["modal_spectral_radius"] == pytest.approx(1.2 * lam_max, rel=1e-12)
     assert flags["stable"] is False
+
+
+@pytest.mark.parametrize("case", ["reproduction", "random stress"])
+def test_modal_test_matches_per_eigenvalue_loop(exact_stress, case):
+    if case == "reproduction":
+        plant, stress, epsilon = LinearPlant(1.2 * np.eye(2), np.eye(2)), exact_stress, 1.0
+    else:
+        rng = np.random.default_rng(5)
+        complete = Graph(9, [(i, j) for i in range(1, 10) for j in range(i + 1, 10)])
+        stress = assemble_stress(complete, {edge: rng.normal() for edge in complete.edges})
+        plant = LinearPlant(rng.normal(size=(2, 2)), rng.normal(size=(2, 1)))
+        epsilon = 0.3
+    solution = solve_mare(plant, np.eye(2))
+    flags = stability_flags("linear", 1.0, None, stress, plant, solution, epsilon)
+    BK = plant.B @ solution.K
+    loop = max(
+        spectral_radius(plant.A + (1.0 - epsilon * lam) * BK)
+        for lam in np.linalg.eigvalsh(stress.entries)
+    )
+    assert flags["modal_spectral_radius"] == loop
+    assert flags["stable"] is (loop < 1.0)
 
 
 def test_linear_law_rejects_schedule(framework, partition):

@@ -4,6 +4,7 @@ import pytest
 from affinesim import (
     AffineTransform,
     Configuration,
+    LeaderPartition,
     ManoeuvreSchedule,
     ScheduleSegment,
     apply_affine,
@@ -168,3 +169,60 @@ def test_affine_images_stay_in_equilibrium(exact_stress, reference):
         t = AffineTransform(rng.normal(size=(2, 2)), rng.normal(size=2))
         image = apply_affine(t, reference)
         assert verify_equilibrium(exact_stress, image) <= 1e-6
+
+
+def per_step_transform(schedule, d, k):
+    """The per-step composition loop the closed-form evaluator replaced."""
+    done = AffineTransform.identity(d)
+    for seg in schedule.segments:
+        if seg.k1 <= k:
+            done = make_transform(seg.kind, seg.params, d, 1.0).compose(done)
+        elif seg.k0 <= k:
+            return make_transform(seg.kind, seg.params, d, seg.progress(k)).compose(done)
+    return done
+
+
+def test_waypoints_match_per_step_transforms():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    value = st.floats(-3.0, 3.0, allow_nan=False)
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        d = data.draw(st.sampled_from((2, 3)), label="d")
+        segments, k0 = [], data.draw(st.integers(0, 5))
+        for _ in range(data.draw(st.integers(0, 4), label="segments")):
+            kind = data.draw(st.sampled_from(("translation", "scaling", "rotation", "shear")))
+            axes = data.draw(st.permutations(range(d)))[:2]
+            params = {
+                "translation": {"v": data.draw(st.lists(value, min_size=d, max_size=d))},
+                "scaling": data.draw(
+                    st.sampled_from(({"c": 1.5}, {"diag": [0.5, 2.0, 1.25][:d]}, {"c": 0.25}))
+                ),
+                "rotation": {"angle": data.draw(value), "axes": axes},
+                "shear": {"factor": data.draw(value), "axes": axes},
+            }[kind]
+            k1 = k0 + data.draw(st.integers(0, 25))
+            interp = data.draw(st.sampled_from(("hold", "linear")))
+            segments.append(ScheduleSegment(k0, k1, kind, params, interp))
+            k0 = k1 + data.draw(st.integers(1, 6))
+        schedule = ManoeuvreSchedule(tuple(segments))
+        n = data.draw(st.integers(d + 1, d + 4), label="n")
+        positions = data.draw(st.lists(value, min_size=n * d, max_size=n * d))
+        reference = Configuration(np.reshape(positions, (n, d)))
+        leaders = data.draw(st.permutations(range(1, n + 1)))[: d + 1]
+        partition = LeaderPartition.from_leaders(leaders, n)
+        k = data.draw(st.integers(0, schedule.last_step() + 8), label="k")
+        count = data.draw(st.integers(1, 40), label="count")
+        rows = [i - 1 for i in partition.leaders]
+        waypoints = leader_waypoints(schedule, reference, partition, k, count)
+        assert waypoints.shape == (count, d + 1, d)
+        for r, got in enumerate(waypoints):
+            transform = schedule.transform_at(d, k + r)
+            expected = per_step_transform(schedule, d, k + r)
+            assert np.array_equal(transform.theta, expected.theta)
+            assert np.array_equal(transform.b, expected.b)
+            assert np.array_equal(got, apply_affine(transform, reference).positions[rows])
+
+    check()

@@ -266,3 +266,20 @@ def test_synthesize_is_bit_identical_across_calls_and_seeds():
         again = synthesize_stress(fw, seed=seed)
         assert list(again) == list(first)
         assert np.array(list(again.values())).tobytes() == np.array(list(first.values())).tobytes()
+
+
+def test_synthesis_runs_the_connectivity_test_once(monkeypatch):
+    import affinesim.stress as stress_module
+
+    fw = perturbed_triangulated_grid()
+    expected = synthesize_stress(fw)
+    calls = []
+    for name in ("is_k_connected", "vertex_separator"):
+        original = getattr(stress_module, name)
+        monkeypatch.setattr(
+            stress_module, name, lambda *args, _f=original: calls.append(args) or _f(*args)
+        )
+    weights = synthesize_stress(fw)
+    assert len(calls) == 1
+    assert list(weights) == list(expected)
+    assert np.array(list(weights.values())).tobytes() == np.array(list(expected.values())).tobytes()
