@@ -23,15 +23,12 @@ from .control import (
     stationary_disagreement_matrix,
     stationary_law_stable,
     stationary_leader_step,
-    unit_circle_test,
 )
 from .engine import (
     CertificateError,
     RunResult,
     ScenarioSpec,
-    TraceRecord,
     compare_forms,
-    detect_convergence,
     disagreement,
     run_batch,
     run_scenario,

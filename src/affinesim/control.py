@@ -224,25 +224,6 @@ def stationary_disagreement_matrix(blocks: StressBlocks, T) -> np.ndarray:
     return np.eye(blocks.n_followers) - T * blocks.ff
 
 
-def unit_circle_test(a) -> bool:
-    """Whether the root of s + a = 0 lies strictly inside the unit circle.
-
-    Decided through the bilinear image (a+1) t - (a-1), whose root must
-    lie in the open left half plane; the direct |a| < 1 predicate is
-    computed alongside and the two are asserted to agree.
-    """
-    a = complex(a)
-    direct = abs(a) < 1.0
-    if a + 1.0 == 0.0:
-        # Root of the image polynomial escapes to infinity: the original
-        # root sits on the circle, outside the open disc.
-        bilinear = False
-    else:
-        bilinear = ((a - 1.0) / (a + 1.0)).real < 0.0
-    assert bilinear == direct, f"bilinear and direct predicates disagree at a={a}"
-    return bilinear
-
-
 def solve_mare(plant: LinearPlant, Q, tol: float = 1e-10, max_iter: int = 100000) -> RiccatiSolution:
     """Fixed-point solve of the modified discrete Riccati equation.
 

@@ -7,9 +7,9 @@ the target map G = -Omega_ff^-1 Omega_fl, the law's constant operators are
 built, and every leader waypoint the run can reach is generated as one
 array; run_batch compiles what its runs share only once. A single
 stepping loop then advances the state, measures the disagreement against
-the instantaneous follower targets, and detects convergence and
-divergence. The trace is kept as columns on RunResult;
-RunResult.records rebuilds per-step TraceRecords from them on demand.
+the instantaneous follower targets, records whether each row is in
+tolerance and whether it diverged, and stops on those two tests. The trace
+is the columns of RunResult: one row per step.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .stress import (
     assemble_stress,
     check_rigidity_certificate,
     min_eig_neg_ff,
+    normalize_weights,
     partition_stress,
     solve_follower_block,
     synthesize_stress,
@@ -46,7 +47,7 @@ from .stress import (
 LAWS = ("stationary", "dynamic", "linear")
 # A run aborts with the diverged flag once the disagreement norm passes this.
 DIVERGENCE_LIMIT = 1e9
-# Convergence is declared after this many consecutive in-tolerance records.
+# Convergence is declared after this many consecutive in-tolerance trace rows.
 CONVERGENCE_WINDOW = 10
 
 
@@ -104,11 +105,7 @@ class ScenarioSpec:
         if not self.tolerance > 0.0:
             raise ValueError("convergence tolerance must be positive")
         if self.weights is not None:
-            normalized = {}
-            for key, value in self.weights.items():
-                i, j = int(key[0]), int(key[1])
-                normalized[(min(i, j), max(i, j))] = float(value)
-            object.__setattr__(self, "weights", normalized)
+            object.__setattr__(self, "weights", normalize_weights(self.weights.items()))
         if self.law == "linear":
             if self.plant is None:
                 raise ValueError("linear law requires a plant")
@@ -122,28 +119,13 @@ class ScenarioSpec:
 
 
 @dataclass(frozen=True)
-class TraceRecord:
-    """State snapshot at step k, before the law fires for that step.
-
-    x is the full stacked state in original agent order; x_f_star the
-    follower target stack induced by the leader positions at k. converged
-    and diverged are instantaneous per-record flags.
-    """
-
-    k: int
-    x: np.ndarray
-    x_f_star: np.ndarray
-    delta_norm: float
-    converged: bool
-    diverged: bool
-
-
-@dataclass(frozen=True)
 class RunResult:
     """A finished run: its trace as columns, the stress it used, and outcome flags.
 
-    Row k of each column is step k: states (K+1, n, d) in agent order,
-    targets (K+1, n_f, d), deltas (K+1,) and the per-record flags.
+    Row k of each column is step k, before the law fires: states
+    (K+1, n, d) in agent order, targets (K+1, n_f, d), deltas (K+1,), and
+    the per-row flags converged_flags (delta in tolerance) and
+    diverged_flags (delta past DIVERGENCE_LIMIT or not finite).
     """
 
     states: np.ndarray
@@ -159,15 +141,6 @@ class RunResult:
     converged_at: int | None
     diverged: bool
     budget_exhausted: bool
-
-    @property
-    def records(self) -> tuple:
-        """Per-step TraceRecords rebuilt from the columns (compatibility view)."""
-        scalars = zip(
-            self.deltas.tolist(), self.converged_flags.tolist(), self.diverged_flags.tolist()
-        )
-        rows = enumerate(zip(self.states, self.targets, scalars))
-        return tuple(TraceRecord(k, x.ravel(), t.ravel(), *rest) for k, (x, t, rest) in rows)
 
     @property
     def steps(self) -> int:
@@ -188,22 +161,6 @@ def disagreement(x_f, x_f_star) -> float:
     if a.shape != b.shape:
         raise ValueError(f"stacks of lengths {a.size} and {b.size} do not match")
     return float(np.linalg.norm(a - b))
-
-
-def detect_convergence(trace, tol: float, window: int = CONVERGENCE_WINDOW):
-    """First index k with delta_norm <= tol on all of [k, k+window), else None.
-
-    Accepts trace records or bare delta values.
-    """
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    deltas = [r.delta_norm if isinstance(r, TraceRecord) else float(r) for r in trace]
-    run = 0
-    for k, delta in enumerate(deltas):
-        run = run + 1 if delta <= tol else 0
-        if run >= window:
-            return k - window + 1
-    return None
 
 
 def stability_flags(law, T, blocks=None, stress=None, plant=None, solution=None, epsilon=0.0):
@@ -327,7 +284,7 @@ def run_scenario(spec: ScenarioSpec, *, _memo=None) -> RunResult:
     (LocalizabilityError); a violated stability condition is only recorded
     in the stability flags, since boundary experiments need unstable runs
     to proceed. Convergence is declared after CONVERGENCE_WINDOW
-    consecutive in-tolerance records, and never before the schedule ends.
+    consecutive in-tolerance rows, and never before the schedule ends.
     _memo is run_batch's: what the batch's runs share is compiled once.
     """
     weights, stress, certificate, blocks, G, solution = _compile(spec, {} if _memo is None else _memo)
@@ -343,24 +300,25 @@ def run_scenario(spec: ScenarioSpec, *, _memo=None) -> RunResult:
     n_l = blocks.n_leaders
     z = np.concatenate((leaders[0], spec.initial_followers))
     target = targets[0]
-    zs, ts, deltas = [], [], []
+    zs, ts, deltas, in_tolerance, past_limit = [], [], [], [], []
     run_below_tol = 0
     converged_at = None
     for k in range(spec.budget + 1):
         delta = disagreement(z[n_l:], target)
+        converged = delta <= spec.tolerance
+        # Written as a negation so that nan, which compares false, diverges.
+        diverged = not delta <= DIVERGENCE_LIMIT
         zs.append(z)
         ts.append(target)
         deltas.append(delta)
-        diverged = delta > DIVERGENCE_LIMIT or not np.isfinite(delta)
+        in_tolerance.append(converged)
+        past_limit.append(diverged)
         if diverged:
             break
-        if delta <= spec.tolerance and k >= settle_after:
-            run_below_tol += 1
-            if run_below_tol >= CONVERGENCE_WINDOW:
-                converged_at = k - CONVERGENCE_WINDOW + 1
-                break
-        else:
-            run_below_tol = 0
+        run_below_tol = run_below_tol + 1 if converged and k >= settle_after else 0
+        if run_below_tol == CONVERGENCE_WINDOW:
+            converged_at = k - CONVERGENCE_WINDOW + 1
+            break
         if k == spec.budget:
             break
         z, target = step(k, z, target)
@@ -370,13 +328,12 @@ def run_scenario(spec: ScenarioSpec, *, _memo=None) -> RunResult:
     states = np.empty((len(zs), partition.n, spec.framework.config.d))
     for k, z in enumerate(zs):
         states[k, order] = z
-    deltas = np.array(deltas)
     columns = {
         "states": states,
         "targets": np.stack(ts),
-        "deltas": deltas,
-        "converged_flags": deltas <= spec.tolerance,
-        "diverged_flags": (deltas > DIVERGENCE_LIMIT) | ~np.isfinite(deltas),
+        "deltas": np.array(deltas),
+        "converged_flags": np.array(in_tolerance),
+        "diverged_flags": np.array(past_limit),
     }
     for column in columns.values():
         column.setflags(write=False)

@@ -18,7 +18,7 @@ from .control import LinearPlant
 from .engine import RunResult, ScenarioSpec
 from .framework import Configuration, Framework, Graph, LeaderPartition
 from .maneuvers import ManoeuvreSchedule, ScheduleSegment
-from .stress import StressMatrix
+from .stress import StressMatrix, normalize_weights
 
 TRACE_HEADER = ("k", "agent_id", "coord_index", "value", "delta_norm", "converged", "diverged")
 
@@ -83,12 +83,6 @@ def load_framework(path):
     return framework_from_dict(_load_json(path))
 
 
-def save_framework(framework: Framework, path, partition=None):
-    with open(path, "w") as fh:
-        json.dump(framework_to_dict(framework, partition), fh, indent=2)
-        fh.write("\n")
-
-
 def stress_from_dict(data: dict) -> StressMatrix:
     """Build a StressMatrix from {"n": int, "entries": [[...], ...]}."""
     n = int(_require(data, "n", "stress"))
@@ -115,16 +109,13 @@ def save_stress(stress: StressMatrix, path):
 def weights_from_dict(data: dict) -> dict:
     """Build an edge -> weight mapping from {"edges": [[i, j, w], ...]}."""
     rows = _require(data, "edges", "weights")
-    weights = {}
     for row in rows:
         if len(row) != 3:
             raise ParseError(f"weights: row {row!r} is not [i, j, w]")
-        i, j, w = int(row[0]), int(row[1]), float(row[2])
-        edge = (min(i, j), max(i, j))
-        if edge in weights and weights[edge] != w:
-            raise ParseError(f"weights: conflicting values for edge {edge}")
-        weights[edge] = w
-    return weights
+    try:
+        return normalize_weights(((i, j), w) for i, j, w in rows)
+    except ValueError as exc:
+        raise ParseError(f"weights: {exc}") from exc
 
 
 def weights_to_dict(weights: dict) -> dict:
@@ -179,10 +170,6 @@ def schedule_to_dict(schedule: ManoeuvreSchedule) -> dict:
     }
 
 
-def load_schedule(path) -> ManoeuvreSchedule:
-    return schedule_from_dict(_load_json(path))
-
-
 def _resolve(value, base_dir: Path, parse, parsed: dict):
     """parse() of an inline mapping, or of the file a path string names
     (relative to the referencing file); a file is parsed once per parsed
@@ -206,17 +193,41 @@ def _plant_from_dict(raw: dict) -> LinearPlant:
         raise ParseError(f"plant: {exc}") from exc
 
 
-def scenario_from_dict(data: dict, base_dir=".") -> ScenarioSpec:
-    """Build a ScenarioSpec from a scenario mapping.
+def scenario_to_dict(spec: ScenarioSpec) -> dict:
+    """Fully-inline scenario mapping (no external file references)."""
+    data = {
+        "framework": framework_to_dict(spec.framework, spec.partition),
+        "law": spec.law,
+        "T": spec.T,
+        "initial_followers": spec.initial_followers.tolist(),
+        "weights": None if spec.weights is None else weights_to_dict(spec.weights),
+        "schedule": schedule_to_dict(spec.schedule),
+        "budget": spec.budget,
+        "tolerance": spec.tolerance,
+        "seed": spec.seed,
+    }
+    if spec.plant is not None:
+        data["plant"] = {"A": spec.plant.A.tolist(), "B": spec.plant.B.tolist()}
+        data["q"] = spec.q_matrix.tolist()
+        data["epsilon"] = spec.epsilon
+        data["riccati_tol"] = spec.riccati_tol
+    return data
 
-    The framework, weights and schedule fields accept either inline
-    mappings or path strings resolved against base_dir. Omitted weights
-    request synthesis.
+
+def load_scenario(path, *, _parsed=None) -> ScenarioSpec:
+    """Load a scenario or manifest file into a ScenarioSpec.
+
+    The framework, weights, schedule and plant fields accept either inline
+    mappings or path strings relative to the file. Omitted weights request
+    synthesis. _parsed is a batch's: scenarios loaded with the same dict
+    share each framework, weights, schedule or plant file they reference,
+    parsed once.
     """
-    return _scenario_from_dict(data, Path(base_dir), {})
-
-
-def _scenario_from_dict(data: dict, base_dir: Path, parsed: dict) -> ScenarioSpec:
+    path = Path(path)
+    data = _load_json(path)
+    if "scenario" in data:
+        data = _require(data, "scenario", "manifest")
+    base_dir, parsed = path.parent, {} if _parsed is None else _parsed
     framework, partition = _resolve(
         _require(data, "framework", "scenario"), base_dir, framework_from_dict, parsed
     )
@@ -258,40 +269,6 @@ def _scenario_from_dict(data: dict, base_dir: Path, parsed: dict) -> ScenarioSpe
         )
     except (ValueError, TypeError) as exc:
         raise ParseError(f"scenario: {exc}") from exc
-
-
-def scenario_to_dict(spec: ScenarioSpec) -> dict:
-    """Fully-inline scenario mapping (no external file references)."""
-    data = {
-        "framework": framework_to_dict(spec.framework, spec.partition),
-        "law": spec.law,
-        "T": spec.T,
-        "initial_followers": spec.initial_followers.tolist(),
-        "weights": None if spec.weights is None else weights_to_dict(spec.weights),
-        "schedule": schedule_to_dict(spec.schedule),
-        "budget": spec.budget,
-        "tolerance": spec.tolerance,
-        "seed": spec.seed,
-    }
-    if spec.plant is not None:
-        data["plant"] = {"A": spec.plant.A.tolist(), "B": spec.plant.B.tolist()}
-        data["q"] = spec.q_matrix.tolist()
-        data["epsilon"] = spec.epsilon
-        data["riccati_tol"] = spec.riccati_tol
-    return data
-
-
-def load_scenario(path, *, _parsed=None) -> ScenarioSpec:
-    """Load a scenario or manifest file into a ScenarioSpec.
-
-    _parsed is a batch's: scenarios loaded with the same dict share each
-    framework, weights, schedule or plant file they reference, parsed once.
-    """
-    path = Path(path)
-    data = _load_json(path)
-    if "scenario" in data:
-        data = _require(data, "scenario", "manifest")
-    return _scenario_from_dict(data, path.parent, {} if _parsed is None else _parsed)
 
 
 def manifest_dict(spec: ScenarioSpec, scenario_path, out_dir) -> dict:

@@ -173,11 +173,8 @@ class ManoeuvreSchedule:
 
     def transform_at(self, d: int, k: int) -> AffineTransform:
         """Cumulative transform in effect at step k."""
-        return next(self.transforms(d, k, 1))
-
-    def transforms(self, d: int, k: int, count: int):
-        """Cumulative transforms at steps k, k+1, ..., k+count-1, in order."""
-        return map(AffineTransform, *self._evaluate(d, k, count))
+        thetas, bs = self._evaluate(d, k, 1)
+        return AffineTransform(thetas[0], bs[0])
 
     def _evaluate(self, d: int, k: int, count: int):
         """Cumulative transforms at steps k, ..., k+count-1 as (count, d, d) and

@@ -132,6 +132,22 @@ class RigidityCertificate:
     separator: tuple | None = None
 
 
+def normalize_weights(items) -> dict:
+    """Edge weights keyed (i, j) with i < j, from ((i, j), w) pairs.
+
+    An edge may be named more than once, in either orientation, only with
+    equal values; conflicting values raise ValueError.
+    """
+    resolved = {}
+    for (i, j), value in items:
+        edge = (min(int(i), int(j)), max(int(i), int(j)))
+        value = float(value)
+        if edge in resolved and resolved[edge] != value:
+            raise ValueError(f"conflicting weights for edge {edge}")
+        resolved[edge] = value
+    return resolved
+
+
 def assemble_stress(graph: Graph, weights) -> StressMatrix:
     """Build a stress matrix from per-edge weights.
 
@@ -140,16 +156,10 @@ def assemble_stress(graph: Graph, weights) -> StressMatrix:
     Weights must be given for exactly the edges of the graph; providing both
     orientations of an edge is allowed only with identical values.
     """
-    resolved = {}
-    for key, value in weights.items():
-        i, j = int(key[0]), int(key[1])
-        edge = (min(i, j), max(i, j))
-        if edge not in graph.edges:
-            raise ValueError(f"weight given for non-edge ({i}, {j})")
-        value = float(value)
-        if edge in resolved and resolved[edge] != value:
-            raise ValueError(f"asymmetric weights for edge {edge}")
-        resolved[edge] = value
+    resolved = normalize_weights(weights.items())
+    extra = set(resolved) - graph.edges
+    if extra:
+        raise ValueError(f"weights given for non-edges {sorted(extra)}")
     missing = graph.edges - set(resolved)
     if missing:
         raise ValueError(f"missing weights for edges {sorted(missing)}")

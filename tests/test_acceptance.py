@@ -148,13 +148,13 @@ def test_dynamic_law_exact_decay(framework, partition):
         )
 
     for T in (0.5, 1.5):
-        deltas = [rec.delta_norm for rec in run(T).records]
+        deltas = run(T).deltas
         for k in range(12):
             assert abs(deltas[k + 1] / deltas[k] - abs(1.0 - T)) <= 1e-9
 
     deadbeat = run(1.0)
-    assert deadbeat.records[1].delta_norm == 0.0
-    assert max(rec.delta_norm for rec in deadbeat.records[1:]) == 0.0
+    assert deadbeat.deltas[1] == 0.0
+    assert deadbeat.deltas[1:].max() == 0.0
 
     assert run(2.5).diverged
 

@@ -16,11 +16,10 @@ from affinesim import (
     stationary_disagreement_matrix,
     stationary_law_stable,
     stationary_leader_step,
-    unit_circle_test,
 )
 from affinesim.control import RiccatiSolution, check_period
 
-from conftest import FOLLOWER_TARGETS, MU_MAX, MU_MIN
+from conftest import FOLLOWER_TARGETS, MU_MAX
 
 
 def leader_stack(reference):
@@ -178,26 +177,6 @@ def test_dynamic_stability_condition():
     assert dynamic_law_stable(1.99)
     assert not dynamic_law_stable(2.0)
     assert not dynamic_law_stable(2.5)
-
-
-def test_unit_circle_basic():
-    assert unit_circle_test(0.0)
-    assert unit_circle_test(-1.0 - 1.0 * MU_MIN)  # 0.4931...
-    assert unit_circle_test(0.49)
-    assert not unit_circle_test(1.0)
-    assert not unit_circle_test(-1.0)
-    assert not unit_circle_test(1.5j)
-
-
-def test_unit_circle_matches_modulus_predicate():
-    rng = np.random.default_rng(17)
-    checked = 0
-    while checked < 10000:
-        a = rng.uniform(0, 2) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        if abs(abs(a) - 1.0) < 1e-9:
-            continue
-        assert unit_circle_test(a) == (abs(a) < 1.0)
-        checked += 1
 
 
 def test_spectral_radius(blocks):

@@ -14,7 +14,6 @@ from affinesim import (
     ScheduleSegment,
     assemble_stress,
     compare_forms,
-    detect_convergence,
     disagreement,
     dynamic_leader_step,
     follower_targets,
@@ -29,7 +28,8 @@ from affinesim import (
     stationary_leader_step,
     verify_equilibrium,
 )
-from affinesim.engine import TraceRecord
+from affinesim.engine import CONVERGENCE_WINDOW
+from affinesim.fileio import ParseError, weights_from_dict
 
 from conftest import EXACT_WEIGHTS, FOLLOWER_START, FOLLOWER_TARGETS, MU_MIN
 
@@ -64,6 +64,24 @@ def test_spec_validation(framework, partition):
         scenario(framework, partition, law="linear")  # no plant
 
 
+def test_weights_name_an_edge_twice_only_with_equal_values(framework, partition, graph):
+    weights = dict(EXACT_WEIGHTS)
+    weights[(2, 1)] = weights[(1, 2)] + 1.0
+    with pytest.raises(ValueError, match=r"conflicting weights for edge \(1, 2\)"):
+        scenario(framework, partition, weights=weights)
+    with pytest.raises(ValueError, match=r"conflicting weights for edge \(1, 2\)"):
+        assemble_stress(graph, weights)
+    with pytest.raises(ParseError, match=r"conflicting weights for edge \(1, 2\)"):
+        weights_from_dict({"edges": [[1, 2, 0.5], [2, 1, 1.5]]})
+
+    weights[(2, 1)] = weights[(1, 2)]
+    spec = scenario(framework, partition, weights=weights)
+    assert spec.weights == EXACT_WEIGHTS
+    both = assemble_stress(graph, weights).entries
+    assert np.array_equal(both, assemble_stress(graph, EXACT_WEIGHTS).entries)
+    assert weights_from_dict({"edges": [[1, 2, 0.5], [2, 1, 0.5]]}) == {(1, 2): 0.5}
+
+
 def test_disagreement():
     assert disagreement([1.0, 2.0], [1.0, 2.0]) == 0.0
     start = np.ravel(FOLLOWER_START)
@@ -72,17 +90,6 @@ def test_disagreement():
     assert disagreement([0.0, 0.0], [0.0, 2.0]) == 2.0
     with pytest.raises(ValueError):
         disagreement([1.0], [1.0, 2.0])
-
-
-def test_detect_convergence():
-    assert detect_convergence([0.0, 0.0, 0.0], tol=1e-9, window=1) == 0
-    halving = [2.0**-k for k in range(20)]
-    assert detect_convergence(halving, tol=1e-3, window=1) == 10
-    assert detect_convergence([1.0, 1.0, 1.0, 1.0], tol=0.5, window=2) is None
-    assert detect_convergence([1.0, 0.1, 1.0, 0.1], tol=0.5, window=2) is None
-    assert detect_convergence([1.0, 0.1, 0.1, 0.1], tol=0.5, window=3) == 1
-    with pytest.raises(ValueError):
-        detect_convergence([1.0], tol=0.5, window=0)
 
 
 def test_run_refused_without_certificate(framework, partition):
@@ -118,7 +125,7 @@ def test_budget_exhaustion(framework, partition):
 def test_divergence_flagged(framework, partition):
     result = run_scenario(scenario(framework, partition, T=1.4, budget=500))
     assert result.diverged
-    assert result.records[-1].diverged
+    assert result.diverged_flags[-1]
     assert result.steps <= 500
     assert result.stability_flags["stable"] is False
     assert result.stability_flags["spectral_radius"] > 1.0
@@ -126,29 +133,26 @@ def test_divergence_flagged(framework, partition):
 
 def test_trace_records_are_recomputable(framework, partition):
     result = run_scenario(scenario(framework, partition, budget=50))
-    for rec in result.records:
-        x = rec.x.reshape(5, 2)
+    for x, target, delta in zip(result.states, result.targets, result.deltas):
         x_f = x[[3, 4]].ravel()
-        assert abs(np.linalg.norm(x_f - rec.x_f_star) - rec.delta_norm) <= 1e-12
+        assert abs(np.linalg.norm(x_f - target.ravel()) - delta) <= 1e-12
 
 
 def test_targets_form_equilibrium_configuration(framework, partition):
     seg = ScheduleSegment(k0=5, k1=40, kind="rotation", params={"angle": 1.0}, interp="linear")
     spec = scenario(framework, partition, schedule=ManoeuvreSchedule((seg,)), budget=60)
     result = run_scenario(spec)
-    for rec in result.records:
-        x = rec.x.reshape(5, 2)
-        full_target = np.vstack([x[[0, 1, 2]], rec.x_f_star.reshape(2, 2)])
+    for x, target in zip(result.states, result.targets):
+        full_target = np.vstack([x[[0, 1, 2]], target])
         assert verify_equilibrium(result.stress, Configuration(full_target)) <= 1e-6
 
 
 def test_determinism_bitwise(framework, partition):
     a = run_scenario(scenario(framework, partition))
     b = run_scenario(scenario(framework, partition))
-    assert len(a.records) == len(b.records)
-    for ra, rb in zip(a.records, b.records):
-        assert np.array_equal(ra.x, rb.x)
-        assert ra.delta_norm == rb.delta_norm
+    assert len(a.deltas) == len(b.deltas)
+    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a.deltas, b.deltas)
 
 
 def test_two_phase_reconvergence(framework, partition, blocks):
@@ -173,9 +177,9 @@ def test_monotone_envelope(framework, partition, blocks):
     rho = float(np.abs(eigvals).max())
     kappa = np.linalg.cond(eigvecs)
     assert kappa == pytest.approx(1.0, abs=1e-12)
-    delta0 = result.records[0].delta_norm
-    for rec in result.records:
-        assert rec.delta_norm <= rho**rec.k * delta0 * kappa * (1.0 + 1e-9)
+    delta0 = result.deltas[0]
+    for k, delta in enumerate(result.deltas):
+        assert delta <= rho**k * delta0 * kappa * (1.0 + 1e-9)
 
 
 def test_dynamic_law_tracks_moving_leaders(framework, partition):
@@ -191,7 +195,7 @@ def test_dynamic_law_tracks_moving_leaders(framework, partition):
         budget=200,
     )
     result = run_scenario(spec)
-    deltas = [rec.delta_norm for rec in result.records]
+    deltas = result.deltas
     for k in range(12):
         assert deltas[k + 1] / deltas[k] == pytest.approx(0.5, abs=1e-9)
     assert result.converged_at is not None
@@ -214,8 +218,8 @@ def test_linear_law_runs(framework, partition):
     assert flags["closed_loop_spectral_radius"] < 1.0
     assert flags["riccati_residual"] <= 1e-10
     # All agents update, leaders included: state follows the closed loop map.
-    x0 = result.records[0].x
-    x1 = result.records[1].x
+    x0 = result.states[0].ravel()
+    x1 = result.states[1].ravel()
     from affinesim import linear_step, solve_mare
 
     K = solve_mare(plant, np.eye(2)).K
@@ -332,12 +336,45 @@ def test_run_batch_shares_certificate_and_riccati_solve(framework, partition, mo
 
 def test_trace_record_flags_are_instantaneous(framework, partition):
     result = run_scenario(scenario(framework, partition, tolerance=1e-6))
-    crossing = [rec.converged for rec in result.records]
+    crossing = result.converged_flags.tolist()
     # Once inside tolerance with stationary leaders the run stays inside.
     first = crossing.index(True)
     assert all(crossing[first:])
-    assert not any(rec.diverged for rec in result.records)
-    assert isinstance(result.records[0], TraceRecord)
+    assert not result.diverged_flags.any()
+    assert result.converged_flags.dtype == result.diverged_flags.dtype == bool
+
+
+def first_window(in_tolerance, settle_after):
+    """First k >= settle_after that opens CONVERGENCE_WINDOW in-tolerance rows."""
+    for k in range(settle_after, len(in_tolerance) - CONVERGENCE_WINDOW + 1):
+        if all(in_tolerance[k : k + CONVERGENCE_WINDOW]):
+            return k
+    return None
+
+
+@pytest.mark.parametrize("case", ["on target", "hold", "linear"])
+def test_convergence_window(framework, partition, case):
+    if case == "on target":
+        overrides = dict(initial_followers=FOLLOWER_TARGETS)
+    elif case == "hold":
+        # In tolerance from the start, but no window may open before the jump.
+        seg = ScheduleSegment(k0=40, k1=40, kind="scaling", params={"c": 0.5})
+        overrides = dict(initial_followers=FOLLOWER_TARGETS, schedule=ManoeuvreSchedule((seg,)))
+    else:
+        # Deadbeat tracking is in tolerance from k = 1 while the leaders move.
+        seg = ScheduleSegment(k0=0, k1=30, kind="rotation", params={"angle": 1.0}, interp="linear")
+        overrides = dict(law="dynamic", schedule=ManoeuvreSchedule((seg,)))
+    spec = scenario(framework, partition, **overrides)
+    result = run_scenario(spec)
+    settle_after = spec.schedule.last_step()
+    in_tolerance = (result.deltas <= spec.tolerance).tolist()
+    if case != "on target":
+        assert all(in_tolerance[1:settle_after])
+    assert result.converged_at is not None
+    assert result.converged_at == first_window(in_tolerance, settle_after)
+    assert len(result.deltas) == result.converged_at + CONVERGENCE_WINDOW
+    np.testing.assert_array_equal(result.converged_flags, result.deltas <= spec.tolerance)
+    assert not result.diverged_flags.any()
 
 
 def public_steps(spec, result):
@@ -388,18 +425,16 @@ def test_compiled_run_matches_public_steps(framework, partition, law, budget):
     np.testing.assert_allclose(result.deltas, deltas, rtol=0.0, atol=1e-12)
 
 
-def test_trace_columns_and_records_agree(framework, partition):
+def test_trace_columns_and_flags(framework, partition):
     result = run_scenario(scenario(framework, partition, T=1.4, budget=500))
     steps = result.steps
     assert result.states.shape == (steps + 1, 5, 2)
     assert result.targets.shape == (steps + 1, 2, 2)
+    assert result.deltas.shape == result.converged_flags.shape == (steps + 1,)
     assert result.diverged_flags.tolist() == [False] * steps + [True]
-    for rec in result.records:
-        assert np.array_equal(rec.x, result.states[rec.k].ravel())
-        assert np.array_equal(rec.x_f_star, result.targets[rec.k].ravel())
-        assert rec.delta_norm == result.deltas[rec.k]
-        assert rec.converged == result.converged_flags[rec.k]
-    assert not result.states.flags.writeable
+    np.testing.assert_array_equal(result.converged_flags, result.deltas <= 1e-9)
+    for column in ("states", "targets", "deltas", "converged_flags", "diverged_flags"):
+        assert not getattr(result, column).flags.writeable
 
 
 def test_linear_law_flags_predict_divergence(framework, partition):

@@ -22,19 +22,19 @@ def reference_trace(result) -> bytes:
     buf = io.StringIO(newline="")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(TRACE_HEADER)
-    for rec in result.records:
-        state = rec.x.reshape(n, d)
+    rows = zip(result.states, result.deltas, result.converged_flags, result.diverged_flags)
+    for k, (state, delta, converged, diverged) in enumerate(rows):
         for agent in range(1, n + 1):
             for coord in range(d):
                 writer.writerow(
                     (
-                        rec.k,
+                        k,
                         agent,
                         coord,
                         repr(float(state[agent - 1, coord])),
-                        repr(float(rec.delta_norm)),
-                        int(rec.converged),
-                        int(rec.diverged),
+                        repr(float(delta)),
+                        int(converged),
+                        int(diverged),
                     )
                 )
     return buf.getvalue().encode()
