@@ -29,7 +29,6 @@ from .engine import (
     RunResult,
     ScenarioSpec,
     compare_forms,
-    disagreement,
     run_batch,
     run_scenario,
     stability_flags,

@@ -6,19 +6,17 @@ run's trace columns), stability (the engine's stability flags for a law),
 riccati (gain solver), batch (many scenarios, run one after another).
 
 Exit codes: 0 success/converged, 1 certificate or synthesis failure, 2 parse
-or validation failure (a linear-law scenario with a schedule included),
+or validation failure (a linear-law scenario with a schedule, or another
+law's with a plant, q or epsilon, included),
 3 diverged, 4 step budget exhausted, 5 numerical solver failure (singular
 follower block, Riccati budget). Console numerics are printed to 6
-significant digits; files carry full precision. AFFINESIM_SEED overrides
-any scenario or manifest seed, which does not change a synthesized stress.
+significant digits; files carry full precision.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -54,16 +52,6 @@ def _print_matrix(label: str, mat: np.ndarray):
     print(f"{label}:")
     for row in np.atleast_2d(mat):
         print("  [" + ", ".join(_fmt(v) for v in row) + "]")
-
-
-def _env_seed():
-    raw = os.environ.get("AFFINESIM_SEED")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise fileio.ParseError(f"AFFINESIM_SEED={raw!r} is not an integer") from exc
 
 
 def _connectivity(separator) -> str:
@@ -127,8 +115,7 @@ def cmd_validate(args) -> int:
 
 def cmd_synth(args) -> int:
     framework, _ = fileio.load_framework(args.framework)
-    seed = _env_seed()
-    weights = synthesize_stress(framework, seed=args.seed if seed is None else seed)
+    weights = synthesize_stress(framework)
     fileio.save_weights(weights, args.out)
     print(f"wrote {args.out}")
     cert = check_rigidity_certificate(assemble_stress(framework.graph, weights), framework)
@@ -164,9 +151,6 @@ def _outcome_exit(result) -> int:
 
 def cmd_simulate(args) -> int:
     spec = fileio.load_scenario(args.scenario)
-    seed = _env_seed()
-    if seed is not None:
-        spec = replace(spec, seed=seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     fileio.save_manifest(spec, args.scenario, out_dir, out_dir / "manifest.json")
@@ -190,12 +174,9 @@ def cmd_simulate(args) -> int:
 def cmd_batch(args) -> int:
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
-    env_seed = _env_seed()
     runs, parsed = [], {}
     for raw in args.scenarios:
         spec = fileio.load_scenario(raw, _parsed=parsed)
-        if env_seed is not None:
-            spec = replace(spec, seed=env_seed)
         out_dir = out_root / Path(raw).stem
         out_dir.mkdir(parents=True, exist_ok=True)
         fileio.save_manifest(spec, raw, out_dir, out_dir / "manifest.json")
@@ -284,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="synthesize a certificate-passing stress")
     p.add_argument("framework", help="framework JSON file")
     p.add_argument("--out", default="weights.json", help="output weights file")
-    p.add_argument("--seed", type=int, default=0, help="accepted; does not change the stress")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("simulate", help="run a scenario (or re-run a manifest)")

@@ -64,11 +64,12 @@ class ScenarioSpec:
     """Complete, reproducible description of one simulation run.
 
     The framework's configuration is the reference the schedule transforms.
-    weights=None requests stress synthesis, which does not depend on `seed`.
+    weights=None requests stress synthesis, which is deterministic.
     The linear law additionally needs a plant whose state dimension equals
     d; its gain comes from the Riccati solver with weight matrix q_matrix
     (identity when omitted). Under the linear law every agent, leaders
-    included, evolves by the law, so it takes no manoeuvre schedule.
+    included, evolves by the law, so it takes no manoeuvre schedule. The
+    other laws read no plant, q_matrix or epsilon, so they refuse them.
     """
 
     framework: Framework
@@ -80,7 +81,6 @@ class ScenarioSpec:
     schedule: ManoeuvreSchedule = ManoeuvreSchedule()
     budget: int = 2000
     tolerance: float = 1e-9
-    seed: int = 0
     plant: LinearPlant | None = None
     q_matrix: np.ndarray | None = None
     epsilon: float = 0.0
@@ -116,6 +116,8 @@ class ScenarioSpec:
             q = np.eye(self.plant.m) if self.q_matrix is None else np.array(self.q_matrix, dtype=float)
             q.setflags(write=False)
             object.__setattr__(self, "q_matrix", q)
+        elif self.plant is not None or self.q_matrix is not None or self.epsilon != 0.0:
+            raise ValueError(f"{self.law} law takes no plant, q or epsilon")
 
 
 @dataclass(frozen=True)
@@ -152,15 +154,6 @@ class RunResult:
 
     def final_positions(self) -> np.ndarray:
         return self.states[-1]
-
-
-def disagreement(x_f, x_f_star) -> float:
-    """Euclidean norm of the stacked follower tracking error."""
-    a = np.asarray(x_f, dtype=float).ravel()
-    b = np.asarray(x_f_star, dtype=float).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"stacks of lengths {a.size} and {b.size} do not match")
-    return float(np.linalg.norm(a - b))
 
 
 def stability_flags(law, T, blocks=None, stress=None, plant=None, solution=None, epsilon=0.0):
@@ -304,7 +297,7 @@ def run_scenario(spec: ScenarioSpec, *, _memo=None) -> RunResult:
     run_below_tol = 0
     converged_at = None
     for k in range(spec.budget + 1):
-        delta = disagreement(z[n_l:], target)
+        delta = float(np.linalg.norm(z[n_l:] - target))
         converged = delta <= spec.tolerance
         # Written as a negation so that nan, which compares false, diverges.
         diverged = not delta <= DIVERGENCE_LIMIT

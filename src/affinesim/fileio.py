@@ -204,7 +204,6 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict:
         "schedule": schedule_to_dict(spec.schedule),
         "budget": spec.budget,
         "tolerance": spec.tolerance,
-        "seed": spec.seed,
     }
     if spec.plant is not None:
         data["plant"] = {"A": spec.plant.A.tolist(), "B": spec.plant.B.tolist()}
@@ -219,9 +218,9 @@ def load_scenario(path, *, _parsed=None) -> ScenarioSpec:
 
     The framework, weights, schedule and plant fields accept either inline
     mappings or path strings relative to the file. Omitted weights request
-    synthesis. _parsed is a batch's: scenarios loaded with the same dict
-    share each framework, weights, schedule or plant file they reference,
-    parsed once.
+    synthesis. A `seed` key, written by older versions, is ignored.
+    _parsed is a batch's: scenarios loaded with the same dict share each
+    framework, weights, schedule or plant file they reference, parsed once.
     """
     path = Path(path)
     data = _load_json(path)
@@ -244,11 +243,9 @@ def load_scenario(path, *, _parsed=None) -> ScenarioSpec:
         schedule = _resolve(data["schedule"], base_dir, schedule_from_dict, parsed)
 
     plant = None
-    q_matrix = None
     if data.get("plant") is not None:
         plant = _resolve(data["plant"], base_dir, _plant_from_dict, parsed)
-        if data.get("q") is not None:
-            q_matrix = np.array(data["q"], dtype=float)
+    q_matrix = None if data.get("q") is None else np.array(data["q"], dtype=float)
 
     try:
         return ScenarioSpec(
@@ -261,7 +258,6 @@ def load_scenario(path, *, _parsed=None) -> ScenarioSpec:
             schedule=schedule,
             budget=int(data.get("budget", 2000)),
             tolerance=float(data.get("tolerance", 1e-9)),
-            seed=int(data.get("seed", 0)),
             plant=plant,
             q_matrix=q_matrix,
             epsilon=float(data.get("epsilon", 0.0)),
@@ -275,7 +271,6 @@ def manifest_dict(spec: ScenarioSpec, scenario_path, out_dir) -> dict:
     return {
         "kind": "run-manifest",
         "tool_version": __version__,
-        "seed": spec.seed,
         "inputs": {"scenario": str(scenario_path)},
         "out_dir": str(out_dir),
         "scenario": scenario_to_dict(spec),

@@ -35,9 +35,6 @@ class Graph:
             normalized.add((min(i, j), max(i, j)))
         object.__setattr__(self, "edges", frozenset(normalized))
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
-
     def neighbors(self, i: int) -> tuple:
         """Sorted neighbor ids of node i."""
         out = [j for (a, b) in self.edges for j in ((b,) if a == i else (a,) if b == i else ())]
@@ -76,10 +73,6 @@ class Configuration:
     @property
     def d(self) -> int:
         return self.positions.shape[1]
-
-    def stacked(self) -> np.ndarray:
-        """Node-major flattening (p_1, p_2, ...) as a length n*d vector."""
-        return self.positions.ravel().copy()
 
 
 @dataclass(frozen=True)

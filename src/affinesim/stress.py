@@ -77,9 +77,6 @@ class StressMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def row_sum_defect(self) -> float:
-        return float(np.abs(self.entries @ np.ones(self.n)).max())
-
 
 @dataclass(frozen=True)
 class StressBlocks:
@@ -310,16 +307,16 @@ def stress_basis(framework: Framework):
     return edges, vt[rank:].T.copy()
 
 
-def synthesize_stress(framework: Framework, seed: int = 0) -> dict:
+def synthesize_stress(framework: Framework) -> dict:
     """Certificate-passing equilibrium stress (edge -> weight) by concave ascent.
 
     With Q an orthonormal basis of the complement of [P, 1] and B the stress
     basis, Omega(Bc) = Q M(c) Q^T is PSD with rank n-d-1 exactly when
     lambda_min(M(c)) > 0. The ascent maximises that concave function on
     tr M(c) = a.c = 1 from c0 = a/|a|^2 and returns the first iterate that
-    passes check_rigidity_certificate; see README, Certification. `seed` is
-    kept for older callers and changes nothing. Raises SynthesisError when a
-    precondition fails, a = 0, or the best lambda_min is <= 0 at the end.
+    passes check_rigidity_certificate; see README, Certification. The
+    result is deterministic. Raises SynthesisError when a precondition
+    fails, a = 0, or the best lambda_min is <= 0 at the end.
     """
     graph, config = framework.graph, framework.config
     n, d = graph.n, config.d

@@ -81,7 +81,7 @@ def test_simulate_writes_outputs(bench, tmp_path, capsys):
     np.testing.assert_allclose(summary["final_followers"], FOLLOWER_TARGETS, atol=1e-6)
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["kind"] == "run-manifest"
-    assert manifest["seed"] == 0
+    assert "seed" not in manifest and "seed" not in manifest["scenario"]
 
 
 def test_manifest_rerun_is_byte_identical(bench, tmp_path):
@@ -95,6 +95,17 @@ def test_manifest_rerun_is_byte_identical(bench, tmp_path):
     assert (second / "trace.csv").read_bytes() == reference
     assert (third / "trace.csv").read_bytes() == reference
     assert (second / "summary.json").read_bytes() == (first / "summary.json").read_bytes()
+
+
+def test_older_manifest_with_seed_replays_byte_identical(bench, tmp_path):
+    first = tmp_path / "run1"
+    assert main(["simulate", str(bench), "--out", str(first)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    manifest["seed"] = manifest["scenario"]["seed"] = 7
+    older = tmp_path / "older_manifest.json"
+    older.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    assert main(["simulate", str(older), "--out", str(tmp_path / "run2")]) == 0
+    assert (tmp_path / "run2" / "trace.csv").read_bytes() == (first / "trace.csv").read_bytes()
 
 
 def test_simulate_divergence_exit_code(bench, tmp_path, capsys):
@@ -316,7 +327,11 @@ def test_riccati_iteration_budget(tmp_path, capsys):
 
 def test_synth_roundtrip(bench, tmp_path, capsys):
     out = tmp_path / "synth.json"
-    rc = main(["synth", str(tmp_path / "framework.json"), "--out", str(out), "--seed", "3"])
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", str(tmp_path / "framework.json"), "--out", str(out), "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    rc = main(["synth", str(tmp_path / "framework.json"), "--out", str(out)])
     assert rc == 0
     assert "certificate: PASS" in capsys.readouterr().out
     weights = load_weights(out)
@@ -335,20 +350,6 @@ def test_synth_fails_on_path_graph(tmp_path, capsys):
     rc = main(["synth", str(path), "--out", str(tmp_path / "w.json")])
     assert rc == 1
     assert "synthesis failed" in capsys.readouterr().err
-
-
-def test_env_seed_override(bench, tmp_path, monkeypatch):
-    monkeypatch.setenv("AFFINESIM_SEED", "7")
-    out_dir = tmp_path / "seeded"
-    assert main(["simulate", str(bench), "--out", str(out_dir)]) == 0
-    manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert manifest["seed"] == 7
-
-
-def test_env_seed_invalid(bench, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("AFFINESIM_SEED", "lucky")
-    assert main(["simulate", str(bench), "--out", str(tmp_path / "x")]) == 2
-    assert "AFFINESIM_SEED" in capsys.readouterr().err
 
 
 def test_simulate_singular_follower_block_exit_code(bench, tmp_path, capsys):
@@ -373,3 +374,20 @@ def test_simulate_rejects_linear_law_schedule(bench, tmp_path, capsys):
     bench.write_text(json.dumps(data))
     assert main(["simulate", str(bench), "--out", str(tmp_path / "linear")]) == 2
     assert "linear law takes no schedule" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "law, extra",
+    [
+        ("stationary", {"plant": {"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[1.0, 0.0], [0.0, 1.0]]}}),
+        ("dynamic", {"q": [[2.0, 0.0], [0.0, 2.0]]}),
+        ("stationary", {"epsilon": 0.1}),
+    ],
+    ids=["plant", "q", "epsilon"],
+)
+def test_simulate_rejects_linear_law_inputs_under_other_laws(bench, tmp_path, capsys, law, extra):
+    data = json.loads(bench.read_text())
+    data.update(law=law, **extra)
+    bench.write_text(json.dumps(data))
+    assert main(["simulate", str(bench), "--out", str(tmp_path / "other")]) == 2
+    assert f"{law} law takes no plant, q or epsilon" in capsys.readouterr().err

@@ -14,7 +14,6 @@ from affinesim import (
     ScheduleSegment,
     assemble_stress,
     compare_forms,
-    disagreement,
     dynamic_leader_step,
     follower_targets,
     leader_waypoints,
@@ -80,16 +79,6 @@ def test_weights_name_an_edge_twice_only_with_equal_values(framework, partition,
     both = assemble_stress(graph, weights).entries
     assert np.array_equal(both, assemble_stress(graph, EXACT_WEIGHTS).entries)
     assert weights_from_dict({"edges": [[1, 2, 0.5], [2, 1, 0.5]]}) == {(1, 2): 0.5}
-
-
-def test_disagreement():
-    assert disagreement([1.0, 2.0], [1.0, 2.0]) == 0.0
-    start = np.ravel(FOLLOWER_START)
-    targets = np.ravel(FOLLOWER_TARGETS)
-    assert disagreement(start, targets) == pytest.approx(np.sqrt(23.0), abs=1e-12)
-    assert disagreement([0.0, 0.0], [0.0, 2.0]) == 2.0
-    with pytest.raises(ValueError):
-        disagreement([1.0], [1.0, 2.0])
 
 
 def test_run_refused_without_certificate(framework, partition):
@@ -421,7 +410,7 @@ def test_compiled_run_matches_public_steps(framework, partition, law, budget):
     states, targets = public_steps(spec, result)
     np.testing.assert_allclose(result.states, states, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(result.targets, targets, rtol=0.0, atol=1e-12)
-    deltas = [disagreement(s[[3, 4]], t) for s, t in zip(states, targets)]
+    deltas = [np.linalg.norm(s[[3, 4]] - t) for s, t in zip(states, targets)]
     np.testing.assert_allclose(result.deltas, deltas, rtol=0.0, atol=1e-12)
 
 

@@ -40,7 +40,7 @@ def test_assemble_row_sums_vanish(graph):
         weights = {e: rng.normal() for e in EDGES}
         stress = assemble_stress(graph, weights)
         scale = max(1.0, np.abs(stress.entries).max())
-        assert stress.row_sum_defect() <= 1e-12 * scale
+        assert np.abs(stress.entries.sum(axis=1)).max() <= 1e-12 * scale
 
 
 def test_assemble_rejects_bad_weights(graph):
@@ -68,7 +68,7 @@ def test_stress_matrix_validation():
 
 def test_rounded_matrix_is_accepted(rounded_stress):
     # 3-decimal rounding leaves a small row-sum defect, within the slack.
-    assert 0 < rounded_stress.row_sum_defect() <= 2e-3
+    assert 0 < np.abs(rounded_stress.entries.sum(axis=1)).max() <= 2e-3
 
 
 def test_verify_equilibrium(exact_stress, rounded_stress, reference):
@@ -156,15 +156,15 @@ def test_stress_basis_dimensions(framework):
 
 
 def test_synthesize_benchmark(framework, reference):
-    weights = synthesize_stress(framework, seed=0)
+    weights = synthesize_stress(framework)
     stress = assemble_stress(framework.graph, weights)
     assert verify_equilibrium(stress, reference) <= 1e-9
     assert check_rigidity_certificate(stress, framework).passed
 
 
 def test_synthesize_deterministic(framework):
-    w1 = synthesize_stress(framework, seed=12)
-    w2 = synthesize_stress(framework, seed=12)
+    w1 = synthesize_stress(framework)
+    w2 = synthesize_stress(framework)
     assert w1 == w2
 
 
@@ -172,7 +172,7 @@ def test_synthesize_k4(framework):
     k4 = Graph(4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
     config = Configuration([(0.0, 0.0), (3.0, 0.1), (-0.2, 3.0), (1.1, 0.9)])
     fw = Framework(k4, config)
-    weights = synthesize_stress(fw, seed=0)
+    weights = synthesize_stress(fw)
     assert check_rigidity_certificate(assemble_stress(k4, weights), fw).passed
 
 
@@ -262,8 +262,8 @@ def test_synthesize_reports_missing_psd_stress():
 def test_synthesize_is_bit_identical_across_calls_and_seeds():
     fw = perturbed_triangulated_grid()
     first = synthesize_stress(fw)
-    for seed in (0, 0, 12):
-        again = synthesize_stress(fw, seed=seed)
+    for _ in range(3):
+        again = synthesize_stress(fw)
         assert list(again) == list(first)
         assert np.array(list(again.values())).tobytes() == np.array(list(first.values())).tobytes()
 
