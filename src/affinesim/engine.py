@@ -35,6 +35,7 @@ from .stress import (
     RigidityCertificate,
     StressBlocks,
     StressMatrix,
+    _certificate,
     assemble_stress,
     check_rigidity_certificate,
     min_eig_neg_ff,
@@ -67,9 +68,10 @@ class ScenarioSpec:
     weights=None requests stress synthesis, which is deterministic.
     The linear law additionally needs a plant whose state dimension equals
     d; its gain comes from the Riccati solver with weight matrix q_matrix
-    (identity when omitted). Under the linear law every agent, leaders
-    included, evolves by the law, so it takes no manoeuvre schedule. The
-    other laws read no plant, q_matrix or epsilon, so they refuse them.
+    (identity when omitted) and tolerance riccati_tol (1e-10 when omitted).
+    Under the linear law every agent, leaders included, evolves by the law,
+    so it takes no manoeuvre schedule. The other laws read no plant,
+    q_matrix, epsilon or riccati_tol, so they refuse them.
     """
 
     framework: Framework
@@ -84,7 +86,7 @@ class ScenarioSpec:
     plant: LinearPlant | None = None
     q_matrix: np.ndarray | None = None
     epsilon: float = 0.0
-    riccati_tol: float = 1e-10
+    riccati_tol: float | None = None
 
     def __post_init__(self):
         if self.partition.n != self.framework.config.n:
@@ -116,8 +118,15 @@ class ScenarioSpec:
             q = np.eye(self.plant.m) if self.q_matrix is None else np.array(self.q_matrix, dtype=float)
             q.setflags(write=False)
             object.__setattr__(self, "q_matrix", q)
-        elif self.plant is not None or self.q_matrix is not None or self.epsilon != 0.0:
-            raise ValueError(f"{self.law} law takes no plant, q or epsilon")
+            tol = 1e-10 if self.riccati_tol is None else float(self.riccati_tol)
+            object.__setattr__(self, "riccati_tol", tol)
+        elif (
+            self.plant is not None
+            or self.q_matrix is not None
+            or self.epsilon != 0.0
+            or self.riccati_tol is not None
+        ):
+            raise ValueError(f"{self.law} law takes no plant, q, epsilon or riccati_tol")
 
 
 @dataclass(frozen=True)
@@ -204,8 +213,12 @@ def _resolve_stress(spec: ScenarioSpec):
     weights = spec.weights
     if weights is None:
         weights = synthesize_stress(spec.framework)
-    stress = assemble_stress(spec.framework.graph, weights)
-    certificate = check_rigidity_certificate(stress, spec.framework)
+        # Synthesis has found the graph (d+1)-connected.
+        stress = assemble_stress(spec.framework.graph, weights)
+        certificate = _certificate(stress, spec.framework, None)
+    else:
+        stress = assemble_stress(spec.framework.graph, weights)
+        certificate = check_rigidity_certificate(stress, spec.framework)
     if not certificate.passed:
         raise CertificateError(certificate)
     blocks = partition_stress(stress, spec.partition)

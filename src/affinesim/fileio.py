@@ -261,7 +261,7 @@ def load_scenario(path, *, _parsed=None) -> ScenarioSpec:
             plant=plant,
             q_matrix=q_matrix,
             epsilon=float(data.get("epsilon", 0.0)),
-            riccati_tol=float(data.get("riccati_tol", 1e-10)),
+            riccati_tol=data.get("riccati_tol"),
         )
     except (ValueError, TypeError) as exc:
         raise ParseError(f"scenario: {exc}") from exc

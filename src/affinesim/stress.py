@@ -14,7 +14,6 @@ from .framework import (
     Graph,
     LeaderPartition,
     affine_span_dimension,
-    is_k_connected,
     vertex_separator,
 )
 
@@ -28,7 +27,7 @@ COND_LIMIT = 1e12
 # carry defects up to about the rounding quantum, which this admits.
 ROW_SUM_SLACK = 1e-2
 # Stress synthesis: iteration cap, soft-min temperature (times n-d-1) at the
-# first and last iteration, and the |gradient| * |c| that counts as converged.
+# first and last iteration, and the |gradient| * |w| that counts as converged.
 SYNTH_MAX_ITER = 500
 SYNTH_TEMPERATURE = (10.0, 1e4)
 SYNTH_GRAD_TOL = 1e-12
@@ -217,12 +216,13 @@ def check_rigidity_certificate(stress: StressMatrix, framework: Framework) -> Ri
     n, d = stress.n, framework.config.d
     if n < d + 2:
         raise ValueError(f"certificate needs n >= d+2 nodes, got n={n}, d={d}")
-    return _certificate(stress, framework, is_k_connected(framework.graph, d + 1))
+    return _certificate(stress, framework, vertex_separator(framework.graph, d + 1))
 
 
-def _certificate(stress: StressMatrix, framework: Framework, connectivity_ok: bool):
-    """check_rigidity_certificate for a stress of checked size, given the
-    outcome of the connectivity test, which depends on the graph alone."""
+def _certificate(stress: StressMatrix, framework: Framework, separator):
+    """check_rigidity_certificate for a stress of checked size, given
+    vertex_separator(graph, d+1), which depends on the graph alone (None
+    when the graph is (d+1)-connected)."""
     n, d = stress.n, framework.config.d
     eig = np.linalg.eigvalsh(stress.entries)
     scale = float(np.abs(eig).max())
@@ -235,9 +235,9 @@ def _certificate(stress: StressMatrix, framework: Framework, connectivity_ok: bo
         expected_rank=expected,
         min_eigenvalue=min_eig,
         psd=psd,
-        connectivity_ok=connectivity_ok,
-        passed=(rank == expected) and psd and connectivity_ok,
-        separator=None if connectivity_ok else vertex_separator(framework.graph, d + 1),
+        connectivity_ok=separator is None,
+        passed=(rank == expected) and psd and separator is None,
+        separator=separator,
     )
 
 
@@ -292,66 +292,68 @@ def equilibrium_constraint_matrix(framework: Framework):
     return edges, C
 
 
-def stress_basis(framework: Framework):
-    """Orthonormal basis of the equilibrium-stress weight space.
-
-    Returns (edges, basis) with basis of shape (len(edges), s); s may be 0.
-    """
-    edges, C = equilibrium_constraint_matrix(framework)
-    m = len(edges)
-    if m == 0:
-        return edges, np.zeros((0, 0))
-    _, sigma, vt = np.linalg.svd(C)
-    tol = max(C.shape) * (sigma[0] if sigma.size else 0.0) * RANK_RTOL
-    rank = int(np.sum(sigma > tol))
-    return edges, vt[rank:].T.copy()
+def _row_space(matrix: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the row space of a matrix, one column per
+    singular value above max(shape) * sigma_max * RANK_RTOL."""
+    u, sigma, _ = np.linalg.svd(matrix.T, full_matrices=False)
+    tol = max(matrix.shape) * (sigma[0] if sigma.size else 0.0) * RANK_RTOL
+    return u[:, : int(np.sum(sigma > tol))]
 
 
 def synthesize_stress(framework: Framework) -> dict:
     """Certificate-passing equilibrium stress (edge -> weight) by concave ascent.
 
-    With Q an orthonormal basis of the complement of [P, 1] and B the stress
-    basis, Omega(Bc) = Q M(c) Q^T is PSD with rank n-d-1 exactly when
-    lambda_min(M(c)) > 0. The ascent maximises that concave function on
-    tr M(c) = a.c = 1 from c0 = a/|a|^2 and returns the first iterate that
-    passes check_rigidity_certificate; see README, Certification. The
-    result is deterministic. Raises SynthesisError when a precondition
-    fails, a = 0, or the best lambda_min is <= 0 at the end.
+    With Q an orthonormal basis of the complement of [P, 1], an equilibrium
+    stress Omega(w) = Q M(w) Q^T is PSD with rank n-d-1 exactly when
+    lambda_min(M(w)) > 0. The ascent maximises that concave function over
+    edge weights w in the null space of the equilibrium constraint matrix C,
+    on tr M(w) = a.w = 1, from w0 = a/|a|^2 with a = project(2 * ones),
+    where project(w) = w - R R^T w and R spans the row space of C. It
+    returns the first iterate that passes check_rigidity_certificate; see
+    README, Certification. The result is deterministic. Raises
+    SynthesisError when a precondition fails, a = 0, or the best
+    lambda_min is <= 0 at the end.
     """
     graph, config = framework.graph, framework.config
     n, d = graph.n, config.d
     if n < d + 2:
         raise SynthesisError(f"no valid certificate possible: n={n} < d+2={d + 2}")
-    if not is_k_connected(graph, d + 1):
-        cut = ", ".join(map(str, vertex_separator(graph, d + 1))) or "nothing"
+    separator = vertex_separator(graph, d + 1)
+    if separator is not None:
+        cut = ", ".join(map(str, separator)) or "nothing"
         raise SynthesisError(f"graph is not {d + 1}-connected: removing {cut} disconnects it")
     if affine_span_dimension(config.positions) != d:
         raise SynthesisError("configuration does not affinely span the ambient space")
 
-    edges, basis = stress_basis(framework)
-    a = 2.0 * basis.sum(axis=0)  # a_i = tr Omega(B_i)
+    edges, C = equilibrium_constraint_matrix(framework)
+    row_space = _row_space(C)
+    dimension = len(edges) - row_space.shape[1]
+
+    def project(w):
+        return w - row_space @ (row_space.T @ w)
+
+    a = project(np.full(len(edges), 2.0))  # a.w = tr Omega(w) for every equilibrium w
     if np.linalg.norm(a) <= 2.0 * np.sqrt(len(edges)) * RANK_RTOL:
-        raise SynthesisError(f"a = 0: no stress has trace 1 (stress dimension {basis.shape[1]})")
+        raise SynthesisError(f"a = 0: no stress has trace 1 (stress dimension {dimension})")
 
     size = n - d - 1
     q = np.linalg.svd(np.column_stack([np.ones(n), config.positions]))[0][:, d + 1 :]
     i, j = (np.array(ends) - 1 for ends in zip(*edges))
-    # |Omega(Bc)|_2 <= 2 sqrt(max degree) |c|, so the soft minimum's gradient is
+    # |Omega(w)|_2 <= 2 sqrt(max degree) |w|, so the soft minimum's gradient is
     # (t * lipschitz)-Lipschitz and a step of 1 / (t * lipschitz) always ascends.
     lipschitz = 4.0 * np.bincount(np.concatenate((i, j))).max()
 
-    def spectrum(c):
-        weights = basis @ c
+    def spectrum(weights):
         mat = np.zeros((n, n))
         mat[i, j] = mat[j, i] = -weights
         mat[np.diag_indices(n)] = np.bincount(i, weights, n) + np.bincount(j, weights, n)
-        return (weights, *np.linalg.eigh(q.T @ mat @ q))
+        return np.linalg.eigh(q.T @ mat @ q)
 
     def soft_min(lam, t):
         return lam[0] - np.log(np.exp(-t * (lam - lam[0])).sum()) / t
 
-    c = a / (a @ a)
-    weights, lam, vec = spectrum(c)
+    weights = a / (a @ a)
+    lam, vec = spectrum(weights)
     first, last = SYNTH_TEMPERATURE
     best, eta = -np.inf, 1.0 / (lipschitz * size * first)
     for it in range(SYNTH_MAX_ITER):
@@ -359,28 +361,28 @@ def synthesize_stress(framework: Framework) -> dict:
         if lam[0] > 0.0:
             result = dict(zip(edges, weights.tolist()))
             # The precondition found the graph (d+1)-connected.
-            if _certificate(assemble_stress(graph, result), framework, True).passed:
+            if _certificate(assemble_stress(graph, result), framework, None).passed:
                 return result
         t = size * first * (last / first) ** (it / (SYNTH_MAX_ITER - 1))
         p, u = np.exp(-t * (lam - lam[0])), q @ vec
         y = (u * (p / p.sum())) @ u.T
-        g = basis.T @ (np.diag(y)[i] + np.diag(y)[j] - 2.0 * y[i, j])
+        g = project(np.diag(y)[i] + np.diag(y)[j] - 2.0 * y[i, j])
         g -= (a @ g) / (a @ a) * a
-        if np.linalg.norm(g) * np.linalg.norm(c) <= SYNTH_GRAD_TOL:
+        if np.linalg.norm(g) * np.linalg.norm(weights) <= SYNTH_GRAD_TOL:
             break
         # Backtracking: double the last step, halve it until the soft minimum
         # rises by half the first-order gain or the step is the safe one.
         f, eta = soft_min(lam, t), 2.0 * eta
         while True:
-            trial = spectrum(c + eta * g)
-            if soft_min(trial[1], t) >= f + 0.5 * eta * (g @ g) or eta * t * lipschitz <= 1.0:
+            step = weights + eta * g
+            lam, vec = spectrum(step)
+            if soft_min(lam, t) >= f + 0.5 * eta * (g @ g) or eta * t * lipschitz <= 1.0:
                 break
             eta /= 2.0
-        c = c + eta * g
-        weights, lam, vec = trial
+        weights = step
     condition = "no iterate passed the certificate" if best > 0.0 else "the best lambda_min is <= 0"
     raise SynthesisError(
         f"{condition} (best lambda_min {best:.6g} at trace 1, bound {1.0 / size:.6g}, "
-        f"stress-space dimension {basis.shape[1]}, iterations run: {it + 1})",
+        f"stress-space dimension {dimension}, iterations run: {it + 1})",
         best_min_eigenvalue=float(best),
     )

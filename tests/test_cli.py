@@ -382,12 +382,13 @@ def test_simulate_rejects_linear_law_schedule(bench, tmp_path, capsys):
         ("stationary", {"plant": {"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[1.0, 0.0], [0.0, 1.0]]}}),
         ("dynamic", {"q": [[2.0, 0.0], [0.0, 2.0]]}),
         ("stationary", {"epsilon": 0.1}),
+        ("dynamic", {"riccati_tol": 5.0}),
     ],
-    ids=["plant", "q", "epsilon"],
+    ids=["plant", "q", "epsilon", "riccati_tol"],
 )
 def test_simulate_rejects_linear_law_inputs_under_other_laws(bench, tmp_path, capsys, law, extra):
     data = json.loads(bench.read_text())
     data.update(law=law, **extra)
     bench.write_text(json.dumps(data))
     assert main(["simulate", str(bench), "--out", str(tmp_path / "other")]) == 2
-    assert f"{law} law takes no plant, q or epsilon" in capsys.readouterr().err
+    assert f"{law} law takes no plant, q, epsilon or riccati_tol" in capsys.readouterr().err

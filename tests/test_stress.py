@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,12 +18,21 @@ from affinesim import (
     min_eig_neg_ff,
     partition_stress,
     reassemble_stress,
+    run_scenario,
     synthesize_stress,
     verify_equilibrium,
 )
-from affinesim.stress import stress_basis
+from affinesim.cli import main
+from affinesim.stress import _row_space, equilibrium_constraint_matrix
 
-from conftest import EDGES, EXACT_WEIGHTS, FOLLOWER_TARGETS, MU_MAX, MU_MIN
+from conftest import (
+    EDGES,
+    EXACT_WEIGHTS,
+    FOLLOWER_TARGETS,
+    MU_MAX,
+    MU_MIN,
+    write_benchmark_files,
+)
 
 
 def test_assemble_matches_hand_blocks(exact_stress):
@@ -143,20 +154,61 @@ def test_min_eig_neg_ff(blocks):
     np.testing.assert_allclose(sorted(eigs), [MU_MIN, MU_MAX], atol=1e-12)
 
 
+def stress_space(framework):
+    """(edge count, dimension of the equilibrium stresses), with the row
+    space R of the constraint matrix C checked: R^T R = I, and
+    w - R R^T w is an equilibrium stress for random w."""
+    edges, C = equilibrium_constraint_matrix(framework)
+    row_space = _row_space(C)
+    np.testing.assert_allclose(row_space.T @ row_space, np.eye(row_space.shape[1]), atol=1e-12)
+    rng = np.random.default_rng(11)
+    for w in rng.normal(size=(5, len(edges))):
+        projected = w - row_space @ (row_space.T @ w)
+        assert np.abs(C @ projected).max() <= 1e-12 * np.abs(C).max() * np.abs(w).sum()
+    return len(edges), len(edges) - row_space.shape[1]
+
+
 def test_stress_basis_dimensions(framework):
-    edges, basis = stress_basis(framework)
-    assert len(edges) == 9
-    assert basis.shape == (9, 2)
+    assert stress_space(framework) == (9, 2)
 
     # Complete graph on 4 generic points in the plane: 1-dim stress space.
     k4 = Graph(4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
     config = Configuration([(0.0, 0.0), (3.0, 0.1), (-0.2, 3.0), (1.1, 0.9)])
-    _, basis4 = stress_basis(Framework(k4, config))
-    assert basis4.shape == (6, 1)
+    assert stress_space(Framework(k4, config)) == (6, 1)
+
+
+# Weights synthesized for the benchmark framework and for test_synthesize_k4's
+# K4 when the ascent ran on coordinates over an explicit basis of the
+# equilibrium stresses. Stepping in edge space gives the same iterates.
+PINNED_BENCHMARK_WEIGHTS = {
+    (1, 2): 0.07399999999999998,
+    (1, 3): 0.07399999999999991,
+    (1, 4): -0.07399999999999991,
+    (2, 3): -0.10600000000000008,
+    (2, 4): 0.20200000000000004,
+    (2, 5): -0.06400000000000008,
+    (3, 4): 0.20199999999999999,
+    (3, 5): -0.064,
+    (4, 5): 0.2560000000000001,
+}
+PINNED_K4_WEIGHTS = {
+    (1, 2): -0.09428607640974493,
+    (1, 3): -0.07017268330495369,
+    (1, 4): 0.2443851750620399,
+    (2, 3): -0.08277997894957273,
+    (2, 4): 0.2882916641409828,
+    (3, 4): 0.21456189946124862,
+}
+
+
+def assert_pinned(weights, pinned):
+    assert list(weights) == list(pinned)
+    np.testing.assert_allclose(list(weights.values()), list(pinned.values()), rtol=1e-12)
 
 
 def test_synthesize_benchmark(framework, reference):
     weights = synthesize_stress(framework)
+    assert_pinned(weights, PINNED_BENCHMARK_WEIGHTS)
     stress = assemble_stress(framework.graph, weights)
     assert verify_equilibrium(stress, reference) <= 1e-9
     assert check_rigidity_certificate(stress, framework).passed
@@ -173,6 +225,7 @@ def test_synthesize_k4(framework):
     config = Configuration([(0.0, 0.0), (3.0, 0.1), (-0.2, 3.0), (1.1, 0.9)])
     fw = Framework(k4, config)
     weights = synthesize_stress(fw)
+    assert_pinned(weights, PINNED_K4_WEIGHTS)
     assert check_rigidity_certificate(assemble_stress(k4, weights), fw).passed
 
 
@@ -207,14 +260,14 @@ def certified_complete_framework(n, d, rng):
 
 def test_synthesize_certifies_constructed_frameworks():
     rng = np.random.default_rng(2024)
-    for d in (2, 3):
-        for _ in range(20):
-            fw, truth = certified_complete_framework(7, d, rng)
-            assert check_rigidity_certificate(assemble_stress(fw.graph, truth), fw).passed
-            weights = synthesize_stress(fw)
-            stress = assemble_stress(fw.graph, weights)
-            assert verify_equilibrium(stress, fw.config) <= 1e-9
-            assert check_rigidity_certificate(stress, fw).passed
+    # 20 frameworks at n=7 per dimension, then one at n=60, d=3 (1770 edges).
+    for n, d in [(7, 2)] * 20 + [(7, 3)] * 20 + [(60, 3)]:
+        fw, truth = certified_complete_framework(n, d, rng)
+        assert check_rigidity_certificate(assemble_stress(fw.graph, truth), fw).passed
+        weights = synthesize_stress(fw)
+        stress = assemble_stress(fw.graph, weights)
+        assert verify_equilibrium(stress, fw.config) <= 1e-9
+        assert check_rigidity_certificate(stress, fw).passed
 
 
 def perturbed_triangulated_grid():
@@ -235,8 +288,7 @@ def perturbed_triangulated_grid():
 
 def test_synthesize_certifies_perturbed_grid():
     fw = perturbed_triangulated_grid()
-    edges, basis = stress_basis(fw)
-    assert (len(edges), basis.shape[1]) == (58, 29)
+    assert stress_space(fw) == (58, 29)
     weights = synthesize_stress(fw)
     assert check_rigidity_certificate(assemble_stress(fw.graph, weights), fw).passed
 
@@ -246,7 +298,7 @@ def test_synthesize_reports_missing_psd_stress():
     # (3, -6, 3, -2) on edges 12, 23, 34, 14, which is indefinite.
     cycle = Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
     fw = Framework(cycle, Configuration([(0.0,), (2.0,), (1.0,), (3.0,)]))
-    assert stress_basis(fw)[1].shape == (4, 1)
+    assert stress_space(fw) == (4, 1)
     with pytest.raises(SynthesisError) as info:
         synthesize_stress(fw)
     assert info.value.best_min_eigenvalue < 0.0
@@ -268,18 +320,51 @@ def test_synthesize_is_bit_identical_across_calls_and_seeds():
         assert np.array(list(again.values())).tobytes() == np.array(list(first.values())).tobytes()
 
 
-def test_synthesis_runs_the_connectivity_test_once(monkeypatch):
-    import affinesim.stress as stress_module
+@pytest.fixture
+def separator_calls(monkeypatch):
+    """Arguments of every vertex_separator call, under each name it is bound
+    to; is_k_connected calls it through the framework module."""
+    import affinesim.cli
+    import affinesim.framework
+    import affinesim.stress
 
+    calls, original = [], affinesim.framework.vertex_separator
+    for module in (affinesim.framework, affinesim.stress, affinesim.cli):
+        monkeypatch.setattr(module, "vertex_separator", lambda *a: calls.append(a) or original(*a))
+    return calls
+
+
+def test_synthesis_runs_the_connectivity_test_once(separator_calls):
     fw = perturbed_triangulated_grid()
     expected = synthesize_stress(fw)
-    calls = []
-    for name in ("is_k_connected", "vertex_separator"):
-        original = getattr(stress_module, name)
-        monkeypatch.setattr(
-            stress_module, name, lambda *args, _f=original: calls.append(args) or _f(*args)
-        )
+    separator_calls.clear()
     weights = synthesize_stress(fw)
-    assert len(calls) == 1
+    assert len(separator_calls) == 1
     assert list(weights) == list(expected)
     assert np.array(list(weights.values())).tobytes() == np.array(list(expected.values())).tobytes()
+
+
+def test_synthesizing_run_tests_connectivity_once(benchmark_scenario, separator_calls):
+    spec = dataclasses.replace(benchmark_scenario, weights=None, budget=5)
+    result = run_scenario(spec)
+    assert len(separator_calls) == 1
+    assert result.weights == synthesize_stress(spec.framework)
+
+
+def test_synth_command_tests_connectivity_once(tmp_path, separator_calls, capsys):
+    write_benchmark_files(tmp_path)
+    out = tmp_path / "synth.json"
+    assert main(["synth", str(tmp_path / "framework.json"), "--out", str(out)]) == 0
+    assert len(separator_calls) == 1
+    assert "certificate: PASS" in capsys.readouterr().out
+
+
+def test_failing_certificate_tests_connectivity_once(framework, separator_calls):
+    # Without edge 4-5, node 5 hangs on nodes 2 and 3 alone.
+    graph = Graph(5, [e for e in EDGES if e != (4, 5)])
+    weights = {e: w for e, w in EXACT_WEIGHTS.items() if e != (4, 5)}
+    fw = Framework(graph, framework.config)
+    cert = check_rigidity_certificate(assemble_stress(graph, weights), fw)
+    assert len(separator_calls) == 1
+    assert not cert.connectivity_ok and not cert.passed
+    assert cert.separator == (2, 3)
