@@ -6,8 +6,8 @@ run's trace columns), stability (the engine's stability flags for a law),
 riccati (gain solver), batch (many scenarios, run one after another).
 
 Exit codes: 0 success/converged, 1 certificate or synthesis failure, 2 parse
-or validation failure (a linear-law scenario with a schedule, or another
-law's with a plant, q or epsilon, included),
+or validation failure (a linear-law scenario with a schedule or a T other
+than 1, or another law's with a plant, q, epsilon or riccati_tol, included),
 3 diverged, 4 step budget exhausted, 5 numerical solver failure (singular
 follower block, Riccati budget). Console numerics are printed to 6
 significant digits; files carry full precision.
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, fileio
 from .control import SolverError, LinearPlant, solve_mare, spectral_radius, check_period
-from .engine import CertificateError, run_batch, run_scenario, stability_flags
+from .engine import LINEAR_T_ERROR, CertificateError, run_batch, run_scenario, stability_flags
 from .framework import LeaderPartition, validate_leader_selection, vertex_separator
 from .plotting import delta_svg, trajectory_svg
 from .stress import (
@@ -176,12 +176,12 @@ def cmd_simulate(args) -> int:
 def cmd_batch(args) -> int:
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
-    runs, parsed = [], {}
+    runs, parsed, encoded = [], {}, {}
     for raw in args.scenarios:
         spec = fileio.load_scenario(raw, _parsed=parsed)
         out_dir = out_root / Path(raw).stem
         out_dir.mkdir(parents=True, exist_ok=True)
-        fileio.save_manifest(spec, raw, out_dir, out_dir / "manifest.json")
+        fileio.save_manifest(spec, raw, out_dir, out_dir / "manifest.json", _encoded=encoded)
         runs.append((raw, spec, out_dir))
 
     results = run_batch([spec for _, spec, _ in runs])
@@ -215,6 +215,8 @@ def cmd_stability(args) -> int:
             print(f"T = {_fmt(T)}: UNSTABLE (|1-T| = {_fmt(factor)} >= 1)")
         return EXIT_OK
 
+    if args.law == "linear" and T != 1.0:
+        raise ValueError(LINEAR_T_ERROR)
     if args.law == "linear" and not (args.stress and args.A and args.B):
         raise fileio.ParseError("linear stability needs --stress, --A and --B")
     if args.law == "stationary" and not (args.stress and args.leaders):

@@ -50,6 +50,7 @@ LAWS = ("stationary", "dynamic", "linear")
 DIVERGENCE_LIMIT = 1e9
 # Convergence is declared after this many consecutive in-tolerance trace rows.
 CONVERGENCE_WINDOW = 10
+LINEAR_T_ERROR = "linear law takes no T but 1.0: its plant is already sampled"
 
 
 class CertificateError(RuntimeError):
@@ -70,7 +71,8 @@ class ScenarioSpec:
     d; its gain comes from the Riccati solver with weight matrix q_matrix
     (identity when omitted) and tolerance riccati_tol (1e-10 when omitted).
     Under the linear law every agent, leaders included, evolves by the law,
-    so it takes no manoeuvre schedule. The other laws read no plant,
+    so it takes no manoeuvre schedule, and its plant is already sampled, so
+    it refuses any T but 1.0. The other laws read no plant,
     q_matrix, epsilon or riccati_tol, so they refuse them.
     """
 
@@ -115,6 +117,8 @@ class ScenarioSpec:
                 raise ValueError("plant state dimension must equal the ambient dimension")
             if self.schedule.segments:
                 raise ValueError("linear law takes no schedule: its leaders evolve under the law")
+            if self.T != 1.0:
+                raise ValueError(LINEAR_T_ERROR)
             q = np.eye(self.plant.m) if self.q_matrix is None else np.array(self.q_matrix, dtype=float)
             q.setflags(write=False)
             object.__setattr__(self, "q_matrix", q)
@@ -207,6 +211,11 @@ def _array_key(a: np.ndarray):
     return a.shape, a.tobytes()
 
 
+def _weights_key(weights):
+    """Exact-content key of edge weights: sorted (edge, float.hex) pairs."""
+    return tuple(sorted((edge, w.hex()) for edge, w in weights.items()))
+
+
 def _resolve_stress(spec: ScenarioSpec):
     """Stress, certificate, blocks and the target map G of a framework,
     weights (or synthesis) and leader set."""
@@ -234,9 +243,7 @@ def _compile(spec: ScenarioSpec, memo: dict):
     exact bytes and values: positions, graph, weights (None for synthesis)
     and leader list; A, B, Q and riccati_tol."""
     framework = spec.framework
-    weights = None
-    if spec.weights is not None:
-        weights = tuple(sorted((edge, w.hex()) for edge, w in spec.weights.items()))
+    weights = None if spec.weights is None else _weights_key(spec.weights)
     positions = _array_key(framework.config.positions)
     stress_key = ("stress", positions, framework.graph, weights, spec.partition)
     if stress_key not in memo:

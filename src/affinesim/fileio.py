@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .control import LinearPlant
-from .engine import RunResult, ScenarioSpec
+from .engine import RunResult, ScenarioSpec, _array_key, _weights_key
 from .framework import Configuration, Framework, Graph, LeaderPartition
 from .maneuvers import ManoeuvreSchedule, ScheduleSegment
 from .stress import StressMatrix, normalize_weights
@@ -277,10 +277,32 @@ def manifest_dict(spec: ScenarioSpec, scenario_path, out_dir) -> dict:
     }
 
 
-def save_manifest(spec: ScenarioSpec, scenario_path, out_dir, path):
+def save_manifest(spec: ScenarioSpec, scenario_path, out_dir, path, *, _encoded=None):
+    """Write manifest_dict as JSON with indent 2 and sorted keys.
+
+    _encoded is a batch's: manifests written with the same dict encode each
+    distinct framework and weights (keyed by exact content, as the engine's
+    compile memo is) once. The text, re-indented to its depth, is spliced
+    in place of a null placeholder; JSON strings hold no raw newline, so
+    the bytes are those of one dump of the whole mapping.
+    """
+    encoded = {} if _encoded is None else _encoded
+    data = manifest_dict(spec, scenario_path, out_dir)
+    scenario = data["scenario"]
+    positions = _array_key(spec.framework.config.positions)
+    subtrees = {"framework": ("framework", positions, spec.framework.graph, spec.partition)}
+    if spec.weights is not None:
+        subtrees["weights"] = ("weights", _weights_key(spec.weights))
+    for name, key in subtrees.items():
+        if key not in encoded:
+            text = json.dumps(scenario[name], indent=2, sort_keys=True)
+            encoded[key] = text.replace("\n", "\n    ")
+        scenario[name] = None
+    text = json.dumps(data, indent=2, sort_keys=True)
+    for name, key in subtrees.items():
+        text = text.replace(f'\n    "{name}": null', f'\n    "{name}": {encoded[key]}', 1)
     with open(path, "w") as fh:
-        json.dump(manifest_dict(spec, scenario_path, out_dir), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_matrix(path) -> np.ndarray:

@@ -40,7 +40,18 @@ def _scaler(points):
 
 
 def _points(px, py) -> str:
-    pairs = zip(np.ravel(px).tolist(), np.ravel(py).tolist())
+    """SVG points of a polyline at pixel resolution.
+
+    A vertex is kept when its rounded pixel differs from the previous
+    vertex's; the first and last are always kept, and a nan vertex never
+    equals its neighbour. Every dropped vertex shares a 1x1 px cell with
+    the last kept vertex before it, so the path moves by at most sqrt(2) px.
+    """
+    px, py = np.ravel(px), np.ravel(py)
+    keep = np.ones(px.size, dtype=bool)
+    rx, ry = np.rint(px), np.rint(py)
+    keep[1:-1] = (rx[1:-1] != rx[:-2]) | (ry[1:-1] != ry[:-2])
+    pairs = zip(px[keep].tolist(), py[keep].tolist())
     return " ".join(f"{x:.2f},{y:.2f}" for x, y in pairs)
 
 

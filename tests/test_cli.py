@@ -184,6 +184,70 @@ def test_batch_parses_each_shared_file_once(bench, tmp_path, monkeypatch, capsys
     capsys.readouterr()
 
 
+LINEAR = {"law": "linear", "plant": {"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[1.0, 0.0], [0.0, 1.0]]},
+          "epsilon": 0.1, "budget": 200}
+
+
+def batch_variants(bench, tmp_path):
+    """Scenario files sharing the benchmark framework and weights, plus runs
+    that must not share them: another leader set, scaled positions, doubled
+    weights, synthesis, and a linear-law plant."""
+    data = json.loads(bench.read_text())
+    framework = json.loads((tmp_path / "framework.json").read_text())
+    variants = {
+        "T05": dict(T=0.5),
+        "T08": dict(T=0.8),
+        "leaders": dict(framework={**framework, "leaders": [1, 2, 5]}),
+        "scaled": dict(framework={**framework, "positions": [[2.0 * x for x in p] for p in framework["positions"]]}),
+        "double": dict(T=0.5, weights={"edges": [[i, j, 2.0 * w] for (i, j), w in sorted(EXACT_WEIGHTS.items())]}),
+        "synth": dict(weights=None),
+        "linear": LINEAR,
+    }
+    paths = [bench]
+    for name, changes in variants.items():
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({**data, **changes}))
+    return paths
+
+
+def test_batch_manifests_match_uncached_writes(bench, tmp_path, capsys):
+    from affinesim import fileio
+
+    scenarios = batch_variants(bench, tmp_path)
+    assert main(["batch", *map(str, scenarios), "--out", str(tmp_path / "batch")]) == 0
+    capsys.readouterr()
+    for scenario in scenarios:
+        out_dir = tmp_path / "batch" / scenario.stem
+        spec = fileio.load_scenario(scenario)
+        fileio.save_manifest(spec, str(scenario), out_dir, tmp_path / "alone.json")
+        reference = json.dumps(fileio.manifest_dict(spec, str(scenario), out_dir), indent=2, sort_keys=True)
+        written = (out_dir / "manifest.json").read_text()
+        assert written == (tmp_path / "alone.json").read_text() == reference + "\n"
+
+
+def test_batch_encodes_a_shared_framework_once(bench, tmp_path, monkeypatch, capsys):
+    from json.encoder import JSONEncoder
+
+    def holds(obj, keys):
+        if isinstance(obj, dict):
+            return set(obj) == keys or any(holds(v, keys) for v in obj.values())
+        return isinstance(obj, list) and any(holds(v, keys) for v in obj)
+
+    encoded = []
+    iterencode = JSONEncoder.iterencode
+
+    def counting(self, obj, *args, **kwargs):
+        encoded.extend(name for name, keys in (("framework", {"d", "positions", "edges", "leaders"}),
+                                                ("weights", {"edges"})) if holds(obj, keys))
+        return iterencode(self, obj, *args, **kwargs)
+
+    scenarios = batch_variants(bench, tmp_path)[:3]
+    monkeypatch.setattr(JSONEncoder, "iterencode", counting)
+    assert main(["batch", *map(str, scenarios), "--out", str(tmp_path / "batch")]) == 0
+    assert encoded.count("framework") == encoded.count("weights") == 1
+    capsys.readouterr()
+
+
 def test_plot_outputs(bench, tmp_path, capsys):
     plain = tmp_path / "plain"
     plotted = tmp_path / "plotted"
@@ -248,6 +312,8 @@ def test_stability_linear_reports_modal_test(tmp_path, capsys):
 def test_stability_linear_needs_inputs(capsys):
     assert main(["stability", "--law", "linear", "--T", "1.0"]) == 2
     assert "needs --stress, --A and --B" in capsys.readouterr().err
+    assert main(["stability", "--law", "linear", "--T", "0.5"]) == 2
+    assert "linear law takes no T but 1.0: its plant is already sampled" in capsys.readouterr().err
 
 
 # Node 1 of this framework hangs off nodes 2 and 3 only.
@@ -374,6 +440,30 @@ def test_simulate_rejects_linear_law_schedule(bench, tmp_path, capsys):
     bench.write_text(json.dumps(data))
     assert main(["simulate", str(bench), "--out", str(tmp_path / "linear")]) == 2
     assert "linear law takes no schedule" in capsys.readouterr().err
+
+
+def test_simulate_rejects_linear_law_period(bench, tmp_path, capsys):
+    data = json.loads(bench.read_text())
+    data.update(LINEAR, T=0.3)
+    bench.write_text(json.dumps(data))
+    assert main(["simulate", str(bench), "--out", str(tmp_path / "linear")]) == 2
+    assert "linear law takes no T but 1.0: its plant is already sampled" in capsys.readouterr().err
+
+
+def test_linear_law_manifest_replays(bench, tmp_path, capsys):
+    data = json.loads(bench.read_text())
+    del data["T"]
+    data.update(LINEAR)
+    bench.write_text(json.dumps(data))
+    first, second = tmp_path / "run1", tmp_path / "run2"
+    assert main(["simulate", str(bench), "--out", str(first)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert manifest["scenario"]["T"] == 1.0
+    assert manifest["scenario"]["law"] == "linear"
+    assert main(["simulate", str(first / "manifest.json"), "--out", str(second)]) == 0
+    assert (second / "trace.csv").read_bytes() == (first / "trace.csv").read_bytes()
+    assert (second / "summary.json").read_bytes() == (first / "summary.json").read_bytes()
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,110 @@
+import dataclasses
+import math
+import xml.etree.ElementTree as ET
+
+import numpy as np
+import pytest
+
+from affinesim import ManoeuvreSchedule, ScenarioSpec, ScheduleSegment, run_scenario
+from affinesim.plotting import _scaler, delta_svg, trajectory_svg
+
+from conftest import EXACT_WEIGHTS, FOLLOWER_START
+
+SVG = "{http://www.w3.org/2000/svg}"
+
+
+def run(framework, partition, **overrides):
+    base = dict(
+        framework=framework,
+        partition=partition,
+        law="dynamic",
+        T=0.5,
+        initial_followers=FOLLOWER_START,
+        weights=EXACT_WEIGHTS,
+        budget=2000,
+    )
+    base.update(overrides)
+    return run_scenario(ScenarioSpec(**base))
+
+
+def parse(svg: str):
+    root = ET.fromstring(svg)
+    polylines = [
+        [tuple(pair.split(",")) for pair in line.get("points").split()]
+        for line in root.iter(f"{SVG}polyline")
+    ]
+    return root, polylines
+
+
+def full_resolution(result, partition):
+    """Every vertex of each agent's polyline, in pixels, framed as trajectory_svg frames them."""
+    states = result.states
+    markers = states[-1].copy()
+    markers[[i - 1 for i in partition.followers]] = result.targets[-1]
+    corners = (np.nanmin(states, axis=(0, 1)), np.nanmax(states, axis=(0, 1)))
+    to_px = _scaler(np.vstack((*corners, markers)))
+    return [to_px(states[:, i, 0], states[:, i, 1]) for i in range(partition.n)]
+
+
+def kept_indices(px, py):
+    """The decimation rule as a loop: a vertex is kept when its rounded
+    pixel differs from the previous vertex's, and the ends are kept."""
+    last = len(px) - 1
+    cell = [(round(x), round(y)) if math.isfinite(x) and math.isfinite(y) else None
+            for x, y in zip(px.tolist(), py.tolist())]
+    return [
+        i for i in range(last + 1)
+        if i in (0, last) or cell[i] is None or cell[i] != cell[i - 1]
+    ]
+
+
+def test_trajectory_is_drawn_at_pixel_resolution(framework, partition):
+    seg = ScheduleSegment(k0=0, k1=600, kind="rotation", params={"angle": 2.0}, interp="linear")
+    result = run(framework, partition, schedule=ManoeuvreSchedule((seg,)))
+    assert result.steps > 600
+    root, polylines = parse(trajectory_svg(result, partition))
+    assert len(polylines) == len(list(root.iter(f"{SVG}circle"))) == 5
+    dropped = 0
+    for points, (px, py) in zip(polylines, full_resolution(result, partition)):
+        keep = kept_indices(px, py)
+        assert points == [(f"{px[i]:.2f}", f"{py[i]:.2f}") for i in keep]
+        assert keep[0] == 0 and keep[-1] == len(px) - 1
+        # Each vertex shares the pixel cell of the last kept vertex at or before it.
+        last_kept = np.array(keep)[np.searchsorted(keep, np.arange(len(px)), side="right") - 1]
+        np.testing.assert_array_equal(np.rint(px), np.rint(px[last_kept]))
+        np.testing.assert_array_equal(np.rint(py), np.rint(py[last_kept]))
+        assert np.hypot(px - px[last_kept], py - py[last_kept]).max() <= math.sqrt(2)
+        dropped += len(px) - len(keep)
+    assert dropped > 0
+    # The delta curve steps 560 / K < 1 px to the right per row.
+    _, polylines = parse(delta_svg(result))
+    curve = polylines[-1]
+    assert 1 < len(curve) < len(result.deltas)
+    assert curve[0][0] == "40.00" and curve[-1][0] == "600.00"
+
+
+@pytest.mark.parametrize("T, finite", [(1.4, True), (1e308, False)], ids=["past the limit", "overflow"])
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_diverged_run_renders(framework, partition, T, finite):
+    result = run(framework, partition, law="stationary", T=T, budget=500)
+    assert result.diverged
+    assert np.isfinite(result.states).all() == finite
+    root, polylines = parse(trajectory_svg(result, partition))
+    assert len(polylines) == len(list(root.iter(f"{SVG}circle"))) == 5
+    for points in polylines:
+        assert 1 < len(points) <= len(result.states)
+    _, polylines = parse(delta_svg(result))
+    assert 1 < len(polylines[-1]) <= len(result.deltas)
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_short_run_renders(framework, partition, rows):
+    result = run(framework, partition)
+    result = dataclasses.replace(
+        result, states=result.states[:rows], targets=result.targets[:rows], deltas=result.deltas[:rows]
+    )
+    root, polylines = parse(trajectory_svg(result, partition))
+    assert [len(points) for points in polylines] == [rows] * 5
+    assert len(list(root.iter(f"{SVG}circle"))) == 5
+    _, delta_lines = parse(delta_svg(result))
+    assert len(delta_lines[-1]) == rows
