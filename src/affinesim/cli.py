@@ -7,7 +7,8 @@ riccati (gain solver), batch (many scenarios, run one after another).
 
 Exit codes: 0 success/converged, 1 certificate or synthesis failure, 2 parse
 or validation failure (a linear-law scenario with a schedule or a T other
-than 1, or another law's with a plant, q, epsilon or riccati_tol, included),
+than 1, another law's with a plant, q, epsilon or riccati_tol, an unknown
+key, and a stability option the law does not read, included),
 3 diverged, 4 step budget exhausted, 5 numerical solver failure (singular
 follower block, Riccati budget). Console numerics are printed to 6
 significant digits; files carry full precision.
@@ -176,12 +177,12 @@ def cmd_simulate(args) -> int:
 def cmd_batch(args) -> int:
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
-    runs, parsed, encoded = [], {}, {}
+    runs, parsed = [], {}
     for raw in args.scenarios:
         spec = fileio.load_scenario(raw, _parsed=parsed)
         out_dir = out_root / Path(raw).stem
         out_dir.mkdir(parents=True, exist_ok=True)
-        fileio.save_manifest(spec, raw, out_dir, out_dir / "manifest.json", _encoded=encoded)
+        fileio.save_manifest(spec, raw, out_dir, out_dir / "manifest.json")
         runs.append((raw, spec, out_dir))
 
     results = run_batch([spec for _, spec, _ in runs])
@@ -199,8 +200,26 @@ def cmd_batch(args) -> int:
     return EXIT_OK
 
 
+# The options each law's stability report reads; the others are refused.
+STABILITY_OPTIONS = {
+    "stationary": ("stress", "leaders"),
+    "dynamic": (),
+    "linear": ("stress", "A", "B", "epsilon"),
+}
+
+
 def cmd_stability(args) -> int:
     T = check_period(args.T)
+    unread = [
+        f"--{name}"
+        for name in ("stress", "leaders", "A", "B", "epsilon")
+        if getattr(args, name) is not None and name not in STABILITY_OPTIONS[args.law]
+    ]
+    if unread:
+        raise fileio.ParseError(f"{args.law} stability reads no {', '.join(unread)}")
+    epsilon = 0.0 if args.epsilon is None else args.epsilon
+    if not np.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     print(f"law: {args.law}")
     if args.law == "dynamic":
         flags = stability_flags("dynamic", T)
@@ -225,7 +244,7 @@ def cmd_stability(args) -> int:
     if args.law == "linear":
         plant = LinearPlant(fileio.load_matrix(args.A), fileio.load_matrix(args.B))
         solution = solve_mare(plant, np.eye(plant.m))
-        _print_flags(stability_flags("linear", T, None, stress, plant, solution, args.epsilon))
+        _print_flags(stability_flags("linear", T, None, stress, plant, solution, epsilon))
         return EXIT_OK
 
     leaders = [int(tok) for tok in args.leaders.split(",") if tok.strip()]
@@ -290,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--leaders", help="comma-separated leader ids (stationary law)")
     p.add_argument("--A", help="plant state matrix JSON (linear law)")
     p.add_argument("--B", help="plant input matrix JSON (linear law)")
-    p.add_argument("--epsilon", type=float, default=0.0, help="stress coupling (linear law)")
+    p.add_argument("--epsilon", type=float, help="stress coupling (linear law; default 0)")
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("riccati", help="solve the modified Riccati equation for a gain")

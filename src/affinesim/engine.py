@@ -30,7 +30,7 @@ from .control import (
     stationary_law_stable,
 )
 from .framework import Framework, LeaderPartition
-from .maneuvers import ManoeuvreSchedule, leader_waypoints
+from .maneuvers import ManoeuvreSchedule, is_integer, leader_waypoints
 from .stress import (
     RigidityCertificate,
     StressBlocks,
@@ -73,7 +73,9 @@ class ScenarioSpec:
     Under the linear law every agent, leaders included, evolves by the law,
     so it takes no manoeuvre schedule, and its plant is already sampled, so
     it refuses any T but 1.0. The other laws read no plant,
-    q_matrix, epsilon or riccati_tol, so they refuse them.
+    q_matrix, epsilon or riccati_tol, so they refuse them. Every number is
+    checked here, before a run writes any file: the budget is an integer,
+    the rest is finite, and each schedule segment is evaluated against d.
     """
 
     framework: Framework
@@ -104,12 +106,14 @@ class ScenarioSpec:
             raise ValueError("initial follower positions must be finite")
         init.setflags(write=False)
         object.__setattr__(self, "initial_followers", init)
-        if self.budget < 1:
-            raise ValueError("step budget must be at least 1")
-        if not self.tolerance > 0.0:
-            raise ValueError("convergence tolerance must be positive")
+        if not is_integer(self.budget) or self.budget < 1:
+            raise ValueError("step budget must be an integer of at least 1")
+        if not 0.0 < self.tolerance < np.inf:
+            raise ValueError("convergence tolerance must be positive and finite")
         if self.weights is not None:
             object.__setattr__(self, "weights", normalize_weights(self.weights.items()))
+        # Each segment at full progress: checks vector lengths, axes and finiteness.
+        self.schedule.transform_at(self.framework.config.d, self.schedule.last_step())
         if self.law == "linear":
             if self.plant is None:
                 raise ValueError("linear law requires a plant")
@@ -120,9 +124,13 @@ class ScenarioSpec:
             if self.T != 1.0:
                 raise ValueError(LINEAR_T_ERROR)
             q = np.eye(self.plant.m) if self.q_matrix is None else np.array(self.q_matrix, dtype=float)
+            if not (np.isfinite(q).all() and np.isfinite(self.epsilon)):
+                raise ValueError("q and epsilon must be finite")
             q.setflags(write=False)
             object.__setattr__(self, "q_matrix", q)
             tol = 1e-10 if self.riccati_tol is None else float(self.riccati_tol)
+            if not 0.0 < tol < np.inf:
+                raise ValueError("riccati_tol must be positive and finite")
             object.__setattr__(self, "riccati_tol", tol)
         elif (
             self.plant is not None
@@ -211,11 +219,6 @@ def _array_key(a: np.ndarray):
     return a.shape, a.tobytes()
 
 
-def _weights_key(weights):
-    """Exact-content key of edge weights: sorted (edge, float.hex) pairs."""
-    return tuple(sorted((edge, w.hex()) for edge, w in weights.items()))
-
-
 def _resolve_stress(spec: ScenarioSpec):
     """Stress, certificate, blocks and the target map G of a framework,
     weights (or synthesis) and leader set."""
@@ -243,7 +246,9 @@ def _compile(spec: ScenarioSpec, memo: dict):
     exact bytes and values: positions, graph, weights (None for synthesis)
     and leader list; A, B, Q and riccati_tol."""
     framework = spec.framework
-    weights = None if spec.weights is None else _weights_key(spec.weights)
+    weights = None
+    if spec.weights is not None:
+        weights = tuple(sorted((edge, w.hex()) for edge, w in spec.weights.items()))
     positions = _array_key(framework.config.positions)
     stress_key = ("stress", positions, framework.graph, weights, spec.partition)
     if stress_key not in memo:

@@ -15,12 +15,18 @@ import numpy as np
 
 from . import __version__
 from .control import LinearPlant
-from .engine import RunResult, ScenarioSpec, _array_key, _weights_key
+from .engine import RunResult, ScenarioSpec
 from .framework import Configuration, Framework, Graph, LeaderPartition
 from .maneuvers import ManoeuvreSchedule, ScheduleSegment
 from .stress import StressMatrix, normalize_weights
 
 TRACE_HEADER = ("k", "agent_id", "coord_index", "value", "delta_norm", "converged", "diverged")
+# Keys a scenario mapping may hold; a legacy seed is accepted and ignored.
+SCENARIO_KEYS = frozenset(
+    ("framework", "law", "T", "initial_followers", "weights", "schedule", "budget",
+     "tolerance", "plant", "q", "epsilon", "riccati_tol", "seed")
+)
+SEGMENT_KEYS = frozenset(("k0", "k1", "kind", "params", "interp"))
 
 
 class ParseError(ValueError):
@@ -34,6 +40,22 @@ def _load_json(path) -> dict:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def _write_json(data, path):
+    """Write data as one line of strict JSON (RFC 8259) with sorted keys.
+
+    json.dumps without indent runs the C encoder; nan and inf raise
+    ValueError before the file is opened."""
+    text = json.dumps(data, sort_keys=True, allow_nan=False)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
+def _reject_unknown(data, known: frozenset, context: str):
+    unknown = sorted(set(data) - known) if isinstance(data, dict) else []
+    if unknown:
+        raise ParseError(f"{context}: unknown keys {unknown}")
 
 
 def _require(data: dict, key: str, context: str):
@@ -101,9 +123,7 @@ def load_stress(path) -> StressMatrix:
 
 
 def save_stress(stress: StressMatrix, path):
-    with open(path, "w") as fh:
-        json.dump({"n": stress.n, "entries": stress.entries.tolist()}, fh, indent=2)
-        fh.write("\n")
+    _write_json({"n": stress.n, "entries": stress.entries.tolist()}, path)
 
 
 def weights_from_dict(data: dict) -> dict:
@@ -128,20 +148,19 @@ def load_weights(path) -> dict:
 
 
 def save_weights(weights: dict, path):
-    with open(path, "w") as fh:
-        json.dump(weights_to_dict(weights), fh, indent=2)
-        fh.write("\n")
+    _write_json(weights_to_dict(weights), path)
 
 
 def schedule_from_dict(data: dict) -> ManoeuvreSchedule:
     """Build a ManoeuvreSchedule from {"segments": [{...}, ...]}."""
     segments = []
     for raw in _require(data, "segments", "schedule"):
+        _reject_unknown(raw, SEGMENT_KEYS, "schedule segment")
         try:
             segments.append(
                 ScheduleSegment(
-                    k0=int(_require(raw, "k0", "schedule segment")),
-                    k1=int(_require(raw, "k1", "schedule segment")),
+                    k0=_require(raw, "k0", "schedule segment"),
+                    k1=_require(raw, "k1", "schedule segment"),
                     kind=str(_require(raw, "kind", "schedule segment")),
                     params=dict(raw.get("params", {})),
                     interp=str(raw.get("interp", "hold")),
@@ -218,7 +237,8 @@ def load_scenario(path, *, _parsed=None) -> ScenarioSpec:
 
     The framework, weights, schedule and plant fields accept either inline
     mappings or path strings relative to the file. Omitted weights request
-    synthesis. A `seed` key, written by older versions, is ignored.
+    synthesis. Unknown keys are refused, but a `seed` key, written by older
+    versions, is ignored.
     _parsed is a batch's: scenarios loaded with the same dict share each
     framework, weights, schedule or plant file they reference, parsed once.
     """
@@ -226,6 +246,7 @@ def load_scenario(path, *, _parsed=None) -> ScenarioSpec:
     data = _load_json(path)
     if "scenario" in data:
         data = _require(data, "scenario", "manifest")
+    _reject_unknown(data, SCENARIO_KEYS, "scenario")
     base_dir, parsed = path.parent, {} if _parsed is None else _parsed
     framework, partition = _resolve(
         _require(data, "framework", "scenario"), base_dir, framework_from_dict, parsed
@@ -256,7 +277,7 @@ def load_scenario(path, *, _parsed=None) -> ScenarioSpec:
             initial_followers=initial,
             weights=weights,
             schedule=schedule,
-            budget=int(data.get("budget", 2000)),
+            budget=data.get("budget", 2000),
             tolerance=float(data.get("tolerance", 1e-9)),
             plant=plant,
             q_matrix=q_matrix,
@@ -277,32 +298,8 @@ def manifest_dict(spec: ScenarioSpec, scenario_path, out_dir) -> dict:
     }
 
 
-def save_manifest(spec: ScenarioSpec, scenario_path, out_dir, path, *, _encoded=None):
-    """Write manifest_dict as JSON with indent 2 and sorted keys.
-
-    _encoded is a batch's: manifests written with the same dict encode each
-    distinct framework and weights (keyed by exact content, as the engine's
-    compile memo is) once. The text, re-indented to its depth, is spliced
-    in place of a null placeholder; JSON strings hold no raw newline, so
-    the bytes are those of one dump of the whole mapping.
-    """
-    encoded = {} if _encoded is None else _encoded
-    data = manifest_dict(spec, scenario_path, out_dir)
-    scenario = data["scenario"]
-    positions = _array_key(spec.framework.config.positions)
-    subtrees = {"framework": ("framework", positions, spec.framework.graph, spec.partition)}
-    if spec.weights is not None:
-        subtrees["weights"] = ("weights", _weights_key(spec.weights))
-    for name, key in subtrees.items():
-        if key not in encoded:
-            text = json.dumps(scenario[name], indent=2, sort_keys=True)
-            encoded[key] = text.replace("\n", "\n    ")
-        scenario[name] = None
-    text = json.dumps(data, indent=2, sort_keys=True)
-    for name, key in subtrees.items():
-        text = text.replace(f'\n    "{name}": null', f'\n    "{name}": {encoded[key]}', 1)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+def save_manifest(spec: ScenarioSpec, scenario_path, out_dir, path):
+    _write_json(manifest_dict(spec, scenario_path, out_dir), path)
 
 
 def load_matrix(path) -> np.ndarray:
@@ -385,6 +382,4 @@ def summary_dict(result: RunResult, partition: LeaderPartition) -> dict:
 
 
 def write_summary(result: RunResult, partition: LeaderPartition, path):
-    with open(path, "w") as fh:
-        json.dump(summary_dict(result, partition), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(summary_dict(result, partition), path)

@@ -9,8 +9,20 @@ import numpy as np
 
 from .framework import Configuration, LeaderPartition
 
-KINDS = ("translation", "scaling", "rotation", "shear")
+# The parameter sets each manoeuvre kind accepts.
+PARAMS = {
+    "translation": ({"v"},),
+    "scaling": ({"c"}, {"diag"}),
+    "rotation": ({"angle"}, {"angle", "axes"}),
+    "shear": ({"factor"}, {"factor", "axes"}),
+}
+KINDS = tuple(PARAMS)
 INTERPS = ("hold", "linear")
+
+
+def is_integer(value) -> bool:
+    """Whether value is an integer and not a bool, as step counts must be."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -132,12 +144,15 @@ class ScheduleSegment:
     interp: str = "hold"
 
     def __post_init__(self):
-        if self.k0 < 0 or self.k1 < self.k0:
-            raise ValueError(f"need 0 <= k0 <= k1, got [{self.k0}, {self.k1}]")
+        if not (is_integer(self.k0) and is_integer(self.k1)) or self.k0 < 0 or self.k1 < self.k0:
+            raise ValueError(f"need integers 0 <= k0 <= k1, got [{self.k0!r}, {self.k1!r}]")
         if self.kind not in KINDS:
             raise ValueError(f"unknown manoeuvre kind {self.kind!r}")
         if self.interp not in INTERPS:
             raise ValueError(f"unknown interpolation {self.interp!r}")
+        if set(self.params) not in PARAMS[self.kind]:
+            expected = " or ".join(str(sorted(keys)) for keys in PARAMS[self.kind])
+            raise ValueError(f"{self.kind} takes params {expected}, got {sorted(self.params)}")
 
     def progress(self, k: int) -> float:
         if k < self.k0:

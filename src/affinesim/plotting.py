@@ -25,9 +25,17 @@ HEIGHT = 640
 MARGIN = 40
 
 
+def _finite_range(values):
+    """Smallest and largest finite entry of an array, as floats."""
+    finite = np.isfinite(values)
+    lo = np.min(values, initial=np.inf, where=finite)
+    return float(lo), float(np.max(values, initial=-np.inf, where=finite))
+
+
 def _scaler(points):
-    """Map plane coordinates (scalars or arrays) to pixels, framing the (m, 2) points."""
-    (x0, y0), (x1, y1) = np.nanmin(points, axis=0).tolist(), np.nanmax(points, axis=0).tolist()
+    """Map plane coordinates (scalars or arrays) to pixels, framing the
+    finite entries of each coordinate of the (m, 2) points."""
+    (x0, x1), (y0, y1) = _finite_range(points[:, 0]), _finite_range(points[:, 1])
     span_x = (x1 - x0) or 1.0
     span_y = (y1 - y0) or 1.0
     scale = min((WIDTH - 2 * MARGIN) / span_x, (HEIGHT - 2 * MARGIN) / span_y)
@@ -68,8 +76,9 @@ def trajectory_svg(result, partition) -> str:
     markers = states[-1].copy()
     markers[[i - 1 for i in partition.followers]] = result.targets[-1]
 
-    corners = (np.nanmin(states, axis=(0, 1)), np.nanmax(states, axis=(0, 1)))
-    to_px = _scaler(np.vstack((*corners, markers)))
+    # Framed by the finite values, so an overflowed run still draws its finite rows.
+    ranges = [_finite_range(states[..., c]) for c in (0, 1)]
+    to_px = _scaler(np.vstack((np.transpose(ranges), markers)))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -102,13 +111,13 @@ def trajectory_svg(result, partition) -> str:
 def delta_svg(result) -> str:
     """Disagreement norm of a run against step index, log10-scaled vertically."""
     floor = 1e-16
-    logs = [math.log10(max(delta, floor)) for delta in result.deltas.tolist()]
-    lo, hi = min(logs), max(logs)
+    logs = np.array([math.log10(max(delta, floor)) for delta in result.deltas.tolist()])
+    lo, hi = _finite_range(logs)
     if hi == lo:
         hi = lo + 1.0
     k_last = len(logs) - 1
     px = MARGIN + np.arange(len(logs)) / max(k_last, 1) * (WIDTH - 2 * MARGIN)
-    py = HEIGHT - MARGIN - (np.array(logs) - lo) / (hi - lo) * (HEIGHT - 2 * MARGIN)
+    py = HEIGHT - MARGIN - (logs - lo) / (hi - lo) * (HEIGHT - 2 * MARGIN)
     pts = _points(px, py)
     axis = (
         f'<polyline points="{MARGIN},{MARGIN} {MARGIN},{HEIGHT - MARGIN} '

@@ -4,6 +4,7 @@ follower-target computation, and a concave-ascent stress synthesizer."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,12 +133,14 @@ def normalize_weights(items) -> dict:
     """Edge weights keyed (i, j) with i < j, from ((i, j), w) pairs.
 
     An edge may be named more than once, in either orientation, only with
-    equal values; conflicting values raise ValueError.
+    equal values; conflicting or non-finite values raise ValueError.
     """
     resolved = {}
     for (i, j), value in items:
         edge = (min(int(i), int(j)), max(int(i), int(j)))
         value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"weight of edge {edge} is not finite")
         if edge in resolved and resolved[edge] != value:
             raise ValueError(f"conflicting weights for edge {edge}")
         resolved[edge] = value

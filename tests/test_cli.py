@@ -220,32 +220,9 @@ def test_batch_manifests_match_uncached_writes(bench, tmp_path, capsys):
         out_dir = tmp_path / "batch" / scenario.stem
         spec = fileio.load_scenario(scenario)
         fileio.save_manifest(spec, str(scenario), out_dir, tmp_path / "alone.json")
-        reference = json.dumps(fileio.manifest_dict(spec, str(scenario), out_dir), indent=2, sort_keys=True)
+        reference = json.dumps(fileio.manifest_dict(spec, str(scenario), out_dir), sort_keys=True)
         written = (out_dir / "manifest.json").read_text()
         assert written == (tmp_path / "alone.json").read_text() == reference + "\n"
-
-
-def test_batch_encodes_a_shared_framework_once(bench, tmp_path, monkeypatch, capsys):
-    from json.encoder import JSONEncoder
-
-    def holds(obj, keys):
-        if isinstance(obj, dict):
-            return set(obj) == keys or any(holds(v, keys) for v in obj.values())
-        return isinstance(obj, list) and any(holds(v, keys) for v in obj)
-
-    encoded = []
-    iterencode = JSONEncoder.iterencode
-
-    def counting(self, obj, *args, **kwargs):
-        encoded.extend(name for name, keys in (("framework", {"d", "positions", "edges", "leaders"}),
-                                                ("weights", {"edges"})) if holds(obj, keys))
-        return iterencode(self, obj, *args, **kwargs)
-
-    scenarios = batch_variants(bench, tmp_path)[:3]
-    monkeypatch.setattr(JSONEncoder, "iterencode", counting)
-    assert main(["batch", *map(str, scenarios), "--out", str(tmp_path / "batch")]) == 0
-    assert encoded.count("framework") == encoded.count("weights") == 1
-    capsys.readouterr()
 
 
 def test_plot_outputs(bench, tmp_path, capsys):
@@ -482,3 +459,108 @@ def test_simulate_rejects_linear_law_inputs_under_other_laws(bench, tmp_path, ca
     bench.write_text(json.dumps(data))
     assert main(["simulate", str(bench), "--out", str(tmp_path / "other")]) == 2
     assert f"{law} law takes no plant, q, epsilon or riccati_tol" in capsys.readouterr().err
+
+
+def refuse_nonfinite(token):
+    raise AssertionError(f"non-JSON constant {token} written")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_every_written_json_file_is_one_strict_sorted_line(bench, tmp_path, capsys):
+    data = json.loads(bench.read_text())
+    data.update(T=1e308, budget=500)
+    overflow = tmp_path / "overflow.json"
+    overflow.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["simulate", str(bench), "--out", str(out / "simulate")]) == 0
+    assert main(["batch", *map(str, batch_variants(bench, tmp_path)), str(overflow), "--out", str(out / "batch")]) == 3
+    assert main(["synth", str(tmp_path / "framework.json"), "--out", str(out / "synth.json")]) == 0
+    save_stress(assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS), out / "stress.json")
+    capsys.readouterr()
+    written = sorted(out.rglob("*.json"))
+    assert len(written) == 2 + 2 * 9 + 2
+    for path in written:
+        text = path.read_text()
+        value = json.loads(text, parse_constant=refuse_nonfinite)
+        assert text == json.dumps(value, sort_keys=True) + "\n", path
+    # The overflowed run's non-finite values are written as strings.
+    assert json.loads((out / "batch" / "overflow" / "summary.json").read_text())["final_delta"] == "inf"
+
+
+@pytest.mark.parametrize(
+    "segment, message",
+    [
+        ({"kind": "translation", "params": {}}, "translation takes params ['v'], got []"),
+        ({"kind": "rotation", "params": {"axes": [0, 1]}}, "rotation takes params ['angle'] or ['angle', 'axes']"),
+        ({"kind": "translation", "params": {"v": [1, 0], "angle": 1.0}}, "got ['angle', 'v']"),
+        ({"kind": "scaling", "params": {"c": 2.0, "diag": [2.0, 1.0]}}, "got ['c', 'diag']"),
+        ({"kind": "translation", "params": {"v": [1, 0]}, "k0": 0.7}, "need integers 0 <= k0 <= k1"),
+        ({"kind": "translation", "params": {"v": [1, 0]}, "k1": 5.0}, "need integers 0 <= k0 <= k1"),
+        ({"kind": "translation", "params": {"v": [1, 0]}, "interpp": "linear"}, "unknown keys ['interpp']"),
+        ({"kind": "translation", "params": {"v": [1]}}, "translation vector must have length 2"),
+        ({"kind": "rotation", "params": {"angle": 1.0, "axes": [0, 5]}}, "axes (0, 5) invalid for dimension 2"),
+        ({"kind": "rotation", "params": {"angle": float("nan")}}, "transform entries must be finite"),
+    ],
+    ids=["no-v", "no-angle", "extra-angle", "c-and-diag", "float-k0", "float-k1", "unknown-key",
+         "short-v", "bad-axes", "nan-angle"],
+)
+def test_simulate_refuses_bad_segments_before_writing(bench, tmp_path, capsys, segment, message):
+    data = json.loads(bench.read_text())
+    data["schedule"] = {"segments": [{"k0": 0, "k1": 5, **segment}]}
+    bench.write_text(json.dumps(data))
+    assert main(["simulate", str(bench), "--out", str(tmp_path / "run")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"budjet": 100}, "unknown keys ['budjet']"),
+        ({"budget": float("inf")}, "step budget must be an integer"),
+        ({"budget": 0.7}, "step budget must be an integer"),
+        ({"budget": True}, "step budget must be an integer"),
+        ({"tolerance": float("nan")}, "tolerance must be positive and finite"),
+        ({"tolerance": float("inf")}, "tolerance must be positive and finite"),
+        ({"weights": {"edges": [[1, 2, float("nan")]]}}, "weight of edge (1, 2) is not finite"),
+        ({**LINEAR, "T": 1.0, "epsilon": float("nan")}, "q and epsilon must be finite"),
+        ({**LINEAR, "T": 1.0, "q": [[float("nan"), 0.0], [0.0, 1.0]]}, "q and epsilon must be finite"),
+        ({**LINEAR, "T": 1.0, "riccati_tol": float("nan")}, "riccati_tol must be positive and finite"),
+        ({**LINEAR, "T": 1.0, "riccati_tol": 0.0}, "riccati_tol must be positive and finite"),
+    ],
+    ids=["unknown-key", "inf-budget", "float-budget", "bool-budget", "nan-tolerance", "inf-tolerance",
+         "nan-weight", "nan-epsilon", "nan-q", "nan-riccati-tol", "zero-riccati-tol"],
+)
+def test_simulate_refuses_bad_scenarios_before_writing(bench, tmp_path, capsys, changes, message):
+    data = json.loads(bench.read_text())
+    data.update(changes)
+    bench.write_text(json.dumps(data))
+    assert main(["simulate", str(bench), "--out", str(tmp_path / "run")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "law, options, unread",
+    [
+        ("dynamic", ["--stress", "nope.json", "--leaders", "1,2", "--epsilon", "3"], "--stress, --leaders, --epsilon"),
+        ("dynamic", ["--A", "A.json", "--B", "B.json"], "--A, --B"),
+        ("stationary", ["--stress", "s.json", "--leaders", "1,2,3", "--epsilon", "0"], "--epsilon"),
+        ("stationary", ["--stress", "s.json", "--leaders", "1,2,3", "--A", "A.json"], "--A"),
+        ("linear", ["--stress", "s.json", "--A", "A.json", "--B", "B.json", "--leaders", "1"], "--leaders"),
+    ],
+    ids=["dynamic-stress-leaders-epsilon", "dynamic-plant", "stationary-epsilon", "stationary-A", "linear-leaders"],
+)
+def test_stability_refuses_options_its_law_does_not_read(capsys, law, options, unread):
+    T = "1.0" if law == "linear" else "0.5"
+    assert main(["stability", "--law", law, "--T", T, *options]) == 2
+    assert f"{law} stability reads no {unread}" in capsys.readouterr().err
+
+
+def test_stability_refuses_a_nonfinite_epsilon(tmp_path, capsys):
+    save_stress(assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS), tmp_path / "stress.json")
+    eye = write_matrix(tmp_path / "I.json", [[1.0, 0.0], [0.0, 1.0]])
+    base = ["stability", "--law", "linear", "--T", "1.0", "--stress", str(tmp_path / "stress.json"), "--A", eye, "--B", eye]
+    for value in ("nan", "inf"):
+        assert main(base + ["--epsilon", value]) == 2
+        assert "epsilon must be finite" in capsys.readouterr().err

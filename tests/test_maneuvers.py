@@ -88,14 +88,36 @@ def test_composition_matches_sequential_application(reference):
 
 
 def test_segment_validation():
+    v = {"v": [1, 0]}
     with pytest.raises(ValueError):
-        ScheduleSegment(k0=5, k1=4, kind="translation")
+        ScheduleSegment(k0=5, k1=4, kind="translation", params=v)
     with pytest.raises(ValueError):
-        ScheduleSegment(k0=-1, k1=4, kind="translation")
+        ScheduleSegment(k0=-1, k1=4, kind="translation", params=v)
     with pytest.raises(ValueError):
-        ScheduleSegment(k0=0, k1=1, kind="wobble")
+        ScheduleSegment(k0=0, k1=1, kind="wobble", params=v)
     with pytest.raises(ValueError):
-        ScheduleSegment(k0=0, k1=1, kind="translation", interp="cubic")
+        ScheduleSegment(k0=0, k1=1, kind="translation", params=v, interp="cubic")
+    for k0, k1 in ((0.7, 4), (0, 4.0), (True, 4), (0, "4")):
+        with pytest.raises(ValueError, match="need integers"):
+            ScheduleSegment(k0=k0, k1=k1, kind="translation", params=v)
+    ScheduleSegment(k0=np.int64(0), k1=np.int64(4), kind="translation", params=v)
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("translation", {}),
+        ("translation", {"v": [1, 0], "angle": 1.0}),
+        ("scaling", {}),
+        ("scaling", {"c": 2.0, "diag": [2.0, 1.0]}),
+        ("rotation", {"axes": [0, 1]}),
+        ("rotation", {"angle": 1.0, "factor": 0.5}),
+        ("shear", {"factor": 0.5, "axis": [0, 1]}),
+    ],
+)
+def test_segment_refuses_missing_and_unknown_params(kind, params):
+    with pytest.raises(ValueError, match=f"{kind} takes params"):
+        ScheduleSegment(k0=0, k1=1, kind=kind, params=params)
 
 
 def test_schedule_rejects_overlap():

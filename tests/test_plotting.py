@@ -91,10 +91,16 @@ def test_diverged_run_renders(framework, partition, T, finite):
     assert np.isfinite(result.states).all() == finite
     root, polylines = parse(trajectory_svg(result, partition))
     assert len(polylines) == len(list(root.iter(f"{SVG}circle"))) == 5
-    for points in polylines:
+    for agent, points in enumerate(polylines):
         assert 1 < len(points) <= len(result.states)
-    _, polylines = parse(delta_svg(result))
+        if not finite:
+            # Two rows, both kept: a row is drawn at finite pixels iff its state is finite.
+            drawn = [math.isfinite(float(x)) and math.isfinite(float(y)) for x, y in points]
+            assert drawn == np.isfinite(result.states[:, agent]).all(axis=1).tolist()
+    root, polylines = parse(delta_svg(result))
     assert 1 < len(polylines[-1]) <= len(result.deltas)
+    labels = [text.text for text in root.iter(f"{SVG}text") if text.text.startswith("1e")]
+    assert len(labels) == 2 and all(math.isfinite(float(label[2:])) for label in labels)
 
 
 @pytest.mark.parametrize("rows", [1, 2])
