@@ -30,12 +30,11 @@ from .control import (
     stationary_law_stable,
 )
 from .framework import Framework, LeaderPartition
-from .maneuvers import ManoeuvreSchedule, is_integer, leader_waypoints
+from .maneuvers import ManoeuvreSchedule, is_integer, is_real, leader_waypoints
 from .stress import (
     RigidityCertificate,
     StressBlocks,
     StressMatrix,
-    _certificate,
     assemble_stress,
     check_rigidity_certificate,
     min_eig_neg_ff,
@@ -61,9 +60,10 @@ class CertificateError(RuntimeError):
         super().__init__(f"stress failed the rigidity certificate: {certificate}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScenarioSpec:
-    """Complete, reproducible description of one simulation run.
+    """Complete, reproducible description of one simulation run: the
+    scenario file's keys (q_matrix is q; partition, the framework's leaders).
 
     The framework's configuration is the reference the schedule transforms.
     weights=None requests stress synthesis, which is deterministic.
@@ -75,14 +75,16 @@ class ScenarioSpec:
     it refuses any T but 1.0. The other laws read no plant,
     q_matrix, epsilon or riccati_tol, so they refuse them. Every number is
     checked here, before a run writes any file: the budget is an integer,
-    the rest is finite, and each schedule segment is evaluated against d.
+    T, tolerance, epsilon and riccati_tol are real numbers, stored as
+    floats, the rest is finite, and each schedule segment is evaluated
+    against d.
     """
 
     framework: Framework
     partition: LeaderPartition
     law: str
-    T: float
     initial_followers: np.ndarray
+    T: float = 1.0
     weights: dict | None = None
     schedule: ManoeuvreSchedule = ManoeuvreSchedule()
     budget: int = 2000
@@ -93,6 +95,13 @@ class ScenarioSpec:
     riccati_tol: float | None = None
 
     def __post_init__(self):
+        for name in ("T", "tolerance", "epsilon", "riccati_tol"):
+            value = getattr(self, name)
+            if value is None and name == "riccati_tol":
+                continue
+            if not is_real(value):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if self.partition.n != self.framework.config.n:
             raise ValueError("partition does not match framework")
         if self.law not in LAWS:
@@ -128,10 +137,10 @@ class ScenarioSpec:
                 raise ValueError("q and epsilon must be finite")
             q.setflags(write=False)
             object.__setattr__(self, "q_matrix", q)
-            tol = 1e-10 if self.riccati_tol is None else float(self.riccati_tol)
-            if not 0.0 < tol < np.inf:
+            if self.riccati_tol is None:
+                object.__setattr__(self, "riccati_tol", 1e-10)
+            if not 0.0 < self.riccati_tol < np.inf:
                 raise ValueError("riccati_tol must be positive and finite")
-            object.__setattr__(self, "riccati_tol", tol)
         elif (
             self.plant is not None
             or self.q_matrix is not None
@@ -224,10 +233,7 @@ def _resolve_stress(spec: ScenarioSpec):
     weights (or synthesis) and leader set."""
     weights = spec.weights
     if weights is None:
-        weights = synthesize_stress(spec.framework)
-        # Synthesis has found the graph (d+1)-connected.
-        stress = assemble_stress(spec.framework.graph, weights)
-        certificate = _certificate(stress, spec.framework, None)
+        weights, stress, certificate = synthesize_stress(spec.framework)
     else:
         stress = assemble_stress(spec.framework.graph, weights)
         certificate = check_rigidity_certificate(stress, spec.framework)

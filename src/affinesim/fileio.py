@@ -8,6 +8,7 @@ a written file reproduces the exact binary64 values.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -17,15 +18,18 @@ from . import __version__
 from .control import LinearPlant
 from .engine import RunResult, ScenarioSpec
 from .framework import Configuration, Framework, Graph, LeaderPartition
-from .maneuvers import ManoeuvreSchedule, ScheduleSegment
+from .maneuvers import ManoeuvreSchedule, ScheduleSegment, is_integer
 from .stress import StressMatrix, normalize_weights
 
 TRACE_HEADER = ("k", "agent_id", "coord_index", "value", "delta_norm", "converged", "diverged")
-# Keys a scenario mapping may hold; a legacy seed is accepted and ignored.
+# Keys a scenario mapping may hold: ScenarioSpec's fields, with q for
+# q_matrix and the framework's leaders for partition; a legacy seed is
+# accepted and ignored.
 SCENARIO_KEYS = frozenset(
-    ("framework", "law", "T", "initial_followers", "weights", "schedule", "budget",
-     "tolerance", "plant", "q", "epsilon", "riccati_tol", "seed")
+    {f.name for f in dataclasses.fields(ScenarioSpec)} - {"partition", "q_matrix"} | {"q", "seed"}
 )
+# Scenario keys whose null means the key is absent.
+NULLABLE_KEYS = frozenset(("weights", "schedule", "plant", "q", "riccati_tol"))
 SEGMENT_KEYS = frozenset(("k0", "k1", "kind", "params", "interp"))
 
 
@@ -70,7 +74,9 @@ def framework_from_dict(data: dict):
     Expected shape: {"d": int, "positions": [[...], ...], "edges": [[i, j],
     ...], "leaders": [i, ...]}; agent ids are 1-based, leaders optional.
     """
-    d = int(_require(data, "d", "framework"))
+    d = _require(data, "d", "framework")
+    if not is_integer(d):
+        raise ParseError(f"framework: d must be an integer, got {d!r}")
     positions = _require(data, "positions", "framework")
     edges = _require(data, "edges", "framework")
     try:
@@ -107,7 +113,9 @@ def load_framework(path):
 
 def stress_from_dict(data: dict) -> StressMatrix:
     """Build a StressMatrix from {"n": int, "entries": [[...], ...]}."""
-    n = int(_require(data, "n", "stress"))
+    n = _require(data, "n", "stress")
+    if not is_integer(n):
+        raise ParseError(f"stress: n must be an integer, got {n!r}")
     entries = _require(data, "entries", "stress")
     try:
         stress = StressMatrix(entries)
@@ -235,10 +243,11 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict:
 def load_scenario(path, *, _parsed=None) -> ScenarioSpec:
     """Load a scenario or manifest file into a ScenarioSpec.
 
-    The framework, weights, schedule and plant fields accept either inline
-    mappings or path strings relative to the file. Omitted weights request
-    synthesis. Unknown keys are refused, but a `seed` key, written by older
-    versions, is ignored.
+    The keys the file holds go to ScenarioSpec, which holds the defaults
+    and checks the values. The framework, weights, schedule and plant
+    fields accept either inline mappings or path strings relative to the
+    file. Omitted weights request synthesis. Unknown keys are refused, but
+    a `seed` key, written by older versions, is ignored.
     _parsed is a batch's: scenarios loaded with the same dict share each
     framework, weights, schedule or plant file they reference, parsed once.
     """
@@ -253,37 +262,16 @@ def load_scenario(path, *, _parsed=None) -> ScenarioSpec:
     )
     if partition is None:
         raise ParseError("scenario: framework must declare leaders")
-    law = str(_require(data, "law", "scenario"))
-    initial = _require(data, "initial_followers", "scenario")
-
-    weights = None
-    if data.get("weights") is not None:
-        weights = _resolve(data["weights"], base_dir, weights_from_dict, parsed)
-    schedule = ManoeuvreSchedule()
-    if data.get("schedule") is not None:
-        schedule = _resolve(data["schedule"], base_dir, schedule_from_dict, parsed)
-
-    plant = None
-    if data.get("plant") is not None:
-        plant = _resolve(data["plant"], base_dir, _plant_from_dict, parsed)
-    q_matrix = None if data.get("q") is None else np.array(data["q"], dtype=float)
-
+    fields = {"framework": framework, "partition": partition}
+    parsers = {"weights": weights_from_dict, "schedule": schedule_from_dict, "plant": _plant_from_dict}
+    for key, value in data.items():
+        if key in ("framework", "seed") or (value is None and key in NULLABLE_KEYS):
+            continue
+        if key in parsers:
+            value = _resolve(value, base_dir, parsers[key], parsed)
+        fields["q_matrix" if key == "q" else key] = value
     try:
-        return ScenarioSpec(
-            framework=framework,
-            partition=partition,
-            law=law,
-            T=float(data.get("T", 1.0)),
-            initial_followers=initial,
-            weights=weights,
-            schedule=schedule,
-            budget=data.get("budget", 2000),
-            tolerance=float(data.get("tolerance", 1e-9)),
-            plant=plant,
-            q_matrix=q_matrix,
-            epsilon=float(data.get("epsilon", 0.0)),
-            riccati_tol=data.get("riccati_tol"),
-        )
+        return ScenarioSpec(**fields)
     except (ValueError, TypeError) as exc:
         raise ParseError(f"scenario: {exc}") from exc
 

@@ -18,11 +18,19 @@ PARAMS = {
 }
 KINDS = tuple(PARAMS)
 INTERPS = ("hold", "linear")
+# Float first: a tuple built once and tried in this order keeps is_real cheap
+# on the weights every scenario load checks.
+REAL_TYPES = (float, int, np.floating, np.integer)
 
 
 def is_integer(value) -> bool:
     """Whether value is an integer and not a bool, as step counts must be."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """Whether value is a real number and not a bool, as periods and tolerances must be."""
+    return isinstance(value, REAL_TYPES) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from .framework import (
     affine_span_dimension,
     vertex_separator,
 )
+from .maneuvers import is_real
 
 # A matrix is accepted as PSD when its smallest eigenvalue is above
 # -PSD_ATOL * max(1, sigma_max).
@@ -124,20 +125,28 @@ class RigidityCertificate:
     expected_rank: int
     min_eigenvalue: float
     psd: bool
-    connectivity_ok: bool
-    passed: bool
     separator: tuple | None = None
+
+    @property
+    def connectivity_ok(self) -> bool:
+        return self.separator is None
+
+    @property
+    def passed(self) -> bool:
+        return self.rank == self.expected_rank and self.psd and self.connectivity_ok
 
 
 def normalize_weights(items) -> dict:
     """Edge weights keyed (i, j) with i < j, from ((i, j), w) pairs.
 
     An edge may be named more than once, in either orientation, only with
-    equal values; conflicting or non-finite values raise ValueError.
+    equal values; conflicting, non-finite or non-number values raise ValueError.
     """
     resolved = {}
     for (i, j), value in items:
         edge = (min(int(i), int(j)), max(int(i), int(j)))
+        if not is_real(value):
+            raise ValueError(f"weight of edge {edge} must be a real number, got {value!r}")
         value = float(value)
         if not math.isfinite(value):
             raise ValueError(f"weight of edge {edge} is not finite")
@@ -232,16 +241,7 @@ def _certificate(stress: StressMatrix, framework: Framework, separator):
     rank = int(np.sum(np.abs(eig) > max(n, d) * scale * RANK_RTOL)) if scale > 0 else 0
     min_eig = float(eig[0])
     psd = min_eig >= -PSD_ATOL * max(1.0, scale)
-    expected = n - d - 1
-    return RigidityCertificate(
-        rank=rank,
-        expected_rank=expected,
-        min_eigenvalue=min_eig,
-        psd=psd,
-        connectivity_ok=separator is None,
-        passed=(rank == expected) and psd and separator is None,
-        separator=separator,
-    )
+    return RigidityCertificate(rank, n - d - 1, min_eig, psd, separator)
 
 
 def solve_follower_block(blocks: StressBlocks, rhs: np.ndarray) -> np.ndarray:
@@ -303,8 +303,8 @@ def _row_space(matrix: np.ndarray) -> np.ndarray:
     return u[:, : int(np.sum(sigma > tol))]
 
 
-def synthesize_stress(framework: Framework) -> dict:
-    """Certificate-passing equilibrium stress (edge -> weight) by concave ascent.
+def synthesize_stress(framework: Framework):
+    """Certificate-passing equilibrium stress by concave ascent.
 
     With Q an orthonormal basis of the complement of [P, 1], an equilibrium
     stress Omega(w) = Q M(w) Q^T is PSD with rank n-d-1 exactly when
@@ -312,9 +312,9 @@ def synthesize_stress(framework: Framework) -> dict:
     edge weights w in the null space of the equilibrium constraint matrix C,
     on tr M(w) = a.w = 1, from w0 = a/|a|^2 with a = project(2 * ones),
     where project(w) = w - R R^T w and R spans the row space of C. It
-    returns the first iterate that passes check_rigidity_certificate; see
-    README, Certification. The result is deterministic. Raises
-    SynthesisError when a precondition fails, a = 0, or the best
+    returns the first iterate that passes check_rigidity_certificate as
+    (weights edge -> weight, StressMatrix, RigidityCertificate); see README,
+    Certification. The result is deterministic. Raises SynthesisError when a precondition fails, a = 0, or the best
     lambda_min is <= 0 at the end.
     """
     graph, config = framework.graph, framework.config
@@ -363,9 +363,11 @@ def synthesize_stress(framework: Framework) -> dict:
         best = max(best, lam[0])
         if lam[0] > 0.0:
             result = dict(zip(edges, weights.tolist()))
+            stress = assemble_stress(graph, result)
             # The precondition found the graph (d+1)-connected.
-            if _certificate(assemble_stress(graph, result), framework, None).passed:
-                return result
+            certificate = _certificate(stress, framework, None)
+            if certificate.passed:
+                return result, stress, certificate
         t = size * first * (last / first) ** (it / (SYNTH_MAX_ITER - 1))
         p, u = np.exp(-t * (lam - lam[0])), q @ vec
         y = (u * (p / p.sum())) @ u.T

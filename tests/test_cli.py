@@ -1,11 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from affinesim import Graph, assemble_stress
+from affinesim import Graph, ScenarioSpec, assemble_stress
 from affinesim.cli import main
-from affinesim.fileio import load_weights, save_stress, save_weights
+from affinesim.fileio import load_scenario, load_weights, save_stress, save_weights
 
 from conftest import EDGES, EXACT_WEIGHTS, FOLLOWER_TARGETS, write_benchmark_files
 
@@ -523,13 +524,21 @@ def test_simulate_refuses_bad_segments_before_writing(bench, tmp_path, capsys, s
         ({"tolerance": float("nan")}, "tolerance must be positive and finite"),
         ({"tolerance": float("inf")}, "tolerance must be positive and finite"),
         ({"weights": {"edges": [[1, 2, float("nan")]]}}, "weight of edge (1, 2) is not finite"),
+        ({"weights": {"edges": [[1, 2, "0.5"]]}}, "weight of edge (1, 2) must be a real number, got '0.5'"),
+        ({"weights": {"edges": [[1, 2, True]]}}, "weight of edge (1, 2) must be a real number, got True"),
+        ({"T": "0.5"}, "T must be a real number, got '0.5'"),
+        ({"T": True}, "T must be a real number, got True"),
+        ({"tolerance": "1e-9"}, "tolerance must be a real number, got '1e-9'"),
+        ({"epsilon": "0"}, "epsilon must be a real number, got '0'"),
+        ({**LINEAR, "T": 1.0, "riccati_tol": "1e-10"}, "riccati_tol must be a real number, got '1e-10'"),
         ({**LINEAR, "T": 1.0, "epsilon": float("nan")}, "q and epsilon must be finite"),
         ({**LINEAR, "T": 1.0, "q": [[float("nan"), 0.0], [0.0, 1.0]]}, "q and epsilon must be finite"),
         ({**LINEAR, "T": 1.0, "riccati_tol": float("nan")}, "riccati_tol must be positive and finite"),
         ({**LINEAR, "T": 1.0, "riccati_tol": 0.0}, "riccati_tol must be positive and finite"),
     ],
     ids=["unknown-key", "inf-budget", "float-budget", "bool-budget", "nan-tolerance", "inf-tolerance",
-         "nan-weight", "nan-epsilon", "nan-q", "nan-riccati-tol", "zero-riccati-tol"],
+         "nan-weight", "str-weight", "bool-weight", "str-T", "bool-T", "str-tolerance", "str-epsilon",
+         "str-riccati-tol", "nan-epsilon", "nan-q", "nan-riccati-tol", "zero-riccati-tol"],
 )
 def test_simulate_refuses_bad_scenarios_before_writing(bench, tmp_path, capsys, changes, message):
     data = json.loads(bench.read_text())
@@ -538,6 +547,37 @@ def test_simulate_refuses_bad_scenarios_before_writing(bench, tmp_path, capsys, 
     assert main(["simulate", str(bench), "--out", str(tmp_path / "run")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "name, header, message",
+    [
+        ("framework", {"d": 2.9}, "framework: d must be an integer, got 2.9"),
+        ("framework", {"d": "2"}, "framework: d must be an integer, got '2'"),
+        ("framework", {"d": True}, "framework: d must be an integer, got True"),
+        ("stress", {"n": "5"}, "stress: n must be an integer, got '5'"),
+        ("stress", {"n": 5.0}, "stress: n must be an integer, got 5.0"),
+    ],
+    ids=["float-d", "str-d", "bool-d", "str-n", "float-n"],
+)
+def test_validate_refuses_headers_that_are_not_integers(bench, tmp_path, capsys, name, header, message):
+    save_stress(assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS), tmp_path / "stress.json")
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **header}))
+    assert main(["validate", str(tmp_path / "framework.json"), "--stress", str(tmp_path / "stress.json")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_omitted_and_null_scenario_keys_load_the_spec_defaults(bench):
+    data = json.loads(bench.read_text())
+    for key in ("T", "budget", "tolerance", "epsilon", "riccati_tol"):
+        data.pop(key, None)
+    data.update(schedule=None, plant=None, q=None)
+    bench.write_text(json.dumps(data))
+    spec = load_scenario(bench)
+    for field in dataclasses.fields(ScenarioSpec):
+        if field.name in ("T", "budget", "tolerance", "epsilon", "riccati_tol", "schedule", "plant", "q_matrix"):
+            assert getattr(spec, field.name) == field.default, field.name
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -207,16 +208,19 @@ def assert_pinned(weights, pinned):
 
 
 def test_synthesize_benchmark(framework, reference):
-    weights = synthesize_stress(framework)
+    weights, returned, certificate = synthesize_stress(framework)
     assert_pinned(weights, PINNED_BENCHMARK_WEIGHTS)
     stress = assemble_stress(framework.graph, weights)
     assert verify_equilibrium(stress, reference) <= 1e-9
     assert check_rigidity_certificate(stress, framework).passed
+    # The stress and certificate returned are those of the weights returned.
+    assert np.array_equal(returned.entries, stress.entries)
+    assert certificate == check_rigidity_certificate(stress, framework)
 
 
 def test_synthesize_deterministic(framework):
-    w1 = synthesize_stress(framework)
-    w2 = synthesize_stress(framework)
+    w1 = synthesize_stress(framework)[0]
+    w2 = synthesize_stress(framework)[0]
     assert w1 == w2
 
 
@@ -224,7 +228,7 @@ def test_synthesize_k4(framework):
     k4 = Graph(4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
     config = Configuration([(0.0, 0.0), (3.0, 0.1), (-0.2, 3.0), (1.1, 0.9)])
     fw = Framework(k4, config)
-    weights = synthesize_stress(fw)
+    weights = synthesize_stress(fw)[0]
     assert_pinned(weights, PINNED_K4_WEIGHTS)
     assert check_rigidity_certificate(assemble_stress(k4, weights), fw).passed
 
@@ -264,7 +268,7 @@ def test_synthesize_certifies_constructed_frameworks():
     for n, d in [(7, 2)] * 20 + [(7, 3)] * 20 + [(60, 3)]:
         fw, truth = certified_complete_framework(n, d, rng)
         assert check_rigidity_certificate(assemble_stress(fw.graph, truth), fw).passed
-        weights = synthesize_stress(fw)
+        weights = synthesize_stress(fw)[0]
         stress = assemble_stress(fw.graph, weights)
         assert verify_equilibrium(stress, fw.config) <= 1e-9
         assert check_rigidity_certificate(stress, fw).passed
@@ -289,7 +293,7 @@ def perturbed_triangulated_grid():
 def test_synthesize_certifies_perturbed_grid():
     fw = perturbed_triangulated_grid()
     assert stress_space(fw) == (58, 29)
-    weights = synthesize_stress(fw)
+    weights = synthesize_stress(fw)[0]
     assert check_rigidity_certificate(assemble_stress(fw.graph, weights), fw).passed
 
 
@@ -313,9 +317,9 @@ def test_synthesize_reports_missing_psd_stress():
 
 def test_synthesize_is_bit_identical_across_calls_and_seeds():
     fw = perturbed_triangulated_grid()
-    first = synthesize_stress(fw)
+    first = synthesize_stress(fw)[0]
     for _ in range(3):
-        again = synthesize_stress(fw)
+        again = synthesize_stress(fw)[0]
         assert list(again) == list(first)
         assert np.array(list(again.values())).tobytes() == np.array(list(first.values())).tobytes()
 
@@ -334,28 +338,53 @@ def separator_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def certify_calls(monkeypatch):
+    """Call counts of stress._certificate and assemble_stress, under every
+    module name bound to them."""
+    import affinesim.cli
+    import affinesim.engine
+    import affinesim.stress
+
+    counts = collections.Counter()
+    for name in ("_certificate", "assemble_stress"):
+        original = getattr(affinesim.stress, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        for module in (affinesim.stress, affinesim.engine, affinesim.cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
 def test_synthesis_runs_the_connectivity_test_once(separator_calls):
     fw = perturbed_triangulated_grid()
-    expected = synthesize_stress(fw)
+    expected = synthesize_stress(fw)[0]
     separator_calls.clear()
-    weights = synthesize_stress(fw)
+    weights = synthesize_stress(fw)[0]
     assert len(separator_calls) == 1
     assert list(weights) == list(expected)
     assert np.array(list(weights.values())).tobytes() == np.array(list(expected.values())).tobytes()
 
 
-def test_synthesizing_run_tests_connectivity_once(benchmark_scenario, separator_calls):
+def test_synthesizing_run_tests_connectivity_once(benchmark_scenario, separator_calls, certify_calls):
     spec = dataclasses.replace(benchmark_scenario, weights=None, budget=5)
     result = run_scenario(spec)
     assert len(separator_calls) == 1
-    assert result.weights == synthesize_stress(spec.framework)
+    # Synthesis assembles and certifies the stress it accepts; the run reuses both.
+    assert certify_calls == {"_certificate": 1, "assemble_stress": 1}
+    assert result.weights == synthesize_stress(spec.framework)[0]
 
 
-def test_synth_command_tests_connectivity_once(tmp_path, separator_calls, capsys):
+def test_synth_command_tests_connectivity_once(tmp_path, separator_calls, certify_calls, capsys):
     write_benchmark_files(tmp_path)
     out = tmp_path / "synth.json"
     assert main(["synth", str(tmp_path / "framework.json"), "--out", str(out)]) == 0
     assert len(separator_calls) == 1
+    assert certify_calls == {"_certificate": 1, "assemble_stress": 1}
     assert "certificate: PASS" in capsys.readouterr().out
 
 
