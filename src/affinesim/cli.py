@@ -8,7 +8,8 @@ riccati (gain solver), batch (many scenarios, run one after another).
 Exit codes: 0 success/converged, 1 certificate or synthesis failure, 2 parse
 or validation failure (a linear-law scenario with a schedule or a T other
 than 1, another law's with a plant, q, epsilon or riccati_tol, an unknown
-key, and a stability option the law does not read, included),
+key, an integer too large for a float, and a stability option the law does
+not read, included; batch loads every scenario before writing any file),
 3 diverged, 4 step budget exhausted, 5 numerical solver failure (singular
 follower block, Riccati budget). Console numerics are printed to 6
 significant digits; files carry full precision.
@@ -172,19 +173,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    out_root = Path(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
-    runs, parsed = [], {}
-    for raw in args.scenarios:
-        spec = fileio.load_scenario(raw, _parsed=parsed)
-        out_dir = out_root / Path(raw).stem
+    parsed = {}
+    # Every scenario is loaded, and so checked, before any file is written.
+    specs = [fileio.load_scenario(raw, _parsed=parsed) for raw in args.scenarios]
+    runs = [(raw, spec, Path(args.out) / Path(raw).stem) for raw, spec in zip(args.scenarios, specs)]
+    for raw, spec, out_dir in runs:
         out_dir.mkdir(parents=True, exist_ok=True)
         fileio.save_manifest(spec, raw, out_dir, out_dir / "manifest.json")
-        runs.append((raw, spec, out_dir))
 
-    results = run_batch([spec for _, spec, _ in runs])
     codes = []
-    for (raw, spec, out_dir), result in zip(runs, results):
+    for (raw, spec, out_dir), result in zip(runs, run_batch(specs)):
         _write_run_outputs(spec, result, out_dir, args.plot)
         code = _outcome_exit(result)
         codes.append(code)
@@ -337,7 +335,7 @@ def main(argv=None) -> int:
     except (LocalizabilityError, SolverError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, TypeError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .framework import RANK_RTOL
+from .framework import numerical_rank
 from .stress import StressBlocks, StressMatrix, solve_follower_block
 
 # Per-agent dynamic law divides by the incident weight sum; smaller
@@ -47,13 +47,6 @@ def spectral_radius(M) -> float:
     return float(np.abs(np.linalg.eigvals(M)).max())
 
 
-def _rank(mat: np.ndarray) -> int:
-    sigma = np.linalg.svd(mat, compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    return int(np.sum(sigma > max(mat.shape) * sigma[0] * RANK_RTOL))
-
-
 @dataclass(frozen=True)
 class LinearPlant:
     """Identical agent dynamics x(k+1) = A x(k) + B u(k).
@@ -75,14 +68,14 @@ class LinearPlant:
             raise ValueError("B must have as many rows as A and at least one column")
         if not (np.isfinite(A).all() and np.isfinite(B).all()):
             raise ValueError("plant matrices must be finite")
-        if _rank(B) != B.shape[1]:
+        if numerical_rank(np.linalg.svd(B, compute_uv=False), max(B.shape)) != B.shape[1]:
             raise ValueError("B must have full column rank")
         m = A.shape[0]
         for lam in np.linalg.eigvals(A):
             if abs(lam) < 1.0 - 1e-9:
                 continue
             test = np.hstack([A - lam * np.eye(m), B]).astype(complex)
-            if _rank(test) != m:
+            if numerical_rank(np.linalg.svd(test, compute_uv=False), max(test.shape)) != m:
                 raise ValueError(f"(A, B) is not stabilizable: mode {lam:.6g} is uncontrollable")
         A.setflags(write=False)
         B.setflags(write=False)

@@ -14,7 +14,7 @@ is the columns of RunResult: one row per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,8 +29,8 @@ from .control import (
     stationary_disagreement_matrix,
     stationary_law_stable,
 )
-from .framework import Framework, LeaderPartition
-from .maneuvers import ManoeuvreSchedule, is_integer, is_real, leader_waypoints
+from .framework import Framework, LeaderPartition, is_integer, is_real
+from .maneuvers import ManoeuvreSchedule, leader_waypoints
 from .stress import (
     RigidityCertificate,
     StressBlocks,
@@ -38,7 +38,6 @@ from .stress import (
     assemble_stress,
     check_rigidity_certificate,
     min_eig_neg_ff,
-    normalize_weights,
     partition_stress,
     solve_follower_block,
     synthesize_stress,
@@ -66,7 +65,8 @@ class ScenarioSpec:
     scenario file's keys (q_matrix is q; partition, the framework's leaders).
 
     The framework's configuration is the reference the schedule transforms.
-    weights=None requests stress synthesis, which is deterministic.
+    weights=None requests stress synthesis (deterministic); weights, which must
+    name exactly the graph's edges, are assembled here into stress once.
     The linear law additionally needs a plant whose state dimension equals
     d; its gain comes from the Riccati solver with weight matrix q_matrix
     (identity when omitted) and tolerance riccati_tol (1e-10 when omitted).
@@ -93,6 +93,7 @@ class ScenarioSpec:
     q_matrix: np.ndarray | None = None
     epsilon: float = 0.0
     riccati_tol: float | None = None
+    stress: StressMatrix | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("T", "tolerance", "epsilon", "riccati_tol"):
@@ -120,7 +121,10 @@ class ScenarioSpec:
         if not 0.0 < self.tolerance < np.inf:
             raise ValueError("convergence tolerance must be positive and finite")
         if self.weights is not None:
-            object.__setattr__(self, "weights", normalize_weights(self.weights.items()))
+            object.__setattr__(self, "stress", assemble_stress(self.framework.graph, self.weights))
+            entries = self.stress.entries.tolist()
+            weights = {(i, j): -entries[i - 1][j - 1] for i, j in sorted(self.framework.graph.edges)}
+            object.__setattr__(self, "weights", weights)
         # Each segment at full progress: checks vector lengths, axes and finiteness.
         self.schedule.transform_at(self.framework.config.d, self.schedule.last_step())
         if self.law == "linear":
@@ -230,12 +234,11 @@ def _array_key(a: np.ndarray):
 
 def _resolve_stress(spec: ScenarioSpec):
     """Stress, certificate, blocks and the target map G of a framework,
-    weights (or synthesis) and leader set."""
-    weights = spec.weights
-    if weights is None:
+    stress (or synthesis) and leader set."""
+    weights, stress = spec.weights, spec.stress
+    if stress is None:
         weights, stress, certificate = synthesize_stress(spec.framework)
     else:
-        stress = assemble_stress(spec.framework.graph, weights)
         certificate = check_rigidity_certificate(stress, spec.framework)
     if not certificate.passed:
         raise CertificateError(certificate)
@@ -249,14 +252,11 @@ def _resolve_stress(spec: ScenarioSpec):
 def _compile(spec: ScenarioSpec, memo: dict):
     """A run's constant inputs (weights, stress, certificate, blocks, G,
     Riccati solution or None), each worked out once per memo. Keys compare
-    exact bytes and values: positions, graph, weights (None for synthesis)
+    exact bytes and values: positions, graph, stress (None for synthesis)
     and leader list; A, B, Q and riccati_tol."""
     framework = spec.framework
-    weights = None
-    if spec.weights is not None:
-        weights = tuple(sorted((edge, w.hex()) for edge, w in spec.weights.items()))
-    positions = _array_key(framework.config.positions)
-    stress_key = ("stress", positions, framework.graph, weights, spec.partition)
+    stress = None if spec.stress is None else _array_key(spec.stress.entries)
+    stress_key = ("stress", _array_key(framework.config.positions), framework.graph, stress, spec.partition)
     if stress_key not in memo:
         memo[stress_key] = _resolve_stress(spec)
     if spec.law != "linear":

@@ -17,16 +17,16 @@ import numpy as np
 from . import __version__
 from .control import LinearPlant
 from .engine import RunResult, ScenarioSpec
-from .framework import Configuration, Framework, Graph, LeaderPartition
-from .maneuvers import ManoeuvreSchedule, ScheduleSegment, is_integer
+from .framework import Configuration, Framework, Graph, LeaderPartition, is_integer
+from .maneuvers import ManoeuvreSchedule, ScheduleSegment
 from .stress import StressMatrix, normalize_weights
 
 TRACE_HEADER = ("k", "agent_id", "coord_index", "value", "delta_norm", "converged", "diverged")
-# Keys a scenario mapping may hold: ScenarioSpec's fields, with q for
+# Keys a scenario mapping may hold: ScenarioSpec's init fields, with q for
 # q_matrix and the framework's leaders for partition; a legacy seed is
 # accepted and ignored.
 SCENARIO_KEYS = frozenset(
-    {f.name for f in dataclasses.fields(ScenarioSpec)} - {"partition", "q_matrix"} | {"q", "seed"}
+    {f.name for f in dataclasses.fields(ScenarioSpec) if f.init} - {"partition", "q_matrix"} | {"q", "seed"}
 )
 # Scenario keys whose null means the key is absent.
 NULLABLE_KEYS = frozenset(("weights", "schedule", "plant", "q", "riccati_tol"))

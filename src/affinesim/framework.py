@@ -7,8 +7,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Singular values below max(shape) * sigma_max * RANK_RTOL count as zero.
+# The relative cut of numerical_rank.
 RANK_RTOL = 1e-10
+# Float first: a tuple built once and tried in this order keeps is_real cheap
+# on the weights every scenario load checks.
+REAL_TYPES = (float, int, np.floating, np.integer)
+
+
+def is_integer(value) -> bool:
+    """Whether value is an int or a numpy integer, so not a bool, as counts and ids must be."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
+def is_real(value) -> bool:
+    """Whether value is a real number and not a bool, as periods and tolerances must be."""
+    return isinstance(value, REAL_TYPES) and not isinstance(value, bool)
+
+
+def numerical_rank(values, size: int) -> int:
+    """Number of the magnitudes in values (singular values, |eigenvalues|) above
+    size * max * RANK_RTOL; 0 when there are none or the maximum is 0."""
+    top = values.max() if values.size else 0.0
+    return int(np.sum(values > size * top * RANK_RTOL)) if top > 0 else 0
 
 
 @dataclass(frozen=True)
@@ -27,12 +47,14 @@ class Graph:
             raise ValueError("graph needs at least one node")
         normalized = set()
         for edge in self.edges:
+            if len(edge) != 2 or not (is_integer(edge[0]) and is_integer(edge[1])):
+                raise ValueError(f"edge {list(edge)} is not a pair of integer node ids")
             i, j = int(edge[0]), int(edge[1])
             if i == j:
                 raise ValueError(f"self-loop at node {i}")
             if not (1 <= i <= self.n and 1 <= j <= self.n):
                 raise ValueError(f"edge ({i}, {j}) outside nodes 1..{self.n}")
-            normalized.add((min(i, j), max(i, j)))
+            normalized.add((i, j) if i < j else (j, i))
         object.__setattr__(self, "edges", frozenset(normalized))
 
     def neighbors(self, i: int) -> tuple:
@@ -101,10 +123,11 @@ class LeaderPartition:
     followers: tuple
 
     def __post_init__(self):
-        leaders = tuple(int(i) for i in self.leaders)
-        followers = tuple(int(i) for i in self.followers)
-        object.__setattr__(self, "leaders", leaders)
-        object.__setattr__(self, "followers", followers)
+        leaders, followers = tuple(self.leaders), tuple(self.followers)
+        if not all(map(is_integer, leaders + followers)):
+            raise ValueError(f"node ids must be integers, got {[i for i in leaders + followers if not is_integer(i)]}")
+        object.__setattr__(self, "leaders", tuple(map(int, leaders)))
+        object.__setattr__(self, "followers", tuple(map(int, followers)))
         n = len(leaders) + len(followers)
         if set(leaders) & set(followers):
             raise ValueError("leaders and followers overlap")
@@ -113,7 +136,7 @@ class LeaderPartition:
 
     @classmethod
     def from_leaders(cls, leaders, n: int) -> "LeaderPartition":
-        leaders = tuple(int(i) for i in leaders)
+        leaders = tuple(leaders)
         followers = tuple(i for i in range(1, n + 1) if i not in set(leaders))
         return cls(leaders, followers)
 
@@ -160,14 +183,8 @@ def affine_span_dimension(points) -> int:
         pts = pts.reshape(1, -1)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("need at least one point")
-    m, d = pts.shape
-    if m == 1:
-        return 0
-    diffs = pts[1:] - pts[0]
-    sigma = np.linalg.svd(diffs, compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    return int(np.sum(sigma > max(m, d) * sigma[0] * RANK_RTOL))
+    # The cut scales with max(m, d), m the number of points (not of difference rows).
+    return numerical_rank(np.linalg.svd(pts[1:] - pts[0], compute_uv=False), max(pts.shape))
 
 
 def is_k_connected(graph: Graph, k: int) -> bool:

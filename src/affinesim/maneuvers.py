@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .framework import Configuration, LeaderPartition
+from .framework import Configuration, LeaderPartition, is_integer
 
 # The parameter sets each manoeuvre kind accepts.
 PARAMS = {
@@ -18,19 +18,6 @@ PARAMS = {
 }
 KINDS = tuple(PARAMS)
 INTERPS = ("hold", "linear")
-# Float first: a tuple built once and tried in this order keeps is_real cheap
-# on the weights every scenario load checks.
-REAL_TYPES = (float, int, np.floating, np.integer)
-
-
-def is_integer(value) -> bool:
-    """Whether value is an integer and not a bool, as step counts must be."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def is_real(value) -> bool:
-    """Whether value is a real number and not a bool, as periods and tolerances must be."""
-    return isinstance(value, REAL_TYPES) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -243,9 +230,9 @@ def leader_waypoints(
 ) -> np.ndarray:
     """Leader positions at steps k, k+1, ..., k+count-1 as one (count, n_l, d) array.
 
-    The default pair unpacks as (now, next), the two endpoints of the
-    sampling interval the dynamic law consumes; the engine asks for a whole
-    run at once. Steps past the schedule hold the final transform.
+    The default count gives the pair (now, next), the two endpoints of one
+    sampling interval; the engine asks for a whole run at once. Steps past
+    the schedule hold the final transform.
     """
     if partition.n != reference.n:
         raise ValueError("partition does not match configuration")

@@ -15,9 +15,11 @@ from .framework import (
     Graph,
     LeaderPartition,
     affine_span_dimension,
+    is_integer,
+    is_real,
+    numerical_rank,
     vertex_separator,
 )
-from .maneuvers import is_real
 
 # A matrix is accepted as PSD when its smallest eigenvalue is above
 # -PSD_ATOL * max(1, sigma_max).
@@ -97,12 +99,9 @@ class StressBlocks:
             raise ValueError("off-diagonal block shapes are inconsistent")
         if not np.array_equal(fl, lf.T):
             raise ValueError("follower-leader block must be the transpose of leader-follower")
-        for b in (ll, lf, fl, ff):
+        for name, b in zip(("ll", "lf", "fl", "ff"), (ll, lf, fl, ff)):
             b.setflags(write=False)
-        object.__setattr__(self, "ll", ll)
-        object.__setattr__(self, "lf", lf)
-        object.__setattr__(self, "fl", fl)
-        object.__setattr__(self, "ff", ff)
+            object.__setattr__(self, name, b)
 
     @property
     def n_leaders(self) -> int:
@@ -139,12 +138,14 @@ class RigidityCertificate:
 def normalize_weights(items) -> dict:
     """Edge weights keyed (i, j) with i < j, from ((i, j), w) pairs.
 
-    An edge may be named more than once, in either orientation, only with
-    equal values; conflicting, non-finite or non-number values raise ValueError.
+    An edge may be named more than once, in either orientation, only with equal
+    values; non-integer ids and conflicting, non-finite or non-number values raise ValueError.
     """
     resolved = {}
     for (i, j), value in items:
-        edge = (min(int(i), int(j)), max(int(i), int(j)))
+        if not (is_integer(i) and is_integer(j)):
+            raise ValueError(f"edge ({i!r}, {j!r}) is not a pair of integer node ids")
+        edge = (int(i), int(j)) if i < j else (int(j), int(i))
         if not is_real(value):
             raise ValueError(f"weight of edge {edge} must be a real number, got {value!r}")
         value = float(value)
@@ -160,24 +161,34 @@ def assemble_stress(graph: Graph, weights) -> StressMatrix:
     """Build a stress matrix from per-edge weights.
 
     Diagonal entries are the sums of incident weights, off-diagonal entries
-    the negated weights, zero elsewhere, so row sums vanish by construction.
+    the negated weights, zero elsewhere, so row sums vanish by construction
+    and the weight of edge (i, j) reads back exactly as -entries[i-1, j-1].
     Weights must be given for exactly the edges of the graph; providing both
     orientations of an edge is allowed only with identical values.
     """
     resolved = normalize_weights(weights.items())
-    extra = set(resolved) - graph.edges
-    if extra:
-        raise ValueError(f"weights given for non-edges {sorted(extra)}")
-    missing = graph.edges - set(resolved)
-    if missing:
-        raise ValueError(f"missing weights for edges {sorted(missing)}")
-    mat = np.zeros((graph.n, graph.n))
-    for (i, j), w in sorted(resolved.items()):
-        mat[i - 1, j - 1] = -w
-        mat[j - 1, i - 1] = -w
-        mat[i - 1, i - 1] += w
-        mat[j - 1, j - 1] += w
-    return StressMatrix(mat)
+    extra, missing = sorted(resolved.keys() - graph.edges), sorted(graph.edges - resolved.keys())
+    if extra or missing:
+        raise ValueError(f"weights must name exactly the graph's edges; non-edges {extra}, missing {missing}")
+    edges, i, j = _edge_index(graph)
+    return StressMatrix(_stress_entries(graph.n, i, j, np.array([resolved[e] for e in edges])))
+
+
+def _edge_index(graph: Graph):
+    """The graph's edges in sorted order, and the 0-based index arrays of their two ends."""
+    edges = sorted(graph.edges)
+    ends = np.array(edges, dtype=np.intp).reshape(-1, 2) - 1
+    return edges, ends[:, 0], ends[:, 1]
+
+
+def _stress_entries(n: int, i: np.ndarray, j: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """-w at (i, j) and (j, i) of each edge; np.add.at sums the diagonal over the
+    interleaved ends (i0, j0, i1, j1, ...) in edge order, unbuffered."""
+    mat = np.zeros((n, n))
+    mat[i, j] = mat[j, i] = -weights
+    ends = np.column_stack((i, j)).ravel()
+    np.add.at(mat, (ends, ends), np.repeat(weights, 2))
+    return mat
 
 
 def verify_equilibrium(stress: StressMatrix, config) -> float:
@@ -219,9 +230,8 @@ def reassemble_stress(blocks: StressBlocks, partition: LeaderPartition) -> Stres
 def check_rigidity_certificate(stress: StressMatrix, framework: Framework) -> RigidityCertificate:
     """Universal-rigidity certificate: rank n-d-1, PSD, (d+1)-connected.
 
-    The rank is numerical (eigenvalues below max(n, d) * sigma_max * 1e-10
-    count as zero) and PSD allows a small negative floor scaled by the
-    spectral radius.
+    The rank is numerical_rank(|eigenvalues|, max(n, d)), and PSD allows a
+    small negative floor scaled by the spectral radius.
     """
     if stress.n != framework.config.n:
         raise ValueError("stress size does not match framework")
@@ -237,11 +247,10 @@ def _certificate(stress: StressMatrix, framework: Framework, separator):
     when the graph is (d+1)-connected)."""
     n, d = stress.n, framework.config.d
     eig = np.linalg.eigvalsh(stress.entries)
-    scale = float(np.abs(eig).max())
-    rank = int(np.sum(np.abs(eig) > max(n, d) * scale * RANK_RTOL)) if scale > 0 else 0
+    magnitudes = np.abs(eig)
     min_eig = float(eig[0])
-    psd = min_eig >= -PSD_ATOL * max(1.0, scale)
-    return RigidityCertificate(rank, n - d - 1, min_eig, psd, separator)
+    psd = min_eig >= -PSD_ATOL * max(1.0, float(magnitudes.max()))
+    return RigidityCertificate(numerical_rank(magnitudes, max(n, d)), n - d - 1, min_eig, psd, separator)
 
 
 def solve_follower_block(blocks: StressBlocks, rhs: np.ndarray) -> np.ndarray:
@@ -285,22 +294,19 @@ def equilibrium_constraint_matrix(framework: Framework):
     weight vectors w with C @ w = 0 are exactly the equilibrium stresses.
     """
     pts = framework.config.positions
-    d = framework.config.d
-    edges = sorted(framework.graph.edges)
-    C = np.zeros((framework.graph.n * d, len(edges)))
-    for col, (i, j) in enumerate(edges):
-        diff = pts[i - 1] - pts[j - 1]
-        C[d * (i - 1) : d * i, col] = diff
-        C[d * (j - 1) : d * j, col] = -diff
-    return edges, C
+    edges, i, j = _edge_index(framework.graph)
+    diff, cols = pts[i] - pts[j], np.arange(len(edges))
+    # C[d*(v-1) + c, e] holds coordinate c of node v's term in edge e.
+    C = np.zeros((framework.graph.n, framework.config.d, len(edges)))
+    C[i, :, cols] = diff
+    C[j, :, cols] = -diff
+    return edges, C.reshape(-1, len(edges))
 
 
 def _row_space(matrix: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the row space of a matrix, one column per
-    singular value above max(shape) * sigma_max * RANK_RTOL."""
+    """Orthonormal basis of the row space of a matrix, of numerical_rank(sigma, max(shape)) columns."""
     u, sigma, _ = np.linalg.svd(matrix.T, full_matrices=False)
-    tol = max(matrix.shape) * (sigma[0] if sigma.size else 0.0) * RANK_RTOL
-    return u[:, : int(np.sum(sigma > tol))]
+    return u[:, : numerical_rank(sigma, max(matrix.shape))]
 
 
 def synthesize_stress(framework: Framework):
@@ -329,6 +335,7 @@ def synthesize_stress(framework: Framework):
         raise SynthesisError("configuration does not affinely span the ambient space")
 
     edges, C = equilibrium_constraint_matrix(framework)
+    _, i, j = _edge_index(graph)
     row_space = _row_space(C)
     dimension = len(edges) - row_space.shape[1]
 
@@ -341,16 +348,12 @@ def synthesize_stress(framework: Framework):
 
     size = n - d - 1
     q = np.linalg.svd(np.column_stack([np.ones(n), config.positions]))[0][:, d + 1 :]
-    i, j = (np.array(ends) - 1 for ends in zip(*edges))
     # |Omega(w)|_2 <= 2 sqrt(max degree) |w|, so the soft minimum's gradient is
     # (t * lipschitz)-Lipschitz and a step of 1 / (t * lipschitz) always ascends.
     lipschitz = 4.0 * np.bincount(np.concatenate((i, j))).max()
 
     def spectrum(weights):
-        mat = np.zeros((n, n))
-        mat[i, j] = mat[j, i] = -weights
-        mat[np.diag_indices(n)] = np.bincount(i, weights, n) + np.bincount(j, weights, n)
-        return np.linalg.eigh(q.T @ mat @ q)
+        return np.linalg.eigh(q.T @ _stress_entries(n, i, j, weights) @ q)
 
     def soft_min(lam, t):
         return lam[0] - np.log(np.exp(-t * (lam - lam[0])).sum()) / t

@@ -8,7 +8,11 @@ from affinesim import Graph, ScenarioSpec, assemble_stress
 from affinesim.cli import main
 from affinesim.fileio import load_scenario, load_weights, save_stress, save_weights
 
-from conftest import EDGES, EXACT_WEIGHTS, FOLLOWER_TARGETS, write_benchmark_files
+from conftest import EDGES, EXACT_WEIGHTS, FOLLOWER_TARGETS, LEADERS, REFERENCE_POSITIONS, write_benchmark_files
+
+FRAMEWORK = {"d": 2, "positions": [list(p) for p in REFERENCE_POSITIONS], "edges": [list(e) for e in EDGES],
+             "leaders": list(LEADERS)}
+WEIGHT_ROWS = [[i, j, w] for (i, j), w in sorted(EXACT_WEIGHTS.items())]
 
 
 def write_matrix(path, rows):
@@ -144,6 +148,16 @@ def test_batch_aggregates_exit_codes(bench, tmp_path, capsys):
     assert "unstable.json: diverged" in out
     assert (tmp_path / "batch" / "scenario" / "trace.csv").exists()
     assert (tmp_path / "batch" / "unstable" / "summary.json").exists()
+
+
+def test_batch_refuses_a_bad_scenario_before_writing(bench, tmp_path, capsys):
+    data = json.loads(bench.read_text())
+    scenarios = [bench, tmp_path / "second.json", tmp_path / "third.json"]
+    scenarios[1].write_text(json.dumps({**data, "T": 0.5}))
+    scenarios[2].write_text(json.dumps({**data, "budget": 0.5}))
+    assert main(["batch", *map(str, scenarios), "--out", str(tmp_path / "batch")]) == 2
+    assert "step budget must be an integer" in capsys.readouterr().err
+    assert not list(tmp_path.glob("batch/*/manifest.json"))
 
 
 def test_batch_loads_each_scenarios_own_files(tmp_path, capsys):
@@ -535,10 +549,21 @@ def test_simulate_refuses_bad_segments_before_writing(bench, tmp_path, capsys, s
         ({**LINEAR, "T": 1.0, "q": [[float("nan"), 0.0], [0.0, 1.0]]}, "q and epsilon must be finite"),
         ({**LINEAR, "T": 1.0, "riccati_tol": float("nan")}, "riccati_tol must be positive and finite"),
         ({**LINEAR, "T": 1.0, "riccati_tol": 0.0}, "riccati_tol must be positive and finite"),
+        ({"T": 10**400}, "int too large to convert to float"),
+        ({"initial_followers": [[10**400, 3], [-3, -2]]}, "int too large to convert to float"),
+        ({"weights": {"edges": [[1, 2, 0.5]]}}, "edges; non-edges [], missing [(1, 3), (1, 4), (2, 3)"),
+        ({"weights": {"edges": [*WEIGHT_ROWS, [1, 5, 0.1]]}}, "edges; non-edges [(1, 5)], missing []"),
+        ({"weights": {"edges": [[1.5, 2, 0.292], *WEIGHT_ROWS[1:]]}}, "edge (1.5, 2) is not a pair of integer node ids"),
+        ({"framework": {**FRAMEWORK, "leaders": [1.5, 2, 3]}}, "framework: node ids must be integers, got [1.5]"),
+        ({"framework": {**FRAMEWORK, "edges": [[1.5, 2], *EDGES[1:]]}}, "edge [1.5, 2] is not a pair of integer"),
+        ({"framework": {**FRAMEWORK, "edges": [["1", 2], *EDGES[1:]]}}, "edge ['1', 2] is not a pair of integer"),
+        ({"framework": {**FRAMEWORK, "edges": [[1, 2, 3], *EDGES[1:]]}}, "edge [1, 2, 3] is not a pair of integer"),
     ],
     ids=["unknown-key", "inf-budget", "float-budget", "bool-budget", "nan-tolerance", "inf-tolerance",
          "nan-weight", "str-weight", "bool-weight", "str-T", "bool-T", "str-tolerance", "str-epsilon",
-         "str-riccati-tol", "nan-epsilon", "nan-q", "nan-riccati-tol", "zero-riccati-tol"],
+         "str-riccati-tol", "nan-epsilon", "nan-q", "nan-riccati-tol", "zero-riccati-tol", "huge-T",
+         "huge-follower", "missing-weights", "non-edge-weight", "float-weight-id", "float-leader", "float-edge",
+         "str-edge", "triple-edge"],
 )
 def test_simulate_refuses_bad_scenarios_before_writing(bench, tmp_path, capsys, changes, message):
     data = json.loads(bench.read_text())

@@ -13,6 +13,7 @@ from affinesim import (
     validate_leader_selection,
     vertex_separator,
 )
+from affinesim.framework import numerical_rank
 
 
 def test_graph_normalizes_edges():
@@ -68,6 +69,14 @@ def test_affine_span_dimension_cases():
     assert affine_span_dimension([(0, 0), (1, 0), (2, 0)]) == 1
     assert affine_span_dimension([(0, 0), (1, 0), (0, 1)]) == 2
     assert affine_span_dimension([(1, 0), (0, 1), (0, -1), (-1, 0), (-2, 0)]) == 2
+    assert affine_span_dimension([(1, 1), (1, 1)]) == 0
+
+
+def test_numerical_rank_cut():
+    # The cut is size * max * 1e-10, here 2e-10; values at the cut count as zero.
+    assert numerical_rank(np.array([1.0, 3e-10, 2e-10, 1e-10]), 2) == 2
+    assert numerical_rank(np.zeros(3), 3) == 0
+    assert numerical_rank(np.array([]), 1) == 0
 
 
 def test_affine_span_invariant_under_rigid_motions():

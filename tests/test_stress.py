@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -338,26 +339,31 @@ def separator_calls(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def certify_calls(monkeypatch):
-    """Call counts of stress._certificate and assemble_stress, under every
-    module name bound to them."""
+def count_calls(monkeypatch, names):
+    """Call counts of the named stress functions, under every module name
+    bound to them."""
     import affinesim.cli
     import affinesim.engine
+    import affinesim.fileio
     import affinesim.stress
 
     counts = collections.Counter()
-    for name in ("_certificate", "assemble_stress"):
+    for name in names:
         original = getattr(affinesim.stress, name)
 
         def counted(*args, _name=name, _original=original):
             counts[_name] += 1
             return _original(*args)
 
-        for module in (affinesim.stress, affinesim.engine, affinesim.cli):
+        for module in (affinesim.stress, affinesim.engine, affinesim.cli, affinesim.fileio):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     return counts
+
+
+@pytest.fixture
+def certify_calls(monkeypatch):
+    return count_calls(monkeypatch, ("_certificate", "assemble_stress"))
 
 
 def test_synthesis_runs_the_connectivity_test_once(separator_calls):
@@ -386,6 +392,35 @@ def test_synth_command_tests_connectivity_once(tmp_path, separator_calls, certif
     assert len(separator_calls) == 1
     assert certify_calls == {"_certificate": 1, "assemble_stress": 1}
     assert "certificate: PASS" in capsys.readouterr().out
+
+
+def test_weights_are_assembled_once_per_scenario_at_load(tmp_path, monkeypatch, capsys):
+    import affinesim.cli
+
+    scenario = write_benchmark_files(tmp_path)
+    counts = count_calls(monkeypatch, ("normalize_weights", "assemble_stress"))
+    in_runs = collections.Counter()
+    for name in ("run_scenario", "run_batch"):
+
+        def run(arg, _original=getattr(affinesim.cli, name)):
+            before = counts.copy()
+            result = _original(arg)
+            in_runs.update(counts - before)
+            return result
+
+        monkeypatch.setattr(affinesim.cli, name, run)
+    assert main(["simulate", str(scenario), "--out", str(tmp_path / "run")]) == 0
+    # The file parse normalizes; the spec assembles, normalizing once more.
+    assert counts == {"normalize_weights": 2, "assemble_stress": 1}
+    counts.clear()
+    copies = [scenario, tmp_path / "T05.json", tmp_path / "T08.json"]
+    for T, path in zip((0.5, 0.8), copies[1:]):
+        path.write_text(json.dumps({**json.loads(scenario.read_text()), "T": T}))
+    assert main(["batch", *map(str, copies), "--out", str(tmp_path / "batch")]) == 0
+    # One parse of the shared weights file, then one assembly per scenario.
+    assert counts == {"normalize_weights": 4, "assemble_stress": 3}
+    assert not in_runs
+    capsys.readouterr()
 
 
 def test_failing_certificate_tests_connectivity_once(framework, separator_calls):
