@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, fileio
 from .control import SolverError, LinearPlant, solve_mare, spectral_radius, check_period
 from .engine import LAWS, LINEAR_T_ERROR, CertificateError, run_batch, run_scenario, stability_flags
-from .framework import LeaderPartition, validate_leader_selection, vertex_separator
+from .framework import LeaderPartition, real_array, validate_leader_selection, vertex_separator
 from .plotting import delta_svg, trajectory_svg
 from .stress import (
     LocalizabilityError,
@@ -177,6 +177,11 @@ def cmd_batch(args) -> int:
     # Every scenario is loaded, and so checked, before any file is written.
     specs = [fileio.load_scenario(raw, _parsed=parsed) for raw in args.scenarios]
     runs = [(raw, spec, Path(args.out) / Path(raw).stem) for raw, spec in zip(args.scenarios, specs)]
+    owners = {}
+    for raw, _, out_dir in runs:
+        if out_dir in owners:
+            raise fileio.ParseError(f"{owners[out_dir]} and {raw} would both write {out_dir}")
+        owners[out_dir] = raw
     for raw, spec, out_dir in runs:
         out_dir.mkdir(parents=True, exist_ok=True)
         fileio.save_manifest(spec, raw, out_dir, out_dir / "manifest.json")
@@ -212,9 +217,7 @@ def cmd_stability(args) -> int:
     ]
     if unread:
         raise fileio.ParseError(f"{args.law} stability reads no {', '.join(unread)}")
-    epsilon = 0.0 if args.epsilon is None else args.epsilon
-    if not np.isfinite(epsilon):
-        raise ValueError(f"epsilon must be finite, got {epsilon}")
+    epsilon = float(real_array(0.0 if args.epsilon is None else args.epsilon, "epsilon"))
     print(f"law: {args.law}")
     if args.law == "dynamic":
         flags = stability_flags("dynamic", T)
@@ -253,9 +256,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_riccati(args) -> int:
-    A = fileio.load_matrix(args.A)
-    B = fileio.load_matrix(args.B)
-    plant = LinearPlant(A, B)
+    plant = LinearPlant(fileio.load_matrix(args.A), fileio.load_matrix(args.B))
     Q = np.eye(plant.m) if args.Q is None else fileio.load_matrix(args.Q)
     solution = solve_mare(plant, Q, tol=args.tol, max_iter=args.max_iter)
     _print_matrix("P", solution.P)

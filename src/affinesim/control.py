@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .framework import numerical_rank
+from .framework import numerical_rank, real_array
 from .stress import StressBlocks, StressMatrix, solve_follower_block
 
 # Per-agent dynamic law divides by the incident weight sum; smaller
@@ -60,14 +60,11 @@ class LinearPlant:
     B: np.ndarray
 
     def __post_init__(self):
-        A = np.array(self.A, dtype=float)
-        B = np.array(self.B, dtype=float)
+        A, B = real_array(self.A, "A"), real_array(self.B, "B")
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
         if B.ndim != 2 or B.shape[0] != A.shape[0] or B.shape[1] < 1:
             raise ValueError("B must have as many rows as A and at least one column")
-        if not (np.isfinite(A).all() and np.isfinite(B).all()):
-            raise ValueError("plant matrices must be finite")
         if numerical_rank(np.linalg.svd(B, compute_uv=False), max(B.shape)) != B.shape[1]:
             raise ValueError("B must have full column rank")
         m = A.shape[0]
@@ -77,8 +74,6 @@ class LinearPlant:
             test = np.hstack([A - lam * np.eye(m), B]).astype(complex)
             if numerical_rank(np.linalg.svd(test, compute_uv=False), max(test.shape)) != m:
                 raise ValueError(f"(A, B) is not stabilizable: mode {lam:.6g} is uncontrollable")
-        A.setflags(write=False)
-        B.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
 
@@ -101,8 +96,7 @@ class RiccatiSolution:
     iterations: int
 
     def __post_init__(self):
-        P = np.array(self.P, dtype=float)
-        K = np.array(self.K, dtype=float)
+        P, K = real_array(self.P, "P"), real_array(self.K, "K")
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError("P must be square")
         if not np.array_equal(P, P.T):
@@ -111,8 +105,6 @@ class RiccatiSolution:
             raise ValueError("P must be positive-definite")
         if K.ndim != 2 or K.shape[1] != P.shape[0]:
             raise ValueError("K must have as many columns as P")
-        P.setflags(write=False)
-        K.setflags(write=False)
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "K", K)
 
@@ -217,6 +209,19 @@ def stationary_disagreement_matrix(blocks: StressBlocks, T) -> np.ndarray:
     return np.eye(blocks.n_followers) - T * blocks.ff
 
 
+def riccati_weight(Q, m: int, name: str = "Q") -> np.ndarray:
+    """Q symmetrized; refused unless a finite m x m matrix, symmetric up to roundoff and PSD."""
+    Q = real_array(Q, name)
+    if Q.shape != (m, m):
+        raise ValueError(f"{name} must be {m}x{m}")
+    if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(Q).max())):
+        raise ValueError(f"{name} must be symmetric")
+    Q = (Q + Q.T) / 2.0
+    if np.linalg.eigvalsh(Q)[0] < -1e-12 * max(1.0, np.abs(Q).max()):
+        raise ValueError(f"{name} must be positive-semidefinite")
+    return Q
+
+
 def solve_mare(plant: LinearPlant, Q, tol: float = 1e-10, max_iter: int = 100000) -> RiccatiSolution:
     """Fixed-point solve of the modified discrete Riccati equation.
 
@@ -227,16 +232,7 @@ def solve_mare(plant: LinearPlant, Q, tol: float = 1e-10, max_iter: int = 100000
     K = -(B'PB)^{-1} B'PA.
     """
     A, B = plant.A, plant.B
-    Q = np.array(Q, dtype=float)
-    if Q.shape != (plant.m, plant.m):
-        raise ValueError(f"Q must be {plant.m}x{plant.m}")
-    if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(Q).max())):
-        raise ValueError("Q must be symmetric")
-    Q = (Q + Q.T) / 2.0
-    if np.linalg.eigvalsh(Q)[0] < -1e-12 * max(1.0, np.abs(Q).max()):
-        raise ValueError("Q must be positive-semidefinite")
-
-    P = Q
+    P = Q = riccati_weight(Q, plant.m)
     for iterations in range(max_iter + 1):
         BtPB = B.T @ P @ B
         cond = np.linalg.cond(BtPB)

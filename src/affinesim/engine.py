@@ -24,12 +24,13 @@ from .control import (
     dynamic_law_stable,
     local_control_input_dynamic,
     local_control_input_stationary,
+    riccati_weight,
     solve_mare,
     spectral_radius,
     stationary_disagreement_matrix,
     stationary_law_stable,
 )
-from .framework import Framework, LeaderPartition, is_integer, is_real
+from .framework import Framework, LeaderPartition, is_integer, is_real, real_array
 from .maneuvers import ManoeuvreSchedule, leader_waypoints
 from .stress import (
     RigidityCertificate,
@@ -108,13 +109,10 @@ class ScenarioSpec:
         if self.law not in LAWS:
             raise ValueError(f"unknown law {self.law!r}; expected one of {LAWS}")
         check_period(self.T)
-        init = np.array(self.initial_followers, dtype=float)
+        init = real_array(self.initial_followers, "initial_followers")
         expected = (self.partition.n_followers, self.framework.config.d)
         if init.shape != expected:
             raise ValueError(f"initial follower positions must have shape {expected}")
-        if not np.isfinite(init).all():
-            raise ValueError("initial follower positions must be finite")
-        init.setflags(write=False)
         object.__setattr__(self, "initial_followers", init)
         if not is_integer(self.budget) or self.budget < 1:
             raise ValueError("step budget must be an integer of at least 1")
@@ -136,11 +134,10 @@ class ScenarioSpec:
                 raise ValueError("linear law takes no schedule: its leaders evolve under the law")
             if self.T != 1.0:
                 raise ValueError(LINEAR_T_ERROR)
-            q = np.eye(self.plant.m) if self.q_matrix is None else np.array(self.q_matrix, dtype=float)
-            if not (np.isfinite(q).all() and np.isfinite(self.epsilon)):
-                raise ValueError("q and epsilon must be finite")
-            q.setflags(write=False)
-            object.__setattr__(self, "q_matrix", q)
+            q = np.eye(self.plant.m) if self.q_matrix is None else self.q_matrix
+            object.__setattr__(self, "q_matrix", riccati_weight(q, self.plant.m, "q"))
+            if not np.isfinite(self.epsilon):
+                raise ValueError("epsilon must be finite")
             if self.riccati_tol is None:
                 object.__setattr__(self, "riccati_tol", 1e-10)
             if not 0.0 < self.riccati_tol < np.inf:

@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .control import LinearPlant
 from .engine import RunResult, ScenarioSpec
-from .framework import Configuration, Framework, Graph, LeaderPartition, is_integer
+from .framework import Configuration, Framework, Graph, LeaderPartition, is_integer, real_array
 from .maneuvers import ManoeuvreSchedule, ScheduleSegment
 from .stress import StressMatrix, normalize_weights
 
@@ -295,9 +295,9 @@ def load_matrix(path) -> np.ndarray:
     if isinstance(data, dict):
         data = _require(data, "matrix", "matrix file")
     try:
-        mat = np.array(data, dtype=float)
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        mat = real_array(data, str(path))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
     if mat.ndim == 1:
         mat = mat.reshape(1, -1) if mat.size else mat.reshape(0, 0)
     if mat.ndim != 2:

@@ -24,6 +24,29 @@ def is_real(value) -> bool:
     return isinstance(value, REAL_TYPES) and not isinstance(value, bool)
 
 
+def real_array(value, name: str, ndim: int | None = None) -> np.ndarray:
+    """Read-only float copy of a number or nested list from outside, such as
+    the JSON field name: every leaf must pass is_real (no str, bool, None or
+    ragged nesting), and the result must be finite, with ndim dimensions if given."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
+        arr = value.astype(float)
+    else:
+        leaves = np.array(value, dtype=object)
+        for leaf in leaves.flat:
+            if not is_real(leaf):
+                raise ValueError(f"{name}: {leaf!r} is not a real number")
+        try:
+            arr = leaves.astype(float)
+        except OverflowError as exc:
+            raise ValueError(f"{name}: {exc}") from exc
+    if ndim is not None and arr.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    arr.setflags(write=False)
+    return arr
+
+
 def numerical_rank(values, size: int) -> int:
     """Number of the magnitudes in values (singular values, |eigenvalues|) above
     size * max * RANK_RTOL; 0 when there are none or the maximum is 0."""
@@ -77,15 +100,9 @@ class Configuration:
     positions: np.ndarray
 
     def __post_init__(self):
-        try:
-            pts = np.array(self.positions, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValueError("positions must be rectangular numeric data") from exc
-        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
+        pts = real_array(self.positions, "positions", 2)
+        if pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError("positions must be a non-empty (n, d) array")
-        if not np.isfinite(pts).all():
-            raise ValueError("positions must be finite")
-        pts.setflags(write=False)
         object.__setattr__(self, "positions", pts)
 
     @property
@@ -137,8 +154,10 @@ class LeaderPartition:
     @classmethod
     def from_leaders(cls, leaders, n: int) -> "LeaderPartition":
         leaders = tuple(leaders)
-        followers = tuple(i for i in range(1, n + 1) if i not in set(leaders))
-        return cls(leaders, followers)
+        for k, i in enumerate(leaders):
+            if is_integer(i) and (i in leaders[:k] or not 1 <= i <= n):
+                raise ValueError(f"leaders must be distinct nodes of 1..{n}; {i} is {'repeated' if i in leaders[:k] else 'outside'}")
+        return cls(leaders, tuple(i for i in range(1, n + 1) if i not in leaders))
 
     @property
     def n(self) -> int:
@@ -175,10 +194,7 @@ def affine_span_dimension(points) -> int:
     Computed as the numerical rank of the matrix of differences p_i - p_1.
     A single point spans dimension 0; two distinct points a line, and so on.
     """
-    try:
-        pts = np.array(points, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError("points must share a common dimension") from exc
+    pts = real_array(points, "points")
     if pts.ndim == 1:
         pts = pts.reshape(1, -1)
     if pts.ndim != 2 or pts.shape[0] < 1:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .framework import Configuration, LeaderPartition, is_integer
+from .framework import Configuration, LeaderPartition, is_integer, real_array
 
 # The parameter sets each manoeuvre kind accepts.
 PARAMS = {
@@ -33,16 +33,11 @@ class AffineTransform:
     b: np.ndarray
 
     def __post_init__(self):
-        theta = np.array(self.theta, dtype=float)
-        b = np.array(self.b, dtype=float)
+        theta, b = real_array(self.theta, "theta"), real_array(self.b, "b")
         if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
             raise ValueError("theta must be square")
         if b.ndim != 1 or b.shape[0] != theta.shape[0]:
             raise ValueError("b must be a vector matching theta")
-        if not (np.isfinite(theta).all() and np.isfinite(b).all()):
-            raise ValueError("transform entries must be finite")
-        theta.setflags(write=False)
-        b.setflags(write=False)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "b", b)
 
@@ -92,34 +87,32 @@ def _stacked_transform(kind: str, params: dict, d: int, s: np.ndarray):
     theta[:, axis, axis] = 1.0
     b = np.zeros((len(s), d))
     if kind == "translation":
-        v = np.asarray(params["v"], dtype=float)
+        v = real_array(params["v"], "translation v")
         if v.shape != (d,):
             raise ValueError(f"translation vector must have length {d}")
         b = s[:, None] * v
     elif kind == "scaling":
         if "diag" in params:
-            full = np.asarray(params["diag"], dtype=float)
+            full = real_array(params["diag"], "scaling diag")
             if full.shape != (d,):
                 raise ValueError(f"scaling diagonal must have length {d}")
         else:
-            full = float(params["c"]) * np.ones(d)
+            full = real_array(params["c"], "scaling c", 0) * np.ones(d)
         theta[:, axis, axis] = 1.0 + s[:, None] * (full - 1.0)
     elif kind in ("rotation", "shear"):
-        a0, a1 = (int(a) for a in params.get("axes", (0, 1)))
-        if not (0 <= a0 < d and 0 <= a1 < d) or a0 == a1:
-            raise ValueError(f"axes ({a0}, {a1}) invalid for dimension {d}")
+        a0, a1 = params.get("axes", (0, 1))
+        if not (is_integer(a0) and is_integer(a1) and 0 <= a0 < d and 0 <= a1 < d) or a0 == a1:
+            raise ValueError(f"axes ({a0!r}, {a1!r}) invalid for dimension {d}")
         if kind == "rotation":
-            angle = s * float(params["angle"])
+            angle = s * real_array(params["angle"], "rotation angle", 0)
             theta[:, a0, a0] = np.cos(angle)
             theta[:, a1, a1] = np.cos(angle)
             theta[:, a0, a1] = -np.sin(angle)
             theta[:, a1, a0] = np.sin(angle)
         else:
-            theta[:, a0, a1] = s * float(params["factor"])
+            theta[:, a0, a1] = s * real_array(params["factor"], "shear factor", 0)
     else:
         raise ValueError(f"unknown manoeuvre kind {kind!r}")
-    if not (np.isfinite(theta).all() and np.isfinite(b).all()):
-        raise ValueError("transform entries must be finite")
     return theta, b
 
 

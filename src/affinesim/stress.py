@@ -18,6 +18,7 @@ from .framework import (
     is_integer,
     is_real,
     numerical_rank,
+    real_array,
     vertex_separator,
 )
 
@@ -62,18 +63,15 @@ class StressMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.entries, dtype=float)
+        mat = real_array(self.entries, "stress matrix")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValueError("stress matrix must be square and non-empty")
-        if not np.isfinite(mat).all():
-            raise ValueError("stress matrix must be finite")
         if not np.array_equal(mat, mat.T):
             raise ValueError("stress matrix must be symmetric")
         defect = np.abs(mat @ np.ones(mat.shape[0])).max()
         scale = max(1.0, np.abs(mat).max())
         if defect > ROW_SUM_SLACK * scale:
             raise ValueError(f"row sums deviate from zero by {defect:.3g}")
-        mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
 
     @property
@@ -91,7 +89,7 @@ class StressBlocks:
     ff: np.ndarray
 
     def __post_init__(self):
-        ll, lf, fl, ff = (np.array(b, dtype=float) for b in (self.ll, self.lf, self.fl, self.ff))
+        ll, lf, fl, ff = (real_array(getattr(self, name), name) for name in ("ll", "lf", "fl", "ff"))
         n_l, n_f = ll.shape[0], ff.shape[0]
         if ll.shape != (n_l, n_l) or ff.shape != (n_f, n_f):
             raise ValueError("diagonal blocks must be square")
@@ -100,7 +98,6 @@ class StressBlocks:
         if not np.array_equal(fl, lf.T):
             raise ValueError("follower-leader block must be the transpose of leader-follower")
         for name, b in zip(("ll", "lf", "fl", "ff"), (ll, lf, fl, ff)):
-            b.setflags(write=False)
             object.__setattr__(self, name, b)
 
     @property

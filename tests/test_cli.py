@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,15 @@ from affinesim import Graph, ScenarioSpec, assemble_stress
 from affinesim.cli import main
 from affinesim.fileio import load_scenario, load_weights, save_stress, save_weights
 
-from conftest import EDGES, EXACT_WEIGHTS, FOLLOWER_TARGETS, LEADERS, REFERENCE_POSITIONS, write_benchmark_files
+from conftest import (
+    EDGES,
+    EXACT_WEIGHTS,
+    FOLLOWER_START,
+    FOLLOWER_TARGETS,
+    LEADERS,
+    REFERENCE_POSITIONS,
+    write_benchmark_files,
+)
 
 FRAMEWORK = {"d": 2, "positions": [list(p) for p in REFERENCE_POSITIONS], "edges": [list(e) for e in EDGES],
              "leaders": list(LEADERS)}
@@ -158,6 +168,31 @@ def test_batch_refuses_a_bad_scenario_before_writing(bench, tmp_path, capsys):
     assert main(["batch", *map(str, scenarios), "--out", str(tmp_path / "batch")]) == 2
     assert "step budget must be an integer" in capsys.readouterr().err
     assert not list(tmp_path.glob("batch/*/manifest.json"))
+
+
+def test_batch_refuses_scenarios_that_share_an_output_directory(bench, tmp_path, capsys):
+    other = tmp_path / "other"
+    other.mkdir()
+    inline = {"framework": FRAMEWORK, "weights": {"edges": WEIGHT_ROWS}, "T": 0.5}
+    (other / "scenario.json").write_text(json.dumps({**json.loads(bench.read_text()), **inline}))
+    assert main(["batch", str(bench), str(other / "scenario.json"), "--out", str(tmp_path / "batch")]) == 2
+    err = capsys.readouterr().err
+    assert f"{bench} and {other / 'scenario.json'} would both write {tmp_path / 'batch' / 'scenario'}" in err
+    assert not (tmp_path / "batch").exists()
+
+
+def test_matrix_files_refuse_entries_that_are_not_numbers(bench, tmp_path, capsys):
+    stress = assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS).entries.tolist()
+    stress[0][0] = "0.292"
+    (tmp_path / "stress.json").write_text(json.dumps({"n": 5, "entries": stress}))
+    assert main(["validate", str(tmp_path / "framework.json"), "--stress", str(tmp_path / "stress.json")]) == 2
+    assert "stress: stress matrix: '0.292' is not a real number" in capsys.readouterr().err
+    a = write_matrix(tmp_path / "A.json", [[1.0, "0"], [0.0, 0.8]])
+    assert main(["riccati", "--A", a, "--B", write_matrix(tmp_path / "B.json", [[0.0], [1.0]])]) == 2
+    assert f"{a}: '0' is not a real number" in capsys.readouterr().err
+    b = write_matrix(tmp_path / "B_bool.json", [[False], [1.0]])
+    assert main(["riccati", "--A", write_matrix(tmp_path / "A_unit.json", [[1.0]]), "--B", b]) == 2
+    assert f"{b}: False is not a real number" in capsys.readouterr().err
 
 
 def test_batch_loads_each_scenarios_own_files(tmp_path, capsys):
@@ -514,10 +549,14 @@ def test_every_written_json_file_is_one_strict_sorted_line(bench, tmp_path, caps
         ({"kind": "translation", "params": {"v": [1, 0]}, "interpp": "linear"}, "unknown keys ['interpp']"),
         ({"kind": "translation", "params": {"v": [1]}}, "translation vector must have length 2"),
         ({"kind": "rotation", "params": {"angle": 1.0, "axes": [0, 5]}}, "axes (0, 5) invalid for dimension 2"),
-        ({"kind": "rotation", "params": {"angle": float("nan")}}, "transform entries must be finite"),
+        ({"kind": "rotation", "params": {"angle": float("nan")}}, "rotation angle must be finite"),
+        ({"kind": "translation", "params": {"v": ["1", 0]}}, "translation v: '1' is not a real number"),
+        ({"kind": "rotation", "params": {"angle": True}}, "rotation angle: True is not a real number"),
+        ({"kind": "scaling", "params": {"c": "2"}}, "scaling c: '2' is not a real number"),
+        ({"kind": "rotation", "params": {"angle": 1.0, "axes": [0.7, 1]}}, "axes (0.7, 1) invalid for dimension 2"),
     ],
     ids=["no-v", "no-angle", "extra-angle", "c-and-diag", "float-k0", "float-k1", "unknown-key",
-         "short-v", "bad-axes", "nan-angle"],
+         "short-v", "bad-axes", "nan-angle", "str-v", "bool-angle", "str-c", "float-axes"],
 )
 def test_simulate_refuses_bad_segments_before_writing(bench, tmp_path, capsys, segment, message):
     data = json.loads(bench.read_text())
@@ -545,8 +584,8 @@ def test_simulate_refuses_bad_segments_before_writing(bench, tmp_path, capsys, s
         ({"tolerance": "1e-9"}, "tolerance must be a real number, got '1e-9'"),
         ({"epsilon": "0"}, "epsilon must be a real number, got '0'"),
         ({**LINEAR, "T": 1.0, "riccati_tol": "1e-10"}, "riccati_tol must be a real number, got '1e-10'"),
-        ({**LINEAR, "T": 1.0, "epsilon": float("nan")}, "q and epsilon must be finite"),
-        ({**LINEAR, "T": 1.0, "q": [[float("nan"), 0.0], [0.0, 1.0]]}, "q and epsilon must be finite"),
+        ({**LINEAR, "T": 1.0, "epsilon": float("nan")}, "epsilon must be finite"),
+        ({**LINEAR, "T": 1.0, "q": [[float("nan"), 0.0], [0.0, 1.0]]}, "q must be finite"),
         ({**LINEAR, "T": 1.0, "riccati_tol": float("nan")}, "riccati_tol must be positive and finite"),
         ({**LINEAR, "T": 1.0, "riccati_tol": 0.0}, "riccati_tol must be positive and finite"),
         ({"T": 10**400}, "int too large to convert to float"),
@@ -558,12 +597,29 @@ def test_simulate_refuses_bad_segments_before_writing(bench, tmp_path, capsys, s
         ({"framework": {**FRAMEWORK, "edges": [[1.5, 2], *EDGES[1:]]}}, "edge [1.5, 2] is not a pair of integer"),
         ({"framework": {**FRAMEWORK, "edges": [["1", 2], *EDGES[1:]]}}, "edge ['1', 2] is not a pair of integer"),
         ({"framework": {**FRAMEWORK, "edges": [[1, 2, 3], *EDGES[1:]]}}, "edge [1, 2, 3] is not a pair of integer"),
+        ({"framework": {**FRAMEWORK, "positions": [*FRAMEWORK["positions"][:4], ["-2", 0]]}},
+         "framework: positions: '-2' is not a real number"),
+        ({"framework": {**FRAMEWORK, "positions": [*FRAMEWORK["positions"][:4], [True, 0]]}},
+         "framework: positions: True is not a real number"),
+        ({"initial_followers": [["-4", 3], [-3, -2]]}, "scenario: initial_followers: '-4' is not a real number"),
+        ({"initial_followers": [[True, 3], [-3, -2]]}, "scenario: initial_followers: True is not a real number"),
+        ({"initial_followers": [[-4, 3], [-3]]}, "scenario: initial_followers: [-4, 3] is not a real number"),
+        ({**LINEAR, "T": 1.0, "plant": {**LINEAR["plant"], "A": [["1", 0], [0, 1]]}}, "plant: A: '1' is not a real"),
+        ({**LINEAR, "T": 1.0, "plant": {**LINEAR["plant"], "B": [[1, 0], [0, True]]}}, "plant: B: True is not a real"),
+        ({**LINEAR, "T": 1.0, "q": [[1, 0], [0, "1"]]}, "scenario: q: '1' is not a real number"),
+        ({**LINEAR, "T": 1.0, "q": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, "scenario: q must be 2x2"),
+        ({**LINEAR, "T": 1.0, "q": [[1, 0.5], [0, 1]]}, "scenario: q must be symmetric"),
+        ({**LINEAR, "T": 1.0, "q": [[-1, 0], [0, 1]]}, "scenario: q must be positive-semidefinite"),
+        ({"framework": {**FRAMEWORK, "leaders": [1, 1, 3]}}, "leaders must be distinct nodes of 1..5; 1 is repeated"),
+        ({"framework": {**FRAMEWORK, "leaders": [1, 2, 9]}}, "leaders must be distinct nodes of 1..5; 9 is outside"),
     ],
     ids=["unknown-key", "inf-budget", "float-budget", "bool-budget", "nan-tolerance", "inf-tolerance",
          "nan-weight", "str-weight", "bool-weight", "str-T", "bool-T", "str-tolerance", "str-epsilon",
          "str-riccati-tol", "nan-epsilon", "nan-q", "nan-riccati-tol", "zero-riccati-tol", "huge-T",
          "huge-follower", "missing-weights", "non-edge-weight", "float-weight-id", "float-leader", "float-edge",
-         "str-edge", "triple-edge"],
+         "str-edge", "triple-edge", "str-position", "bool-position", "str-follower", "bool-follower",
+         "ragged-followers", "str-plant-A", "bool-plant-B", "str-q", "3x3-q", "asymmetric-q", "negative-q",
+         "repeated-leader", "outside-leader"],
 )
 def test_simulate_refuses_bad_scenarios_before_writing(bench, tmp_path, capsys, changes, message):
     data = json.loads(bench.read_text())
@@ -629,3 +685,56 @@ def test_stability_refuses_a_nonfinite_epsilon(tmp_path, capsys):
     for value in ("nan", "inf"):
         assert main(base + ["--epsilon", value]) == 2
         assert "epsilon must be finite" in capsys.readouterr().err
+
+
+def json_leaves(value, path=()):
+    """(path, leaf) for every number in a JSON value; bools are not numbers."""
+    if isinstance(value, dict):
+        return [leaf for key in sorted(value) for leaf in json_leaves(value[key], path + (key,))]
+    if isinstance(value, list):
+        return [leaf for i, item in enumerate(value) for leaf in json_leaves(item, path + (i,))]
+    return [] if isinstance(value, bool) or not isinstance(value, (int, float)) else [(path, value)]
+
+
+def test_no_replaced_number_gets_past_the_reader_or_prints_a_traceback(tmp_path, capsys):
+    """The benchmark scenario with a schedule, all inline, one number replaced
+    by a numeric string, a bool, null, 10**400, [] or a nested list, or by 1.5
+    in an integer field (ids, d, budget, k0, k1, axes): the run exits 2 before
+    writing a manifest, or its manifest replays byte-identically."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    segments = [
+        {"k0": 0, "k1": 4, "kind": "translation", "params": {"v": [1.0, 0.5]}, "interp": "linear"},
+        {"k0": 5, "k1": 8, "kind": "rotation", "params": {"angle": 0.5, "axes": [0, 1]}},
+    ]
+    base = {"framework": FRAMEWORK, "law": "stationary", "T": 1.0, "tolerance": 1e-9, "budget": 2000,
+            "initial_followers": [list(p) for p in FOLLOWER_START], "weights": {"edges": WEIGHT_ROWS},
+            "schedule": {"segments": segments}}
+    leaves = json_leaves(base)
+
+    @hypothesis.settings(max_examples=120, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        path, value = data.draw(st.sampled_from(leaves), label="leaf")
+        choices = [str(value), True, None, 10**400, [], [[value]]] + [1.5] * (type(value) is int)
+        replacement = data.draw(st.sampled_from(choices), label="replacement")
+        scenario = json.loads(json.dumps(base))
+        node = scenario
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = replacement
+        with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+            work = Path(work)
+            (work / "scenario.json").write_text(json.dumps(scenario))
+            rc = main(["simulate", str(work / "scenario.json"), "--out", str(work / "run")])
+            # Only the huge int is a number. As a budget it runs to convergence (0); as
+            # the rotation's k1 it keeps the leaders moving until the budget ends (4).
+            assert rc in ((0, 2, 4) if type(replacement) is int else (2,)), (path, replacement, rc)
+            if rc == 2:
+                assert not (work / "run" / "manifest.json").exists()
+            else:
+                assert main(["simulate", str(work / "run" / "manifest.json"), "--out", str(work / "replay")]) == rc
+                assert (work / "replay" / "trace.csv").read_bytes() == (work / "run" / "trace.csv").read_bytes()
+        capsys.readouterr()
+
+    check()

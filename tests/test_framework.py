@@ -13,7 +13,7 @@ from affinesim import (
     validate_leader_selection,
     vertex_separator,
 )
-from affinesim.framework import numerical_rank
+from affinesim.framework import numerical_rank, real_array
 
 
 def test_graph_normalizes_edges():
@@ -62,6 +62,31 @@ def test_partition_rejects_overlap_and_gaps():
         LeaderPartition((1, 2), (2, 3))
     with pytest.raises(ValueError):
         LeaderPartition((1,), (3,))
+    with pytest.raises(ValueError, match=r"distinct nodes of 1\.\.5; 1 is repeated"):
+        LeaderPartition.from_leaders([1, 1, 3], 5)
+    with pytest.raises(ValueError, match=r"distinct nodes of 1\.\.5; 9 is outside"):
+        LeaderPartition.from_leaders([1, 2, 9], 5)
+
+
+def test_real_array_reads_numbers_only():
+    source = np.arange(4).reshape(2, 2)
+    arr = real_array(source, "m", 2)
+    assert arr.dtype == float and not arr.flags.writeable and np.array_equal(arr, source)
+    assert real_array([[1, 2.5], [np.float32(0.5), np.int64(3)]], "m").tolist() == [[1.0, 2.5], [0.5, 3.0]]
+    assert real_array(2, "c", 0).shape == ()
+    for value, message in [
+        ([1, "2"], "v: '2' is not a real number"),
+        ([1, True], "v: True is not a real number"),
+        ([1, None], "v: None is not a real number"),
+        ([[1, 2], [3]], "v: [1, 2] is not a real number"),
+        (np.array([True, False]), "v: True is not a real number"),
+        ([1, 10**400], "v: int too large to convert to float"),
+        ([1, float("nan")], "v must be finite"),
+        ([[1, 2]], "v must be 1-dimensional, got shape (1, 2)"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            real_array(value, "v", 1)
+        assert message in str(err.value)
 
 
 def test_affine_span_dimension_cases():
