@@ -7,14 +7,17 @@ a written file reproduces the exact binary64 values.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
+import os
+import shutil
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, tracerows
 from .control import LinearPlant
 from .engine import RunResult, ScenarioSpec
 from .framework import Configuration, Framework, Graph, LeaderPartition, is_integer, real_array
@@ -22,6 +25,9 @@ from .maneuvers import ManoeuvreSchedule, ScheduleSegment
 from .stress import StressMatrix, normalize_weights
 
 TRACE_HEADER = ("k", "agent_id", "coord_index", "value", "delta_norm", "converged", "diverged")
+# Traces with at least this many values are formatted on two CPUs, where
+# the helper's start-up (about 12 ms) is a small part of the work it takes.
+SPLIT_VALUES = 2**15
 # Keys a scenario mapping may hold: ScenarioSpec's init fields, with q for
 # q_matrix and the framework's leaders for partition; a legacy seed is
 # accepted and ignored.
@@ -306,36 +312,66 @@ def load_matrix(path) -> np.ndarray:
 
 
 def write_trace(result: RunResult, path):
-    """Write a run's trace to CSV, one row per (step, agent, coordinate).
+    """Write a run's trace to CSV, one row per (step, agent, coordinate),
+    in the bytes csv.writer produces for the same rows.
 
-    Formats from the columns with one write per step; the bytes are what
-    csv.writer produces for the same rows, as no field needs quoting.
+    A trace of at least SPLIT_VALUES values (K * n * d) is formatted on two
+    CPUs when two are usable: a helper interpreter (tracerows run as a
+    script, standard library only) formats the second half of the rows
+    while this process formats the first, with the same tracerows.write_rows,
+    and its output is appended. If the helper cannot be started, this
+    process formats every row; the bytes are the same either way.
     """
     _, n, d = result.states.shape
-    cells = [f"{agent},{coord}," for agent in range(1, n + 1) for coord in range(d)]
+    columns = (
+        memoryview(result.states.reshape(-1)),
+        result.deltas.tolist(),
+        result.converged_flags.tolist(),
+        result.diverged_flags.tolist(),
+    )
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_HEADER) + "\n")
-        rows = zip(
-            result.states,
-            result.deltas.tolist(),
-            result.converged_flags.tolist(),
-            result.diverged_flags.tolist(),
+        two_cpus = (
+            result.states.size >= SPLIT_VALUES
+            and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
         )
-        for k, (state, delta, converged, diverged) in enumerate(rows):
-            head = f"{k},"
-            tail = f",{delta!r},{int(converged)},{int(diverged)}\n"
-            values = map(repr, state.ravel().tolist())
-            fh.write(head + (tail + head).join(map(str.__add__, cells, values)) + tail)
+        if not (two_cpus and _write_split(fh, result, columns)):
+            tracerows.write_rows(fh, 0, n, d, *columns)
 
 
-def read_trace(path):
-    """Read back a trace CSV as a list of row tuples (strings preserved)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != TRACE_HEADER:
-            raise ParseError(f"{path}: unexpected trace header {header}")
-        return [tuple(row) for row in reader]
+def _write_split(fh, result: RunResult, columns) -> bool:
+    """Rows from the middle on by the helper, rows before it here. Returns
+    False, having written nothing, when the helper cannot be started."""
+    import subprocess
+
+    rows, n, d = result.states.shape
+    split = rows // 2
+    values, deltas, converged, diverged = columns
+    with tempfile.TemporaryFile() as chunk, tempfile.TemporaryFile() as tail:
+        chunk.write(tracerows.CHUNK_HEADER.pack(split, n, d, rows - split))
+        for column in (result.deltas, result.states):
+            chunk.write(np.ascontiguousarray(column[split:], float))
+        for flags in (result.converged_flags, result.diverged_flags):
+            chunk.write(np.ascontiguousarray(flags[split:], bool))
+        chunk.seek(0)
+        try:
+            helper = subprocess.Popen([sys.executable, "-I", "-S", tracerows.__file__], stdin=chunk, stdout=tail)
+        except OSError:
+            return False
+        try:
+            tracerows.write_rows(fh, 0, n, d, values, deltas[:split], converged, diverged)
+        except BaseException:
+            helper.kill()
+            raise
+        finally:
+            status = helper.wait()
+        if status:
+            raise OSError(f"trace formatter {tracerows.__file__} exited with status {status}")
+        fh.flush()
+        tail.seek(0)
+        shutil.copyfileobj(tail, fh.buffer)
+    return True
 
 
 def _json_safe(value):

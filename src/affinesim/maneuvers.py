@@ -100,7 +100,10 @@ def _stacked_transform(kind: str, params: dict, d: int, s: np.ndarray):
             full = real_array(params["c"], "scaling c", 0) * np.ones(d)
         theta[:, axis, axis] = 1.0 + s[:, None] * (full - 1.0)
     elif kind in ("rotation", "shear"):
-        a0, a1 = params.get("axes", (0, 1))
+        axes = params.get("axes", (0, 1))
+        if not (isinstance(axes, (list, tuple)) and len(axes) == 2):
+            raise ValueError(f"axes must be a pair of coordinate indices, got {axes!r}")
+        a0, a1 = axes
         if not (is_integer(a0) and is_integer(a1) and 0 <= a0 < d and 0 <= a1 < d) or a0 == a1:
             raise ValueError(f"axes ({a0!r}, {a1!r}) invalid for dimension {d}")
         if kind == "rotation":

@@ -554,9 +554,13 @@ def test_every_written_json_file_is_one_strict_sorted_line(bench, tmp_path, caps
         ({"kind": "rotation", "params": {"angle": True}}, "rotation angle: True is not a real number"),
         ({"kind": "scaling", "params": {"c": "2"}}, "scaling c: '2' is not a real number"),
         ({"kind": "rotation", "params": {"angle": 1.0, "axes": [0.7, 1]}}, "axes (0.7, 1) invalid for dimension 2"),
+        ({"kind": "rotation", "params": {"angle": 1.0, "axes": [0]}}, "axes must be a pair of coordinate indices, got [0]"),
+        ({"kind": "shear", "params": {"factor": 1.0, "axes": [0, 1, 2]}}, "axes must be a pair of coordinate indices, got [0, 1, 2]"),
+        ({"kind": "rotation", "params": {"angle": 1.0, "axes": 5}}, "axes must be a pair of coordinate indices, got 5"),
     ],
     ids=["no-v", "no-angle", "extra-angle", "c-and-diag", "float-k0", "float-k1", "unknown-key",
-         "short-v", "bad-axes", "nan-angle", "str-v", "bool-angle", "str-c", "float-axes"],
+         "short-v", "bad-axes", "nan-angle", "str-v", "bool-angle", "str-c", "float-axes",
+         "one-axis", "three-axes", "int-axes"],
 )
 def test_simulate_refuses_bad_segments_before_writing(bench, tmp_path, capsys, segment, message):
     data = json.loads(bench.read_text())

@@ -1,18 +1,22 @@
 """Golden format of trace.csv: the column writer against csv.writer.
 
 The reference below is the row-by-row csv.writer formatting the trace
-format was defined with; write_trace must reproduce its bytes exactly.
+format was defined with; write_trace must reproduce its bytes exactly, on
+one CPU and on two.
 """
 
 import csv
 import io
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from affinesim import ScenarioSpec, run_scenario
-from affinesim.fileio import TRACE_HEADER, read_trace, write_trace
+from affinesim import ScenarioSpec, run_scenario, tracerows
+from affinesim.fileio import SPLIT_VALUES, TRACE_HEADER, write_trace
 
 from conftest import EXACT_WEIGHTS, FOLLOWER_START
 
@@ -38,6 +42,14 @@ def reference_trace(result) -> bytes:
                     )
                 )
     return buf.getvalue().encode()
+
+
+def read_trace(path):
+    """The trace's rows as tuples of strings, after its header."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        assert tuple(next(reader)) == TRACE_HEADER
+        return [tuple(row) for row in reader]
 
 
 def spec(framework, partition, **overrides):
@@ -92,3 +104,90 @@ def test_values_round_trip(framework, partition, tmp_path, value):
     write_trace(odd, tmp_path / "trace.csv")
     assert (tmp_path / "trace.csv").read_bytes() == reference_trace(odd)
     assert {float(row[3]) for row in read_trace(tmp_path / "trace.csv")} == {value}
+
+
+# Values at each switch of repr's notation: nan, the infinities, signed
+# zero, a subnormal, and both bounds of the positional form.
+SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 9999999999999998.0, 1e-5, 0.0001]
+
+
+@pytest.fixture
+def large_result(framework, partition):
+    """A 1100-step, 16-agent planar trace, above the two-CPU split size,
+    with SPECIALS in the first half, on both sides of the split and in the
+    second half, and a diverged last row."""
+    result = run_scenario(spec(framework, partition, budget=1))
+    rows, n, d = 1100, 16, 2
+    states = np.random.default_rng(3).normal(scale=1e3, size=(rows, n, d))
+    deltas = np.geomspace(1e3, 1e-12, rows)
+    split = rows // 2
+    for i, k in enumerate((7, split - 1, split, rows - 3)):
+        states[k].flat[: len(SPECIALS)] = SPECIALS
+        states[k, -1] = SPECIALS[-2:]
+        deltas[k] = SPECIALS[i]
+    deltas[-1] = np.inf
+    converged = deltas <= 1e-9
+    diverged = ~(deltas <= 1e9)
+    assert states.size >= SPLIT_VALUES and diverged[-1] and converged.any()
+    return replace(result, states=states, deltas=deltas, converged_flags=converged, diverged_flags=diverged)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Take the two-CPU path on any host, and record the helpers started."""
+    started = []
+
+    class Helper(subprocess.Popen):
+        def __init__(self, args, **kwargs):
+            started.append(args)
+            super().__init__(args, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(subprocess, "Popen", Helper)
+    return started
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_two_cpu_trace_matches_csv_writer(large_result, two_cpus, tmp_path):
+    write_trace(large_result, tmp_path / "trace.csv")
+    assert two_cpus == [[sys.executable, "-I", "-S", tracerows.__file__]]
+    data = (tmp_path / "trace.csv").read_bytes()
+    assert data == reference_trace(large_result)
+    assert data.endswith(b",inf,0,1\n")
+    assert_no_child()
+
+
+def test_small_trace_stays_on_one_cpu(framework, partition, two_cpus, tmp_path):
+    write_trace(run_scenario(spec(framework, partition)), tmp_path / "trace.csv")
+    assert two_cpus == []
+
+
+def test_helper_that_cannot_start_falls_back(large_result, two_cpus, monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "executable", str(tmp_path / "missing" / "python"))
+    write_trace(large_result, tmp_path / "trace.csv")
+    assert len(two_cpus) == 1
+    assert (tmp_path / "trace.csv").read_bytes() == reference_trace(large_result)
+
+
+def test_helper_that_fails_raises(large_result, two_cpus, monkeypatch, tmp_path):
+    script = tmp_path / "fails"
+    script.write_text("#!/bin/sh\nexit 1\n")
+    script.chmod(0o755)
+    monkeypatch.setattr(sys, "executable", str(script))
+    with pytest.raises(OSError, match="exited with status 1"):
+        write_trace(large_result, tmp_path / "trace.csv")
+    assert_no_child()
+
+
+def test_helper_is_killed_when_this_process_fails(large_result, two_cpus, monkeypatch, tmp_path):
+    def fail(*args):
+        raise RuntimeError("disk on fire")
+
+    monkeypatch.setattr(tracerows, "write_rows", fail)
+    with pytest.raises(RuntimeError, match="disk on fire"):
+        write_trace(large_result, tmp_path / "trace.csv")
+    assert_no_child()
