@@ -3,7 +3,8 @@
 Subcommands: validate (rigidity certificate), synth (stress synthesis),
 simulate (scenario run; trace, summary and plots are written from the
 run's trace columns), stability (the engine's stability flags for a law),
-riccati (gain solver), batch (many scenarios, run one after another).
+riccati (gain solver), batch (many scenarios, run one after another; their
+traces are then written in one call, which may format them on two CPUs).
 
 Exit codes: 0 success/converged, 1 certificate or synthesis failure, 2 parse
 or validation failure (a linear-law scenario with a schedule or a T other
@@ -125,8 +126,8 @@ def cmd_synth(args) -> int:
 
 
 def _write_run_outputs(spec, result, out_dir: Path, plot: bool):
+    """Write the summary and the plots; the caller has written the trace."""
     d = spec.framework.config.d
-    fileio.write_trace(result, out_dir / "trace.csv")
     fileio.write_summary(result, spec.partition, out_dir / "summary.json")
     written = ["manifest.json", "trace.csv", "summary.json"]
     if plot:
@@ -157,6 +158,7 @@ def cmd_simulate(args) -> int:
     fileio.save_manifest(spec, args.scenario, out_dir, out_dir / "manifest.json")
 
     result = run_scenario(spec)
+    fileio.write_trace([(result, out_dir / "trace.csv")])
     written = _write_run_outputs(spec, result, out_dir, args.plot)
 
     print(f"steps: {result.steps}")
@@ -186,8 +188,11 @@ def cmd_batch(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         fileio.save_manifest(spec, raw, out_dir, out_dir / "manifest.json")
 
+    results = run_batch(specs)
+    # One call, so that the batch's traces share the two-CPU split.
+    fileio.write_trace([(result, out_dir / "trace.csv") for (_, _, out_dir), result in zip(runs, results)])
     codes = []
-    for (raw, spec, out_dir), result in zip(runs, run_batch(specs)):
+    for (raw, spec, out_dir), result in zip(runs, results):
         _write_run_outputs(spec, result, out_dir, args.plot)
         code = _outcome_exit(result)
         codes.append(code)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -311,56 +310,92 @@ def load_matrix(path) -> np.ndarray:
     return mat
 
 
-def write_trace(result: RunResult, path):
-    """Write a run's trace to CSV, one row per (step, agent, coordinate),
-    in the bytes csv.writer produces for the same rows.
+def write_trace(runs):
+    """Write the trace of each (result, path) run to its CSV file, one row
+    per (step, agent, coordinate), in the bytes csv.writer produces for the
+    same rows. simulate passes one run; batch passes all of its runs.
 
-    A trace of at least SPLIT_VALUES values (K * n * d) is formatted on two
-    CPUs when two are usable: a helper interpreter (tracerows run as a
-    script, standard library only) formats the second half of the rows
-    while this process formats the first, with the same tracerows.write_rows,
-    and its output is appended. If the helper cannot be started, this
-    process formats every row; the bytes are the same either way.
+    When the runs hold at least SPLIT_VALUES values (K * n * d) in all and
+    two CPUs are usable, they are formatted on two: a helper interpreter
+    (tracerows run as a script, standard library only) formats the second
+    half while this process formats the first, with the same
+    tracerows.write_rows, and the helper's rows are appended to their files.
+    Counting values across the runs in order, the helper takes every row
+    from the row holding the midpoint on; for one trace, that is the rows
+    from rows // 2 on. If the helper cannot be started, this process formats
+    every row; the bytes are the same either way.
     """
-    _, n, d = result.states.shape
-    columns = (
-        memoryview(result.states.reshape(-1)),
-        result.deltas.tolist(),
-        result.converged_flags.tolist(),
-        result.diverged_flags.tolist(),
+    total = sum(result.states.size for result, _ in runs)
+    two_cpus = (
+        total >= SPLIT_VALUES
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        # Not a file when the package is imported from a zip archive.
+        and os.path.isfile(tracerows.__file__)
     )
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_HEADER) + "\n")
-        two_cpus = (
-            result.states.size >= SPLIT_VALUES
-            and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2
-        )
-        if not (two_cpus and _write_split(fh, result, columns)):
-            tracerows.write_rows(fh, 0, n, d, *columns)
+    if not (two_cpus and _write_split(runs, _helper_starts(runs, total))):
+        _write_heads(runs, [len(result.deltas) for result, _ in runs])
 
 
-def _write_split(fh, result: RunResult, columns) -> bool:
-    """Rows from the middle on by the helper, rows before it here. Returns
-    False, having written nothing, when the helper cannot be started."""
+def _helper_starts(runs, total) -> list:
+    """The first row of each trace that the helper formats: counting values
+    across the traces in order, every row from the one holding value number
+    total // 2 on."""
+    starts, left = [], total // 2
+    for result, _ in runs:
+        rows, n, d = result.states.shape
+        starts.append(min(rows, max(0, left // (n * d))))
+        left -= result.states.size
+    return starts
+
+
+def _write_heads(runs, stops):
+    """Write each trace's header and its rows before stops[i] to a new file."""
+    for (result, path), stop in zip(runs, stops):
+        _, n, d = result.states.shape
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(TRACE_HEADER) + "\n")
+            tracerows.write_rows(
+                fh,
+                0,
+                n,
+                d,
+                memoryview(result.states.reshape(-1)),
+                result.deltas[:stop].tolist(),
+                result.converged_flags[:stop].tolist(),
+                result.diverged_flags[:stop].tolist(),
+            )
+
+
+def _write_split(runs, starts) -> bool:
+    """Rows from starts[i] on by the helper, the rows before them here.
+    Returns False, having written nothing, when the helper cannot be
+    started."""
     import subprocess
 
-    rows, n, d = result.states.shape
-    split = rows // 2
-    values, deltas, converged, diverged = columns
-    with tempfile.TemporaryFile() as chunk, tempfile.TemporaryFile() as tail:
-        chunk.write(tracerows.CHUNK_HEADER.pack(split, n, d, rows - split))
-        for column in (result.deltas, result.states):
-            chunk.write(np.ascontiguousarray(column[split:], float))
-        for flags in (result.converged_flags, result.diverged_flags):
-            chunk.write(np.ascontiguousarray(flags[split:], bool))
-        chunk.seek(0)
+    tails = [(result, path, start) for (result, path), start in zip(runs, starts) if start < len(result.deltas)]
+    with tempfile.TemporaryFile() as chunks, tempfile.TemporaryFile() as formatted:
+        for result, _, start in tails:
+            _, n, d = result.states.shape
+            tracerows.write_chunk(
+                chunks,
+                start,
+                n,
+                d,
+                np.ascontiguousarray(result.deltas[start:], float),
+                np.ascontiguousarray(result.states[start:], float),
+                np.ascontiguousarray(result.converged_flags[start:], bool),
+                np.ascontiguousarray(result.diverged_flags[start:], bool),
+            )
+        chunks.seek(0)
         try:
-            helper = subprocess.Popen([sys.executable, "-I", "-S", tracerows.__file__], stdin=chunk, stdout=tail)
+            helper = subprocess.Popen(
+                [sys.executable, "-I", "-S", tracerows.__file__], stdin=chunks, stdout=formatted
+            )
         except OSError:
             return False
         try:
-            tracerows.write_rows(fh, 0, n, d, values, deltas[:split], converged, diverged)
+            _write_heads(runs, starts)
         except BaseException:
             helper.kill()
             raise
@@ -368,9 +403,10 @@ def _write_split(fh, result: RunResult, columns) -> bool:
             status = helper.wait()
         if status:
             raise OSError(f"trace formatter {tracerows.__file__} exited with status {status}")
-        fh.flush()
-        tail.seek(0)
-        shutil.copyfileobj(tail, fh.buffer)
+        formatted.seek(0)
+        for _, path, _ in tails:
+            with open(path, "ab") as fh:
+                tracerows.copy_rows(formatted, fh)
     return True
 
 

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import subprocess
 import tempfile
 from pathlib import Path
 
@@ -273,6 +275,36 @@ def test_batch_manifests_match_uncached_writes(bench, tmp_path, capsys):
         reference = json.dumps(fileio.manifest_dict(spec, str(scenario), out_dir), sort_keys=True)
         written = (out_dir / "manifest.json").read_text()
         assert written == (tmp_path / "alone.json").read_text() == reference + "\n"
+
+
+def test_batch_writes_the_same_files_on_one_cpu_and_on_two(bench, tmp_path, monkeypatch, capsys):
+    from affinesim.fileio import SPLIT_VALUES
+
+    data = json.loads(bench.read_text())
+    # Two slow runs exhaust a 2000-step budget: 40k trace values in all.
+    variants = {"slow": dict(T=0.01), "unstable": dict(T=1.4, budget=500), "slower": dict(T=0.005)}
+    scenarios = [bench]
+    for name, changes in variants.items():
+        scenarios.append(tmp_path / f"{name}.json")
+        scenarios[-1].write_text(json.dumps({**data, **changes}))
+    started = []
+    popen = subprocess.Popen
+    monkeypatch.setattr(subprocess, "Popen", lambda args, **kwargs: started.append(args) or popen(args, **kwargs))
+    lines = {}
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, _cpus=cpus: _cpus, raising=False)
+        assert main(["batch", *map(str, scenarios), "--out", str(tmp_path / f"cpus{len(cpus)}")]) == 3
+        lines[len(cpus)] = capsys.readouterr().out.splitlines()
+        assert len(started) == len(cpus) - 1
+    assert lines[1] == lines[2]
+    assert [line.split(": ")[0] for line in lines[2]] == list(map(str, scenarios))
+    values = 0
+    for scenario in scenarios:
+        one, two = tmp_path / "cpus1" / scenario.stem, tmp_path / "cpus2" / scenario.stem
+        for name in ("trace.csv", "summary.json"):
+            assert (one / name).read_bytes() == (two / name).read_bytes()
+        values += 10 * (json.loads((one / "summary.json").read_text())["steps"] + 1)
+    assert values >= SPLIT_VALUES
 
 
 def test_plot_outputs(bench, tmp_path, capsys):

@@ -8,6 +8,7 @@ one CPU and on two.
 import csv
 import io
 import os
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -68,7 +69,7 @@ def spec(framework, partition, **overrides):
 def test_converging_trace_matches_csv_writer(framework, partition, tmp_path):
     result = run_scenario(spec(framework, partition))
     assert result.converged_at is not None
-    write_trace(result, tmp_path / "trace.csv")
+    write_trace([(result, tmp_path / "trace.csv")])
     assert (tmp_path / "trace.csv").read_bytes() == reference_trace(result)
     rows = read_trace(tmp_path / "trace.csv")
     assert len(rows) == (result.steps + 1) * 5 * 2
@@ -81,7 +82,7 @@ def test_diverged_trace_matches_csv_writer(framework, partition, tmp_path):
         result = run_scenario(spec(framework, partition, T=1e300))
     assert result.diverged and result.steps == 1
     assert result.final_delta == np.inf
-    write_trace(result, tmp_path / "inf.csv")
+    write_trace([(result, tmp_path / "inf.csv")])
     data = (tmp_path / "inf.csv").read_bytes()
     assert data == reference_trace(result)
     assert data.endswith(b",inf,0,1\n")
@@ -90,7 +91,7 @@ def test_diverged_trace_matches_csv_writer(framework, partition, tmp_path):
     states = result.states.copy()
     states[-1, 3] = (np.nan, -np.inf)
     nan_result = replace(result, states=states, deltas=np.array([result.deltas[0], np.nan]))
-    write_trace(nan_result, tmp_path / "nan.csv")
+    write_trace([(nan_result, tmp_path / "nan.csv")])
     data = (tmp_path / "nan.csv").read_bytes()
     assert data == reference_trace(nan_result)
     assert b"\n1,4,0,nan,nan,0,1\n1,4,1,-inf,nan,0,1\n" in data
@@ -101,7 +102,7 @@ def test_values_round_trip(framework, partition, tmp_path, value):
     result = run_scenario(spec(framework, partition, budget=1))
     states = np.full_like(result.states, value)
     odd = replace(result, states=states)
-    write_trace(odd, tmp_path / "trace.csv")
+    write_trace([(odd, tmp_path / "trace.csv")])
     assert (tmp_path / "trace.csv").read_bytes() == reference_trace(odd)
     assert {float(row[3]) for row in read_trace(tmp_path / "trace.csv")} == {value}
 
@@ -111,25 +112,65 @@ def test_values_round_trip(framework, partition, tmp_path, value):
 SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 9999999999999998.0, 1e-5, 0.0001]
 
 
+def synthetic(result, rows, n=16, d=2, seed=3, marked=()):
+    """result with a random trace of rows steps of n agents in d dimensions,
+    SPECIALS in each marked row (and the i-th of them as its delta), and a
+    diverged last row."""
+    states = np.random.default_rng(seed).normal(scale=1e3, size=(rows, n, d))
+    deltas = np.geomspace(1e3, 1e-12, rows)
+    for i, k in enumerate(marked):
+        states[k].flat[: len(SPECIALS)] = SPECIALS
+        states[k, -1, :2] = SPECIALS[-2:]
+        deltas[k] = SPECIALS[i]
+    deltas[-1] = np.inf
+    converged = deltas <= 1e-9
+    diverged = ~(deltas <= 1e9)
+    assert diverged[-1] and converged.any()
+    return replace(result, states=states, deltas=deltas, converged_flags=converged, diverged_flags=diverged)
+
+
 @pytest.fixture
 def large_result(framework, partition):
     """A 1100-step, 16-agent planar trace, above the two-CPU split size,
     with SPECIALS in the first half, on both sides of the split and in the
     second half, and a diverged last row."""
-    result = run_scenario(spec(framework, partition, budget=1))
-    rows, n, d = 1100, 16, 2
-    states = np.random.default_rng(3).normal(scale=1e3, size=(rows, n, d))
-    deltas = np.geomspace(1e3, 1e-12, rows)
+    rows = 1100
     split = rows // 2
-    for i, k in enumerate((7, split - 1, split, rows - 3)):
-        states[k].flat[: len(SPECIALS)] = SPECIALS
-        states[k, -1] = SPECIALS[-2:]
-        deltas[k] = SPECIALS[i]
-    deltas[-1] = np.inf
-    converged = deltas <= 1e-9
-    diverged = ~(deltas <= 1e9)
-    assert states.size >= SPLIT_VALUES and diverged[-1] and converged.any()
-    return replace(result, states=states, deltas=deltas, converged_flags=converged, diverged_flags=diverged)
+    result = synthetic(run_scenario(spec(framework, partition, budget=1)), rows, marked=(7, split - 1, split, rows - 3))
+    assert result.states.size >= SPLIT_VALUES
+    return result
+
+
+SHORT = (61, 16, 2)
+
+
+def short_traces(framework, partition, shapes):
+    """One synthetic trace per (rows, n, d) shape, each with SPECIALS in its
+    first, last-but-two and middle rows and in rows 29 to 31."""
+    result = run_scenario(spec(framework, partition, budget=1))
+    return [
+        synthetic(result, rows, n, d, seed=i, marked=(0, 29, 30, 31, rows // 2 - 1, rows // 2, rows - 3))
+        for i, (rows, n, d) in enumerate(shapes)
+    ]
+
+
+@pytest.fixture
+def large_batch(framework, partition):
+    """21 short traces, together above the two-CPU split size."""
+    results = short_traces(framework, partition, [SHORT] * 21)
+    assert all(r.states.size < SPLIT_VALUES for r in results) and sum(r.states.size for r in results) >= SPLIT_VALUES
+    return results
+
+
+def write_batch(results, directory):
+    paths = [directory / f"trace{i}.csv" for i in range(len(results))]
+    write_trace(list(zip(results, paths)))
+    return paths
+
+
+def assert_batch_matches(results, paths):
+    for result, path in zip(results, paths):
+        assert path.read_bytes() == reference_trace(result)
 
 
 @pytest.fixture
@@ -153,7 +194,7 @@ def assert_no_child():
 
 
 def test_two_cpu_trace_matches_csv_writer(large_result, two_cpus, tmp_path):
-    write_trace(large_result, tmp_path / "trace.csv")
+    write_trace([(large_result, tmp_path / "trace.csv")])
     assert two_cpus == [[sys.executable, "-I", "-S", tracerows.__file__]]
     data = (tmp_path / "trace.csv").read_bytes()
     assert data == reference_trace(large_result)
@@ -162,13 +203,13 @@ def test_two_cpu_trace_matches_csv_writer(large_result, two_cpus, tmp_path):
 
 
 def test_small_trace_stays_on_one_cpu(framework, partition, two_cpus, tmp_path):
-    write_trace(run_scenario(spec(framework, partition)), tmp_path / "trace.csv")
+    write_trace([(run_scenario(spec(framework, partition)), tmp_path / "trace.csv")])
     assert two_cpus == []
 
 
 def test_helper_that_cannot_start_falls_back(large_result, two_cpus, monkeypatch, tmp_path):
     monkeypatch.setattr(sys, "executable", str(tmp_path / "missing" / "python"))
-    write_trace(large_result, tmp_path / "trace.csv")
+    write_trace([(large_result, tmp_path / "trace.csv")])
     assert len(two_cpus) == 1
     assert (tmp_path / "trace.csv").read_bytes() == reference_trace(large_result)
 
@@ -179,7 +220,7 @@ def test_helper_that_fails_raises(large_result, two_cpus, monkeypatch, tmp_path)
     script.chmod(0o755)
     monkeypatch.setattr(sys, "executable", str(script))
     with pytest.raises(OSError, match="exited with status 1"):
-        write_trace(large_result, tmp_path / "trace.csv")
+        write_trace([(large_result, tmp_path / "trace.csv")])
     assert_no_child()
 
 
@@ -189,5 +230,94 @@ def test_helper_is_killed_when_this_process_fails(large_result, two_cpus, monkey
 
     monkeypatch.setattr(tracerows, "write_rows", fail)
     with pytest.raises(RuntimeError, match="disk on fire"):
-        write_trace(large_result, tmp_path / "trace.csv")
+        write_trace([(large_result, tmp_path / "trace.csv")])
+    assert_no_child()
+
+
+def test_script_that_is_not_a_file_stays_on_one_cpu(large_result, two_cpus, monkeypatch, tmp_path):
+    # Imported from a zip archive, the module has a path but no file there.
+    monkeypatch.setattr(tracerows, "__file__", str(tmp_path / "affinesim.zip" / "affinesim" / "tracerows.py"))
+    write_trace([(large_result, tmp_path / "trace.csv")])
+    assert two_cpus == []
+    assert (tmp_path / "trace.csv").read_bytes() == reference_trace(large_result)
+
+
+@pytest.mark.parametrize(
+    "shapes, here",
+    [
+        # Value 20496 of 40992 is in row 30 of trace 10.
+        ([SHORT] * 21, [61] * 10 + [30] + [0] * 10),
+        # Value 19520 of 39040 is the first of trace 10.
+        ([SHORT] * 20, [61] * 10 + [0] * 10),
+        # Value 21620 of 43240 is in row 100 of the 7-agent spatial trace.
+        ([SHORT] * 10 + [(200, 7, 3)] + [SHORT] * 10, [61] * 10 + [100] + [0] * 10),
+    ],
+    ids=["inside-a-trace", "on-a-boundary", "mixed-shapes"],
+)
+def test_batch_split_matches_csv_writer(framework, partition, two_cpus, monkeypatch, tmp_path, shapes, here):
+    results = short_traces(framework, partition, shapes)
+    formatted = []
+    write_rows = tracerows.write_rows
+
+    def counted(fh, k0, n, d, values, deltas, *flags):
+        formatted.append(len(deltas))
+        write_rows(fh, k0, n, d, values, deltas, *flags)
+
+    monkeypatch.setattr(tracerows, "write_rows", counted)
+    paths = write_batch(results, tmp_path)
+    assert two_cpus == [[sys.executable, "-I", "-S", tracerows.__file__]]
+    assert formatted == here
+    assert_batch_matches(results, paths)
+    assert_no_child()
+
+
+def test_small_batch_stays_on_one_cpu(framework, partition, two_cpus, tmp_path):
+    results = short_traces(framework, partition, [SHORT] * 16)
+    assert sum(r.states.size for r in results) < SPLIT_VALUES
+    assert_batch_matches(results, write_batch(results, tmp_path))
+    assert two_cpus == []
+
+
+def test_batch_helper_that_cannot_start_falls_back(large_batch, two_cpus, monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "executable", str(tmp_path / "missing" / "python"))
+    paths = write_batch(large_batch, tmp_path)
+    assert len(two_cpus) == 1
+    assert_batch_matches(large_batch, paths)
+    assert_no_child()
+
+
+def test_batch_helper_that_fails_raises(large_batch, two_cpus, monkeypatch, tmp_path):
+    script = tmp_path / "fails"
+    script.write_text("#!/bin/sh\nexit 1\n")
+    script.chmod(0o755)
+    monkeypatch.setattr(sys, "executable", str(script))
+    with pytest.raises(OSError, match="exited with status 1"):
+        write_batch(large_batch, tmp_path)
+    assert len(two_cpus) == 1
+    assert_no_child()
+
+
+def test_batch_helper_is_killed_when_this_process_fails(large_batch, two_cpus, monkeypatch, tmp_path):
+    # A helper that would outlast the test unless it is killed.
+    script = tmp_path / "sleeps"
+    script.write_text("#!/bin/sh\nexec sleep 60\n")
+    script.chmod(0o755)
+    monkeypatch.setattr(sys, "executable", str(script))
+    helpers = []
+    popen = subprocess.Popen
+    monkeypatch.setattr(subprocess, "Popen", lambda *args, **kwargs: helpers.append(popen(*args, **kwargs)) or helpers[-1])
+    calls = []
+    write_rows = tracerows.write_rows
+
+    def fail_on_third(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise RuntimeError("disk on fire")
+        write_rows(*args)
+
+    monkeypatch.setattr(tracerows, "write_rows", fail_on_third)
+    with pytest.raises(RuntimeError, match="disk on fire"):
+        write_batch(large_batch, tmp_path)
+    assert len(two_cpus) == 1 and len(calls) == 3
+    assert helpers[0].returncode == -signal.SIGKILL
     assert_no_child()
