@@ -13,22 +13,16 @@ from .control import (
     LinearPlant,
     RiccatiSolution,
     SolverError,
-    dynamic_law_stable,
     dynamic_leader_step,
     linear_step,
-    local_control_input_dynamic,
-    local_control_input_stationary,
     solve_mare,
     spectral_radius,
-    stationary_disagreement_matrix,
-    stationary_law_stable,
     stationary_leader_step,
 )
 from .engine import (
     CertificateError,
     RunResult,
     ScenarioSpec,
-    compare_forms,
     run_batch,
     run_scenario,
     stability_flags,
@@ -62,9 +56,7 @@ from .stress import (
     assemble_stress,
     check_rigidity_certificate,
     follower_targets,
-    min_eig_neg_ff,
     partition_stress,
-    reassemble_stress,
     synthesize_stress,
     verify_equilibrium,
 )

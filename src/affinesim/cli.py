@@ -9,8 +9,10 @@ traces are then written in one call, which may format them on two CPUs).
 Exit codes: 0 success/converged, 1 certificate or synthesis failure, 2 parse
 or validation failure (a linear-law scenario with a schedule or a T other
 than 1, another law's with a plant, q, epsilon or riccati_tol, an unknown
-key, an integer too large for a float, and a stability option the law does
-not read, included; batch loads every scenario before writing any file),
+key, an integer too large for a float, a stability option the law does
+not read, validate given both --stress and --weights, and a riccati --tol
+that is not positive and finite or a negative --max-iter, included; batch
+loads every scenario before writing any file),
 3 diverged, 4 step budget exhausted, 5 numerical solver failure (singular
 follower block, Riccati budget). Console numerics are printed to 6
 significant digits; files carry full precision.
@@ -282,8 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the rigidity certificate of a framework/stress pair")
     p.add_argument("framework", help="framework JSON file")
-    p.add_argument("--stress", help="stress matrix JSON file")
-    p.add_argument("--weights", help="edge weights JSON file (assembled into a stress)")
+    given = p.add_mutually_exclusive_group()
+    given.add_argument("--stress", help="stress matrix JSON file")
+    given.add_argument("--weights", help="edge weights JSON file (assembled into a stress)")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("synth", help="synthesize a certificate-passing stress")
@@ -328,9 +331,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except fileio.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except CertificateError as exc:
         print("run refused:", file=sys.stderr)
         _print_certificate(exc.certificate)

@@ -1,4 +1,4 @@
-"""Discrete-time control laws and their stability machinery.
+"""Discrete-time control laws, the sampling-period check and the Riccati gain.
 
 Three laws are provided. The stationary-leader law updates followers
 toward fixed leader targets; its stability needs T * mu_min > -2 where
@@ -9,8 +9,10 @@ per step, so it is stable for T < 2 and deadbeat at T = 1. The general
 linear law couples identical linear plants through the stress matrix with
 a gain from a modified discrete Riccati equation.
 
-Per-agent forms of the first two laws exist solely to demonstrate that the
-matrix updates decompose into neighbor-local computations.
+The engine runs each law as one compiled step and states each law's
+stability verdict once, in engine.stability_flags. The step functions here
+restate the laws on stacked states for the tests; the per-agent forms of
+the first two laws are test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -19,12 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .framework import numerical_rank, real_array
+from .framework import is_integer, numerical_rank, real_array
 from .stress import StressBlocks, StressMatrix, solve_follower_block
-
-# Per-agent dynamic law divides by the incident weight sum; smaller
-# magnitudes are rejected as degenerate.
-GAMMA_FLOOR = 1e-9
 
 
 class SolverError(RuntimeError):
@@ -147,68 +145,6 @@ def dynamic_leader_step(blocks: StressBlocks, T, x_f, x_l, x_l_next) -> np.ndarr
     return solve_follower_block(blocks, rhs).ravel()
 
 
-def local_control_input_stationary(i: int, own, neighbor_states: dict, weights: dict):
-    """Per-agent stationary law: u_i = -sum_j w_ij (x_i - x_j).
-
-    neighbor_states and weights are keyed by neighbor id and must cover
-    the same neighbors.
-    """
-    own = np.asarray(own, dtype=float)
-    u = np.zeros_like(own)
-    for j, w in weights.items():
-        if j not in neighbor_states:
-            raise ValueError(f"agent {i}: missing state for neighbor {j}")
-        u -= w * (own - np.asarray(neighbor_states[j], dtype=float))
-    return u
-
-
-def local_control_input_dynamic(i: int, own, neighbors_now: dict, neighbors_next: dict, weights: dict, T):
-    """Per-agent dynamic law with feedforward of neighbor motion.
-
-    u_i = -(1/gamma) sum_j w_ij [x_i - x_j(k) - (x_j(k+1) - x_j(k)) / T]
-    with gamma the sum of incident weights. Neighbor states at k+1 make
-    this form non-causal agent-by-agent; it exists for parity checks
-    against the matrix solve, not for scheduling.
-    """
-    T = check_period(T)
-    own = np.asarray(own, dtype=float)
-    gamma = float(sum(weights.values()))
-    if abs(gamma) <= GAMMA_FLOOR:
-        raise ValueError(f"agent {i}: incident weight sum {gamma:.3g} is degenerate")
-    u = np.zeros_like(own)
-    for j, w in weights.items():
-        if j not in neighbors_now or j not in neighbors_next:
-            raise ValueError(f"agent {i}: missing state for neighbor {j}")
-        now = np.asarray(neighbors_now[j], dtype=float)
-        nxt = np.asarray(neighbors_next[j], dtype=float)
-        u -= w * (own - now - (nxt - now) / T)
-    return u / gamma
-
-
-def stationary_law_stable(T, mu_min: float) -> bool:
-    """Stability of the stationary-leader law: T * mu_min > -2.
-
-    mu_min is the smallest eigenvalue of the negated follower block and
-    must be negative; a nonnegative value means the certificate upstream
-    is broken.
-    """
-    T = check_period(T)
-    if mu_min >= 0.0:
-        raise ValueError(f"mu_min must be negative, got {mu_min}; stress certificate is broken")
-    return T * mu_min > -2.0
-
-
-def dynamic_law_stable(T) -> bool:
-    """Stability of the dynamic-leader law: contraction factor |1-T| < 1."""
-    return abs(1.0 - check_period(T)) < 1.0
-
-
-def stationary_disagreement_matrix(blocks: StressBlocks, T) -> np.ndarray:
-    """Disagreement propagator of the stationary law, I - T * ff_block."""
-    T = check_period(T)
-    return np.eye(blocks.n_followers) - T * blocks.ff
-
-
 def riccati_weight(Q, m: int, name: str = "Q") -> np.ndarray:
     """Q symmetrized; refused unless a finite m x m matrix, symmetric up to roundoff and PSD."""
     Q = real_array(Q, name)
@@ -222,6 +158,16 @@ def riccati_weight(Q, m: int, name: str = "Q") -> np.ndarray:
     return Q
 
 
+def check_riccati_limits(tol, max_iter: int = 0, name: str = "tol") -> float:
+    """tol as a float, refused unless positive and finite; max_iter refused
+    unless an integer of at least 0. name labels tol in the message."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"{name} must be positive and finite")
+    if not is_integer(max_iter) or max_iter < 0:
+        raise ValueError(f"max_iter must be an integer of at least 0, got {max_iter!r}")
+    return float(tol)
+
+
 def solve_mare(plant: LinearPlant, Q, tol: float = 1e-10, max_iter: int = 100000) -> RiccatiSolution:
     """Fixed-point solve of the modified discrete Riccati equation.
 
@@ -231,6 +177,7 @@ def solve_mare(plant: LinearPlant, Q, tol: float = 1e-10, max_iter: int = 100000
     iterate at which the residual was measured together with its gain
     K = -(B'PB)^{-1} B'PA.
     """
+    tol = check_riccati_limits(tol, max_iter)
     A, B = plant.A, plant.B
     P = Q = riccati_weight(Q, plant.m)
     for iterations in range(max_iter + 1):

@@ -18,18 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import (
-    LinearPlant,
-    check_period,
-    dynamic_law_stable,
-    local_control_input_dynamic,
-    local_control_input_stationary,
-    riccati_weight,
-    solve_mare,
-    spectral_radius,
-    stationary_disagreement_matrix,
-    stationary_law_stable,
-)
+from .control import LinearPlant, check_period, check_riccati_limits, riccati_weight, solve_mare, spectral_radius
 from .framework import Framework, LeaderPartition, is_integer, is_real, real_array
 from .maneuvers import ManoeuvreSchedule, leader_waypoints
 from .stress import (
@@ -38,7 +27,6 @@ from .stress import (
     StressMatrix,
     assemble_stress,
     check_rigidity_certificate,
-    min_eig_neg_ff,
     partition_stress,
     solve_follower_block,
     synthesize_stress,
@@ -140,8 +128,7 @@ class ScenarioSpec:
                 raise ValueError("epsilon must be finite")
             if self.riccati_tol is None:
                 object.__setattr__(self, "riccati_tol", 1e-10)
-            if not 0.0 < self.riccati_tol < np.inf:
-                raise ValueError("riccati_tol must be positive and finite")
+            check_riccati_limits(self.riccati_tol, name="riccati_tol")
         elif (
             self.plant is not None
             or self.q_matrix is not None
@@ -190,24 +177,33 @@ class RunResult:
 def stability_flags(law, T, blocks=None, stress=None, plant=None, solution=None, epsilon=0.0):
     """Stability diagnostics of one law at period T: the stationary law reads
     the stress blocks, the linear law the stress, plant, Riccati solution
-    and coupling epsilon, and the dynamic law T alone."""
+    and coupling epsilon, and the dynamic law T alone.
+
+    The stationary law is stable when T * mu_min > -2, with mu_min the
+    smallest eigenvalue of the negated follower block, whose disagreement
+    propagator is I - T * ff. The follower block must be symmetric and
+    mu_min negative: a nonnegative mu_min means the stress certificate
+    upstream is broken. The dynamic law contracts its disagreement by
+    |1 - T| per step, so it is stable when that factor is below 1.
+    """
+    T = check_period(T)
     if law == "stationary":
-        mu_min = min_eig_neg_ff(blocks)
+        if not np.array_equal(blocks.ff, blocks.ff.T):
+            raise ValueError("follower block must be symmetric")
+        mu_min = float(np.linalg.eigvalsh(-blocks.ff)[0])
+        if mu_min >= 0.0:
+            raise ValueError(f"mu_min must be negative, got {mu_min}; stress certificate is broken")
         return {
             "law": "stationary",
             "T": T,
             "mu_min": mu_min,
             "T_mu_min": T * mu_min,
-            "stable": stationary_law_stable(T, mu_min),
-            "spectral_radius": spectral_radius(stationary_disagreement_matrix(blocks, T)),
+            "stable": T * mu_min > -2.0,
+            "spectral_radius": spectral_radius(np.eye(blocks.n_followers) - T * blocks.ff),
         }
     if law == "dynamic":
-        return {
-            "law": "dynamic",
-            "T": T,
-            "decay_factor": abs(1.0 - T),
-            "stable": dynamic_law_stable(T),
-        }
+        decay_factor = abs(1.0 - T)
+        return {"law": "dynamic", "T": T, "decay_factor": decay_factor, "stable": decay_factor < 1.0}
     # Diagonalising the stress splits the closed loop into the modes
     # A + (1 - eps * lambda_i) B K, one per eigenvalue lambda_i of the stress.
     A, BK = plant.A, plant.B @ solution.K
@@ -380,35 +376,3 @@ def run_batch(specs):
     """
     memo = {}
     return [run_scenario(spec, _memo=memo) for spec in specs]
-
-
-def compare_forms(spec: ScenarioSpec) -> float:
-    """Max deviation between the matrix-form run and per-agent updates.
-
-    Runs the scenario, then advances each follower of every traced state
-    with its per-agent control input and compares the result with the next
-    traced state; returns the largest entrywise difference. The dynamic
-    per-agent form consumes neighbor states at k+1, read off the trace.
-    """
-    if spec.law not in ("stationary", "dynamic"):
-        raise ValueError("form comparison is defined for the stationary and dynamic laws")
-    result = run_scenario(spec)
-    graph = spec.framework.graph
-    incident = {
-        i: {j: result.weights[min(i, j), max(i, j)] for j in graph.neighbors(i)}
-        for i in spec.partition.followers
-    }
-    worst = 0.0
-    for x, x_next in zip(result.states, result.states[1:]):
-        for agent in spec.partition.followers:
-            states_now = {j: x[j - 1] for j in incident[agent]}
-            if spec.law == "stationary":
-                u = local_control_input_stationary(agent, x[agent - 1], states_now, incident[agent])
-            else:
-                states_next = {j: x_next[j - 1] for j in incident[agent]}
-                u = local_control_input_dynamic(
-                    agent, x[agent - 1], states_now, states_next, incident[agent], spec.T
-                )
-            per_agent = x[agent - 1] + spec.T * u
-            worst = max(worst, float(np.abs(per_agent - x_next[agent - 1]).max()))
-    return worst

@@ -108,10 +108,6 @@ class StressBlocks:
     def n_followers(self) -> int:
         return self.ff.shape[0]
 
-    def full(self) -> np.ndarray:
-        """Reassembled matrix in leaders-first order."""
-        return np.block([[self.ll, self.lf], [self.fl, self.ff]])
-
 
 @dataclass(frozen=True)
 class RigidityCertificate:
@@ -214,16 +210,6 @@ def partition_stress(stress: StressMatrix, partition: LeaderPartition) -> Stress
     )
 
 
-def reassemble_stress(blocks: StressBlocks, partition: LeaderPartition) -> StressMatrix:
-    """Inverse of partition_stress: blocks back to the original node order."""
-    if partition.n != blocks.n_leaders + blocks.n_followers:
-        raise ValueError("partition size does not match blocks")
-    full = blocks.full()
-    perm = [i - 1 for i in partition.order()]
-    inverse = np.argsort(perm)
-    return StressMatrix(full[np.ix_(inverse, inverse)])
-
-
 def check_rigidity_certificate(stress: StressMatrix, framework: Framework) -> RigidityCertificate:
     """Universal-rigidity certificate: rank n-d-1, PSD, (d+1)-connected.
 
@@ -275,13 +261,6 @@ def follower_targets(blocks: StressBlocks, leader_targets) -> np.ndarray:
     leaders = stack.reshape(n_l, d)
     targets = -solve_follower_block(blocks, blocks.fl @ leaders)
     return targets.ravel()
-
-
-def min_eig_neg_ff(blocks: StressBlocks) -> float:
-    """Smallest eigenvalue of the negated follower block (mu_min)."""
-    if not np.array_equal(blocks.ff, blocks.ff.T):
-        raise ValueError("follower block must be symmetric")
-    return float(np.linalg.eigvalsh(-blocks.ff)[0])
 
 
 def equilibrium_constraint_matrix(framework: Framework):

@@ -23,14 +23,13 @@ from affinesim import (
     apply_affine,
     assemble_stress,
     check_rigidity_certificate,
-    compare_forms,
     follower_targets,
     linear_step,
     partition_stress,
     run_scenario,
     solve_mare,
     spectral_radius,
-    stationary_disagreement_matrix,
+    stability_flags,
     stationary_leader_step,
     synthesize_stress,
     verify_equilibrium,
@@ -48,6 +47,7 @@ from conftest import (
     ROUNDED_STRESS,
     write_benchmark_files,
 )
+from oracles import compare_forms
 
 LEADER_POSITIONS = np.asarray(REFERENCE_POSITIONS, dtype=float)[:3]
 TARGETS = np.asarray(FOLLOWER_TARGETS, dtype=float)
@@ -123,8 +123,8 @@ def test_stability_boundary_bracketing(framework, partition, blocks):
     diverging = run_scenario(benchmark_spec(framework, partition, T=1.4, budget=500))
     assert diverging.diverged and diverging.steps <= 500
 
-    rho_13 = spectral_radius(stationary_disagreement_matrix(blocks, 1.3))
-    rho_14 = spectral_radius(stationary_disagreement_matrix(blocks, 1.4))
+    rho_13 = stability_flags("stationary", 1.3, blocks)["spectral_radius"]
+    rho_14 = stability_flags("stationary", 1.4, blocks)["spectral_radius"]
     assert rho_13 < 1.0 < rho_14
     assert rho_13 == pytest.approx(0.9410413328494704, abs=1e-9)
     assert rho_14 == pytest.approx(1.0903522046071217, abs=1e-9)

@@ -75,6 +75,17 @@ def test_validate_negated_weights_fail(bench, tmp_path, capsys):
     assert "certificate: FAIL" in out
 
 
+def test_validate_refuses_stress_with_weights(bench, tmp_path, capsys):
+    # Neither file exists: the pair is refused before either is read.
+    absent = str(tmp_path / "absent.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", str(tmp_path / "framework.json"), "--stress", absent, "--weights", absent])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --weights: not allowed with argument --stress" in captured.err
+
+
 def test_validate_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -448,6 +459,25 @@ def test_riccati_iteration_budget(tmp_path, capsys):
     assert main(["riccati", "--A", a, "--B", b, "--max-iter", "1"]) == 5
     assert "solver failure" in capsys.readouterr().err
     assert main(["riccati", "--A", a, "--B", b]) == 0
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--tol", "-1"], "tol must be positive and finite"),
+        (["--tol", "nan"], "tol must be positive and finite"),
+        (["--tol", "inf"], "tol must be positive and finite"),
+        (["--max-iter", "-5"], "max_iter must be an integer of at least 0, got -5"),
+    ],
+    ids=["negative-tol", "nan-tol", "inf-tol", "negative-max-iter"],
+)
+def test_riccati_refuses_bad_limits_before_iterating(tmp_path, capsys, option, message):
+    a = write_matrix(tmp_path / "A.json", [[1.2, 1.0], [0.0, 0.8]])
+    b = write_matrix(tmp_path / "B.json", [[0.0], [1.0]])
+    assert main(["riccati", "--A", a, "--B", b, *option]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_synth_roundtrip(bench, tmp_path, capsys):

@@ -4,26 +4,30 @@ import pytest
 from affinesim import (
     LinearPlant,
     SolverError,
+    StressBlocks,
     StressMatrix,
-    dynamic_law_stable,
     dynamic_leader_step,
     follower_targets,
     linear_step,
-    local_control_input_dynamic,
-    local_control_input_stationary,
     solve_mare,
     spectral_radius,
-    stationary_disagreement_matrix,
-    stationary_law_stable,
+    stability_flags,
     stationary_leader_step,
 )
 from affinesim.control import RiccatiSolution, check_period
 
 from conftest import FOLLOWER_TARGETS, MU_MAX
+from oracles import local_control_input_dynamic, local_control_input_stationary
 
 
 def leader_stack(reference):
     return reference.positions[:3].ravel()
+
+
+def follower_blocks(ff):
+    """Blocks of one uncoupled leader and the given follower block."""
+    ff = np.asarray(ff, dtype=float)
+    return StressBlocks(ll=np.zeros((1, 1)), lf=np.zeros((1, len(ff))), fl=np.zeros((len(ff), 1)), ff=ff)
 
 
 def test_check_period():
@@ -66,7 +70,7 @@ def test_stationary_disagreement_recursion(blocks, reference):
     x_l = leader_stack(reference)
     targets = follower_targets(blocks, x_l)
     T = 0.8
-    propagator = np.kron(stationary_disagreement_matrix(blocks, T), np.eye(2))
+    propagator = np.kron(np.eye(blocks.n_followers) - T * blocks.ff, np.eye(2))
     for _ in range(20):
         x_f = rng.normal(size=4)
         delta = x_f - targets
@@ -165,24 +169,39 @@ def test_local_dynamic():
 
 
 def test_stationary_stability_condition():
-    assert stationary_law_stable(1.0, -1.49)
-    assert not stationary_law_stable(2.0, -1.49)
-    assert stationary_law_stable(1e-9, -1e6)
+    def stable(T, mu_min):
+        return stability_flags("stationary", T, follower_blocks([[-mu_min]]))["stable"]
+
+    assert stable(1.0, -1.49)
+    assert not stable(2.0, -1.49)
+    assert stable(1e-9, -1e6)
     with pytest.raises(ValueError):
-        stationary_law_stable(1.0, 0.1)
+        stable(1.0, 0.1)
+
+
+def test_stability_flags_guards():
+    # An asymmetric follower block is refused before its eigenvalues are read.
+    with pytest.raises(ValueError, match="follower block must be symmetric"):
+        stability_flags("stationary", 1.0, follower_blocks([[1.0, 0.5], [0.0, 1.0]]))
+    # mu_min = 0 exactly: a certified stress never gives a nonnegative mu_min.
+    with pytest.raises(ValueError, match="mu_min must be negative, got -0.0; stress certificate is broken"):
+        stability_flags("stationary", 1.0, follower_blocks([[-1.0, 0.0], [0.0, 0.0]]))
 
 
 def test_dynamic_stability_condition():
-    assert dynamic_law_stable(0.5)
-    assert dynamic_law_stable(1.99)
-    assert not dynamic_law_stable(2.0)
-    assert not dynamic_law_stable(2.5)
+    def stable(T):
+        return stability_flags("dynamic", T)["stable"]
+
+    assert stable(0.5)
+    assert stable(1.99)
+    assert not stable(2.0)
+    assert not stable(2.5)
 
 
 def test_spectral_radius(blocks):
     assert spectral_radius(np.eye(3)) == 1.0
     assert spectral_radius([[0.0, 1.0], [0.0, 0.0]]) == 0.0
-    rho = spectral_radius(stationary_disagreement_matrix(blocks, 1.0))
+    rho = spectral_radius(np.eye(blocks.n_followers) - 1.0 * blocks.ff)
     assert rho == pytest.approx(1.0 + MU_MAX, abs=1e-12)
     assert rho == pytest.approx(0.9511087175765156, abs=1e-12)
     with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from affinesim import (
     ScenarioSpec,
     ScheduleSegment,
     assemble_stress,
-    compare_forms,
     dynamic_leader_step,
     follower_targets,
     leader_waypoints,
@@ -31,6 +30,7 @@ from affinesim.engine import CONVERGENCE_WINDOW
 from affinesim.fileio import ParseError, weights_from_dict
 
 from conftest import EXACT_WEIGHTS, FOLLOWER_START, FOLLOWER_TARGETS, MU_MIN
+from oracles import compare_forms
 
 
 def scenario(framework, partition, **overrides):

@@ -17,10 +17,9 @@ from affinesim import (
     assemble_stress,
     check_rigidity_certificate,
     follower_targets,
-    min_eig_neg_ff,
     partition_stress,
-    reassemble_stress,
     run_scenario,
+    stability_flags,
     synthesize_stress,
     verify_equilibrium,
 )
@@ -35,6 +34,7 @@ from conftest import (
     MU_MIN,
     write_benchmark_files,
 )
+from oracles import reassemble_stress
 
 
 def test_assemble_matches_hand_blocks(exact_stress):
@@ -151,7 +151,7 @@ def test_follower_targets_singular_block():
 
 
 def test_min_eig_neg_ff(blocks):
-    assert min_eig_neg_ff(blocks) == pytest.approx(MU_MIN, abs=1e-12)
+    assert stability_flags("stationary", 1.0, blocks)["mu_min"] == pytest.approx(MU_MIN, abs=1e-12)
     eigs = np.linalg.eigvalsh(-blocks.ff)
     np.testing.assert_allclose(sorted(eigs), [MU_MIN, MU_MAX], atol=1e-12)
 
