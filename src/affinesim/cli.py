@@ -2,17 +2,19 @@
 
 Subcommands: validate (rigidity certificate), synth (stress synthesis),
 simulate (scenario run; trace, summary and plots are written from the
-run's trace columns), stability (the engine's stability flags for a law),
-riccati (gain solver), batch (many scenarios, run one after another; their
-traces are then written in one call, which may format them on two CPUs).
+run's trace columns), stability (prints engine.stability_flags for a law:
+the lines simulate prints for a run's flags), riccati (gain solver), batch
+(many scenarios, run one after another; their traces are then written in
+one call, which may format them on two CPUs).
 
 Exit codes: 0 success/converged, 1 certificate or synthesis failure, 2 parse
 or validation failure (a linear-law scenario with a schedule or a T other
 than 1, another law's with a plant, q, epsilon or riccati_tol, an unknown
 key, an integer too large for a float, a stability option the law does
-not read, validate given both --stress and --weights, and a riccati --tol
-that is not positive and finite or a negative --max-iter, included; batch
-loads every scenario before writing any file),
+not read or needs and lacks, a --leaders list with an empty token,
+validate given both --stress and --weights, and a riccati --tol that is
+not positive and finite or a negative --max-iter, included; batch loads
+every scenario before writing any file),
 3 diverged, 4 step budget exhausted, 5 numerical solver failure (singular
 follower block, Riccati budget). Console numerics are printed to 6
 significant digits; files carry full precision.
@@ -27,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, fileio
-from .control import SolverError, LinearPlant, solve_mare, spectral_radius, check_period
-from .engine import LAWS, LINEAR_T_ERROR, CertificateError, run_batch, run_scenario, stability_flags
+from .control import SolverError, LinearPlant, solve_mare, spectral_radius
+from .engine import LAWS, CertificateError, run_batch, run_scenario, stability_flags
 from .framework import LeaderPartition, real_array, validate_leader_selection, vertex_separator
 from .plotting import delta_svg, trajectory_svg
 from .stress import (
@@ -207,58 +209,35 @@ def cmd_batch(args) -> int:
     return EXIT_OK
 
 
-# The options each law's stability report reads; the others are refused.
+# Each law's stability options: those it needs, then those it may take.
 STABILITY_OPTIONS = {
-    "stationary": ("stress", "leaders"),
-    "dynamic": (),
-    "linear": ("stress", "A", "B", "epsilon"),
+    "stationary": (("stress", "leaders"), ()),
+    "dynamic": ((), ()),
+    "linear": (("stress", "A", "B"), ("epsilon",)),
 }
 
 
 def cmd_stability(args) -> int:
-    T = check_period(args.T)
-    unread = [
-        f"--{name}"
-        for name in ("stress", "leaders", "A", "B", "epsilon")
-        if getattr(args, name) is not None and name not in STABILITY_OPTIONS[args.law]
-    ]
+    needed, optional = STABILITY_OPTIONS[args.law]
+    given = [name for name in ("stress", "leaders", "A", "B", "epsilon") if getattr(args, name) is not None]
+    unread = [f"--{name}" for name in given if name not in needed + optional]
     if unread:
         raise fileio.ParseError(f"{args.law} stability reads no {', '.join(unread)}")
+    if not set(needed) <= set(given):
+        *rest, last = [f"--{name}" for name in needed]
+        raise fileio.ParseError(f"{args.law} stability needs {', '.join(rest)} and {last}")
     epsilon = float(real_array(0.0 if args.epsilon is None else args.epsilon, "epsilon"))
-    print(f"law: {args.law}")
-    if args.law == "dynamic":
-        flags = stability_flags("dynamic", T)
-        factor = flags["decay_factor"]
-        print(f"decay factor |1-T|: {_fmt(factor)}")
-        print(f"disagreement spectral radius: {_fmt(factor)}")
-        if flags["stable"]:
-            print(f"T = {_fmt(T)} < 2: stable, decay {_fmt(factor)} per step")
-        elif T == 2.0:
-            print("marginally unstable (|1-T| = 1)")
-        else:
-            print(f"T = {_fmt(T)}: UNSTABLE (|1-T| = {_fmt(factor)} >= 1)")
-        return EXIT_OK
-
-    if args.law == "linear" and T != 1.0:
-        raise ValueError(LINEAR_T_ERROR)
-    if args.law == "linear" and not (args.stress and args.A and args.B):
-        raise fileio.ParseError("linear stability needs --stress, --A and --B")
-    if args.law == "stationary" and not (args.stress and args.leaders):
-        raise fileio.ParseError("stationary stability needs --stress and --leaders")
-    stress = fileio.load_stress(args.stress)
-    if args.law == "linear":
+    stress = None if args.stress is None else fileio.load_stress(args.stress)
+    plant = solution = blocks = None
+    if args.A is not None:
         plant = LinearPlant(fileio.load_matrix(args.A), fileio.load_matrix(args.B))
         solution = solve_mare(plant, np.eye(plant.m))
-        _print_flags(stability_flags("linear", T, None, stress, plant, solution, epsilon))
-        return EXIT_OK
-
-    leaders = [int(tok) for tok in args.leaders.split(",") if tok.strip()]
-    partition = LeaderPartition.from_leaders(leaders, stress.n)
-    flags = stability_flags("stationary", T, partition_stress(stress, partition))
-    print(f"mu_min: {_fmt(flags['mu_min'])}")
-    relation, verdict = (">", "stable") if flags["stable"] else ("<=", "UNSTABLE")
-    print(f"T*mu_min = {_fmt(flags['T_mu_min'])} {relation} -2: {verdict}")
-    print(f"disagreement spectral radius: {_fmt(flags['spectral_radius'])}")
+    if args.leaders is not None:
+        tokens = args.leaders.split(",")
+        if not all(tok.strip() for tok in tokens):
+            raise fileio.ParseError(f"--leaders must be comma-separated node ids, got {args.leaders!r}")
+        blocks = partition_stress(stress, LeaderPartition.from_leaders([int(tok) for tok in tokens], stress.n))
+    _print_flags(stability_flags(args.law, args.T, blocks, stress, plant, solution, epsilon))
     return EXIT_OK
 
 

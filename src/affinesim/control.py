@@ -1,8 +1,8 @@
 """Discrete-time control laws, the sampling-period check and the Riccati gain.
 
 Three laws are provided. The stationary-leader law updates followers
-toward fixed leader targets; its stability needs T * mu_min > -2 where
-mu_min is the smallest eigenvalue of the negated follower stress block.
+toward fixed leader targets; its stability needs -2 < T * mu < 0 for
+every eigenvalue mu of the negated follower stress block.
 The dynamic-leader law tracks moving leaders by solving the follower rows
 of the closed-loop stress relation; its disagreement contracts by (1 - T)
 per step, so it is stable for T < 2 and deadbeat at T = 1. The general

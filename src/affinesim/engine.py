@@ -26,13 +26,16 @@ from .stress import (
     StressBlocks,
     StressMatrix,
     assemble_stress,
+    check_follower_block,
     check_rigidity_certificate,
     partition_stress,
     solve_follower_block,
     synthesize_stress,
 )
 
-LAWS = ("stationary", "dynamic", "linear")
+# Each law and the inputs its stability verdict reads; stability_flags refuses others.
+LAW_INPUTS = {"stationary": ("blocks",), "dynamic": (), "linear": ("stress", "plant", "solution")}
+LAWS = tuple(LAW_INPUTS)
 # A run aborts with the diverged flag once the disagreement norm passes this.
 DIVERGENCE_LIMIT = 1e9
 # Convergence is declared after this many consecutive in-tolerance trace rows.
@@ -175,30 +178,42 @@ class RunResult:
 
 
 def stability_flags(law, T, blocks=None, stress=None, plant=None, solution=None, epsilon=0.0):
-    """Stability diagnostics of one law at period T: the stationary law reads
-    the stress blocks, the linear law the stress, plant, Riccati solution
-    and coupling epsilon, and the dynamic law T alone.
+    """Stability diagnostics of one law at period T, which run_scenario
+    records as theorem_flags and the stability command prints. A law reads
+    LAW_INPUTS[law], and the linear law epsilon too; an unknown law, a
+    missing input and a linear-law T other than 1.0 raise ValueError.
 
-    The stationary law is stable when T * mu_min > -2, with mu_min the
-    smallest eigenvalue of the negated follower block, whose disagreement
-    propagator is I - T * ff. The follower block must be symmetric and
-    mu_min negative: a nonnegative mu_min means the stress certificate
-    upstream is broken. The dynamic law contracts its disagreement by
-    |1 - T| per step, so it is stable when that factor is below 1.
+    The stationary law's propagator is I - T * ff, so it is stable when
+    each eigenvalue mu of the negated follower block has -2 < T * mu < 0.
+    Its follower block must be symmetric, with mu_min negative (else the
+    stress certificate upstream is broken), and pass check_follower_block.
+    The dynamic law contracts its disagreement by |1 - T| per step, so it
+    is stable when that factor is below 1.
     """
+    if law not in LAW_INPUTS:
+        raise ValueError(f"unknown law {law!r}; expected one of {LAWS}")
+    given = {"blocks": blocks, "stress": stress, "plant": plant, "solution": solution}
+    missing = [name for name in LAW_INPUTS[law] if given[name] is None]
+    if missing:
+        raise ValueError(f"{law} stability needs {', '.join(missing)}")
     T = check_period(T)
+    if law == "linear" and T != 1.0:
+        raise ValueError(LINEAR_T_ERROR)
     if law == "stationary":
         if not np.array_equal(blocks.ff, blocks.ff.T):
             raise ValueError("follower block must be symmetric")
-        mu_min = float(np.linalg.eigvalsh(-blocks.ff)[0])
+        mu = np.linalg.eigvalsh(-blocks.ff)
+        mu_min, mu_max = float(mu[0]), float(mu[-1])
         if mu_min >= 0.0:
             raise ValueError(f"mu_min must be negative, got {mu_min}; stress certificate is broken")
+        # run_scenario's guard, so that the same leader sets are refused.
+        check_follower_block(blocks)
         return {
             "law": "stationary",
             "T": T,
             "mu_min": mu_min,
             "T_mu_min": T * mu_min,
-            "stable": T * mu_min > -2.0,
+            "stable": T * mu_min > -2.0 and mu_max < 0.0,
             "spectral_radius": spectral_radius(np.eye(blocks.n_followers) - T * blocks.ff),
         }
     if law == "dynamic":

@@ -236,14 +236,19 @@ def _certificate(stress: StressMatrix, framework: Framework, separator):
     return RigidityCertificate(numerical_rank(magnitudes, max(n, d)), n - d - 1, min_eig, psd, separator)
 
 
-def solve_follower_block(blocks: StressBlocks, rhs: np.ndarray) -> np.ndarray:
-    """Solve ff_block @ X = rhs with a condition-number guard."""
+def check_follower_block(blocks: StressBlocks) -> None:
+    """The condition-number guard: LocalizabilityError unless ff_block is invertible."""
     cond = np.linalg.cond(blocks.ff)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise LocalizabilityError(
             f"follower stress block is singular or near-singular (cond {cond:.3g}); "
             "the leader selection or stress is inadequate"
         )
+
+
+def solve_follower_block(blocks: StressBlocks, rhs: np.ndarray) -> np.ndarray:
+    """Solve ff_block @ X = rhs once check_follower_block passes."""
+    check_follower_block(blocks)
     return np.linalg.solve(blocks.ff, rhs)
 
 

@@ -335,29 +335,57 @@ def test_stability_stationary_report(tmp_path, capsys):
     save_stress(assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS), tmp_path / "stress.json")
     rc = main(["stability", "--law", "stationary", "--T", "1.0",
                "--stress", str(tmp_path / "stress.json"), "--leaders", "1,2,3"])
-    out = capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
     assert rc == 0
-    assert "mu_min: -1.49311" in out
-    assert "> -2: stable" in out
-    assert "disagreement spectral radius: 0.951109" in out
+    assert "mu_min: -1.49311" in lines
+    assert "T_mu_min: -1.49311" in lines
+    assert "stable: True" in lines
+    assert "spectral_radius: 0.951109" in lines
+
+
+@pytest.mark.parametrize("leaders", ["1", "1,2", "2,3", "4,5"])
+def test_stability_refuses_a_singular_follower_block(tmp_path, capsys, leaders):
+    # These leader sets leave the follower block singular, so simulate refuses them too.
+    save_stress(assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS), tmp_path / "stress.json")
+    rc = main(["stability", "--law", "stationary", "--T", "1.0",
+               "--stress", str(tmp_path / "stress.json"), "--leaders", leaders])
+    captured = capsys.readouterr()
+    assert rc == 5
+    assert captured.out == ""
+    assert "follower stress block is singular" in captured.err
+
+
+@pytest.mark.parametrize("leaders", ["1,,2,3", "1,2,3,", ",1,2,3", "", "1, ,2"])
+def test_stability_refuses_an_empty_leader_token(tmp_path, capsys, leaders):
+    save_stress(assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS), tmp_path / "stress.json")
+    rc = main(["stability", "--law", "stationary", "--T", "1.0",
+               "--stress", str(tmp_path / "stress.json"), "--leaders", leaders])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"--leaders must be comma-separated node ids, got {leaders!r}" in captured.err
 
 
 def test_stability_stationary_needs_inputs(capsys):
     assert main(["stability", "--law", "stationary", "--T", "1.0"]) == 2
-    assert "needs --stress and --leaders" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs --stress and --leaders" in captured.err
 
 
 def test_stability_dynamic_reports(capsys):
     assert main(["stability", "--law", "dynamic", "--T", "0.5"]) == 0
-    out = capsys.readouterr().out
-    assert "decay factor |1-T|: 0.5" in out
-    assert "stable, decay 0.5 per step" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert "decay_factor: 0.5" in lines
+    assert "stable: True" in lines
 
     assert main(["stability", "--law", "dynamic", "--T", "2.0"]) == 0
-    assert "marginally unstable (|1-T| = 1)" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert "decay_factor: 1" in lines
+    assert "stable: False" in lines
 
     assert main(["stability", "--law", "dynamic", "--T", "2.5"]) == 0
-    assert "UNSTABLE" in capsys.readouterr().out
+    assert "stable: False" in capsys.readouterr().out.splitlines()
 
 
 def test_stability_linear_reports_modal_test(tmp_path, capsys):
@@ -379,11 +407,40 @@ def test_stability_linear_reports_modal_test(tmp_path, capsys):
     assert "stable: True" in out
 
 
-def test_stability_linear_needs_inputs(capsys):
+def test_stability_linear_needs_inputs(tmp_path, capsys):
     assert main(["stability", "--law", "linear", "--T", "1.0"]) == 2
     assert "needs --stress, --A and --B" in capsys.readouterr().err
-    assert main(["stability", "--law", "linear", "--T", "0.5"]) == 2
-    assert "linear law takes no T but 1.0: its plant is already sampled" in capsys.readouterr().err
+    save_stress(assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS), tmp_path / "stress.json")
+    eye = write_matrix(tmp_path / "I.json", [[1.0, 0.0], [0.0, 1.0]])
+    files = ["--stress", str(tmp_path / "stress.json"), "--A", eye, "--B", eye]
+    assert main(["stability", "--law", "linear", "--T", "0.5", *files]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "linear law takes no T but 1.0: its plant is already sampled" in captured.err
+
+
+@pytest.mark.parametrize(
+    "changes, options",
+    [
+        ({}, ["--stress", "stress.json", "--leaders", "1,2,3"]),
+        (dict(law="dynamic", T=0.5), []),
+        ({**LINEAR, "epsilon": 0.5}, ["--stress", "stress.json", "--A", "I.json", "--B", "I.json", "--epsilon", "0.5"]),
+    ],
+    ids=["stationary", "dynamic", "linear"],
+)
+def test_stability_prints_the_flag_lines_simulate_prints(bench, tmp_path, monkeypatch, capsys, changes, options):
+    monkeypatch.chdir(tmp_path)
+    data = {**json.loads(bench.read_text()), **changes}
+    bench.write_text(json.dumps(data))
+    main(["simulate", str(bench), "--out", "run"])
+    outcome = ("steps:", "final delta:", "outcome:", "wrote:")
+    flag_lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith(outcome)]
+
+    save_stress(assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS), tmp_path / "stress.json")
+    write_matrix(tmp_path / "I.json", LINEAR["plant"]["A"])
+    assert main(["stability", "--law", data["law"], "--T", str(data["T"]), *options]) == 0
+    assert capsys.readouterr().out.splitlines() == flag_lines
+    assert f"law: {data['law']}" in flag_lines
 
 
 # Node 1 of this framework hangs off nodes 2 and 3 only.

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from affinesim import (
     LinearPlant,
+    LocalizabilityError,
     SolverError,
     StressBlocks,
     StressMatrix,
@@ -15,6 +18,7 @@ from affinesim import (
     stationary_leader_step,
 )
 from affinesim.control import RiccatiSolution, check_period
+from affinesim.engine import LINEAR_T_ERROR
 
 from conftest import FOLLOWER_TARGETS, MU_MAX
 from oracles import local_control_input_dynamic, local_control_input_stationary
@@ -186,6 +190,30 @@ def test_stability_flags_guards():
     # mu_min = 0 exactly: a certified stress never gives a nonnegative mu_min.
     with pytest.raises(ValueError, match="mu_min must be negative, got -0.0; stress certificate is broken"):
         stability_flags("stationary", 1.0, follower_blocks([[-1.0, 0.0], [0.0, 0.0]]))
+
+
+def test_stationary_stability_needs_a_definite_follower_block():
+    # mu = -1 passes T * mu_min > -2, but mu = 0.5 puts 1.5 on the propagator's spectrum.
+    flags = stability_flags("stationary", 1.0, follower_blocks([[1.0, 0.0], [0.0, -0.5]]))
+    assert flags["stable"] is False
+    assert flags["spectral_radius"] == 1.5
+    # A singular follower block meets the guard the engine applies.
+    with pytest.raises(LocalizabilityError, match="follower stress block is singular"):
+        stability_flags("stationary", 1.0, follower_blocks([[1.0, 0.0], [0.0, 0.0]]))
+
+
+def test_stability_flags_refuses_an_unknown_law_or_a_missing_input():
+    with pytest.raises(ValueError, match="unknown law 'foo'"):
+        stability_flags("foo", 1.0)
+    with pytest.raises(ValueError, match="stationary stability needs blocks"):
+        stability_flags("stationary", 1.0)
+    stress = StressMatrix(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="linear stability needs plant, solution"):
+        stability_flags("linear", 1.0, stress=stress)
+    plant = LinearPlant(np.eye(2), np.eye(2))
+    solution = solve_mare(plant, np.eye(2))
+    with pytest.raises(ValueError, match=re.escape(LINEAR_T_ERROR)):
+        stability_flags("linear", 0.5, None, stress, plant, solution)
 
 
 def test_dynamic_stability_condition():
