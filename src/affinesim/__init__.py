@@ -1,10 +1,11 @@
 """Stress-based affine formation control for leader-follower agent teams.
 
 The package covers the full pipeline: framework and leader-selection
-checks, stress assembly and the universal-rigidity certificate, stress
-synthesis, affine manoeuvre schedules, three discrete-time control laws
-with their stability tests, a deterministic scenario engine, and file/CLI
-front ends.
+checks, stress assembly and the universal-rigidity certificate
+(equilibrium, rank, PSD and connectivity), stress synthesis, affine
+manoeuvre schedules evaluated in closed form by
+ManoeuvreSchedule.transforms, three discrete-time control laws with their
+stability tests, a deterministic scenario engine, and file/CLI front ends.
 """
 
 __version__ = "0.1.0"
@@ -39,13 +40,10 @@ from .framework import (
     vertex_separator,
 )
 from .maneuvers import (
-    AffineTransform,
     KINDS,
     ManoeuvreSchedule,
     ScheduleSegment,
-    apply_affine,
     leader_waypoints,
-    make_transform,
 )
 from .stress import (
     LocalizabilityError,

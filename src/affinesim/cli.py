@@ -71,6 +71,7 @@ def _print_certificate(cert) -> None:
     print(f"rank: {cert.rank}/{cert.expected_rank}")
     print(f"min eigenvalue: {_fmt(cert.min_eigenvalue)}")
     print(f"PSD: {'yes' if cert.psd else 'no'}")
+    print(f"equilibrium: {'yes' if cert.equilibrium else 'no'}")
     print(f"connectivity: {_connectivity(cert.separator)}")
     print(f"certificate: {'PASS' if cert.passed else 'FAIL'}")
 

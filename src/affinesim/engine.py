@@ -115,7 +115,7 @@ class ScenarioSpec:
             weights = {(i, j): -entries[i - 1][j - 1] for i, j in sorted(self.framework.graph.edges)}
             object.__setattr__(self, "weights", weights)
         # Each segment at full progress: checks vector lengths, axes and finiteness.
-        self.schedule.transform_at(self.framework.config.d, self.schedule.last_step())
+        self.schedule.transforms(self.framework.config.d, self.schedule.last_step(), 1)
         if self.law == "linear":
             if self.plant is None:
                 raise ValueError("linear law requires a plant")
@@ -156,7 +156,6 @@ class RunResult:
     deltas: np.ndarray
     converged_flags: np.ndarray
     diverged_flags: np.ndarray
-    weights: dict
     stress: StressMatrix
     blocks: StressBlocks
     certificate: RigidityCertificate
@@ -243,9 +242,9 @@ def _array_key(a: np.ndarray):
 def _resolve_stress(spec: ScenarioSpec):
     """Stress, certificate, blocks and the target map G of a framework,
     stress (or synthesis) and leader set."""
-    weights, stress = spec.weights, spec.stress
+    stress = spec.stress
     if stress is None:
-        weights, stress, certificate = synthesize_stress(spec.framework)
+        _, stress, certificate = synthesize_stress(spec.framework)
     else:
         certificate = check_rigidity_certificate(stress, spec.framework)
     if not certificate.passed:
@@ -254,11 +253,11 @@ def _resolve_stress(spec: ScenarioSpec):
     # The follower-block guard runs here; G maps leaders to follower targets.
     G = -solve_follower_block(blocks, blocks.fl)
     G.setflags(write=False)
-    return weights, stress, certificate, blocks, G
+    return stress, certificate, blocks, G
 
 
 def _compile(spec: ScenarioSpec, memo: dict):
-    """A run's constant inputs (weights, stress, certificate, blocks, G,
+    """A run's constant inputs (stress, certificate, blocks, G,
     Riccati solution or None), each worked out once per memo. Keys compare
     exact bytes and values: positions, graph, stress (None for synthesis)
     and leader list; A, B, Q and riccati_tol."""
@@ -319,7 +318,7 @@ def run_scenario(spec: ScenarioSpec, *, _memo=None) -> RunResult:
     consecutive in-tolerance rows, and never before the schedule ends.
     _memo is run_batch's: what the batch's runs share is compiled once.
     """
-    weights, stress, certificate, blocks, G, solution = _compile(spec, {} if _memo is None else _memo)
+    stress, certificate, blocks, G, solution = _compile(spec, {} if _memo is None else _memo)
     partition = spec.partition
     flags = stability_flags(spec.law, spec.T, blocks, stress, spec.plant, solution, spec.epsilon)
 
@@ -371,7 +370,6 @@ def run_scenario(spec: ScenarioSpec, *, _memo=None) -> RunResult:
         column.setflags(write=False)
     return RunResult(
         **columns,
-        weights=dict(weights),
         stress=stress,
         blocks=blocks,
         certificate=certificate,

@@ -80,11 +80,6 @@ class Graph:
             normalized.add((i, j) if i < j else (j, i))
         object.__setattr__(self, "edges", frozenset(normalized))
 
-    def neighbors(self, i: int) -> tuple:
-        """Sorted neighbor ids of node i."""
-        out = [j for (a, b) in self.edges for j in ((b,) if a == i else (a,) if b == i else ())]
-        return tuple(sorted(out))
-
     def adjacency(self) -> dict:
         adj = {i: set() for i in range(1, self.n + 1)}
         for i, j in self.edges:

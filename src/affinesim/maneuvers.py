@@ -1,5 +1,6 @@
-"""Affine transforms of a reference configuration and step-indexed
-manoeuvre schedules that drive the leader agents."""
+"""Step-indexed manoeuvre schedules that drive the leader agents through
+the affine maps p -> theta(k) p + b(k) of the reference, in closed form.
+theta may be singular: the targets are every affine image, not just rigid motions."""
 
 from __future__ import annotations
 
@@ -20,68 +21,15 @@ KINDS = tuple(PARAMS)
 INTERPS = ("hold", "linear")
 
 
-@dataclass(frozen=True)
-class AffineTransform:
-    """Pair (theta, b) acting on points as p -> theta @ p + b.
-
-    theta may be any real d x d matrix, singular ones included; the target
-    family the followers are steered through is the full affine image of
-    the reference, not just its rigid motions.
-    """
-
-    theta: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        theta, b = real_array(self.theta, "theta"), real_array(self.b, "b")
-        if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
-            raise ValueError("theta must be square")
-        if b.ndim != 1 or b.shape[0] != theta.shape[0]:
-            raise ValueError("b must be a vector matching theta")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "b", b)
-
-    @property
-    def d(self) -> int:
-        return self.theta.shape[0]
-
-    @classmethod
-    def identity(cls, d: int) -> "AffineTransform":
-        return cls(np.eye(d), np.zeros(d))
-
-    def compose(self, inner: "AffineTransform") -> "AffineTransform":
-        """Transform equivalent to applying inner first, then self."""
-        if inner.d != self.d:
-            raise ValueError("dimension mismatch in composition")
-        return AffineTransform(self.theta @ inner.theta, self.theta @ inner.b + self.b)
-
-
-def apply_affine(transform: AffineTransform, reference: Configuration) -> Configuration:
-    """Image of a configuration under an affine transform."""
-    if transform.d != reference.d:
-        raise ValueError(
-            f"transform is {transform.d}-dimensional but configuration is {reference.d}-dimensional"
-        )
-    return Configuration(reference.positions @ transform.theta.T + transform.b)
-
-
-def make_transform(kind: str, params: dict, d: int, s: float) -> AffineTransform:
-    """Interpolated manoeuvre transform at progress s in [0, 1].
+def _stacked_transform(kind: str, params: dict, d: int, s: np.ndarray):
+    """Interpolated manoeuvre transform at each progress value of s in [0, 1],
+    as (m, d, d) theta and (m, d) b arrays; the params are validated here.
 
     s=0 is the identity, s=1 the full parameter. Rotation interpolates the
     angle, the other kinds interpolate entries linearly. Rotation and shear
     act in a coordinate plane given by params["axes"] (0-based, default
     [0, 1]); shear axes are [target, source]: target += factor * source.
     """
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"progress must lie in [0, 1], got {s}")
-    theta, b = _stacked_transform(kind, params, d, np.array([s]))
-    return AffineTransform(theta[0], b[0])
-
-
-def _stacked_transform(kind: str, params: dict, d: int, s: np.ndarray):
-    """make_transform at each progress value of s, as (m, d, d) and (m, d)
-    arrays; the params are validated here."""
     axis = np.arange(d)
     theta = np.zeros((len(s), d, d))
     theta[:, axis, axis] = 1.0
@@ -99,7 +47,8 @@ def _stacked_transform(kind: str, params: dict, d: int, s: np.ndarray):
         else:
             full = real_array(params["c"], "scaling c", 0) * np.ones(d)
         theta[:, axis, axis] = 1.0 + s[:, None] * (full - 1.0)
-    elif kind in ("rotation", "shear"):
+    else:
+        # Rotation or shear; ScheduleSegment has refused every other kind.
         axes = params.get("axes", (0, 1))
         if not (isinstance(axes, (list, tuple)) and len(axes) == 2):
             raise ValueError(f"axes must be a pair of coordinate indices, got {axes!r}")
@@ -114,8 +63,6 @@ def _stacked_transform(kind: str, params: dict, d: int, s: np.ndarray):
             theta[:, a1, a0] = np.sin(angle)
         else:
             theta[:, a0, a1] = s * real_array(params["factor"], "shear factor", 0)
-    else:
-        raise ValueError(f"unknown manoeuvre kind {kind!r}")
     return theta, b
 
 
@@ -145,13 +92,6 @@ class ScheduleSegment:
             expected = " or ".join(str(sorted(keys)) for keys in PARAMS[self.kind])
             raise ValueError(f"{self.kind} takes params {expected}, got {sorted(self.params)}")
 
-    def progress(self, k: int) -> float:
-        if k < self.k0:
-            return 0.0
-        if self.interp == "hold" or self.k1 == self.k0:
-            return 1.0
-        return min(1.0, (k - self.k0) / (self.k1 - self.k0))
-
 
 @dataclass(frozen=True)
 class ManoeuvreSchedule:
@@ -177,14 +117,9 @@ class ManoeuvreSchedule:
                 )
         object.__setattr__(self, "segments", segments)
 
-    def transform_at(self, d: int, k: int) -> AffineTransform:
-        """Cumulative transform in effect at step k."""
-        thetas, bs = self._evaluate(d, k, 1)
-        return AffineTransform(thetas[0], bs[0])
-
-    def _evaluate(self, d: int, k: int, count: int):
-        """Cumulative transforms at steps k, ..., k+count-1 as (count, d, d) and
-        (count, d) arrays, in closed form.
+    def transforms(self, d: int, k: int, count: int):
+        """Cumulative transforms p -> theta p + b at steps k, ..., k+count-1 as
+        (count, d, d) theta and (count, d) b arrays, in closed form.
 
         Steps outside every segment hold the composition of the finished
         ones. Each segment the steps reach is stacked once, at the progress
@@ -222,16 +157,15 @@ def leader_waypoints(
     reference: Configuration,
     partition: LeaderPartition,
     k: int,
-    count: int = 2,
+    count: int,
 ) -> np.ndarray:
     """Leader positions at steps k, k+1, ..., k+count-1 as one (count, n_l, d) array.
 
-    The default count gives the pair (now, next), the two endpoints of one
-    sampling interval; the engine asks for a whole run at once. Steps past
-    the schedule hold the final transform.
+    The engine asks for a whole run at once. Steps past the schedule hold
+    the final transform.
     """
     if partition.n != reference.n:
         raise ValueError("partition does not match configuration")
     leaders = reference.positions[[i - 1 for i in partition.leaders]]
-    thetas, bs = schedule._evaluate(reference.d, k, count)
+    thetas, bs = schedule.transforms(reference.d, k, count)
     return leaders @ thetas.transpose(0, 2, 1) + bs[:, None, :]

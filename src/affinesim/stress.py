@@ -111,12 +111,15 @@ class StressBlocks:
 
 @dataclass(frozen=True)
 class RigidityCertificate:
-    """Universal-rigidity check outcome; separator is vertex_separator(graph, d+1)."""
+    """Universal-rigidity check outcome; separator is vertex_separator(graph, d+1).
+    The stress is in equilibrium when equilibrium_ratio, |Omega [P 1]|_2 over
+    max(n, d) lambda_max(|Omega|) |[P 1]|_2, is at most RANK_RTOL."""
 
     rank: int
     expected_rank: int
     min_eigenvalue: float
     psd: bool
+    equilibrium_ratio: float
     separator: tuple | None = None
 
     @property
@@ -124,8 +127,12 @@ class RigidityCertificate:
         return self.separator is None
 
     @property
+    def equilibrium(self) -> bool:
+        return self.equilibrium_ratio <= RANK_RTOL
+
+    @property
     def passed(self) -> bool:
-        return self.rank == self.expected_rank and self.psd and self.connectivity_ok
+        return self.rank == self.expected_rank and self.psd and self.connectivity_ok and self.equilibrium
 
 
 def normalize_weights(items) -> dict:
@@ -211,10 +218,12 @@ def partition_stress(stress: StressMatrix, partition: LeaderPartition) -> Stress
 
 
 def check_rigidity_certificate(stress: StressMatrix, framework: Framework) -> RigidityCertificate:
-    """Universal-rigidity certificate: rank n-d-1, PSD, (d+1)-connected.
+    """Universal-rigidity certificate: an equilibrium stress of rank n-d-1,
+    PSD, on a (d+1)-connected graph.
 
-    The rank is numerical_rank(|eigenvalues|, max(n, d)), and PSD allows a
-    small negative floor scaled by the spectral radius.
+    The rank is numerical_rank(|eigenvalues|, max(n, d)), equilibrium
+    holds Omega [P 1] to the same relative cut, and PSD allows a small
+    negative floor scaled by the spectral radius.
     """
     if stress.n != framework.config.n:
         raise ValueError("stress size does not match framework")
@@ -231,9 +240,12 @@ def _certificate(stress: StressMatrix, framework: Framework, separator):
     n, d = stress.n, framework.config.d
     eig = np.linalg.eigvalsh(stress.entries)
     magnitudes = np.abs(eig)
-    min_eig = float(eig[0])
-    psd = min_eig >= -PSD_ATOL * max(1.0, float(magnitudes.max()))
-    return RigidityCertificate(numerical_rank(magnitudes, max(n, d)), n - d - 1, min_eig, psd, separator)
+    min_eig, top = float(eig[0]), float(magnitudes.max())
+    psd = min_eig >= -PSD_ATOL * max(1.0, top)
+    affine = np.column_stack((framework.config.positions, np.ones(n)))
+    residual = np.linalg.norm(stress.entries @ affine, 2)
+    ratio = float(residual / (max(n, d) * top * np.linalg.norm(affine, 2))) if top > 0 else 0.0
+    return RigidityCertificate(numerical_rank(magnitudes, max(n, d)), n - d - 1, min_eig, psd, ratio, separator)
 
 
 def check_follower_block(blocks: StressBlocks) -> None:

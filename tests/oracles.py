@@ -3,15 +3,23 @@
 The engine runs one compiled matrix step per law. The per-agent forms of
 the stationary and dynamic laws here restate those laws agent by agent,
 so that compare_forms can check that each matrix update decomposes into
-neighbor-local computations. reassemble_stress inverts
-partition_stress. None of this is a path the package runs.
+neighbor-local computations. per_step_transform restates the schedule's
+cumulative transform one step and one segment at a time. reassemble_stress
+inverts partition_stress. None of this is a path the package runs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from affinesim import LeaderPartition, ScenarioSpec, StressBlocks, StressMatrix, run_scenario
+from affinesim import (
+    LeaderPartition,
+    ManoeuvreSchedule,
+    ScenarioSpec,
+    StressBlocks,
+    StressMatrix,
+    run_scenario,
+)
 from affinesim.control import check_period
 
 # Per-agent dynamic law divides by the incident weight sum; smaller
@@ -68,9 +76,10 @@ def compare_forms(spec: ScenarioSpec) -> float:
     if spec.law not in ("stationary", "dynamic"):
         raise ValueError("form comparison is defined for the stationary and dynamic laws")
     result = run_scenario(spec)
-    graph = spec.framework.graph
+    adjacency = spec.framework.graph.adjacency()
+    # The stress holds edge weight w_ij as -Omega_ij.
     incident = {
-        i: {j: result.weights[min(i, j), max(i, j)] for j in graph.neighbors(i)}
+        i: {j: -result.stress.entries[i - 1, j - 1] for j in sorted(adjacency[i])}
         for i in spec.partition.followers
     }
     worst = 0.0
@@ -87,6 +96,20 @@ def compare_forms(spec: ScenarioSpec) -> float:
             per_agent = x[agent - 1] + spec.T * u
             worst = max(worst, float(np.abs(per_agent - x_next[agent - 1]).max()))
     return worst
+
+
+def per_step_transform(schedule: ManoeuvreSchedule, d: int, k: int):
+    """Cumulative (theta, b) at step k, one segment at a time.
+
+    Each segment's own transform at k is its one-segment schedule's (the
+    identity before k0, full progress after k1); the segments compose in
+    order as theta <- theta_s theta, b <- theta_s b + b_s.
+    """
+    theta, b = np.eye(d), np.zeros(d)
+    for seg in schedule.segments:
+        seg_thetas, seg_bs = ManoeuvreSchedule((seg,)).transforms(d, k, 1)
+        theta, b = seg_thetas[0] @ theta, seg_thetas[0] @ b + seg_bs[0]
+    return theta, b
 
 
 def reassemble_stress(blocks: StressBlocks, partition: LeaderPartition) -> StressMatrix:

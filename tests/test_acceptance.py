@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from affinesim import (
-    AffineTransform,
     Configuration,
     LeaderPartition,
     LinearPlant,
@@ -20,7 +19,6 @@ from affinesim import (
     ScenarioSpec,
     ScheduleSegment,
     StressMatrix,
-    apply_affine,
     assemble_stress,
     check_rigidity_certificate,
     follower_targets,
@@ -164,12 +162,11 @@ def test_affine_images_stay_at_equilibrium(exact_stress, reference, blocks):
     for _ in range(100):
         theta = rng.normal(size=(2, 2))
         b = rng.normal(size=2)
-        transform = AffineTransform(theta, b)
-        image = apply_affine(transform, reference)
+        image = Configuration(reference.positions @ theta.T + b)
         assert verify_equilibrium(exact_stress, image) <= 1e-6
 
         mapped_targets = follower_targets(blocks, image.positions[:3].ravel())
-        direct_targets = apply_affine(transform, Configuration(TARGETS)).positions
+        direct_targets = TARGETS @ theta.T + b
         assert np.abs(mapped_targets - direct_targets.ravel()).max() <= 1e-9
 
 
@@ -246,8 +243,8 @@ def test_manoeuvre_suite_reconverges(framework, partition):
         )
         result = run_scenario(spec)
         assert result.converged_at is not None, kind
-        transform = spec.schedule.transform_at(2, result.steps)
-        expected = apply_affine(transform, Configuration(TARGETS)).positions
+        theta, b = spec.schedule.transforms(2, result.steps, 1)
+        expected = TARGETS @ theta[0].T + b[0]
         final = result.final_positions()[[3, 4]]
         assert np.linalg.norm(final - expected, axis=1).max() <= 1e-6, kind
     assert time.perf_counter() - start < 10.0

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from affinesim import Graph, ScenarioSpec, assemble_stress
+from affinesim import Configuration, Framework, Graph, ScenarioSpec, assemble_stress, synthesize_stress
 from affinesim.cli import main
 from affinesim.fileio import load_scenario, load_weights, save_stress, save_weights
 
@@ -45,6 +46,7 @@ def test_validate_pass(bench, tmp_path, capsys):
     assert "leaders: 3/3 required, span 2/2: ok" in out
     assert "rank: 2/2" in out
     assert "PSD: yes" in out
+    assert "equilibrium: yes" in out
     assert "certificate: PASS" in out
 
 
@@ -73,6 +75,32 @@ def test_validate_negated_weights_fail(bench, tmp_path, capsys):
     assert rc == 1
     assert "PSD: no" in out
     assert "certificate: FAIL" in out
+
+
+def test_stress_out_of_equilibrium_fails_the_certificate(tmp_path, capsys):
+    # A K6 stress built for other positions keeps its PSD rank-3 spectrum
+    # but is no equilibrium here: the followers would settle off the reference.
+    edges = list(itertools.combinations(range(1, 7), 2))
+    other = [(0, 0), (2, 0), (0, 2), (1, 1.5), (1.5, 0.5), (0.5, 0.8)]
+    weights, _, _ = synthesize_stress(Framework(Graph(6, edges), Configuration(other)))
+    here = [(1, 0), (0, 1), (-1, -1), (0.2, 0.5), (0.1, 0.9), (0.6, -1)]
+    framework = {"d": 2, "positions": here, "edges": edges, "leaders": [1, 2, 3]}
+    (tmp_path / "framework.json").write_text(json.dumps(framework))
+    save_weights(weights, tmp_path / "weights.json")
+    scenario = {"framework": "framework.json", "weights": "weights.json", "law": "stationary", "T": 0.5,
+                "initial_followers": [[3, 3], [-2, 1], [0, -3]]}
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+
+    rc = main(["validate", str(tmp_path / "framework.json"), "--weights", str(tmp_path / "weights.json")])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert {"rank: 3/3", "PSD: yes", "connectivity: yes", "equilibrium: no", "certificate: FAIL"} <= set(lines)
+
+    assert main(["simulate", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "run")]) == 1
+    captured = capsys.readouterr()
+    assert "run refused:" in captured.err
+    assert "equilibrium: no" in captured.out.splitlines()
+    assert not (tmp_path / "run" / "trace.csv").exists()
 
 
 def test_validate_refuses_stress_with_weights(bench, tmp_path, capsys):

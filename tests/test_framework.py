@@ -20,7 +20,7 @@ def test_graph_normalizes_edges():
     g = Graph(4, [(2, 1), (1, 2), (3, 4)])
     assert g.edges == {(1, 2), (3, 4)}
     assert (1, 2) in g.edges and (1, 3) not in g.edges
-    assert g.neighbors(1) == (2,)
+    assert g.adjacency()[1] == {2}
 
 
 def test_graph_rejects_bad_edges():

@@ -2,89 +2,102 @@ import numpy as np
 import pytest
 
 from affinesim import (
-    AffineTransform,
     Configuration,
     LeaderPartition,
     ManoeuvreSchedule,
     ScheduleSegment,
-    apply_affine,
     leader_waypoints,
-    make_transform,
     verify_equilibrium,
 )
 
+from oracles import per_step_transform
+
+
+def transform(kind, params, k=0, k1=0, interp="hold", d=2):
+    """(theta, b) at step k of the one-segment schedule [0, k1]."""
+    schedule = ManoeuvreSchedule((ScheduleSegment(0, k1, kind, params, interp),))
+    theta, b = schedule.transforms(d, k, 1)
+    return theta[0], b[0]
+
+
+def image(theta, b, positions):
+    return np.asarray(positions) @ theta.T + b
+
 
 def test_identity_leaves_reference_unchanged(reference):
-    out = apply_affine(AffineTransform.identity(2), reference)
-    assert np.array_equal(out.positions, reference.positions)
+    theta, b = ManoeuvreSchedule().transforms(2, 0, 1)
+    assert np.array_equal(image(theta[0], b[0], reference.positions), reference.positions)
 
 
 def test_translation_shifts_everything(reference):
-    out = apply_affine(AffineTransform(np.eye(2), [5.0, 5.0]), reference)
-    np.testing.assert_allclose(out.positions, reference.positions + [5.0, 5.0])
+    out = image(*transform("translation", {"v": [5.0, 5.0]}), reference.positions)
+    np.testing.assert_allclose(out, reference.positions + [5.0, 5.0])
 
 
 def test_half_scaling(reference):
-    out = apply_affine(AffineTransform(0.5 * np.eye(2), [0.0, 0.0]), reference)
+    out = image(*transform("scaling", {"c": 0.5}), reference.positions)
     expected = [(0.5, 0), (0, 0.5), (0, -0.5), (-0.5, 0), (-1, 0)]
-    np.testing.assert_allclose(out.positions, expected, atol=1e-15)
+    np.testing.assert_allclose(out, expected, atol=1e-15)
+
+
+def test_quarter_turn():
+    theta, b = transform("rotation", {"angle": np.pi / 2})
+    np.testing.assert_allclose(theta, [[0, -1], [1, 0]], atol=1e-12)
+    np.testing.assert_allclose(b, [0, 0])
+
+
+def test_interpolation():
+    # A linear translation over [0, 4] read at k=2 is half way.
+    theta, b = transform("translation", {"v": [2.0, 0.0]}, k=2, k1=4, interp="linear")
+    np.testing.assert_allclose(theta, np.eye(2))
+    np.testing.assert_allclose(b, [1.0, 0.0])
+
+    theta, _ = transform("scaling", {"c": 2.0})
+    np.testing.assert_allclose(theta, 2 * np.eye(2))
+    quarter, _ = transform("scaling", {"c": 2.0}, k=1, k1=4, interp="linear")
+    np.testing.assert_allclose(quarter, 1.25 * np.eye(2))
+
+    diag, _ = transform("scaling", {"diag": [2.0, 0.5]})
+    np.testing.assert_allclose(diag, [[2, 0], [0, 0.5]])
+
+    shear, _ = transform("shear", {"factor": 0.8, "axes": [1, 0]}, k=1, k1=2, interp="linear")
+    np.testing.assert_allclose(shear, [[1, 0], [0.4, 1]])
 
 
 def test_transform_validation():
     with pytest.raises(ValueError):
-        AffineTransform(np.ones((2, 3)), [0.0, 0.0])
+        transform("translation", {"v": [np.nan, 0.0]})
+
+
+def test_transform_errors():
     with pytest.raises(ValueError):
-        AffineTransform(np.eye(2), [0.0])
-    with pytest.raises(ValueError):
-        AffineTransform(np.eye(2) * np.nan, [0.0, 0.0])
-    with pytest.raises(ValueError):
-        apply_affine(AffineTransform.identity(3), Configuration([(0, 0), (1, 1)]))
+        transform("twist", {})
+    with pytest.raises(ValueError, match="invalid for dimension 2"):
+        transform("rotation", {"angle": 1.0, "axes": [0, 2]})
+    with pytest.raises(ValueError, match="invalid for dimension 3"):
+        transform("shear", {"factor": 1.0, "axes": [1, 1]}, d=3)
+    with pytest.raises(ValueError, match="must have length 2"):
+        transform("translation", {"v": [1.0]})
 
 
-def test_make_transform_quarter_turn():
-    t = make_transform("rotation", {"angle": np.pi / 2}, 2, 1.0)
-    np.testing.assert_allclose(t.theta, [[0, -1], [1, 0]], atol=1e-12)
-    np.testing.assert_allclose(t.b, [0, 0])
-
-
-def test_make_transform_interpolation():
-    t = make_transform("translation", {"v": [2.0, 0.0]}, 2, 0.5)
-    np.testing.assert_allclose(t.theta, np.eye(2))
-    np.testing.assert_allclose(t.b, [1.0, 0.0])
-
-    s = make_transform("scaling", {"c": 2.0}, 2, 1.0)
-    np.testing.assert_allclose(s.theta, 2 * np.eye(2))
-    quarter = make_transform("scaling", {"c": 2.0}, 2, 0.25)
-    np.testing.assert_allclose(quarter.theta, 1.25 * np.eye(2))
-
-    diag = make_transform("scaling", {"diag": [2.0, 0.5]}, 2, 1.0)
-    np.testing.assert_allclose(diag.theta, [[2, 0], [0, 0.5]])
-
-    sh = make_transform("shear", {"factor": 0.8, "axes": [1, 0]}, 2, 0.5)
-    np.testing.assert_allclose(sh.theta, [[1, 0], [0.4, 1]])
-
-
-def test_make_transform_errors():
-    with pytest.raises(ValueError):
-        make_transform("twist", {}, 2, 1.0)
-    with pytest.raises(ValueError):
-        make_transform("rotation", {"angle": 1.0, "axes": [0, 2]}, 2, 1.0)
-    with pytest.raises(ValueError):
-        make_transform("shear", {"factor": 1.0, "axes": [1, 1]}, 3, 1.0)
-    with pytest.raises(ValueError):
-        make_transform("translation", {"v": [1.0, 0.0]}, 2, 1.5)
-    with pytest.raises(ValueError):
-        make_transform("translation", {"v": [1.0]}, 2, 1.0)
+def test_transforms_refuse_negative_steps():
+    with pytest.raises(ValueError, match="step index must be nonnegative"):
+        ManoeuvreSchedule().transforms(2, -1, 3)
 
 
 def test_composition_matches_sequential_application(reference):
+    # Segments compose: each acts on the image of the ones before it.
     rng = np.random.default_rng(11)
     for _ in range(25):
-        t1 = AffineTransform(rng.normal(size=(2, 2)), rng.normal(size=2))
-        t2 = AffineTransform(rng.normal(size=(2, 2)), rng.normal(size=2))
-        sequential = apply_affine(t2, apply_affine(t1, reference))
-        composed = apply_affine(t2.compose(t1), reference)
-        np.testing.assert_allclose(composed.positions, sequential.positions, atol=1e-12)
+        first = ScheduleSegment(0, 0, "scaling", {"diag": rng.normal(size=2).tolist()})
+        second = ScheduleSegment(1, 1, "rotation", {"angle": float(rng.normal())})
+        shift = ScheduleSegment(2, 2, "translation", {"v": rng.normal(size=2).tolist()})
+        sequential = reference.positions
+        for seg in (first, second, shift):
+            theta, b = ManoeuvreSchedule((seg,)).transforms(2, seg.k0, 1)
+            sequential = image(theta[0], b[0], sequential)
+        theta, b = ManoeuvreSchedule((first, second, shift)).transforms(2, 2, 1)
+        np.testing.assert_allclose(image(theta[0], b[0], reference.positions), sequential, atol=1e-12)
 
 
 def test_segment_validation():
@@ -129,21 +142,25 @@ def test_schedule_rejects_overlap():
 
 
 def test_segment_progress():
+    # The progress of a translation segment reads off b.
+    def progress(seg, k):
+        return ManoeuvreSchedule((seg,)).transforms(2, k, 1)[1][0, 0] / seg.params["v"][0]
+
     hold = ScheduleSegment(k0=10, k1=10, kind="translation", params={"v": [1, 0]})
-    assert hold.progress(9) == 0.0
-    assert hold.progress(10) == 1.0
-    assert hold.progress(99) == 1.0
+    assert progress(hold, 9) == 0.0
+    assert progress(hold, 10) == 1.0
+    assert progress(hold, 99) == 1.0
     ramp = ScheduleSegment(k0=0, k1=100, kind="translation", params={"v": [2, 0]}, interp="linear")
-    assert ramp.progress(0) == 0.0
-    assert ramp.progress(50) == 0.5
-    assert ramp.progress(100) == 1.0
-    assert ramp.progress(101) == 1.0
+    assert progress(ramp, 0) == 0.0
+    assert progress(ramp, 50) == 0.5
+    assert progress(ramp, 100) == 1.0
+    assert progress(ramp, 101) == 1.0
 
 
 def test_waypoints_empty_schedule(reference, partition):
     schedule = ManoeuvreSchedule()
     for k in (0, 7, 123):
-        now, nxt = leader_waypoints(schedule, reference, partition, k)
+        now, nxt = leader_waypoints(schedule, reference, partition, k, 2)
         np.testing.assert_array_equal(now, reference.positions[:3])
         np.testing.assert_array_equal(nxt, reference.positions[:3])
 
@@ -151,7 +168,7 @@ def test_waypoints_empty_schedule(reference, partition):
 def test_waypoints_hold_boundary(reference, partition):
     seg = ScheduleSegment(k0=10, k1=10, kind="translation", params={"v": [1.0, 0.0]})
     schedule = ManoeuvreSchedule((seg,))
-    now, nxt = leader_waypoints(schedule, reference, partition, 9)
+    now, nxt = leader_waypoints(schedule, reference, partition, 9, 2)
     np.testing.assert_array_equal(now, reference.positions[:3])
     np.testing.assert_allclose(nxt, reference.positions[:3] + np.array([1.0, 0.0]))
 
@@ -161,10 +178,10 @@ def test_waypoints_linear_midpoint(reference, partition):
         k0=0, k1=100, kind="translation", params={"v": [2.0, 0.0]}, interp="linear"
     )
     schedule = ManoeuvreSchedule((seg,))
-    now, _ = leader_waypoints(schedule, reference, partition, 50)
+    now, _ = leader_waypoints(schedule, reference, partition, 50, 2)
     np.testing.assert_allclose(now, reference.positions[:3] + np.array([1.0, 0.0]))
     # Hold-last beyond the end of the schedule.
-    late, later = leader_waypoints(schedule, reference, partition, 500)
+    late, later = leader_waypoints(schedule, reference, partition, 500, 2)
     np.testing.assert_allclose(late, reference.positions[:3] + np.array([2.0, 0.0]))
     np.testing.assert_array_equal(late, later)
 
@@ -176,32 +193,18 @@ def test_schedule_segments_compose_cumulatively(reference):
             ScheduleSegment(k0=5, k1=5, kind="rotation", params={"angle": np.pi / 2}),
         )
     )
-    total = schedule.transform_at(2, 10)
-    rot = make_transform("rotation", {"angle": np.pi / 2}, 2, 1.0)
-    shift = make_transform("translation", {"v": [1.0, 0.0]}, 2, 1.0)
-    expected = rot.compose(shift)
-    np.testing.assert_allclose(total.theta, expected.theta, atol=1e-15)
-    np.testing.assert_allclose(total.b, expected.b, atol=1e-15)
+    theta, b = schedule.transforms(2, 10, 1)
+    # The quarter turn acts on the shifted formation: theta = R, b = R @ (1, 0).
+    np.testing.assert_allclose(theta[0], [[0, -1], [1, 0]], atol=1e-15)
+    np.testing.assert_allclose(b[0], [0, 1], atol=1e-15)
 
 
 def test_affine_images_stay_in_equilibrium(exact_stress, reference):
     # Any affine image of the reference annihilates the stress.
     rng = np.random.default_rng(2)
     for _ in range(50):
-        t = AffineTransform(rng.normal(size=(2, 2)), rng.normal(size=2))
-        image = apply_affine(t, reference)
-        assert verify_equilibrium(exact_stress, image) <= 1e-6
-
-
-def per_step_transform(schedule, d, k):
-    """The per-step composition loop the closed-form evaluator replaced."""
-    done = AffineTransform.identity(d)
-    for seg in schedule.segments:
-        if seg.k1 <= k:
-            done = make_transform(seg.kind, seg.params, d, 1.0).compose(done)
-        elif seg.k0 <= k:
-            return make_transform(seg.kind, seg.params, d, seg.progress(k)).compose(done)
-    return done
+        positions = image(rng.normal(size=(2, 2)), rng.normal(size=2), reference.positions)
+        assert verify_equilibrium(exact_stress, Configuration(positions)) <= 1e-6
 
 
 def test_waypoints_match_per_step_transforms():
@@ -241,10 +244,10 @@ def test_waypoints_match_per_step_transforms():
         waypoints = leader_waypoints(schedule, reference, partition, k, count)
         assert waypoints.shape == (count, d + 1, d)
         for r, got in enumerate(waypoints):
-            transform = schedule.transform_at(d, k + r)
-            expected = per_step_transform(schedule, d, k + r)
-            assert np.array_equal(transform.theta, expected.theta)
-            assert np.array_equal(transform.b, expected.b)
-            assert np.array_equal(got, apply_affine(transform, reference).positions[rows])
+            theta, b = (a[0] for a in schedule.transforms(d, k + r, 1))
+            expected_theta, expected_b = per_step_transform(schedule, d, k + r)
+            assert np.array_equal(theta, expected_theta)
+            assert np.array_equal(b, expected_b)
+            assert np.array_equal(got, image(theta, b, reference.positions)[rows])
 
     check()

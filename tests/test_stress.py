@@ -119,6 +119,7 @@ def test_certificate_exact_stress(exact_stress, framework):
     assert cert.rank == 2 == cert.expected_rank
     assert cert.min_eigenvalue >= -1e-8
     assert cert.psd and cert.connectivity_ok and cert.passed
+    assert cert.equilibrium and cert.equilibrium_ratio <= 1e-14
 
 
 def test_certificate_rounding_sensitivity(rounded_stress, framework):
@@ -382,7 +383,7 @@ def test_synthesizing_run_tests_connectivity_once(benchmark_scenario, separator_
     assert len(separator_calls) == 1
     # Synthesis assembles and certifies the stress it accepts; the run reuses both.
     assert certify_calls == {"_certificate": 1, "assemble_stress": 1}
-    assert result.weights == synthesize_stress(spec.framework)[0]
+    assert np.array_equal(result.stress.entries, synthesize_stress(spec.framework)[1].entries)
 
 
 def test_synth_command_tests_connectivity_once(tmp_path, separator_calls, certify_calls, capsys):
