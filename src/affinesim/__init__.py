@@ -1,8 +1,8 @@
 """Stress-based affine formation control for leader-follower agent teams.
 
 The package covers the full pipeline: framework and leader-selection
-checks, stress assembly and the universal-rigidity certificate
-(equilibrium, rank, PSD and connectivity), stress synthesis, affine
+checks, stress assembly and the universal-rigidity certificate (its
+hypotheses, then equilibrium, rank and PSD), stress synthesis, affine
 manoeuvre schedules evaluated in closed form by
 ManoeuvreSchedule.transforms, three discrete-time control laws with their
 stability tests, a deterministic scenario engine, and file/CLI front ends.
@@ -46,6 +46,7 @@ from .maneuvers import (
     leader_waypoints,
 )
 from .stress import (
+    HypothesisError,
     LocalizabilityError,
     RigidityCertificate,
     StressBlocks,
@@ -56,7 +57,6 @@ from .stress import (
     follower_targets,
     partition_stress,
     synthesize_stress,
-    verify_equilibrium,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

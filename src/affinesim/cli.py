@@ -1,18 +1,23 @@
 """Command-line front end.
 
-Subcommands: validate (rigidity certificate), synth (stress synthesis),
-simulate (scenario run; trace, summary and plots are written from the
-run's trace columns), stability (prints engine.stability_flags for a law:
-the lines simulate prints for a run's flags), riccati (gain solver), batch
-(many scenarios, run one after another; their traces are then written in
-one call, which may format them on two CPUs).
+Subcommands: validate (the certificate's hypotheses, and with a stress the
+rigidity certificate), synth (stress synthesis), simulate (scenario run;
+trace, summary and plots are written from the run's trace columns),
+stability (prints engine.stability_flags for a law: the lines simulate
+prints for a run's flags), riccati (gain solver), batch (many scenarios,
+run one after another; their traces are then written in one call, which
+may format them on two CPUs).
 
-Exit codes: 0 success/converged, 1 certificate or synthesis failure, 2 parse
-or validation failure (a linear-law scenario with a schedule or a T other
+Exit codes: 0 success/converged, 1 certificate or synthesis failure (a
+failed hypothesis of the certificate, n < d+2, positions that do not
+affinely span R^d or a graph that is not (d+1)-connected, included: every
+command names it on stderr in the same words), 2 parse or validation
+failure (a linear-law scenario with a schedule or a T other
 than 1, another law's with a plant, q, epsilon or riccati_tol, an unknown
 key, an integer too large for a float, a stability option the law does
 not read or needs and lacks, a --leaders list with an empty token,
-validate given both --stress and --weights, and a riccati --tol that is
+validate given both --stress and --weights or a stress whose size is not
+the framework's, and a riccati --tol that is
 not positive and finite or a negative --max-iter, included; batch loads
 every scenario before writing any file),
 3 diverged, 4 step budget exhausted, 5 numerical solver failure (singular
@@ -31,16 +36,16 @@ import numpy as np
 from . import __version__, fileio
 from .control import SolverError, LinearPlant, solve_mare, spectral_radius
 from .engine import LAWS, CertificateError, run_batch, run_scenario, stability_flags
-from .framework import LeaderPartition, real_array, validate_leader_selection, vertex_separator
+from .framework import LeaderPartition, real_array, validate_leader_selection
 from .plotting import delta_svg, trajectory_svg
 from .stress import (
+    HypothesisError,
     LocalizabilityError,
     SynthesisError,
     assemble_stress,
     check_rigidity_certificate,
     partition_stress,
     synthesize_stress,
-    verify_equilibrium,
 )
 
 EXIT_OK = 0
@@ -61,18 +66,12 @@ def _print_matrix(label: str, mat: np.ndarray):
         print("  [" + ", ".join(_fmt(v) for v in row) + "]")
 
 
-def _connectivity(separator) -> str:
-    if separator is None:
-        return "yes"
-    return f"no (removing {', '.join(map(str, separator)) or 'nothing'} disconnects the graph)"
-
-
 def _print_certificate(cert) -> None:
     print(f"rank: {cert.rank}/{cert.expected_rank}")
     print(f"min eigenvalue: {_fmt(cert.min_eigenvalue)}")
     print(f"PSD: {'yes' if cert.psd else 'no'}")
+    print(f"equilibrium ratio: {_fmt(cert.equilibrium_ratio)}")
     print(f"equilibrium: {'yes' if cert.equilibrium else 'no'}")
-    print(f"connectivity: {_connectivity(cert.separator)}")
     print(f"certificate: {'PASS' if cert.passed else 'FAIL'}")
 
 
@@ -83,8 +82,8 @@ def _print_flags(flags: dict) -> None:
 
 def cmd_validate(args) -> int:
     framework, partition = fileio.load_framework(args.framework)
-    n, d = framework.config.n, framework.config.d
-    print(f"nodes: {n}  dimension: {d}  edges: {len(framework.graph.edges)}")
+    d = framework.config.d
+    print(f"nodes: {framework.config.n}  dimension: {d}  edges: {len(framework.graph.edges)}")
 
     stress = None
     if args.stress:
@@ -101,22 +100,10 @@ def cmd_validate(args) -> int:
             f"span {report.span_dimension}/{d}: {'ok' if report.passed else 'FAIL'}"
         )
 
-    if stress is None:
-        size_ok = n >= d + 2
-        if not size_ok:
-            print(f"certificate impossible: n = {n} < d+2 = {d + 2}")
-        separator = vertex_separator(framework.graph, d + 1) if size_ok else ()
-        print(f"connectivity ({d + 1}-connected): {_connectivity(separator) if size_ok else 'no'}")
-        passed = size_ok and separator is None and leaders_ok
-        print(f"structural checks: {'PASS' if passed else 'FAIL'} (no stress supplied)")
-        return EXIT_OK if passed else EXIT_CERTIFICATE
-
-    print(f"equilibrium residual: {_fmt(verify_equilibrium(stress, framework.config))}")
-    try:
-        cert = check_rigidity_certificate(stress, framework)
-    except ValueError as exc:
-        print(f"certificate impossible: {exc}")
-        return EXIT_CERTIFICATE
+    cert = check_rigidity_certificate(stress, framework)
+    if cert is None:
+        print(f"structural checks: {'PASS' if leaders_ok else 'FAIL'} (no stress supplied)")
+        return EXIT_OK if leaders_ok else EXIT_CERTIFICATE
     _print_certificate(cert)
     return EXIT_OK if cert.passed and leaders_ok else EXIT_CERTIFICATE
 
@@ -314,6 +301,9 @@ def main(argv=None) -> int:
     except CertificateError as exc:
         print("run refused:", file=sys.stderr)
         _print_certificate(exc.certificate)
+        return EXIT_CERTIFICATE
+    except HypothesisError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_CERTIFICATE
     except SynthesisError as exc:
         print(f"synthesis failed: {exc}", file=sys.stderr)

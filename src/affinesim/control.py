@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .framework import is_integer, numerical_rank, real_array
-from .stress import StressBlocks, StressMatrix, solve_follower_block
+from .stress import COND_LIMIT, StressBlocks, StressMatrix, solve_follower_block
 
 
 class SolverError(RuntimeError):
@@ -183,7 +183,7 @@ def solve_mare(plant: LinearPlant, Q, tol: float = 1e-10, max_iter: int = 100000
     for iterations in range(max_iter + 1):
         BtPB = B.T @ P @ B
         cond = np.linalg.cond(BtPB)
-        if not np.isfinite(cond) or cond > 1e12:
+        if not np.isfinite(cond) or cond > COND_LIMIT:
             raise SolverError(f"B'PB became singular (cond {cond:.3g}) at iteration {iterations}")
         BtPA = B.T @ P @ A
         P_next = A.T @ P @ A - A.T @ P @ B @ np.linalg.solve(BtPB, BtPA) + Q

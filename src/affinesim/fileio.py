@@ -135,10 +135,6 @@ def load_stress(path) -> StressMatrix:
     return stress_from_dict(_load_json(path))
 
 
-def save_stress(stress: StressMatrix, path):
-    _write_json({"n": stress.n, "entries": stress.entries.tolist()}, path)
-
-
 def weights_from_dict(data: dict) -> dict:
     """Build an edge -> weight mapping from {"edges": [[i, j, w], ...]}."""
     rows = _require(data, "edges", "weights")

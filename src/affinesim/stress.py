@@ -1,5 +1,5 @@
-"""Stress matrices: assembly from edge weights, equilibrium verification,
-the universal-rigidity certificate, leader/follower block partitioning,
+"""Stress matrices: assembly from edge weights, the universal-rigidity
+certificate and its hypotheses, leader/follower block partitioning,
 follower-target computation, and a concave-ascent stress synthesizer."""
 
 from __future__ import annotations
@@ -22,10 +22,8 @@ from .framework import (
     vertex_separator,
 )
 
-# A matrix is accepted as PSD when its smallest eigenvalue is above
-# -PSD_ATOL * max(1, sigma_max).
-PSD_ATOL = 1e-8
-# Follower blocks with a worse 2-norm condition number are treated as singular.
+# Matrices with a worse 2-norm condition number (follower blocks, B'PB) are
+# treated as singular.
 COND_LIMIT = 1e12
 # Row-sum slack, relative to the largest entry. Equilibrium stresses have
 # exactly zero row sums; matrices transcribed from rounded decimal sources
@@ -40,6 +38,10 @@ SYNTH_GRAD_TOL = 1e-12
 
 class LocalizabilityError(ValueError):
     """Follower stress block is singular or too ill-conditioned to invert."""
+
+
+class HypothesisError(RuntimeError):
+    """A hypothesis of the certificate fails, so that no stress can pass it."""
 
 
 class SynthesisError(RuntimeError):
@@ -111,20 +113,16 @@ class StressBlocks:
 
 @dataclass(frozen=True)
 class RigidityCertificate:
-    """Universal-rigidity check outcome; separator is vertex_separator(graph, d+1).
-    The stress is in equilibrium when equilibrium_ratio, |Omega [P 1]|_2 over
-    max(n, d) lambda_max(|Omega|) |[P 1]|_2, is at most RANK_RTOL."""
+    """Universal-rigidity check outcome for a framework that meets the
+    hypotheses. The stress is in equilibrium when equilibrium_ratio,
+    |Omega [P 1]|_2 over max(n, d) lambda_max(|Omega|) |[P 1]|_2, is at most
+    RANK_RTOL."""
 
     rank: int
     expected_rank: int
     min_eigenvalue: float
     psd: bool
     equilibrium_ratio: float
-    separator: tuple | None = None
-
-    @property
-    def connectivity_ok(self) -> bool:
-        return self.separator is None
 
     @property
     def equilibrium(self) -> bool:
@@ -132,7 +130,7 @@ class RigidityCertificate:
 
     @property
     def passed(self) -> bool:
-        return self.rank == self.expected_rank and self.psd and self.connectivity_ok and self.equilibrium
+        return self.rank == self.expected_rank and self.psd and self.equilibrium
 
 
 def normalize_weights(items) -> dict:
@@ -191,17 +189,6 @@ def _stress_entries(n: int, i: np.ndarray, j: np.ndarray, weights: np.ndarray) -
     return mat
 
 
-def verify_equilibrium(stress: StressMatrix, config) -> float:
-    """Max-norm residual of the equilibrium condition at a configuration.
-
-    Returns the largest entry of the stacked weighted position sums; an
-    equilibrium stress for the configuration gives (near) zero.
-    """
-    if stress.n != config.n:
-        raise ValueError(f"stress is {stress.n}x{stress.n} but configuration has {config.n} nodes")
-    return float(np.abs(stress.entries @ config.positions).max())
-
-
 def partition_stress(stress: StressMatrix, partition: LeaderPartition) -> StressBlocks:
     """Extract leader/follower blocks after reindexing leaders-first."""
     if partition.n != stress.n:
@@ -217,35 +204,53 @@ def partition_stress(stress: StressMatrix, partition: LeaderPartition) -> Stress
     )
 
 
-def check_rigidity_certificate(stress: StressMatrix, framework: Framework) -> RigidityCertificate:
-    """Universal-rigidity certificate: an equilibrium stress of rank n-d-1,
-    PSD, on a (d+1)-connected graph.
+def check_rigidity_certificate(stress: StressMatrix | None, framework: Framework) -> RigidityCertificate | None:
+    """Universal-rigidity certificate (Connelly, DCG 2005): an equilibrium
+    stress of rank n-d-1, PSD, on a framework that meets the hypotheses.
 
-    The rank is numerical_rank(|eigenvalues|, max(n, d)), equilibrium
-    holds Omega [P 1] to the same relative cut, and PSD allows a small
-    negative floor scaled by the spectral radius.
+    A stress of the wrong size raises ValueError and a failed hypothesis
+    HypothesisError. With stress None only the hypotheses are checked, and
+    None is returned.
     """
-    if stress.n != framework.config.n:
+    if stress is not None and stress.n != framework.config.n:
         raise ValueError("stress size does not match framework")
-    n, d = stress.n, framework.config.d
+    _check_hypotheses(framework)
+    return None if stress is None else _certificate(stress, framework)
+
+
+def _check_hypotheses(framework: Framework) -> None:
+    """The certificate's hypotheses, each stated here alone: n >= d+2, the
+    positions affinely span R^d, and the graph is (d+1)-connected.
+    HypothesisError names the first that fails."""
+    graph, config = framework.graph, framework.config
+    n, d = config.n, config.d
     if n < d + 2:
-        raise ValueError(f"certificate needs n >= d+2 nodes, got n={n}, d={d}")
-    return _certificate(stress, framework, vertex_separator(framework.graph, d + 1))
+        reason = f"n={n} < d+2={d + 2}"
+    elif affine_span_dimension(config.positions) != d:
+        reason = f"the positions do not affinely span R^{d}"
+    elif (separator := vertex_separator(graph, d + 1)) is not None:
+        cut = ", ".join(map(str, separator)) or "nothing"
+        reason = f"graph is not {d + 1}-connected: removing {cut} disconnects it"
+    else:
+        return
+    raise HypothesisError(f"no valid certificate possible: {reason}")
 
 
-def _certificate(stress: StressMatrix, framework: Framework, separator):
-    """check_rigidity_certificate for a stress of checked size, given
-    vertex_separator(graph, d+1), which depends on the graph alone (None
-    when the graph is (d+1)-connected)."""
+def _certificate(stress: StressMatrix, framework: Framework) -> RigidityCertificate:
+    """check_rigidity_certificate for a stress of checked size on a framework
+    that meets the hypotheses. Rank, PSD and equilibrium share one relative
+    cut, max(n, d) * RANK_RTOL * lambda_max(|Omega|): the rank counts the
+    |eigenvalues| above it, PSD allows lambda_min down to minus it, and
+    |Omega [P 1]|_2 may reach it times |[P 1]|_2."""
     n, d = stress.n, framework.config.d
     eig = np.linalg.eigvalsh(stress.entries)
     magnitudes = np.abs(eig)
     min_eig, top = float(eig[0]), float(magnitudes.max())
-    psd = min_eig >= -PSD_ATOL * max(1.0, top)
+    psd = min_eig >= -max(n, d) * RANK_RTOL * top
     affine = np.column_stack((framework.config.positions, np.ones(n)))
     residual = np.linalg.norm(stress.entries @ affine, 2)
     ratio = float(residual / (max(n, d) * top * np.linalg.norm(affine, 2))) if top > 0 else 0.0
-    return RigidityCertificate(numerical_rank(magnitudes, max(n, d)), n - d - 1, min_eig, psd, ratio, separator)
+    return RigidityCertificate(numerical_rank(magnitudes, max(n, d)), n - d - 1, min_eig, psd, ratio)
 
 
 def check_follower_block(blocks: StressBlocks) -> None:
@@ -313,19 +318,14 @@ def synthesize_stress(framework: Framework):
     where project(w) = w - R R^T w and R spans the row space of C. It
     returns the first iterate that passes check_rigidity_certificate as
     (weights edge -> weight, StressMatrix, RigidityCertificate); see README,
-    Certification. The result is deterministic. Raises SynthesisError when a precondition fails, a = 0, or the best
-    lambda_min is <= 0 at the end.
+    Certification. The result is deterministic. Raises HypothesisError when
+    a hypothesis of the certificate fails, and SynthesisError when a = 0 or
+    the best lambda_min is <= 0 at the end.
     """
     graph, config = framework.graph, framework.config
     n, d = graph.n, config.d
-    if n < d + 2:
-        raise SynthesisError(f"no valid certificate possible: n={n} < d+2={d + 2}")
-    separator = vertex_separator(graph, d + 1)
-    if separator is not None:
-        cut = ", ".join(map(str, separator)) or "nothing"
-        raise SynthesisError(f"graph is not {d + 1}-connected: removing {cut} disconnects it")
-    if affine_span_dimension(config.positions) != d:
-        raise SynthesisError("configuration does not affinely span the ambient space")
+    # Checked once here; each candidate below pays only its eigensolve.
+    _check_hypotheses(framework)
 
     edges, C = equilibrium_constraint_matrix(framework)
     _, i, j = _edge_index(graph)
@@ -360,8 +360,7 @@ def synthesize_stress(framework: Framework):
         if lam[0] > 0.0:
             result = dict(zip(edges, weights.tolist()))
             stress = assemble_stress(graph, result)
-            # The precondition found the graph (d+1)-connected.
-            certificate = _certificate(stress, framework, None)
+            certificate = _certificate(stress, framework)
             if certificate.passed:
                 return result, stress, certificate
         t = size * first * (last / first) ** (it / (SYNTH_MAX_ITER - 1))

@@ -107,6 +107,11 @@ def benchmark_scenario(framework, partition):
     )
 
 
+def write_stress(stress, path):
+    """Write a stress matrix file, the format fileio.load_stress reads."""
+    path.write_text(json.dumps({"n": stress.n, "entries": stress.entries.tolist()}))
+
+
 def write_benchmark_files(directory):
     """Write framework/weights/scenario JSON files for CLI tests."""
     framework_data = {

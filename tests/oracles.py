@@ -5,7 +5,8 @@ the stationary and dynamic laws here restate those laws agent by agent,
 so that compare_forms can check that each matrix update decomposes into
 neighbor-local computations. per_step_transform restates the schedule's
 cumulative transform one step and one segment at a time. reassemble_stress
-inverts partition_stress. None of this is a path the package runs.
+inverts partition_stress. equilibrium_residual measures equilibrium apart
+from the certificate's ratio. None of this is a path the package runs.
 """
 
 from __future__ import annotations
@@ -110,6 +111,13 @@ def per_step_transform(schedule: ManoeuvreSchedule, d: int, k: int):
         seg_thetas, seg_bs = ManoeuvreSchedule((seg,)).transforms(d, k, 1)
         theta, b = seg_thetas[0] @ theta, seg_thetas[0] @ b + seg_bs[0]
     return theta, b
+
+
+def equilibrium_residual(stress: StressMatrix, config) -> float:
+    """Largest entry of Omega P: (near) zero when the stress is in equilibrium at the configuration."""
+    if stress.n != config.n:
+        raise ValueError(f"stress is {stress.n}x{stress.n} but configuration has {config.n} nodes")
+    return float(np.abs(stress.entries @ config.positions).max())
 
 
 def reassemble_stress(blocks: StressBlocks, partition: LeaderPartition) -> StressMatrix:

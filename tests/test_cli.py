@@ -11,7 +11,7 @@ import pytest
 
 from affinesim import Configuration, Framework, Graph, ScenarioSpec, assemble_stress, synthesize_stress
 from affinesim.cli import main
-from affinesim.fileio import load_scenario, load_weights, save_stress, save_weights
+from affinesim.fileio import load_scenario, load_weights, save_weights
 
 from conftest import (
     EDGES,
@@ -21,6 +21,7 @@ from conftest import (
     LEADERS,
     REFERENCE_POSITIONS,
     write_benchmark_files,
+    write_stress,
 )
 
 FRAMEWORK = {"d": 2, "positions": [list(p) for p in REFERENCE_POSITIONS], "edges": [list(e) for e in EDGES],
@@ -52,10 +53,10 @@ def test_validate_pass(bench, tmp_path, capsys):
 
 def test_validate_structural_only(bench, tmp_path, capsys):
     rc = main(["validate", str(tmp_path / "framework.json")])
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
     assert rc == 0
-    assert "connectivity (3-connected): yes" in out
-    assert "structural checks: PASS" in out
+    assert "structural checks: PASS" in captured.out
+    assert captured.err == ""
 
 
 def test_validate_too_small(tmp_path, capsys):
@@ -63,9 +64,8 @@ def test_validate_too_small(tmp_path, capsys):
     path = tmp_path / "triangle.json"
     path.write_text(json.dumps(data))
     rc = main(["validate", str(path)])
-    out = capsys.readouterr().out
     assert rc == 1
-    assert "certificate impossible: n = 3 < d+2 = 4" in out
+    assert capsys.readouterr().err == "no valid certificate possible: n=3 < d+2=4\n"
 
 
 def test_validate_negated_weights_fail(bench, tmp_path, capsys):
@@ -94,7 +94,7 @@ def test_stress_out_of_equilibrium_fails_the_certificate(tmp_path, capsys):
     rc = main(["validate", str(tmp_path / "framework.json"), "--weights", str(tmp_path / "weights.json")])
     lines = capsys.readouterr().out.splitlines()
     assert rc == 1
-    assert {"rank: 3/3", "PSD: yes", "connectivity: yes", "equilibrium: no", "certificate: FAIL"} <= set(lines)
+    assert {"rank: 3/3", "PSD: yes", "equilibrium: no", "certificate: FAIL"} <= set(lines)
 
     assert main(["simulate", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "run")]) == 1
     captured = capsys.readouterr()
@@ -360,7 +360,7 @@ def test_plot_outputs(bench, tmp_path, capsys):
 
 
 def test_stability_stationary_report(tmp_path, capsys):
-    save_stress(assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS), tmp_path / "stress.json")
+    write_stress(assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS), tmp_path / "stress.json")
     rc = main(["stability", "--law", "stationary", "--T", "1.0",
                "--stress", str(tmp_path / "stress.json"), "--leaders", "1,2,3"])
     lines = capsys.readouterr().out.splitlines()
@@ -374,7 +374,7 @@ def test_stability_stationary_report(tmp_path, capsys):
 @pytest.mark.parametrize("leaders", ["1", "1,2", "2,3", "4,5"])
 def test_stability_refuses_a_singular_follower_block(tmp_path, capsys, leaders):
     # These leader sets leave the follower block singular, so simulate refuses them too.
-    save_stress(assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS), tmp_path / "stress.json")
+    write_stress(assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS), tmp_path / "stress.json")
     rc = main(["stability", "--law", "stationary", "--T", "1.0",
                "--stress", str(tmp_path / "stress.json"), "--leaders", leaders])
     captured = capsys.readouterr()
@@ -385,7 +385,7 @@ def test_stability_refuses_a_singular_follower_block(tmp_path, capsys, leaders):
 
 @pytest.mark.parametrize("leaders", ["1,,2,3", "1,2,3,", ",1,2,3", "", "1, ,2"])
 def test_stability_refuses_an_empty_leader_token(tmp_path, capsys, leaders):
-    save_stress(assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS), tmp_path / "stress.json")
+    write_stress(assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS), tmp_path / "stress.json")
     rc = main(["stability", "--law", "stationary", "--T", "1.0",
                "--stress", str(tmp_path / "stress.json"), "--leaders", leaders])
     captured = capsys.readouterr()
@@ -418,7 +418,7 @@ def test_stability_dynamic_reports(capsys):
 
 def test_stability_linear_reports_modal_test(tmp_path, capsys):
     stress = assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS)
-    save_stress(stress, tmp_path / "stress.json")
+    write_stress(stress, tmp_path / "stress.json")
     a = write_matrix(tmp_path / "A.json", [[1.2, 0.0], [0.0, 1.2]])
     b = write_matrix(tmp_path / "B.json", [[1.0, 0.0], [0.0, 1.0]])
     base = ["stability", "--law", "linear", "--T", "1.0", "--stress", str(tmp_path / "stress.json"),
@@ -438,7 +438,7 @@ def test_stability_linear_reports_modal_test(tmp_path, capsys):
 def test_stability_linear_needs_inputs(tmp_path, capsys):
     assert main(["stability", "--law", "linear", "--T", "1.0"]) == 2
     assert "needs --stress, --A and --B" in capsys.readouterr().err
-    save_stress(assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS), tmp_path / "stress.json")
+    write_stress(assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS), tmp_path / "stress.json")
     eye = write_matrix(tmp_path / "I.json", [[1.0, 0.0], [0.0, 1.0]])
     files = ["--stress", str(tmp_path / "stress.json"), "--A", eye, "--B", eye]
     assert main(["stability", "--law", "linear", "--T", "0.5", *files]) == 2
@@ -464,7 +464,7 @@ def test_stability_prints_the_flag_lines_simulate_prints(bench, tmp_path, monkey
     outcome = ("steps:", "final delta:", "outcome:", "wrote:")
     flag_lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith(outcome)]
 
-    save_stress(assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS), tmp_path / "stress.json")
+    write_stress(assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS), tmp_path / "stress.json")
     write_matrix(tmp_path / "I.json", LINEAR["plant"]["A"])
     assert main(["stability", "--law", data["law"], "--T", str(data["T"]), *options]) == 0
     assert capsys.readouterr().out.splitlines() == flag_lines
@@ -478,15 +478,14 @@ KITE = {
     "edges": [[1, 2], [1, 3], [2, 3], [2, 4], [2, 5], [3, 4], [3, 5], [4, 5]],
     "leaders": [1, 2, 3],
 }
+KITE_CUT = "no valid certificate possible: graph is not 3-connected: removing 2, 3 disconnects it"
 
 
 def test_validate_structural_names_separator(tmp_path, capsys):
     path = tmp_path / "kite.json"
     path.write_text(json.dumps(KITE))
     assert main(["validate", str(path)]) == 1
-    out = capsys.readouterr().out
-    assert "connectivity (3-connected): no (removing 2, 3 disconnects the graph)" in out
-    assert "structural checks: FAIL" in out
+    assert capsys.readouterr().err == f"{KITE_CUT}\n"
 
 
 def test_refused_run_names_separator(tmp_path, capsys):
@@ -500,10 +499,60 @@ def test_refused_run_names_separator(tmp_path, capsys):
     }
     (tmp_path / "scenario.json").write_text(json.dumps(scenario))
     assert main(["simulate", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "run")]) == 1
-    captured = capsys.readouterr()
-    assert "run refused" in captured.err
-    assert "connectivity: no (removing 2, 3 disconnects the graph)" in captured.out
+    assert capsys.readouterr().err == f"{KITE_CUT}\n"
 
+
+@pytest.mark.parametrize(
+    "positions, edges, leaders, message",
+    [
+        ([[0, 0], [1, 0], [0, 1]], [[1, 2], [1, 3], [2, 3]], [1], "n=3 < d+2=4"),
+        ([[0, 0], [1, 0], [2, 0], [3, 0], [5, 0]], list(itertools.combinations(range(1, 6), 2)), [1, 2, 3],
+         "the positions do not affinely span R^2"),
+        (KITE["positions"], KITE["edges"], KITE["leaders"], "graph is not 3-connected: removing 2, 3 disconnects it"),
+    ],
+    ids=["too-few-nodes", "collinear", "two-node-separator"],
+)
+def test_every_command_names_a_failed_hypothesis_alike(tmp_path, capsys, positions, edges, leaders, message):
+    (tmp_path / "framework.json").write_text(json.dumps({"d": 2, "positions": positions, "edges": edges,
+                                                         "leaders": leaders}))
+    save_weights({tuple(e): 1.0 for e in edges}, tmp_path / "weights.json")
+    followers = [[0.5, 0.5]] * (len(positions) - len(leaders))
+    for name, weights in (("weighted", "weights.json"), ("synthesized", None)):
+        scenario = {"framework": "framework.json", "weights": weights, "law": "stationary", "T": 1.0,
+                    "initial_followers": followers}
+        (tmp_path / f"{name}.json").write_text(json.dumps(scenario))
+    framework = str(tmp_path / "framework.json")
+    commands = [
+        ["validate", framework],
+        ["validate", framework, "--weights", str(tmp_path / "weights.json")],
+        ["synth", framework, "--out", str(tmp_path / "synth.json")],
+        *(["simulate", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name)]
+          for name in ("weighted", "synthesized")),
+    ]
+    for command in commands:
+        assert main(command) == 1, command
+        assert capsys.readouterr().err == f"no valid certificate possible: {message}\n", command
+    assert not (tmp_path / "synth.json").exists()
+    assert not list(tmp_path.rglob("trace.csv"))
+
+
+def test_validate_refuses_a_stress_of_another_size(bench, tmp_path, capsys):
+    write_stress(assemble_stress(Graph(4, [(1, 2), (2, 3), (3, 4)]), {(1, 2): 1.0, (2, 3): 1.0, (3, 4): 1.0}),
+                 tmp_path / "stress.json")
+    assert main(["validate", str(tmp_path / "framework.json"), "--stress", str(tmp_path / "stress.json")]) == 2
+    assert capsys.readouterr().err == "error: stress size does not match framework\n"
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-3, 1.0, 1e3])
+def test_psd_cut_is_relative_to_the_stress(bench, tmp_path, capsys, scale):
+    # The PSD floor scales with lambda_max(|Omega|): the paper weights pass
+    # and their negation, negative semidefinite, fails at every scale.
+    for sign, verdict in ((1.0, "PASS"), (-1.0, "FAIL")):
+        save_weights({e: sign * scale * w for e, w in EXACT_WEIGHTS.items()}, tmp_path / "scaled.json")
+        rc = main(["validate", str(tmp_path / "framework.json"), "--weights", str(tmp_path / "scaled.json")])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == (0 if verdict == "PASS" else 1)
+        assert {f"PSD: {'yes' if sign > 0 else 'no'}", "equilibrium: yes", f"certificate: {verdict}"} <= set(lines)
 
 def test_synth_failure_reports_best_eigenvalue(tmp_path, capsys):
     data = {
@@ -589,7 +638,7 @@ def test_synth_fails_on_path_graph(tmp_path, capsys):
     path.write_text(json.dumps(data))
     rc = main(["synth", str(path), "--out", str(tmp_path / "w.json")])
     assert rc == 1
-    assert "synthesis failed" in capsys.readouterr().err
+    assert capsys.readouterr().err == "no valid certificate possible: graph is not 3-connected: removing 2 disconnects it\n"
 
 
 def test_simulate_singular_follower_block_exit_code(bench, tmp_path, capsys):
@@ -672,10 +721,9 @@ def test_every_written_json_file_is_one_strict_sorted_line(bench, tmp_path, caps
     assert main(["simulate", str(bench), "--out", str(out / "simulate")]) == 0
     assert main(["batch", *map(str, batch_variants(bench, tmp_path)), str(overflow), "--out", str(out / "batch")]) == 3
     assert main(["synth", str(tmp_path / "framework.json"), "--out", str(out / "synth.json")]) == 0
-    save_stress(assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS), out / "stress.json")
     capsys.readouterr()
     written = sorted(out.rglob("*.json"))
-    assert len(written) == 2 + 2 * 9 + 2
+    assert len(written) == 2 + 2 * 9 + 1
     for path in written:
         text = path.read_text()
         value = json.loads(text, parse_constant=refuse_nonfinite)
@@ -793,7 +841,7 @@ def test_simulate_refuses_bad_scenarios_before_writing(bench, tmp_path, capsys, 
     ids=["float-d", "str-d", "bool-d", "str-n", "float-n"],
 )
 def test_validate_refuses_headers_that_are_not_integers(bench, tmp_path, capsys, name, header, message):
-    save_stress(assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS), tmp_path / "stress.json")
+    write_stress(assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS), tmp_path / "stress.json")
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps({**json.loads(path.read_text()), **header}))
     assert main(["validate", str(tmp_path / "framework.json"), "--stress", str(tmp_path / "stress.json")]) == 2
@@ -830,7 +878,7 @@ def test_stability_refuses_options_its_law_does_not_read(capsys, law, options, u
 
 
 def test_stability_refuses_a_nonfinite_epsilon(tmp_path, capsys):
-    save_stress(assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS), tmp_path / "stress.json")
+    write_stress(assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS), tmp_path / "stress.json")
     eye = write_matrix(tmp_path / "I.json", [[1.0, 0.0], [0.0, 1.0]])
     base = ["stability", "--law", "linear", "--T", "1.0", "--stress", str(tmp_path / "stress.json"), "--A", eye, "--B", eye]
     for value in ("nan", "inf"):

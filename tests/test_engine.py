@@ -24,13 +24,12 @@ from affinesim import (
     spectral_radius,
     stability_flags,
     stationary_leader_step,
-    verify_equilibrium,
 )
 from affinesim.engine import CONVERGENCE_WINDOW
 from affinesim.fileio import ParseError, weights_from_dict
 
 from conftest import EXACT_WEIGHTS, FOLLOWER_START, FOLLOWER_TARGETS, MU_MIN
-from oracles import compare_forms
+from oracles import compare_forms, equilibrium_residual
 
 
 def scenario(framework, partition, **overrides):
@@ -133,7 +132,7 @@ def test_targets_form_equilibrium_configuration(framework, partition):
     result = run_scenario(spec)
     for x, target in zip(result.states, result.targets):
         full_target = np.vstack([x[[0, 1, 2]], target])
-        assert verify_equilibrium(result.stress, Configuration(full_target)) <= 1e-6
+        assert equilibrium_residual(result.stress, Configuration(full_target)) <= 1e-6
 
 
 def test_determinism_bitwise(framework, partition):

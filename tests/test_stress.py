@@ -9,6 +9,7 @@ from affinesim import (
     Configuration,
     Framework,
     Graph,
+    HypothesisError,
     LeaderPartition,
     LocalizabilityError,
     StressBlocks,
@@ -21,7 +22,6 @@ from affinesim import (
     run_scenario,
     stability_flags,
     synthesize_stress,
-    verify_equilibrium,
 )
 from affinesim.cli import main
 from affinesim.stress import _row_space, equilibrium_constraint_matrix
@@ -34,7 +34,7 @@ from conftest import (
     MU_MIN,
     write_benchmark_files,
 )
-from oracles import reassemble_stress
+from oracles import equilibrium_residual, reassemble_stress
 
 
 def test_assemble_matches_hand_blocks(exact_stress):
@@ -84,11 +84,16 @@ def test_rounded_matrix_is_accepted(rounded_stress):
     assert 0 < np.abs(rounded_stress.entries.sum(axis=1)).max() <= 2e-3
 
 
-def test_verify_equilibrium(exact_stress, rounded_stress, reference):
-    assert verify_equilibrium(exact_stress, reference) <= 1e-12
-    assert verify_equilibrium(rounded_stress, reference) <= 1e-3
-    with pytest.raises(ValueError):
-        verify_equilibrium(exact_stress, Configuration([(0, 0), (1, 1)]))
+def test_equilibrium_ratio_agrees_with_the_residual(exact_stress, rounded_stress, framework, reference):
+    # The certificate's ratio and a max-norm residual computed apart from it
+    # agree on which stress is in equilibrium.
+    assert equilibrium_residual(exact_stress, reference) <= 1e-12
+    assert check_rigidity_certificate(exact_stress, framework).equilibrium
+    assert 0 < equilibrium_residual(rounded_stress, reference) <= 1e-3
+    assert not check_rigidity_certificate(rounded_stress, framework).equilibrium
+    small = Framework(Graph(2, [(1, 2)]), Configuration([(0, 0), (1, 1)]))
+    with pytest.raises(ValueError, match="stress size does not match framework"):
+        check_rigidity_certificate(exact_stress, small)
 
 
 def test_partition_blocks(exact_stress, partition, blocks):
@@ -118,7 +123,7 @@ def test_certificate_exact_stress(exact_stress, framework):
     cert = check_rigidity_certificate(exact_stress, framework)
     assert cert.rank == 2 == cert.expected_rank
     assert cert.min_eigenvalue >= -1e-8
-    assert cert.psd and cert.connectivity_ok and cert.passed
+    assert cert.psd and cert.passed
     assert cert.equilibrium and cert.equilibrium_ratio <= 1e-14
 
 
@@ -133,7 +138,7 @@ def test_certificate_rejects_small_frameworks():
     g = Graph(3, [(1, 2), (1, 3), (2, 3)])
     fw = Framework(g, Configuration([(0, 0), (1, 0), (0, 1)]))
     stress = StressMatrix(np.zeros((3, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(HypothesisError, match=r"^no valid certificate possible: n=3 < d\+2=4$"):
         check_rigidity_certificate(stress, fw)
 
 
@@ -213,7 +218,7 @@ def test_synthesize_benchmark(framework, reference):
     weights, returned, certificate = synthesize_stress(framework)
     assert_pinned(weights, PINNED_BENCHMARK_WEIGHTS)
     stress = assemble_stress(framework.graph, weights)
-    assert verify_equilibrium(stress, reference) <= 1e-9
+    assert equilibrium_residual(stress, reference) <= 1e-9
     assert check_rigidity_certificate(stress, framework).passed
     # The stress and certificate returned are those of the weights returned.
     assert np.array_equal(returned.entries, stress.entries)
@@ -238,12 +243,12 @@ def test_synthesize_k4(framework):
 def test_synthesize_rejects_weak_graphs():
     path = Graph(4, [(1, 2), (2, 3), (3, 4)])
     fw = Framework(path, Configuration([(0, 0), (1, 0.2), (2, -0.1), (3, 0.3)]))
-    with pytest.raises(SynthesisError):
+    with pytest.raises(HypothesisError, match="graph is not 3-connected: removing"):
         synthesize_stress(fw)
 
     tri = Graph(3, [(1, 2), (1, 3), (2, 3)])
     fw3 = Framework(tri, Configuration([(0, 0), (1, 0), (0, 1)]))
-    with pytest.raises(SynthesisError):
+    with pytest.raises(HypothesisError, match=r"n=3 < d\+2=4"):
         synthesize_stress(fw3)
 
 
@@ -272,7 +277,7 @@ def test_synthesize_certifies_constructed_frameworks():
         assert check_rigidity_certificate(assemble_stress(fw.graph, truth), fw).passed
         weights = synthesize_stress(fw)[0]
         stress = assemble_stress(fw.graph, weights)
-        assert verify_equilibrium(stress, fw.config) <= 1e-9
+        assert equilibrium_residual(stress, fw.config) <= 1e-9
         assert check_rigidity_certificate(stress, fw).passed
 
 
@@ -330,12 +335,11 @@ def test_synthesize_is_bit_identical_across_calls_and_seeds():
 def separator_calls(monkeypatch):
     """Arguments of every vertex_separator call, under each name it is bound
     to; is_k_connected calls it through the framework module."""
-    import affinesim.cli
     import affinesim.framework
     import affinesim.stress
 
     calls, original = [], affinesim.framework.vertex_separator
-    for module in (affinesim.framework, affinesim.stress, affinesim.cli):
+    for module in (affinesim.framework, affinesim.stress):
         monkeypatch.setattr(module, "vertex_separator", lambda *a: calls.append(a) or original(*a))
     return calls
 
@@ -429,7 +433,6 @@ def test_failing_certificate_tests_connectivity_once(framework, separator_calls)
     graph = Graph(5, [e for e in EDGES if e != (4, 5)])
     weights = {e: w for e, w in EXACT_WEIGHTS.items() if e != (4, 5)}
     fw = Framework(graph, framework.config)
-    cert = check_rigidity_certificate(assemble_stress(graph, weights), fw)
+    with pytest.raises(HypothesisError, match="graph is not 3-connected: removing 2, 3 disconnects it"):
+        check_rigidity_certificate(assemble_stress(graph, weights), fw)
     assert len(separator_calls) == 1
-    assert not cert.connectivity_ok and not cert.passed
-    assert cert.separator == (2, 3)
