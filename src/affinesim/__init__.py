@@ -22,8 +22,10 @@ from .control import (
 )
 from .engine import (
     CertificateError,
+    CompiledRun,
     RunResult,
     ScenarioSpec,
+    compile_run,
     run_batch,
     run_scenario,
     stability_flags,

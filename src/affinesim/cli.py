@@ -4,9 +4,13 @@ Subcommands: validate (the certificate's hypotheses, and with a stress the
 rigidity certificate), synth (stress synthesis), simulate (scenario run;
 trace, summary and plots are written from the run's trace columns),
 stability (prints engine.stability_flags for a law: the lines simulate
-prints for a run's flags), riccati (gain solver), batch (many scenarios,
-run one after another; their traces are then written in one call, which
-may format them on two CPUs).
+prints for a run's flags), riccati (gain solver), batch (many scenarios:
+every one is loaded and every run compiled here, in input order, so that
+every refusal is decided before a worker starts; the runs are then split
+over one worker process per usable CPU, each doing its runs' manifests,
+runs, traces, summaries and plots, and their stdout lines are printed
+here in input order). A refused run reports on stderr alone; in a batch
+the report opens with the refused scenario's path.
 
 Exit codes: 0 success/converged, 1 certificate or synthesis failure (a
 failed hypothesis of the certificate, n < d+2, positions that do not
@@ -19,7 +23,8 @@ not read or needs and lacks, a --leaders list with an empty token,
 validate given both --stress and --weights or a stress whose size is not
 the framework's, and a riccati --tol that is
 not positive and finite or a negative --max-iter, included; batch loads
-every scenario before writing any file),
+every scenario before writing any file, and a batch worker that fails
+exits 2 with its message),
 3 diverged, 4 step budget exhausted, 5 numerical solver failure (singular
 follower block, Riccati budget). Console numerics are printed to 6
 significant digits; files carry full precision.
@@ -28,6 +33,9 @@ significant digits; files carry full precision.
 from __future__ import annotations
 
 import argparse
+import json
+import os
+import signal
 import sys
 from pathlib import Path
 
@@ -35,7 +43,7 @@ import numpy as np
 
 from . import __version__, fileio
 from .control import SolverError, LinearPlant, solve_mare, spectral_radius
-from .engine import LAWS, CertificateError, run_batch, run_scenario, stability_flags
+from .engine import LAWS, CertificateError, compile_run, run_batch, run_scenario, stability_flags
 from .framework import LeaderPartition, real_array, validate_leader_selection
 from .plotting import delta_svg, trajectory_svg
 from .stress import (
@@ -66,13 +74,13 @@ def _print_matrix(label: str, mat: np.ndarray):
         print("  [" + ", ".join(_fmt(v) for v in row) + "]")
 
 
-def _print_certificate(cert) -> None:
-    print(f"rank: {cert.rank}/{cert.expected_rank}")
-    print(f"min eigenvalue: {_fmt(cert.min_eigenvalue)}")
-    print(f"PSD: {'yes' if cert.psd else 'no'}")
-    print(f"equilibrium ratio: {_fmt(cert.equilibrium_ratio)}")
-    print(f"equilibrium: {'yes' if cert.equilibrium else 'no'}")
-    print(f"certificate: {'PASS' if cert.passed else 'FAIL'}")
+def _print_certificate(cert, file=None) -> None:
+    print(f"rank: {cert.rank}/{cert.expected_rank}", file=file)
+    print(f"min eigenvalue: {_fmt(cert.min_eigenvalue)}", file=file)
+    print(f"PSD: {'yes' if cert.psd else 'no'}", file=file)
+    print(f"equilibrium ratio: {_fmt(cert.equilibrium_ratio)}", file=file)
+    print(f"equilibrium: {'yes' if cert.equilibrium else 'no'}", file=file)
+    print(f"certificate: {'PASS' if cert.passed else 'FAIL'}", file=file)
 
 
 def _print_flags(flags: dict) -> None:
@@ -117,11 +125,14 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _write_run_outputs(spec, result, out_dir: Path, plot: bool):
-    """Write the summary and the plots; the caller has written the trace."""
+def _write_run_outputs(spec, result, out_dir: Path, plot: bool, helper=True):
+    """Write the trace, the summary and the plots (helper as write_trace
+    takes it); return the names written, manifest.json first, and the text
+    to print before the run's report."""
     d = spec.framework.config.d
+    fileio.write_trace(result, out_dir / "trace.csv", helper=helper)
     fileio.write_summary(result, spec.partition, out_dir / "summary.json")
-    written = ["manifest.json", "trace.csv", "summary.json"]
+    written, notes = ["manifest.json", "trace.csv", "summary.json"], ""
     if plot:
         if d == 2:
             (out_dir / "trajectories.svg").write_text(
@@ -129,10 +140,10 @@ def _write_run_outputs(spec, result, out_dir: Path, plot: bool):
             )
             written.append("trajectories.svg")
         else:
-            print("trajectory plot skipped: only d=2 is drawable")
+            notes = "trajectory plot skipped: only d=2 is drawable\n"
         (out_dir / "delta.svg").write_text(delta_svg(result))
         written.append("delta.svg")
-    return written
+    return written, notes
 
 
 def _outcome_exit(result) -> int:
@@ -143,16 +154,20 @@ def _outcome_exit(result) -> int:
     return EXIT_OK
 
 
+def _save_manifest(raw, spec, out_dir: Path):
+    out_dir.mkdir(parents=True, exist_ok=True)
+    fileio.save_manifest(spec, raw, out_dir, out_dir / "manifest.json")
+
+
 def cmd_simulate(args) -> int:
     spec = fileio.load_scenario(args.scenario)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    fileio.save_manifest(spec, args.scenario, out_dir, out_dir / "manifest.json")
+    _save_manifest(args.scenario, spec, out_dir)
 
     result = run_scenario(spec)
-    fileio.write_trace([(result, out_dir / "trace.csv")])
-    written = _write_run_outputs(spec, result, out_dir, args.plot)
+    written, notes = _write_run_outputs(spec, result, out_dir, args.plot)
 
+    print(notes, end="")
     print(f"steps: {result.steps}")
     print(f"final delta: {_fmt(result.final_delta)}")
     _print_flags(result.stability_flags)
@@ -176,25 +191,129 @@ def cmd_batch(args) -> int:
         if out_dir in owners:
             raise fileio.ParseError(f"{owners[out_dir]} and {raw} would both write {out_dir}")
         owners[out_dir] = raw
-    for raw, spec, out_dir in runs:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        fileio.save_manifest(spec, raw, out_dir, out_dir / "manifest.json")
+    # Every run is compiled, and so refused or not, before any worker starts.
+    memo, compiled = {}, []
+    for raw, spec, _ in runs:
+        try:
+            compiled.append(compile_run(spec, memo))
+        except REPORTED as exc:
+            for run in runs:
+                _save_manifest(*run)
+            return _report(exc, f"{raw}: ")
 
-    results = run_batch(specs)
-    # One call, so that the batch's traces share the two-CPU split.
-    fileio.write_trace([(result, out_dir / "trace.csv") for (_, _, out_dir), result in zip(runs, results)])
-    codes = []
-    for (raw, spec, out_dir), result in zip(runs, results):
-        _write_run_outputs(spec, result, out_dir, args.plot)
-        code = _outcome_exit(result)
-        codes.append(code)
-        state = {0: "converged", 3: "diverged", 4: "budget"}[code]
-        print(f"{raw}: {state}, steps={result.steps}, final delta={_fmt(result.final_delta)}")
-    if any(c == EXIT_DIVERGED for c in codes):
+    def share(indices, alone):
+        for i in indices:
+            _save_manifest(*runs[i])
+        outputs = []
+        for i, result in zip(indices, run_batch([compiled[i] for i in indices])):
+            raw, spec, out_dir = runs[i]
+            _, notes = _write_run_outputs(spec, result, out_dir, args.plot, helper=alone)
+            code = _outcome_exit(result)
+            state = {0: "converged", 3: "diverged", 4: "budget"}[code]
+            report = f"{raw}: {state}, steps={result.steps}, final delta={_fmt(result.final_delta)}\n"
+            outputs.append((code, notes + report))
+        return outputs
+
+    outputs = _in_workers(len(runs), share)
+    print("".join(text for _, text in outputs), end="")
+    codes = [code for code, _ in outputs]
+    if EXIT_DIVERGED in codes:
         return EXIT_DIVERGED
-    if any(c == EXIT_BUDGET for c in codes):
+    if EXIT_BUDGET in codes:
         return EXIT_BUDGET
     return EXIT_OK
+
+
+def _in_workers(count: int, work) -> list:
+    """The outputs of work(indices, alone) for every index of range(count),
+    in input order, with the indices split over forked worker processes.
+
+    Worker w of N takes the indices i with i % N == w; this process is
+    worker 0, and alone is N == 1. N is the number of CPUs this process may
+    run on, at most count; it is 1 where the platform has no fork or does
+    not report those CPUs, and when a fork raises OSError: then work runs
+    here alone. A worker sends its outputs (or its error) as JSON through a
+    pipe and leaves through os._exit, so it prints nothing and runs none of
+    this process's exit handlers. Every worker is reaped before this
+    returns or raises: a failed worker makes it raise OSError with the
+    worker's message, and a failure here kills the workers first. Workers
+    are forked, not spawned, as a spawned one would import numpy and this
+    package again (about 0.2 s); Python 3.12 and later warn on a fork in a
+    process with other threads, and OpenBLAS keeps one.
+    """
+    n, workers = 1, []
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        n = min(len(os.sched_getaffinity(0)), count)
+    try:
+        try:
+            for w in range(1, n):
+                workers.append(_fork(work, range(w, count, n), False))
+        except OSError:
+            _kill(workers)
+            n = 1
+        shares, failures = [work(range(0, count, n), n == 1)], []
+        while workers:
+            pid, pipe = workers[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            workers.pop(0)
+            try:
+                message = json.loads(data)
+            except ValueError:  # the worker died before its message was whole
+                message = {}
+            if status == 0 and "outputs" in message:
+                shares.append(message["outputs"])
+            else:
+                failures.append(message.get("error", f"batch worker {pid} exited with status {status}"))
+    except BaseException:
+        _kill(workers)
+        raise
+    if failures:
+        raise OSError(failures[0])
+    outputs = [None] * count
+    for w, share in enumerate(shares):
+        outputs[w::n] = share
+    return outputs
+
+
+def _fork(work, *args):
+    """Fork a worker that sends {"outputs": work(*args)}, or {"error":
+    message}, as JSON through a pipe; return its pid and the pipe's read end."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, os.fdopen(read_fd, "rb")
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            message = {"outputs": work(*args)}
+        except BaseException as exc:  # the parent raises it as OSError
+            message = {"error": str(exc) or type(exc).__name__}
+        with os.fdopen(write_fd, "w") as pipe:
+            json.dump(message, pipe)
+        status = 0 if "outputs" in message else 1
+    finally:
+        os._exit(status)
+
+
+def _kill(workers):
+    """Kill and reap every worker that is still listed."""
+    for pid, pipe in workers:
+        pipe.close()
+        try:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            pass
+    workers.clear()
 
 
 # Each law's stability options: those it needs, then those it may take.
@@ -267,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot", action="store_true", help="also write SVG plots")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("batch", help="run several scenarios one after another")
+    p = sub.add_parser("batch", help="run several scenarios, split over the usable CPUs")
     p.add_argument("scenarios", nargs="+", help="scenario JSON files")
     p.add_argument("--out", required=True, help="output root directory")
     p.add_argument("--plot", action="store_true")
@@ -294,26 +413,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Every failure that main reports on stderr, with an exit code, in place of a traceback.
+REPORTED = (CertificateError, HypothesisError, SynthesisError, LocalizabilityError, SolverError, ValueError,
+            TypeError, OverflowError, OSError)
+
+
+def _report(exc, where="") -> int:
+    """Print exc, one of REPORTED, to stderr, each report opening with
+    where (a batch names the scenario there); return its exit code."""
+    if isinstance(exc, CertificateError):
+        print(f"{where}run refused:", file=sys.stderr)
+        _print_certificate(exc.certificate, file=sys.stderr)
+        return EXIT_CERTIFICATE
+    if isinstance(exc, HypothesisError):
+        print(f"{where}{exc}", file=sys.stderr)
+        return EXIT_CERTIFICATE
+    if isinstance(exc, SynthesisError):
+        print(f"{where}synthesis failed: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATE
+    if isinstance(exc, (LocalizabilityError, SolverError)):
+        print(f"{where}solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    print(f"{where}error: {exc}", file=sys.stderr)
+    return EXIT_PARSE
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CertificateError as exc:
-        print("run refused:", file=sys.stderr)
-        _print_certificate(exc.certificate)
-        return EXIT_CERTIFICATE
-    except HypothesisError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_CERTIFICATE
-    except SynthesisError as exc:
-        print(f"synthesis failed: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATE
-    except (LocalizabilityError, SolverError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except (ValueError, TypeError, OverflowError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except REPORTED as exc:
+        return _report(exc)
 
 
 if __name__ == "__main__":

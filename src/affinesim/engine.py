@@ -1,12 +1,14 @@
 """Deterministic discrete-time scenario engine.
 
 Wires a framework, a stress matrix, a manoeuvre schedule and one of the
-control laws into a run. Each run is compiled once: the stress is
-resolved and certified, the follower-block guard runs once while forming
-the target map G = -Omega_ff^-1 Omega_fl, the law's constant operators are
-built, and every leader waypoint the run can reach is generated as one
-array; run_batch compiles what its runs share only once. A single
-stepping loop then advances the state, measures the disagreement against
+control laws into a run. Each run is compiled once, by compile_run, which
+raises every refusal of the run: the stress is resolved and certified,
+the follower-block guard runs once while forming the target map
+G = -Omega_ff^-1 Omega_fl, the Riccati gain is solved and the stability
+flags are read; runs that share a memo, as a batch's do, compile what they
+share only once. run_scenario then builds the law's constant operators and
+generates every leader waypoint the run can reach as one array, and a
+single stepping loop advances the state, measures the disagreement against
 the instantaneous follower targets, records whether each row is in
 tolerance and whether it diverged, and stops on those two tests. The trace
 is the columns of RunResult: one row per step.
@@ -18,7 +20,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import LinearPlant, check_period, check_riccati_limits, riccati_weight, solve_mare, spectral_radius
+from .control import (
+    LinearPlant,
+    RiccatiSolution,
+    check_period,
+    check_riccati_limits,
+    riccati_weight,
+    solve_mare,
+    spectral_radius,
+)
 from .framework import Framework, LeaderPartition, is_integer, is_real, real_array
 from .maneuvers import ManoeuvreSchedule, leader_waypoints
 from .stress import (
@@ -177,7 +187,7 @@ class RunResult:
 
 
 def stability_flags(law, T, blocks=None, stress=None, plant=None, solution=None, epsilon=0.0):
-    """Stability diagnostics of one law at period T, which run_scenario
+    """Stability diagnostics of one law at period T, which compile_run
     records as theorem_flags and the stability command prints. A law reads
     LAW_INPUTS[law], and the linear law epsilon too; an unknown law, a
     missing input and a linear-law T other than 1.0 raise ValueError.
@@ -205,7 +215,7 @@ def stability_flags(law, T, blocks=None, stress=None, plant=None, solution=None,
         mu_min, mu_max = float(mu[0]), float(mu[-1])
         if mu_min >= 0.0:
             raise ValueError(f"mu_min must be negative, got {mu_min}; stress certificate is broken")
-        # run_scenario's guard, so that the same leader sets are refused.
+        # compile_run's guard, so that the same leader sets are refused.
         check_follower_block(blocks)
         return {
             "law": "stationary",
@@ -256,23 +266,53 @@ def _resolve_stress(spec: ScenarioSpec):
     return stress, certificate, blocks, G
 
 
-def _compile(spec: ScenarioSpec, memo: dict):
-    """A run's constant inputs (stress, certificate, blocks, G,
-    Riccati solution or None), each worked out once per memo. Keys compare
-    exact bytes and values: positions, graph, stress (None for synthesis)
-    and leader list; A, B, Q and riccati_tol."""
+@dataclass(frozen=True)
+class CompiledRun:
+    """A scenario with the constants of its run worked out: the stress, its
+    certificate and blocks, the target map G, the Riccati solution (linear
+    law, else None) and the stability flags. compile_run makes one."""
+
+    spec: ScenarioSpec
+    stress: StressMatrix
+    certificate: RigidityCertificate
+    blocks: StressBlocks
+    G: np.ndarray
+    solution: RiccatiSolution | None
+    stability_flags: dict
+
+
+def compile_run(spec, memo=None) -> CompiledRun:
+    """Compile a scenario's run, raising every refusal of it; a CompiledRun
+    is returned as it is.
+
+    The refusals: a failed hypothesis of the certificate (HypothesisError),
+    a failed synthesis (SynthesisError) or certificate (CertificateError),
+    a singular follower block (LocalizabilityError), a Riccati solve that
+    breaks down (SolverError) and stability_flags' ValueError. memo is a
+    dict that the runs of one batch share, so that each input below is
+    worked out once per memo. Keys compare exact bytes and values:
+    positions, graph, stress (None for synthesis) and leader list for the
+    stress, certificate, blocks and G; A, B, Q and riccati_tol for the
+    Riccati solution.
+    """
+    if isinstance(spec, CompiledRun):
+        return spec
+    memo = {} if memo is None else memo
     framework = spec.framework
-    stress = None if spec.stress is None else _array_key(spec.stress.entries)
-    stress_key = ("stress", _array_key(framework.config.positions), framework.graph, stress, spec.partition)
+    given = None if spec.stress is None else _array_key(spec.stress.entries)
+    stress_key = ("stress", _array_key(framework.config.positions), framework.graph, given, spec.partition)
     if stress_key not in memo:
         memo[stress_key] = _resolve_stress(spec)
-    if spec.law != "linear":
-        return (*memo[stress_key], None)
-    plant = spec.plant
-    riccati_key = ("riccati", *map(_array_key, (plant.A, plant.B, spec.q_matrix)), spec.riccati_tol)
-    if riccati_key not in memo:
-        memo[riccati_key] = solve_mare(plant, spec.q_matrix, tol=spec.riccati_tol)
-    return (*memo[stress_key], memo[riccati_key])
+    stress, certificate, blocks, G = memo[stress_key]
+    solution = None
+    if spec.law == "linear":
+        plant = spec.plant
+        riccati_key = ("riccati", *map(_array_key, (plant.A, plant.B, spec.q_matrix)), spec.riccati_tol)
+        if riccati_key not in memo:
+            memo[riccati_key] = solve_mare(plant, spec.q_matrix, tol=spec.riccati_tol)
+        solution = memo[riccati_key]
+    flags = stability_flags(spec.law, spec.T, blocks, stress, spec.plant, solution, spec.epsilon)
+    return CompiledRun(spec, stress, certificate, blocks, G, solution, flags)
 
 
 def _law_step(spec: ScenarioSpec, blocks: StressBlocks, stress, solution, G, leaders, targets):
@@ -307,20 +347,21 @@ def _law_step(spec: ScenarioSpec, blocks: StressBlocks, stress, solution, G, lea
     return step
 
 
-def run_scenario(spec: ScenarioSpec, *, _memo=None) -> RunResult:
-    """Execute a scenario to convergence, divergence, or budget exhaustion.
+def run_scenario(run) -> RunResult:
+    """Execute a scenario, or the CompiledRun compile_run made of one, to
+    convergence, divergence, or budget exhaustion.
 
-    The run is refused when the stress fails the rigidity certificate
-    (CertificateError) or its follower block is singular
-    (LocalizabilityError); a violated stability condition is only recorded
-    in the stability flags, since boundary experiments need unstable runs
-    to proceed. Convergence is declared after CONVERGENCE_WINDOW
-    consecutive in-tolerance rows, and never before the schedule ends.
-    _memo is run_batch's: what the batch's runs share is compiled once.
+    The run is refused, before it steps, on any of compile_run's refusals:
+    a stress that fails the rigidity certificate (CertificateError) or a
+    singular follower block (LocalizabilityError), among others. A violated
+    stability condition is only recorded in the stability flags, since
+    boundary experiments need unstable runs to proceed. Convergence is
+    declared after CONVERGENCE_WINDOW consecutive in-tolerance rows, and
+    never before the schedule ends.
     """
-    stress, certificate, blocks, G, solution = _compile(spec, {} if _memo is None else _memo)
+    run = compile_run(run)
+    spec, stress, blocks, G, solution = run.spec, run.stress, run.blocks, run.G, run.solution
     partition = spec.partition
-    flags = stability_flags(spec.law, spec.T, blocks, stress, spec.plant, solution, spec.epsilon)
 
     settle_after = spec.schedule.last_step()
     count = min(spec.budget, settle_after + 1) + 1
@@ -372,20 +413,26 @@ def run_scenario(spec: ScenarioSpec, *, _memo=None) -> RunResult:
         **columns,
         stress=stress,
         blocks=blocks,
-        certificate=certificate,
-        stability_flags=flags,
+        certificate=run.certificate,
+        stability_flags=run.stability_flags,
         converged_at=converged_at,
         diverged=diverged,
         budget_exhausted=converged_at is None and not diverged,
     )
 
 
-def run_batch(specs):
-    """Run independent scenarios one after another; results in input order.
+def run_batch(runs):
+    """Run scenarios one after another; results in input order.
 
-    Runs that share a framework, weights and leader set share one stress,
-    certificate and target map; runs that share a plant, Q and riccati_tol
-    share one Riccati solve. Each result equals its run_scenario result.
+    runs holds ScenarioSpecs or their CompiledRuns. Every spec is compiled,
+    in input order, before any run steps, so the first refusal in input
+    order is raised before any run has stepped. Runs that share a
+    framework, weights and leader set share one stress, certificate and
+    target map; runs that share a plant, Q and riccati_tol share one
+    Riccati solve. Each result equals its run_scenario result. affinesim
+    batch compiles its runs itself, then gives each worker process its
+    share of them here.
     """
     memo = {}
-    return [run_scenario(spec, _memo=memo) for spec in specs]
+    compiled = [compile_run(run, memo) for run in runs]
+    return [run_scenario(run) for run in compiled]

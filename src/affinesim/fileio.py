@@ -24,7 +24,7 @@ from .maneuvers import ManoeuvreSchedule, ScheduleSegment
 from .stress import StressMatrix, normalize_weights
 
 TRACE_HEADER = ("k", "agent_id", "coord_index", "value", "delta_norm", "converged", "diverged")
-# Traces with at least this many values are formatted on two CPUs, where
+# A trace with at least this many values is formatted on two CPUs, where
 # the helper's start-up (about 12 ms) is a small part of the work it takes.
 SPLIT_VALUES = 2**15
 # Keys a scenario mapping may hold: ScenarioSpec's init fields, with q for
@@ -306,92 +306,76 @@ def load_matrix(path) -> np.ndarray:
     return mat
 
 
-def write_trace(runs):
-    """Write the trace of each (result, path) run to its CSV file, one row
-    per (step, agent, coordinate), in the bytes csv.writer produces for the
-    same rows. simulate passes one run; batch passes all of its runs.
+def write_trace(result: RunResult, path, *, helper=True):
+    """Write a run's trace to a CSV file, one row per (step, agent,
+    coordinate), in the bytes csv.writer produces for the same rows.
 
-    When the runs hold at least SPLIT_VALUES values (K * n * d) in all and
-    two CPUs are usable, they are formatted on two: a helper interpreter
-    (tracerows run as a script, standard library only) formats the second
-    half while this process formats the first, with the same
-    tracerows.write_rows, and the helper's rows are appended to their files.
-    Counting values across the runs in order, the helper takes every row
-    from the row holding the midpoint on; for one trace, that is the rows
-    from rows // 2 on. If the helper cannot be started, this process formats
-    every row; the bytes are the same either way.
+    When the trace holds at least SPLIT_VALUES values (K * n * d), helper
+    is true and two CPUs are usable, it is formatted on two: a helper
+    interpreter (tracerows run as a script, standard library only) formats
+    the rows from rows // 2 on while this process formats the rows before
+    them, with the same tracerows.write_rows, and the helper's rows are
+    appended to the file. If the helper cannot be started, this process
+    formats every row; the bytes are the same either way. A batch that runs
+    on several worker processes passes helper=False: each worker has one
+    CPU to itself.
     """
-    total = sum(result.states.size for result, _ in runs)
+    rows = len(result.deltas)
     two_cpus = (
-        total >= SPLIT_VALUES
+        helper
+        and result.states.size >= SPLIT_VALUES
         and hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) >= 2
         # Not a file when the package is imported from a zip archive.
         and os.path.isfile(tracerows.__file__)
     )
-    if not (two_cpus and _write_split(runs, _helper_starts(runs, total))):
-        _write_heads(runs, [len(result.deltas) for result, _ in runs])
+    if not (two_cpus and _write_split(result, path, rows // 2)):
+        _write_head(result, path, rows)
 
 
-def _helper_starts(runs, total) -> list:
-    """The first row of each trace that the helper formats: counting values
-    across the traces in order, every row from the one holding value number
-    total // 2 on."""
-    starts, left = [], total // 2
-    for result, _ in runs:
-        rows, n, d = result.states.shape
-        starts.append(min(rows, max(0, left // (n * d))))
-        left -= result.states.size
-    return starts
+def _write_head(result, path, stop):
+    """Write the trace's header and its rows before stop to a new file."""
+    _, n, d = result.states.shape
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(TRACE_HEADER) + "\n")
+        tracerows.write_rows(
+            fh,
+            0,
+            n,
+            d,
+            memoryview(result.states.reshape(-1)),
+            result.deltas[:stop].tolist(),
+            result.converged_flags[:stop].tolist(),
+            result.diverged_flags[:stop].tolist(),
+        )
 
 
-def _write_heads(runs, stops):
-    """Write each trace's header and its rows before stops[i] to a new file."""
-    for (result, path), stop in zip(runs, stops):
-        _, n, d = result.states.shape
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(TRACE_HEADER) + "\n")
-            tracerows.write_rows(
-                fh,
-                0,
-                n,
-                d,
-                memoryview(result.states.reshape(-1)),
-                result.deltas[:stop].tolist(),
-                result.converged_flags[:stop].tolist(),
-                result.diverged_flags[:stop].tolist(),
-            )
-
-
-def _write_split(runs, starts) -> bool:
-    """Rows from starts[i] on by the helper, the rows before them here.
-    Returns False, having written nothing, when the helper cannot be
-    started."""
+def _write_split(result, path, start) -> bool:
+    """Rows from start on by the helper, the rows before them here. Returns
+    False, having written nothing, when the helper cannot be started."""
     import subprocess
 
-    tails = [(result, path, start) for (result, path), start in zip(runs, starts) if start < len(result.deltas)]
-    with tempfile.TemporaryFile() as chunks, tempfile.TemporaryFile() as formatted:
-        for result, _, start in tails:
-            _, n, d = result.states.shape
-            tracerows.write_chunk(
-                chunks,
-                start,
-                n,
-                d,
-                np.ascontiguousarray(result.deltas[start:], float),
-                np.ascontiguousarray(result.states[start:], float),
-                np.ascontiguousarray(result.converged_flags[start:], bool),
-                np.ascontiguousarray(result.diverged_flags[start:], bool),
-            )
-        chunks.seek(0)
+    _, n, d = result.states.shape
+    with tempfile.TemporaryFile() as chunk, tempfile.TemporaryFile() as formatted:
+        tracerows.write_chunk(
+            chunk,
+            start,
+            n,
+            d,
+            np.ascontiguousarray(result.deltas[start:], float),
+            np.ascontiguousarray(result.states[start:], float),
+            np.ascontiguousarray(result.converged_flags[start:], bool),
+            np.ascontiguousarray(result.diverged_flags[start:], bool),
+        )
+        chunk.seek(0)
         try:
             helper = subprocess.Popen(
-                [sys.executable, "-I", "-S", tracerows.__file__], stdin=chunks, stdout=formatted
+                [sys.executable, "-I", "-S", tracerows.__file__], stdin=chunk, stdout=formatted
             )
         except OSError:
             return False
         try:
-            _write_heads(runs, starts)
+            _write_head(result, path, start)
         except BaseException:
             helper.kill()
             raise
@@ -400,9 +384,8 @@ def _write_split(runs, starts) -> bool:
         if status:
             raise OSError(f"trace formatter {tracerows.__file__} exited with status {status}")
         formatted.seek(0)
-        for _, path, _ in tails:
-            with open(path, "ab") as fh:
-                tracerows.copy_rows(formatted, fh)
+        with open(path, "ab") as fh:
+            tracerows.copy_rows(formatted, fh)
     return True
 
 

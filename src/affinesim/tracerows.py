@@ -7,11 +7,10 @@ rows to stdout:
 
     python -I -S tracerows.py < chunks > rows
 
-which lets write_trace hand the tail of one large trace, or the later traces
-of a batch, to a second CPU. write_chunk writes a chunk: a header of four
-uint64 (k0, n, d, rows), then rows deltas and rows * n * d state values as
-float64, then the converged and the diverged flag of each row as one byte
-each. For each chunk, in order, stdout gets the byte length of its rows as
+which lets write_trace hand the tail of one large trace to a second CPU.
+write_chunk writes a chunk: a header of four uint64 (k0, n, d, rows), then
+rows deltas and rows * n * d state values as float64, then the converged
+and the diverged flag of each row as one byte each. For each chunk, in order, stdout gets the byte length of its rows as
 one uint64 and then the rows; copy_rows appends one such entry to a file.
 All numbers are in the byte order of the machine that writes and reads them.
 The script imports neither numpy nor affinesim, so it starts in a few

@@ -8,6 +8,7 @@ the checks respond to transcribed data.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -138,3 +139,24 @@ def write_benchmark_files(directory):
     with open(directory / "scenario.json", "w") as fh:
         json.dump(scenario, fh)
     return directory / "scenario.json"
+
+
+def count_forks(monkeypatch, fail_at=None):
+    """The os.fork calls of this process, by pid; the call numbered fail_at
+    raises OSError instead of forking."""
+    started = []
+    fork = os.fork
+
+    def counted():
+        started.append(os.getpid())
+        if len(started) == fail_at:
+            raise OSError("fork refused")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return started
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -2,8 +2,10 @@ import dataclasses
 import itertools
 import json
 import os
-import subprocess
+import re
+import signal
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,8 @@ from conftest import (
     FOLLOWER_TARGETS,
     LEADERS,
     REFERENCE_POSITIONS,
+    assert_no_child,
+    count_forks,
     write_benchmark_files,
     write_stress,
 )
@@ -98,8 +102,10 @@ def test_stress_out_of_equilibrium_fails_the_certificate(tmp_path, capsys):
 
     assert main(["simulate", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "run")]) == 1
     captured = capsys.readouterr()
-    assert "run refused:" in captured.err
-    assert "equilibrium: no" in captured.out.splitlines()
+    # The refusal and the certificate it failed are one report, on stderr.
+    assert captured.err.splitlines()[0] == "run refused:"
+    assert "equilibrium: no" in captured.err.splitlines()
+    assert captured.out == ""
     assert not (tmp_path / "run" / "trace.csv").exists()
 
 
@@ -316,34 +322,174 @@ def test_batch_manifests_match_uncached_writes(bench, tmp_path, capsys):
         assert written == (tmp_path / "alone.json").read_text() == reference + "\n"
 
 
-def test_batch_writes_the_same_files_on_one_cpu_and_on_two(bench, tmp_path, monkeypatch, capsys):
-    from affinesim.fileio import SPLIT_VALUES
+def use_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
+
+def tree(path):
+    return {p.relative_to(path).as_posix(): p.read_bytes() for p in sorted(path.rglob("*")) if p.is_file()}
+
+
+def run_aside(argv, out, aside):
+    """Run the batch argv, which writes under out, then move out to aside.
+    Every run writes to the same out, so the manifests, which name it,
+    compare byte for byte."""
+    code = main(argv)
+    out.rename(aside)
+    return code
+
+
+def test_batch_writes_the_same_files_on_one_cpu_and_on_two(bench, tmp_path, monkeypatch, capsys):
     data = json.loads(bench.read_text())
-    # Two slow runs exhaust a 2000-step budget: 40k trace values in all.
     variants = {"slow": dict(T=0.01), "unstable": dict(T=1.4, budget=500), "slower": dict(T=0.005)}
     scenarios = [bench]
     for name, changes in variants.items():
         scenarios.append(tmp_path / f"{name}.json")
         scenarios[-1].write_text(json.dumps({**data, **changes}))
-    started = []
-    popen = subprocess.Popen
-    monkeypatch.setattr(subprocess, "Popen", lambda args, **kwargs: started.append(args) or popen(args, **kwargs))
+    started = count_forks(monkeypatch)
+    argv = ["batch", *map(str, scenarios), "--out", str(tmp_path / "batch")]
     lines = {}
-    for cpus in ({0}, {0, 1}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, _cpus=cpus: _cpus, raising=False)
-        assert main(["batch", *map(str, scenarios), "--out", str(tmp_path / f"cpus{len(cpus)}")]) == 3
-        lines[len(cpus)] = capsys.readouterr().out.splitlines()
-        assert len(started) == len(cpus) - 1
-    assert lines[1] == lines[2]
+    for cpus in (1, 2, 3):
+        use_cpus(monkeypatch, cpus)
+        assert run_aside(argv, tmp_path / "batch", tmp_path / f"cpus{cpus}") == 3
+        lines[cpus] = capsys.readouterr().out.splitlines()
+        # One worker per CPU: this process and cpus - 1 forked ones.
+        assert len(started) == cpus - 1
+        started.clear()
+        assert_no_child()
+    assert lines[1] == lines[2] == lines[3]
     assert [line.split(": ")[0] for line in lines[2]] == list(map(str, scenarios))
-    values = 0
-    for scenario in scenarios:
-        one, two = tmp_path / "cpus1" / scenario.stem, tmp_path / "cpus2" / scenario.stem
-        for name in ("trace.csv", "summary.json"):
-            assert (one / name).read_bytes() == (two / name).read_bytes()
-        values += 10 * (json.loads((one / "summary.json").read_text())["steps"] + 1)
-    assert values >= SPLIT_VALUES
+    one = tree(tmp_path / "cpus1")
+    assert len(one) == 3 * len(scenarios)
+    assert tree(tmp_path / "cpus2") == tree(tmp_path / "cpus3") == one
+
+
+def negated_weights(data):
+    return {**data, "weights": {"edges": [[i, j, -w] for i, j, w in WEIGHT_ROWS]}}
+
+
+def singular_leaders(data):
+    # Collinear leaders: the follower block is singular.
+    return {**data, "framework": {**FRAMEWORK, "leaders": [1, 4, 5]}, "initial_followers": [[0.0, 1.0], [0.0, -1.0]]}
+
+
+def flagged_period(data):
+    return {**data, "T": 0.77}
+
+
+@pytest.mark.parametrize(
+    "refuse, code, report",
+    [
+        (negated_weights, 1, "run refused:"),
+        (singular_leaders, 5, "solver failure: follower stress block is singular"),
+        (flagged_period, 2, "error: T = 0.77 is refused"),
+    ],
+    ids=["certificate", "singular-leaders", "stability-flags"],
+)
+def test_refused_batch_is_the_same_on_one_two_and_three_cpus(bench, tmp_path, monkeypatch, capsys, refuse, code,
+                                                              report):
+    import affinesim.engine as engine
+
+    flags = engine.stability_flags
+
+    def refuse_077(law, T, *args):
+        if law == "stationary" and T == 0.77:
+            raise ValueError("T = 0.77 is refused")
+        return flags(law, T, *args)
+
+    monkeypatch.setattr(engine, "stability_flags", refuse_077)
+    data = json.loads(bench.read_text())
+    # The refused scenario is second: on two or three CPUs, it is a forked worker's first run.
+    scenarios = [bench, tmp_path / "refused.json", tmp_path / "T08.json", tmp_path / "T05.json"]
+    for path, changes in zip(scenarios[1:], (refuse(data), {**data, "T": 0.8}, {**data, "T": 0.5})):
+        path.write_text(json.dumps(changes))
+    started = count_forks(monkeypatch)
+    argv = ["batch", *map(str, scenarios), "--out", str(tmp_path / "batch")]
+    errs = []
+    for cpus in (1, 2, 3):
+        use_cpus(monkeypatch, cpus)
+        assert run_aside(argv, tmp_path / "batch", tmp_path / f"cpus{cpus}") == code
+        captured = capsys.readouterr()
+        errs.append(captured.err)
+        assert captured.out == ""
+        assert started == []
+        written = tree(tmp_path / f"cpus{cpus}")
+        assert sorted(written) == [f"{path.stem}/manifest.json" for path in sorted(scenarios)]
+        assert_no_child()
+    assert errs[0] == errs[1] == errs[2]
+    assert errs[0].startswith(f"{scenarios[1]}: {report}")
+    if refuse is negated_weights:
+        assert errs[0].splitlines()[-1] == "certificate: FAIL"
+    # The refused run's manifest replays to the same refusal.
+    manifest = tmp_path / "cpus1" / "refused" / "manifest.json"
+    assert main(["simulate", str(manifest), "--out", str(tmp_path / "replay")]) == code
+    assert capsys.readouterr().err.splitlines()[1:] == errs[0].splitlines()[1:]
+
+
+def test_batch_whose_fork_fails_runs_in_one_process(bench, tmp_path, monkeypatch, capsys):
+    scenarios = batch_variants(bench, tmp_path)
+    argv = ["batch", *map(str, scenarios), "--out", str(tmp_path / "batch")]
+    use_cpus(monkeypatch, 1)
+    assert run_aside(argv, tmp_path / "batch", tmp_path / "reference") == 0
+    reference = capsys.readouterr().out
+    # The first fork fails; or the second, and the worker the first started is killed.
+    for cpus, fail_at in ((2, 1), (3, 2)):
+        started = count_forks(monkeypatch, fail_at)
+        use_cpus(monkeypatch, cpus)
+        assert run_aside(argv, tmp_path / "batch", tmp_path / f"cpus{cpus}") == 0
+        assert len(started) == fail_at
+        assert capsys.readouterr().out == reference
+        assert tree(tmp_path / f"cpus{cpus}") == tree(tmp_path / "reference")
+        assert_no_child()
+
+
+@pytest.mark.parametrize("failure", ["raises", "is-killed"])
+def test_batch_worker_failure_exits_2_with_its_message(bench, tmp_path, monkeypatch, capsys, failure):
+    from affinesim import fileio
+
+    here, write_summary = os.getpid(), fileio.write_summary
+
+    def fail_in_worker(result, partition, path):
+        if os.getpid() != here:
+            if failure == "is-killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise OSError(f"no room for {path.parent.name}")
+        write_summary(result, partition, path)
+
+    monkeypatch.setattr(fileio, "write_summary", fail_in_worker)
+    use_cpus(monkeypatch, 2)
+    started = count_forks(monkeypatch)
+    scenarios = batch_variants(bench, tmp_path)
+    assert main(["batch", *map(str, scenarios), "--out", str(tmp_path / "batch")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if failure == "raises":
+        # The worker's first run is the second scenario.
+        assert captured.err == f"error: no room for {scenarios[1].stem}\n"
+    else:
+        assert re.fullmatch(rf"error: batch worker \d+ exited with status {-signal.SIGKILL}\n", captured.err)
+    assert len(started) == 1
+    assert_no_child()
+
+
+def test_batch_failure_here_kills_its_workers(bench, tmp_path, monkeypatch, capsys):
+    from affinesim import fileio
+
+    here = os.getpid()
+
+    def stall_or_fail(result, partition, path):
+        if os.getpid() != here:
+            time.sleep(60)  # unless it is killed first
+        raise OSError("disk on fire")
+
+    monkeypatch.setattr(fileio, "write_summary", stall_or_fail)
+    use_cpus(monkeypatch, 2)
+    scenarios = batch_variants(bench, tmp_path)
+    start = time.monotonic()
+    assert main(["batch", *map(str, scenarios), "--out", str(tmp_path / "batch")]) == 2
+    assert time.monotonic() - start < 30
+    assert capsys.readouterr().err == "error: disk on fire\n"
+    assert_no_child()
 
 
 def test_plot_outputs(bench, tmp_path, capsys):

@@ -13,6 +13,7 @@ from affinesim import (
     ScenarioSpec,
     ScheduleSegment,
     assemble_stress,
+    compile_run,
     dynamic_leader_step,
     follower_targets,
     leader_waypoints,
@@ -320,6 +321,24 @@ def test_run_batch_shares_certificate_and_riccati_solve(framework, partition, mo
     assert calls == {"check_rigidity_certificate": 1, "solve_mare": 1}
     assert all(result.stress is results[0].stress for result in results)
     assert not results[0].blocks.ff.flags.writeable
+
+
+def test_run_batch_refuses_before_any_run_steps(framework, partition, monkeypatch):
+    import affinesim.engine as engine
+
+    stepped = []
+    waypoints = engine.leader_waypoints
+    monkeypatch.setattr(engine, "leader_waypoints", lambda *args: stepped.append(args) or waypoints(*args))
+    negated = {e: -w for e, w in EXACT_WEIGHTS.items()}
+    specs = [scenario(framework, partition, budget=40), scenario(framework, partition, weights=negated)]
+    with pytest.raises(CertificateError):
+        run_batch(specs)
+    assert stepped == []
+    # A compiled run is taken as it is, by compile_run, run_scenario and run_batch.
+    compiled = compile_run(specs[0])
+    assert compile_run(compiled) is compiled
+    assert np.array_equal(run_batch([compiled])[0].deltas, run_scenario(specs[0]).deltas)
+    assert run_scenario(compiled).stability_flags == compiled.stability_flags
 
 
 def test_trace_record_flags_are_instantaneous(framework, partition):

@@ -7,6 +7,7 @@ one CPU and on two.
 
 import csv
 import io
+import json
 import os
 import signal
 import subprocess
@@ -17,9 +18,10 @@ import numpy as np
 import pytest
 
 from affinesim import ScenarioSpec, run_scenario, tracerows
-from affinesim.fileio import SPLIT_VALUES, TRACE_HEADER, write_trace
+from affinesim.cli import main
+from affinesim.fileio import SPLIT_VALUES, TRACE_HEADER, load_scenario, write_trace
 
-from conftest import EXACT_WEIGHTS, FOLLOWER_START
+from conftest import EXACT_WEIGHTS, FOLLOWER_START, assert_no_child, count_forks, write_benchmark_files
 
 
 def reference_trace(result) -> bytes:
@@ -69,7 +71,7 @@ def spec(framework, partition, **overrides):
 def test_converging_trace_matches_csv_writer(framework, partition, tmp_path):
     result = run_scenario(spec(framework, partition))
     assert result.converged_at is not None
-    write_trace([(result, tmp_path / "trace.csv")])
+    write_trace(result, tmp_path / "trace.csv")
     assert (tmp_path / "trace.csv").read_bytes() == reference_trace(result)
     rows = read_trace(tmp_path / "trace.csv")
     assert len(rows) == (result.steps + 1) * 5 * 2
@@ -82,7 +84,7 @@ def test_diverged_trace_matches_csv_writer(framework, partition, tmp_path):
         result = run_scenario(spec(framework, partition, T=1e300))
     assert result.diverged and result.steps == 1
     assert result.final_delta == np.inf
-    write_trace([(result, tmp_path / "inf.csv")])
+    write_trace(result, tmp_path / "inf.csv")
     data = (tmp_path / "inf.csv").read_bytes()
     assert data == reference_trace(result)
     assert data.endswith(b",inf,0,1\n")
@@ -91,7 +93,7 @@ def test_diverged_trace_matches_csv_writer(framework, partition, tmp_path):
     states = result.states.copy()
     states[-1, 3] = (np.nan, -np.inf)
     nan_result = replace(result, states=states, deltas=np.array([result.deltas[0], np.nan]))
-    write_trace([(nan_result, tmp_path / "nan.csv")])
+    write_trace(nan_result, tmp_path / "nan.csv")
     data = (tmp_path / "nan.csv").read_bytes()
     assert data == reference_trace(nan_result)
     assert b"\n1,4,0,nan,nan,0,1\n1,4,1,-inf,nan,0,1\n" in data
@@ -102,7 +104,7 @@ def test_values_round_trip(framework, partition, tmp_path, value):
     result = run_scenario(spec(framework, partition, budget=1))
     states = np.full_like(result.states, value)
     odd = replace(result, states=states)
-    write_trace([(odd, tmp_path / "trace.csv")])
+    write_trace(odd, tmp_path / "trace.csv")
     assert (tmp_path / "trace.csv").read_bytes() == reference_trace(odd)
     assert {float(row[3]) for row in read_trace(tmp_path / "trace.csv")} == {value}
 
@@ -141,38 +143,6 @@ def large_result(framework, partition):
     return result
 
 
-SHORT = (61, 16, 2)
-
-
-def short_traces(framework, partition, shapes):
-    """One synthetic trace per (rows, n, d) shape, each with SPECIALS in its
-    first, last-but-two and middle rows and in rows 29 to 31."""
-    result = run_scenario(spec(framework, partition, budget=1))
-    return [
-        synthetic(result, rows, n, d, seed=i, marked=(0, 29, 30, 31, rows // 2 - 1, rows // 2, rows - 3))
-        for i, (rows, n, d) in enumerate(shapes)
-    ]
-
-
-@pytest.fixture
-def large_batch(framework, partition):
-    """21 short traces, together above the two-CPU split size."""
-    results = short_traces(framework, partition, [SHORT] * 21)
-    assert all(r.states.size < SPLIT_VALUES for r in results) and sum(r.states.size for r in results) >= SPLIT_VALUES
-    return results
-
-
-def write_batch(results, directory):
-    paths = [directory / f"trace{i}.csv" for i in range(len(results))]
-    write_trace(list(zip(results, paths)))
-    return paths
-
-
-def assert_batch_matches(results, paths):
-    for result, path in zip(results, paths):
-        assert path.read_bytes() == reference_trace(result)
-
-
 @pytest.fixture
 def two_cpus(monkeypatch):
     """Take the two-CPU path on any host, and record the helpers started."""
@@ -188,13 +158,8 @@ def two_cpus(monkeypatch):
     return started
 
 
-def assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_two_cpu_trace_matches_csv_writer(large_result, two_cpus, tmp_path):
-    write_trace([(large_result, tmp_path / "trace.csv")])
+    write_trace(large_result, tmp_path / "trace.csv")
     assert two_cpus == [[sys.executable, "-I", "-S", tracerows.__file__]]
     data = (tmp_path / "trace.csv").read_bytes()
     assert data == reference_trace(large_result)
@@ -203,13 +168,19 @@ def test_two_cpu_trace_matches_csv_writer(large_result, two_cpus, tmp_path):
 
 
 def test_small_trace_stays_on_one_cpu(framework, partition, two_cpus, tmp_path):
-    write_trace([(run_scenario(spec(framework, partition)), tmp_path / "trace.csv")])
+    write_trace(run_scenario(spec(framework, partition)), tmp_path / "trace.csv")
     assert two_cpus == []
+
+
+def test_trace_written_by_a_batch_worker_stays_on_one_cpu(large_result, two_cpus, tmp_path):
+    write_trace(large_result, tmp_path / "trace.csv", helper=False)
+    assert two_cpus == []
+    assert (tmp_path / "trace.csv").read_bytes() == reference_trace(large_result)
 
 
 def test_helper_that_cannot_start_falls_back(large_result, two_cpus, monkeypatch, tmp_path):
     monkeypatch.setattr(sys, "executable", str(tmp_path / "missing" / "python"))
-    write_trace([(large_result, tmp_path / "trace.csv")])
+    write_trace(large_result, tmp_path / "trace.csv")
     assert len(two_cpus) == 1
     assert (tmp_path / "trace.csv").read_bytes() == reference_trace(large_result)
 
@@ -220,7 +191,7 @@ def test_helper_that_fails_raises(large_result, two_cpus, monkeypatch, tmp_path)
     script.chmod(0o755)
     monkeypatch.setattr(sys, "executable", str(script))
     with pytest.raises(OSError, match="exited with status 1"):
-        write_trace([(large_result, tmp_path / "trace.csv")])
+        write_trace(large_result, tmp_path / "trace.csv")
     assert_no_child()
 
 
@@ -230,74 +201,70 @@ def test_helper_is_killed_when_this_process_fails(large_result, two_cpus, monkey
 
     monkeypatch.setattr(tracerows, "write_rows", fail)
     with pytest.raises(RuntimeError, match="disk on fire"):
-        write_trace([(large_result, tmp_path / "trace.csv")])
+        write_trace(large_result, tmp_path / "trace.csv")
     assert_no_child()
 
 
 def test_script_that_is_not_a_file_stays_on_one_cpu(large_result, two_cpus, monkeypatch, tmp_path):
     # Imported from a zip archive, the module has a path but no file there.
     monkeypatch.setattr(tracerows, "__file__", str(tmp_path / "affinesim.zip" / "affinesim" / "tracerows.py"))
-    write_trace([(large_result, tmp_path / "trace.csv")])
+    write_trace(large_result, tmp_path / "trace.csv")
     assert two_cpus == []
     assert (tmp_path / "trace.csv").read_bytes() == reference_trace(large_result)
 
 
-@pytest.mark.parametrize(
-    "shapes, here",
-    [
-        # Value 20496 of 40992 is in row 30 of trace 10.
-        ([SHORT] * 21, [61] * 10 + [30] + [0] * 10),
-        # Value 19520 of 39040 is the first of trace 10.
-        ([SHORT] * 20, [61] * 10 + [0] * 10),
-        # Value 21620 of 43240 is in row 100 of the 7-agent spatial trace.
-        ([SHORT] * 10 + [(200, 7, 3)] + [SHORT] * 10, [61] * 10 + [100] + [0] * 10),
-    ],
-    ids=["inside-a-trace", "on-a-boundary", "mixed-shapes"],
-)
-def test_batch_split_matches_csv_writer(framework, partition, two_cpus, monkeypatch, tmp_path, shapes, here):
-    results = short_traces(framework, partition, shapes)
-    formatted = []
-    write_rows = tracerows.write_rows
-
-    def counted(fh, k0, n, d, values, deltas, *flags):
-        formatted.append(len(deltas))
-        write_rows(fh, k0, n, d, values, deltas, *flags)
-
-    monkeypatch.setattr(tracerows, "write_rows", counted)
-    paths = write_batch(results, tmp_path)
-    assert two_cpus == [[sys.executable, "-I", "-S", tracerows.__file__]]
-    assert formatted == here
-    assert_batch_matches(results, paths)
-    assert_no_child()
+def large_batch(tmp_path):
+    """A one-run batch whose stationary run exhausts a 4000-step budget:
+    40010 trace values, above the two-CPU split size."""
+    scenario = write_benchmark_files(tmp_path)
+    scenario.write_text(json.dumps({**json.loads(scenario.read_text()), "T": 0.005, "budget": 4000}))
+    return ["batch", str(scenario), "--out", str(tmp_path / "batch")], tmp_path / "batch" / "scenario" / "trace.csv"
 
 
-def test_small_batch_stays_on_one_cpu(framework, partition, two_cpus, tmp_path):
-    results = short_traces(framework, partition, [SHORT] * 16)
-    assert sum(r.states.size for r in results) < SPLIT_VALUES
-    assert_batch_matches(results, write_batch(results, tmp_path))
-    assert two_cpus == []
+def reference_run_trace(tmp_path) -> bytes:
+    return reference_trace(run_scenario(load_scenario(tmp_path / "scenario.json")))
 
 
-def test_batch_helper_that_cannot_start_falls_back(large_batch, two_cpus, monkeypatch, tmp_path):
+def test_small_batch_stays_on_one_cpu(two_cpus, monkeypatch, tmp_path, capsys):
+    # A batch of one run forks no worker, and its short trace starts no helper.
+    started = count_forks(monkeypatch)
+    scenario = write_benchmark_files(tmp_path)
+    assert main(["batch", str(scenario), "--out", str(tmp_path / "batch")]) == 0
+    assert started == two_cpus == []
+    assert (tmp_path / "batch" / "scenario" / "trace.csv").read_bytes() == reference_run_trace(tmp_path)
+    capsys.readouterr()
+
+
+def test_batch_helper_that_cannot_start_falls_back(two_cpus, monkeypatch, tmp_path, capsys):
+    # A batch of one run keeps the helper's row split for its one large trace.
+    started = count_forks(monkeypatch)
+    argv, trace = large_batch(tmp_path)
+    assert main(argv) == 4
+    assert two_cpus == [[sys.executable, "-I", "-S", tracerows.__file__]] and started == []
+    reference = reference_run_trace(tmp_path)
+    assert trace.read_bytes() == reference
     monkeypatch.setattr(sys, "executable", str(tmp_path / "missing" / "python"))
-    paths = write_batch(large_batch, tmp_path)
-    assert len(two_cpus) == 1
-    assert_batch_matches(large_batch, paths)
+    trace.unlink()
+    assert main(argv) == 4
+    assert len(two_cpus) == 2
+    assert trace.read_bytes() == reference
     assert_no_child()
+    capsys.readouterr()
 
 
-def test_batch_helper_that_fails_raises(large_batch, two_cpus, monkeypatch, tmp_path):
+def test_batch_helper_that_fails_raises(two_cpus, monkeypatch, tmp_path, capsys):
     script = tmp_path / "fails"
     script.write_text("#!/bin/sh\nexit 1\n")
     script.chmod(0o755)
     monkeypatch.setattr(sys, "executable", str(script))
-    with pytest.raises(OSError, match="exited with status 1"):
-        write_batch(large_batch, tmp_path)
+    argv, _ = large_batch(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: trace formatter {tracerows.__file__} exited with status 1\n"
     assert len(two_cpus) == 1
     assert_no_child()
 
 
-def test_batch_helper_is_killed_when_this_process_fails(large_batch, two_cpus, monkeypatch, tmp_path):
+def test_batch_helper_is_killed_when_this_process_fails(two_cpus, monkeypatch, tmp_path):
     # A helper that would outlast the test unless it is killed.
     script = tmp_path / "sleeps"
     script.write_text("#!/bin/sh\nexec sleep 60\n")
@@ -306,18 +273,14 @@ def test_batch_helper_is_killed_when_this_process_fails(large_batch, two_cpus, m
     helpers = []
     popen = subprocess.Popen
     monkeypatch.setattr(subprocess, "Popen", lambda *args, **kwargs: helpers.append(popen(*args, **kwargs)) or helpers[-1])
-    calls = []
-    write_rows = tracerows.write_rows
 
-    def fail_on_third(*args):
-        calls.append(args)
-        if len(calls) == 3:
-            raise RuntimeError("disk on fire")
-        write_rows(*args)
+    def fail(*args):
+        raise RuntimeError("disk on fire")
 
-    monkeypatch.setattr(tracerows, "write_rows", fail_on_third)
+    monkeypatch.setattr(tracerows, "write_rows", fail)
+    argv, _ = large_batch(tmp_path)
     with pytest.raises(RuntimeError, match="disk on fire"):
-        write_batch(large_batch, tmp_path)
-    assert len(two_cpus) == 1 and len(calls) == 3
+        main(argv)
+    assert len(two_cpus) == 1
     assert helpers[0].returncode == -signal.SIGKILL
     assert_no_child()
