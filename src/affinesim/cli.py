@@ -2,15 +2,18 @@
 
 Subcommands: validate (the certificate's hypotheses, and with a stress the
 rigidity certificate), synth (stress synthesis), simulate (scenario run;
-trace, summary and plots are written from the run's trace columns),
-stability (prints engine.stability_flags for a law: the lines simulate
-prints for a run's flags), riccati (gain solver), batch (many scenarios:
-every one is loaded and every run compiled here, in input order, so that
-every refusal is decided before a worker starts; the runs are then split
-over one worker process per usable CPU, each doing its runs' manifests,
-runs, traces, summaries and plots, and their stdout lines are printed
-here in input order). A refused run reports on stderr alone; in a batch
-the report opens with the refused scenario's path.
+trace, summary and plots are written from the run's trace columns, and
+fileio.write_trace formats a large trace's second half in a forked
+process), stability (prints engine.stability_flags for a law: the lines
+simulate prints for a run's flags), riccati (gain solver), batch (many
+scenarios: every one is loaded and every run compiled here, in input
+order, so that every refusal is decided before a worker starts; the runs
+are then split with workers.split over one forked worker process per
+usable CPU, each doing its runs' manifests, runs, traces, summaries and
+plots, and their stdout lines are printed here in input order; a worker
+of a batch split over several formats its traces alone). A refused run
+reports on stderr alone; in a batch the report opens with the refused
+scenario's path.
 
 Exit codes: 0 success/converged, 1 certificate or synthesis failure (a
 failed hypothesis of the certificate, n < d+2, positions that do not
@@ -33,15 +36,12 @@ significant digits; files carry full precision.
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import signal
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, fileio
+from . import __version__, fileio, workers
 from .control import SolverError, LinearPlant, solve_mare, spectral_radius
 from .engine import LAWS, CertificateError, compile_run, run_batch, run_scenario, stability_flags
 from .framework import LeaderPartition, real_array, validate_leader_selection
@@ -125,12 +125,12 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _write_run_outputs(spec, result, out_dir: Path, plot: bool, helper=True):
-    """Write the trace, the summary and the plots (helper as write_trace
-    takes it); return the names written, manifest.json first, and the text
-    to print before the run's report."""
+def _write_run_outputs(spec, result, out_dir: Path, plot: bool):
+    """Write the trace, the summary and the plots; return the names
+    written, manifest.json first, and the text to print before the run's
+    report."""
     d = spec.framework.config.d
-    fileio.write_trace(result, out_dir / "trace.csv", helper=helper)
+    fileio.write_trace(result, out_dir / "trace.csv")
     fileio.write_summary(result, spec.partition, out_dir / "summary.json")
     written, notes = ["manifest.json", "trace.csv", "summary.json"], ""
     if plot:
@@ -201,20 +201,20 @@ def cmd_batch(args) -> int:
                 _save_manifest(*run)
             return _report(exc, f"{raw}: ")
 
-    def share(indices, alone):
+    def share(indices):
         for i in indices:
             _save_manifest(*runs[i])
         outputs = []
         for i, result in zip(indices, run_batch([compiled[i] for i in indices])):
             raw, spec, out_dir = runs[i]
-            _, notes = _write_run_outputs(spec, result, out_dir, args.plot, helper=alone)
+            _, notes = _write_run_outputs(spec, result, out_dir, args.plot)
             code = _outcome_exit(result)
             state = {0: "converged", 3: "diverged", 4: "budget"}[code]
             report = f"{raw}: {state}, steps={result.steps}, final delta={_fmt(result.final_delta)}\n"
             outputs.append((code, notes + report))
         return outputs
 
-    outputs = _in_workers(len(runs), share)
+    outputs = workers.split(len(runs), share)
     print("".join(text for _, text in outputs), end="")
     codes = [code for code, _ in outputs]
     if EXIT_DIVERGED in codes:
@@ -222,98 +222,6 @@ def cmd_batch(args) -> int:
     if EXIT_BUDGET in codes:
         return EXIT_BUDGET
     return EXIT_OK
-
-
-def _in_workers(count: int, work) -> list:
-    """The outputs of work(indices, alone) for every index of range(count),
-    in input order, with the indices split over forked worker processes.
-
-    Worker w of N takes the indices i with i % N == w; this process is
-    worker 0, and alone is N == 1. N is the number of CPUs this process may
-    run on, at most count; it is 1 where the platform has no fork or does
-    not report those CPUs, and when a fork raises OSError: then work runs
-    here alone. A worker sends its outputs (or its error) as JSON through a
-    pipe and leaves through os._exit, so it prints nothing and runs none of
-    this process's exit handlers. Every worker is reaped before this
-    returns or raises: a failed worker makes it raise OSError with the
-    worker's message, and a failure here kills the workers first. Workers
-    are forked, not spawned, as a spawned one would import numpy and this
-    package again (about 0.2 s); Python 3.12 and later warn on a fork in a
-    process with other threads, and OpenBLAS keeps one.
-    """
-    n, workers = 1, []
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        n = min(len(os.sched_getaffinity(0)), count)
-    try:
-        try:
-            for w in range(1, n):
-                workers.append(_fork(work, range(w, count, n), False))
-        except OSError:
-            _kill(workers)
-            n = 1
-        shares, failures = [work(range(0, count, n), n == 1)], []
-        while workers:
-            pid, pipe = workers[0]
-            with pipe:
-                data = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            workers.pop(0)
-            try:
-                message = json.loads(data)
-            except ValueError:  # the worker died before its message was whole
-                message = {}
-            if status == 0 and "outputs" in message:
-                shares.append(message["outputs"])
-            else:
-                failures.append(message.get("error", f"batch worker {pid} exited with status {status}"))
-    except BaseException:
-        _kill(workers)
-        raise
-    if failures:
-        raise OSError(failures[0])
-    outputs = [None] * count
-    for w, share in enumerate(shares):
-        outputs[w::n] = share
-    return outputs
-
-
-def _fork(work, *args):
-    """Fork a worker that sends {"outputs": work(*args)}, or {"error":
-    message}, as JSON through a pipe; return its pid and the pipe's read end."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid:
-        os.close(write_fd)
-        return pid, os.fdopen(read_fd, "rb")
-    status = 1
-    try:
-        os.close(read_fd)
-        try:
-            message = {"outputs": work(*args)}
-        except BaseException as exc:  # the parent raises it as OSError
-            message = {"error": str(exc) or type(exc).__name__}
-        with os.fdopen(write_fd, "w") as pipe:
-            json.dump(message, pipe)
-        status = 0 if "outputs" in message else 1
-    finally:
-        os._exit(status)
-
-
-def _kill(workers):
-    """Kill and reap every worker that is still listed."""
-    for pid, pipe in workers:
-        pipe.close()
-        try:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        except (ProcessLookupError, ChildProcessError):
-            pass
-    workers.clear()
 
 
 # Each law's stability options: those it needs, then those it may take.

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
-import sys
+import shutil
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, tracerows
+from . import __version__, workers
 from .control import LinearPlant
 from .engine import RunResult, ScenarioSpec
 from .framework import Configuration, Framework, Graph, LeaderPartition, is_integer, real_array
@@ -25,7 +24,7 @@ from .stress import StressMatrix, normalize_weights
 
 TRACE_HEADER = ("k", "agent_id", "coord_index", "value", "delta_norm", "converged", "diverged")
 # A trace with at least this many values is formatted on two CPUs, where
-# the helper's start-up (about 12 ms) is a small part of the work it takes.
+# the fork of the second (about 2 ms) is a small part of the work it takes.
 SPLIT_VALUES = 2**15
 # Keys a scenario mapping may hold: ScenarioSpec's init fields, with q for
 # q_matrix and the framework's leaders for partition; a legacy seed is
@@ -306,87 +305,66 @@ def load_matrix(path) -> np.ndarray:
     return mat
 
 
-def write_trace(result: RunResult, path, *, helper=True):
+def write_rows(fh, result: RunResult, start, stop):
+    """Write the trace's rows from step start to step stop to fh, one per
+    (step, agent, coordinate).
+
+    One write per step; the bytes are what csv.writer produces for the
+    same rows, as no field needs quoting."""
+    _, n, d = result.states.shape
+    cells = [f"{agent},{coord}," for agent in range(1, n + 1) for coord in range(d)]
+    width = n * d
+    values = memoryview(result.states[start:stop].reshape(-1))
+    flags = zip(result.deltas[start:stop].tolist(), result.converged_flags[start:stop].tolist(),
+                result.diverged_flags[start:stop].tolist())
+    for i, (delta, done, failed) in enumerate(flags):
+        head = f"{start + i},"
+        tail = f",{delta!r},{int(done)},{int(failed)}\n"
+        row = map(repr, values[i * width : (i + 1) * width])
+        fh.write(head + (tail + head).join(map(str.__add__, cells, row)) + tail)
+
+
+def write_trace(result: RunResult, path):
     """Write a run's trace to a CSV file, one row per (step, agent,
     coordinate), in the bytes csv.writer produces for the same rows.
 
-    When the trace holds at least SPLIT_VALUES values (K * n * d), helper
-    is true and two CPUs are usable, it is formatted on two: a helper
-    interpreter (tracerows run as a script, standard library only) formats
-    the rows from rows // 2 on while this process formats the rows before
-    them, with the same tracerows.write_rows, and the helper's rows are
-    appended to the file. If the helper cannot be started, this process
-    formats every row; the bytes are the same either way. A batch that runs
-    on several worker processes passes helper=False: each worker has one
-    CPU to itself.
+    A trace that holds at least SPLIT_VALUES values (K * n * d) is cut at
+    rows // 2 and its halves go to workers.split: where that forks, the
+    child formats the rows from the cut on, with the same write_rows, into
+    a temporary file opened before the fork, while this process writes the
+    header and the rows before the cut to path; the tail is then appended
+    to path in bounded pieces. On one CPU, inside a batch worker's share,
+    or when the fork fails, this process formats both halves; the bytes
+    are the same either way. A child that fails makes this raise OSError,
+    and a failure here kills the child.
     """
     rows = len(result.deltas)
-    two_cpus = (
-        helper
-        and result.states.size >= SPLIT_VALUES
-        and hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) >= 2
-        # Not a file when the package is imported from a zip archive.
-        and os.path.isfile(tracerows.__file__)
-    )
-    if not (two_cpus and _write_split(result, path, rows // 2)):
+    if result.states.size < SPLIT_VALUES:
         _write_head(result, path, rows)
+        return
+    start = rows // 2
+    with tempfile.TemporaryFile("w+", newline="") as tail:
+
+        def half(indices):
+            for i in indices:
+                if i == 0:
+                    _write_head(result, path, start)
+                else:
+                    write_rows(tail, result, start, rows)
+                    tail.flush()
+            return [None] * len(indices)
+
+        workers.split(2, half)
+        tail.seek(0)
+        with open(path, "a", newline="") as fh:
+            shutil.copyfileobj(tail, fh)
 
 
 def _write_head(result, path, stop):
     """Write the trace's header and its rows before stop to a new file."""
-    _, n, d = result.states.shape
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_HEADER) + "\n")
-        tracerows.write_rows(
-            fh,
-            0,
-            n,
-            d,
-            memoryview(result.states.reshape(-1)),
-            result.deltas[:stop].tolist(),
-            result.converged_flags[:stop].tolist(),
-            result.diverged_flags[:stop].tolist(),
-        )
-
-
-def _write_split(result, path, start) -> bool:
-    """Rows from start on by the helper, the rows before them here. Returns
-    False, having written nothing, when the helper cannot be started."""
-    import subprocess
-
-    _, n, d = result.states.shape
-    with tempfile.TemporaryFile() as chunk, tempfile.TemporaryFile() as formatted:
-        tracerows.write_chunk(
-            chunk,
-            start,
-            n,
-            d,
-            np.ascontiguousarray(result.deltas[start:], float),
-            np.ascontiguousarray(result.states[start:], float),
-            np.ascontiguousarray(result.converged_flags[start:], bool),
-            np.ascontiguousarray(result.diverged_flags[start:], bool),
-        )
-        chunk.seek(0)
-        try:
-            helper = subprocess.Popen(
-                [sys.executable, "-I", "-S", tracerows.__file__], stdin=chunk, stdout=formatted
-            )
-        except OSError:
-            return False
-        try:
-            _write_head(result, path, start)
-        except BaseException:
-            helper.kill()
-            raise
-        finally:
-            status = helper.wait()
-        if status:
-            raise OSError(f"trace formatter {tracerows.__file__} exited with status {status}")
-        formatted.seek(0)
-        with open(path, "ab") as fh:
-            tracerows.copy_rows(formatted, fh)
-    return True
+        write_rows(fh, result, 0, stop)
 
 
 def _json_safe(value):

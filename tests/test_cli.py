@@ -467,7 +467,7 @@ def test_batch_worker_failure_exits_2_with_its_message(bench, tmp_path, monkeypa
         # The worker's first run is the second scenario.
         assert captured.err == f"error: no room for {scenarios[1].stem}\n"
     else:
-        assert re.fullmatch(rf"error: batch worker \d+ exited with status {-signal.SIGKILL}\n", captured.err)
+        assert re.fullmatch(rf"error: worker \d+ exited with status {-signal.SIGKILL}\n", captured.err)
     assert len(started) == 1
     assert_no_child()
 

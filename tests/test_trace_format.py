@@ -2,7 +2,8 @@
 
 The reference below is the row-by-row csv.writer formatting the trace
 format was defined with; write_trace must reproduce its bytes exactly, on
-one CPU and on two.
+one CPU and on two. On two, the helper is the forked child that formats
+the rows from rows // 2 on.
 """
 
 import csv
@@ -11,13 +12,13 @@ import json
 import os
 import signal
 import subprocess
-import sys
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from affinesim import ScenarioSpec, run_scenario, tracerows
+from affinesim import ScenarioSpec, fileio, run_scenario, workers
 from affinesim.cli import main
 from affinesim.fileio import SPLIT_VALUES, TRACE_HEADER, load_scenario, write_trace
 
@@ -143,74 +144,113 @@ def large_result(framework, partition):
     return result
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Take the two-CPU path on any host, and record the helpers started."""
-    started = []
-
-    class Helper(subprocess.Popen):
-        def __init__(self, args, **kwargs):
-            started.append(args)
-            super().__init__(args, **kwargs)
-
+def on_two_cpus(monkeypatch, fail_at=None):
+    """Take the two-CPU path on any host; return the forks started, the
+    call numbered fail_at refused with OSError."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(subprocess, "Popen", Helper)
-    return started
+    return count_forks(monkeypatch, fail_at)
 
 
-def test_two_cpu_trace_matches_csv_writer(large_result, two_cpus, tmp_path):
+def patch_rows(monkeypatch, child, here=None):
+    """Make write_rows call child() in a forked process and here(), if
+    given, in this one, before it writes its rows."""
+    pid, write_rows = os.getpid(), fileio.write_rows
+
+    def rows(*args):
+        if os.getpid() != pid:
+            child()
+        elif here is not None:
+            here()
+        write_rows(*args)
+
+    monkeypatch.setattr(fileio, "write_rows", rows)
+
+
+def no_room():
+    raise OSError("no room for the tail")
+
+
+def killed():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def stalls():
+    time.sleep(60)  # unless it is killed first
+
+
+def disk_on_fire():
+    raise RuntimeError("disk on fire")
+
+
+def test_two_cpu_trace_matches_csv_writer(large_result, monkeypatch, tmp_path):
+    started = on_two_cpus(monkeypatch)
+    monkeypatch.setattr(subprocess, "Popen", lambda *args, **kwargs: pytest.fail("spawned a process"))
     write_trace(large_result, tmp_path / "trace.csv")
-    assert two_cpus == [[sys.executable, "-I", "-S", tracerows.__file__]]
+    assert len(started) == 1
     data = (tmp_path / "trace.csv").read_bytes()
     assert data == reference_trace(large_result)
     assert data.endswith(b",inf,0,1\n")
     assert_no_child()
 
 
-def test_small_trace_stays_on_one_cpu(framework, partition, two_cpus, tmp_path):
+def test_small_trace_stays_on_one_cpu(framework, partition, monkeypatch, tmp_path):
+    started = on_two_cpus(monkeypatch)
     write_trace(run_scenario(spec(framework, partition)), tmp_path / "trace.csv")
-    assert two_cpus == []
+    assert started == []
 
 
-def test_trace_written_by_a_batch_worker_stays_on_one_cpu(large_result, two_cpus, tmp_path):
-    write_trace(large_result, tmp_path / "trace.csv", helper=False)
-    assert two_cpus == []
-    assert (tmp_path / "trace.csv").read_bytes() == reference_trace(large_result)
+def test_trace_written_by_a_batch_worker_stays_on_one_cpu(large_result, monkeypatch, tmp_path):
+    # Each share of a two-worker split, this process's and the forked
+    # worker's, writes a large trace and reports the forks it has seen.
+    started = on_two_cpus(monkeypatch)
 
+    def share(indices):
+        for i in indices:
+            write_trace(large_result, tmp_path / f"trace{i}.csv")
+        return [len(started)] * len(indices)
 
-def test_helper_that_cannot_start_falls_back(large_result, two_cpus, monkeypatch, tmp_path):
-    monkeypatch.setattr(sys, "executable", str(tmp_path / "missing" / "python"))
-    write_trace(large_result, tmp_path / "trace.csv")
-    assert len(two_cpus) == 1
-    assert (tmp_path / "trace.csv").read_bytes() == reference_trace(large_result)
-
-
-def test_helper_that_fails_raises(large_result, two_cpus, monkeypatch, tmp_path):
-    script = tmp_path / "fails"
-    script.write_text("#!/bin/sh\nexit 1\n")
-    script.chmod(0o755)
-    monkeypatch.setattr(sys, "executable", str(script))
-    with pytest.raises(OSError, match="exited with status 1"):
-        write_trace(large_result, tmp_path / "trace.csv")
+    assert workers.split(2, share) == [1, 1]
+    assert len(started) == 1
+    for i in range(2):
+        assert (tmp_path / f"trace{i}.csv").read_bytes() == reference_trace(large_result)
     assert_no_child()
 
 
-def test_helper_is_killed_when_this_process_fails(large_result, two_cpus, monkeypatch, tmp_path):
-    def fail(*args):
-        raise RuntimeError("disk on fire")
+def test_helper_that_cannot_start_falls_back(large_result, monkeypatch, tmp_path):
+    started = on_two_cpus(monkeypatch, fail_at=1)
+    write_trace(large_result, tmp_path / "trace.csv")
+    assert len(started) == 1
+    assert (tmp_path / "trace.csv").read_bytes() == reference_trace(large_result)
+    assert_no_child()
 
-    monkeypatch.setattr(tracerows, "write_rows", fail)
+
+def test_helper_that_fails_raises(large_result, monkeypatch, tmp_path):
+    started = on_two_cpus(monkeypatch)
+    patch_rows(monkeypatch, no_room)
+    with pytest.raises(OSError, match="^no room for the tail$"):
+        write_trace(large_result, tmp_path / "trace.csv")
+    assert len(started) == 1
+    assert_no_child()
+
+
+def test_helper_that_is_killed_raises(large_result, monkeypatch, tmp_path):
+    started = on_two_cpus(monkeypatch)
+    patch_rows(monkeypatch, killed)
+    with pytest.raises(OSError, match=rf"^worker \d+ exited with status {-signal.SIGKILL}$"):
+        write_trace(large_result, tmp_path / "trace.csv")
+    assert len(started) == 1
+    assert_no_child()
+
+
+def test_helper_is_killed_when_this_process_fails(large_result, monkeypatch, tmp_path):
+    started = on_two_cpus(monkeypatch)
+    patch_rows(monkeypatch, stalls, disk_on_fire)
+    start = time.monotonic()
     with pytest.raises(RuntimeError, match="disk on fire"):
         write_trace(large_result, tmp_path / "trace.csv")
+    assert time.monotonic() - start < 30
+    assert len(started) == 1
     assert_no_child()
-
-
-def test_script_that_is_not_a_file_stays_on_one_cpu(large_result, two_cpus, monkeypatch, tmp_path):
-    # Imported from a zip archive, the module has a path but no file there.
-    monkeypatch.setattr(tracerows, "__file__", str(tmp_path / "affinesim.zip" / "affinesim" / "tracerows.py"))
-    write_trace(large_result, tmp_path / "trace.csv")
-    assert two_cpus == []
-    assert (tmp_path / "trace.csv").read_bytes() == reference_trace(large_result)
 
 
 def large_batch(tmp_path):
@@ -225,62 +265,50 @@ def reference_run_trace(tmp_path) -> bytes:
     return reference_trace(run_scenario(load_scenario(tmp_path / "scenario.json")))
 
 
-def test_small_batch_stays_on_one_cpu(two_cpus, monkeypatch, tmp_path, capsys):
-    # A batch of one run forks no worker, and its short trace starts no helper.
-    started = count_forks(monkeypatch)
+def test_small_batch_stays_on_one_cpu(monkeypatch, tmp_path, capsys):
+    # A batch of one run forks no worker, and its short trace forks no helper.
+    started = on_two_cpus(monkeypatch)
     scenario = write_benchmark_files(tmp_path)
     assert main(["batch", str(scenario), "--out", str(tmp_path / "batch")]) == 0
-    assert started == two_cpus == []
+    assert started == []
     assert (tmp_path / "batch" / "scenario" / "trace.csv").read_bytes() == reference_run_trace(tmp_path)
     capsys.readouterr()
 
 
-def test_batch_helper_that_cannot_start_falls_back(two_cpus, monkeypatch, tmp_path, capsys):
-    # A batch of one run keeps the helper's row split for its one large trace.
-    started = count_forks(monkeypatch)
+def test_batch_helper_that_cannot_start_falls_back(monkeypatch, tmp_path, capsys):
+    # A batch of one run keeps the row split of its one large trace.
+    started = on_two_cpus(monkeypatch)
     argv, trace = large_batch(tmp_path)
     assert main(argv) == 4
-    assert two_cpus == [[sys.executable, "-I", "-S", tracerows.__file__]] and started == []
+    assert len(started) == 1
     reference = reference_run_trace(tmp_path)
     assert trace.read_bytes() == reference
-    monkeypatch.setattr(sys, "executable", str(tmp_path / "missing" / "python"))
+    started = count_forks(monkeypatch, fail_at=1)
     trace.unlink()
     assert main(argv) == 4
-    assert len(two_cpus) == 2
+    assert len(started) == 1
     assert trace.read_bytes() == reference
     assert_no_child()
     capsys.readouterr()
 
 
-def test_batch_helper_that_fails_raises(two_cpus, monkeypatch, tmp_path, capsys):
-    script = tmp_path / "fails"
-    script.write_text("#!/bin/sh\nexit 1\n")
-    script.chmod(0o755)
-    monkeypatch.setattr(sys, "executable", str(script))
+def test_batch_helper_that_fails_raises(monkeypatch, tmp_path, capsys):
+    started = on_two_cpus(monkeypatch)
+    patch_rows(monkeypatch, no_room)
     argv, _ = large_batch(tmp_path)
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: trace formatter {tracerows.__file__} exited with status 1\n"
-    assert len(two_cpus) == 1
+    assert capsys.readouterr().err == "error: no room for the tail\n"
+    assert len(started) == 1
     assert_no_child()
 
 
-def test_batch_helper_is_killed_when_this_process_fails(two_cpus, monkeypatch, tmp_path):
-    # A helper that would outlast the test unless it is killed.
-    script = tmp_path / "sleeps"
-    script.write_text("#!/bin/sh\nexec sleep 60\n")
-    script.chmod(0o755)
-    monkeypatch.setattr(sys, "executable", str(script))
-    helpers = []
-    popen = subprocess.Popen
-    monkeypatch.setattr(subprocess, "Popen", lambda *args, **kwargs: helpers.append(popen(*args, **kwargs)) or helpers[-1])
-
-    def fail(*args):
-        raise RuntimeError("disk on fire")
-
-    monkeypatch.setattr(tracerows, "write_rows", fail)
+def test_batch_helper_is_killed_when_this_process_fails(monkeypatch, tmp_path):
+    started = on_two_cpus(monkeypatch)
+    patch_rows(monkeypatch, stalls, disk_on_fire)
     argv, _ = large_batch(tmp_path)
+    start = time.monotonic()
     with pytest.raises(RuntimeError, match="disk on fire"):
         main(argv)
-    assert len(two_cpus) == 1
-    assert helpers[0].returncode == -signal.SIGKILL
+    assert time.monotonic() - start < 30
+    assert len(started) == 1
     assert_no_child()
