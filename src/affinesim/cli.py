@@ -1,36 +1,33 @@
 """Command-line front end.
 
 Subcommands: validate (the certificate's hypotheses, and with a stress the
-rigidity certificate), synth (stress synthesis), simulate (scenario run;
-trace, summary and plots are written from the run's trace columns, and
-fileio.write_trace formats a large trace's second half in a forked
-process), stability (prints engine.stability_flags for a law: the lines
-simulate prints for a run's flags), riccati (gain solver), batch (many
-scenarios: every one is loaded and every run compiled here, in input
-order, so that every refusal is decided before a worker starts; the runs
-are then split with workers.split over one forked worker process per
-usable CPU, each doing its runs' manifests, runs, traces, summaries and
-plots, and their stdout lines are printed here in input order; a worker
-of a batch split over several formats its traces alone). A refused run
-reports on stderr alone; in a batch the report opens with the refused
-scenario's path.
+rigidity certificate), synth (stress synthesis), stability (prints
+engine.stability_flags for a law: the lines simulate prints for a run's
+flags), riccati (gain solver), and simulate and batch, which differ only in
+how they load their scenarios and report a run. simulate is a batch of one
+run, and both go through one pipeline, _run: every run is compiled here in
+input order, so that every refusal is decided before any file but the
+manifests is written; a refused run reports on stderr alone, after the
+scenario's path and ": " in a batch. The runs are then split with
+workers.split over one forked worker per usable CPU, each writing its runs'
+manifests, traces, summaries and plots; their stdout texts are printed here
+in input order. One run is one share that forks no worker, so
+fileio.write_trace still splits its large trace's rows over two CPUs.
 
 Exit codes: 0 success/converged, 1 certificate or synthesis failure (a
 failed hypothesis of the certificate, n < d+2, positions that do not
 affinely span R^d or a graph that is not (d+1)-connected, included: every
 command names it on stderr in the same words), 2 parse or validation
-failure (a linear-law scenario with a schedule or a T other
-than 1, another law's with a plant, q, epsilon or riccati_tol, an unknown
-key, an integer too large for a float, a stability option the law does
-not read or needs and lacks, a --leaders list with an empty token,
-validate given both --stress and --weights or a stress whose size is not
-the framework's, and a riccati --tol that is
-not positive and finite or a negative --max-iter, included; batch loads
-every scenario before writing any file, and a batch worker that fails
-exits 2 with its message),
-3 diverged, 4 step budget exhausted, 5 numerical solver failure (singular
-follower block, Riccati budget). Console numerics are printed to 6
-significant digits; files carry full precision.
+failure (a linear-law scenario with a schedule or a T other than 1, another
+law's with a plant, q, epsilon or riccati_tol, an unknown key, an integer
+too large for a float, a stability option the law does not read or needs
+and lacks, a --leaders list with an empty token, validate given both
+--stress and --weights or a stress whose size is not the framework's, a
+riccati --tol that is not positive and finite or a negative --max-iter,
+and a failed batch worker, with its message, included), 3 diverged (in a
+batch, before 4), 4 step budget exhausted, 5 numerical solver failure
+(singular follower block, Riccati budget). Console numerics are printed to
+6 significant digits; files carry full precision.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ import numpy as np
 
 from . import __version__, fileio, workers
 from .control import SolverError, LinearPlant, solve_mare, spectral_radius
-from .engine import LAWS, CertificateError, compile_run, run_batch, run_scenario, stability_flags
+from .engine import LAWS, CertificateError, compile_run, run_batch, stability_flags
 from .framework import LeaderPartition, real_array, validate_leader_selection
 from .plotting import delta_svg, trajectory_svg
 from .stress import (
@@ -83,9 +80,9 @@ def _print_certificate(cert, file=None) -> None:
     print(f"certificate: {'PASS' if cert.passed else 'FAIL'}", file=file)
 
 
-def _print_flags(flags: dict) -> None:
-    for key, value in sorted(flags.items()):
-        print(f"{key}: {value if isinstance(value, (str, bool)) else _fmt(value)}")
+def _flags_text(flags: dict) -> str:
+    return "".join(f"{key}: {value if isinstance(value, (str, bool)) else _fmt(value)}\n"
+                   for key, value in sorted(flags.items()))
 
 
 def cmd_validate(args) -> int:
@@ -104,7 +101,7 @@ def cmd_validate(args) -> int:
         report = validate_leader_selection(framework, partition)
         leaders_ok = report.passed
         print(
-            f"leaders: {report.n_leaders}/{report.required_leaders} required, "
+            f"leaders: {report.n_leaders}/{d + 1} required, "
             f"span {report.span_dimension}/{d}: {'ok' if report.passed else 'FAIL'}"
         )
 
@@ -129,15 +126,12 @@ def _write_run_outputs(spec, result, out_dir: Path, plot: bool):
     """Write the trace, the summary and the plots; return the names
     written, manifest.json first, and the text to print before the run's
     report."""
-    d = spec.framework.config.d
     fileio.write_trace(result, out_dir / "trace.csv")
     fileio.write_summary(result, spec.partition, out_dir / "summary.json")
     written, notes = ["manifest.json", "trace.csv", "summary.json"], ""
     if plot:
-        if d == 2:
-            (out_dir / "trajectories.svg").write_text(
-                trajectory_svg(result, spec.partition)
-            )
+        if spec.framework.config.d == 2:
+            (out_dir / "trajectories.svg").write_text(trajectory_svg(result, spec.partition))
             written.append("trajectories.svg")
         else:
             notes = "trajectory plot skipped: only d=2 is drawable\n"
@@ -146,39 +140,71 @@ def _write_run_outputs(spec, result, out_dir: Path, plot: bool):
     return written, notes
 
 
-def _outcome_exit(result) -> int:
-    if result.diverged:
-        return EXIT_DIVERGED
-    if result.budget_exhausted:
-        return EXIT_BUDGET
-    return EXIT_OK
-
-
 def _save_manifest(raw, spec, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
     fileio.save_manifest(spec, raw, out_dir, out_dir / "manifest.json")
 
 
+def _run(runs, plot: bool, where: str, report) -> int:
+    """Run every (raw, spec, out_dir) of runs, the one pipeline of simulate
+    and batch; return the exit code.
+
+    Every run is compiled, in input order with one memo, before any file is
+    written. A refusal writes every run's manifest and nothing else, and is
+    reported on stderr after where.format(raw), raw the refused run's.
+    Otherwise the runs are split with workers.split: each share writes its
+    runs' manifests, runs them, writes their outputs, and returns for each
+    its exit code and its stdout text, report(run, result, written). The
+    texts are printed here in input order.
+    """
+    memo, compiled = {}, []
+    for raw, spec, _ in runs:
+        try:
+            compiled.append(compile_run(spec, memo))
+        except REPORTED as exc:
+            for run in runs:
+                _save_manifest(*run)
+            return _report(exc, where.format(raw))
+
+    def share(indices):
+        for i in indices:
+            _save_manifest(*runs[i])
+        outputs = []
+        for i, result in zip(indices, run_batch([compiled[i] for i in indices])):
+            _, spec, out_dir = runs[i]
+            written, notes = _write_run_outputs(spec, result, out_dir, plot)
+            code = EXIT_DIVERGED if result.diverged else EXIT_BUDGET if result.budget_exhausted else EXIT_OK
+            outputs.append((code, notes + report(runs[i], result, written)))
+        return outputs
+
+    outputs = workers.split(len(runs), share)
+    print("".join(text for _, text in outputs), end="")
+    codes = {code for code, _ in outputs}
+    return next((code for code in (EXIT_DIVERGED, EXIT_BUDGET) if code in codes), EXIT_OK)
+
+
+def _simulate_report(run, result, written) -> str:
+    if result.converged_at is not None:
+        outcome = f"converged at k={result.converged_at}"
+    elif result.diverged:
+        outcome = f"DIVERGED at k={result.steps}"
+    else:
+        outcome = "step budget exhausted"
+    return (
+        f"steps: {result.steps}\nfinal delta: {_fmt(result.final_delta)}\n"
+        + _flags_text(result.stability_flags)
+        + f"outcome: {outcome}\nwrote: {' '.join(str(run[2] / name) for name in written)}\n"
+    )
+
+
 def cmd_simulate(args) -> int:
     spec = fileio.load_scenario(args.scenario)
-    out_dir = Path(args.out)
-    _save_manifest(args.scenario, spec, out_dir)
+    return _run([(args.scenario, spec, Path(args.out))], args.plot, "", _simulate_report)
 
-    result = run_scenario(spec)
-    written, notes = _write_run_outputs(spec, result, out_dir, args.plot)
 
-    print(notes, end="")
-    print(f"steps: {result.steps}")
-    print(f"final delta: {_fmt(result.final_delta)}")
-    _print_flags(result.stability_flags)
-    if result.converged_at is not None:
-        print(f"outcome: converged at k={result.converged_at}")
-    elif result.diverged:
-        print(f"outcome: DIVERGED at k={result.steps}")
-    else:
-        print("outcome: step budget exhausted")
-    print("wrote: " + " ".join(str(out_dir / name) for name in written))
-    return _outcome_exit(result)
+def _batch_report(run, result, written) -> str:
+    state = "converged" if result.converged_at is not None else "diverged" if result.diverged else "budget"
+    return f"{run[0]}: {state}, steps={result.steps}, final delta={_fmt(result.final_delta)}\n"
 
 
 def cmd_batch(args) -> int:
@@ -191,37 +217,7 @@ def cmd_batch(args) -> int:
         if out_dir in owners:
             raise fileio.ParseError(f"{owners[out_dir]} and {raw} would both write {out_dir}")
         owners[out_dir] = raw
-    # Every run is compiled, and so refused or not, before any worker starts.
-    memo, compiled = {}, []
-    for raw, spec, _ in runs:
-        try:
-            compiled.append(compile_run(spec, memo))
-        except REPORTED as exc:
-            for run in runs:
-                _save_manifest(*run)
-            return _report(exc, f"{raw}: ")
-
-    def share(indices):
-        for i in indices:
-            _save_manifest(*runs[i])
-        outputs = []
-        for i, result in zip(indices, run_batch([compiled[i] for i in indices])):
-            raw, spec, out_dir = runs[i]
-            _, notes = _write_run_outputs(spec, result, out_dir, args.plot)
-            code = _outcome_exit(result)
-            state = {0: "converged", 3: "diverged", 4: "budget"}[code]
-            report = f"{raw}: {state}, steps={result.steps}, final delta={_fmt(result.final_delta)}\n"
-            outputs.append((code, notes + report))
-        return outputs
-
-    outputs = workers.split(len(runs), share)
-    print("".join(text for _, text in outputs), end="")
-    codes = [code for code, _ in outputs]
-    if EXIT_DIVERGED in codes:
-        return EXIT_DIVERGED
-    if EXIT_BUDGET in codes:
-        return EXIT_BUDGET
-    return EXIT_OK
+    return _run(runs, args.plot, "{}: ", _batch_report)
 
 
 # Each law's stability options: those it needs, then those it may take.
@@ -252,7 +248,7 @@ def cmd_stability(args) -> int:
         if not all(tok.strip() for tok in tokens):
             raise fileio.ParseError(f"--leaders must be comma-separated node ids, got {args.leaders!r}")
         blocks = partition_stress(stress, LeaderPartition.from_leaders([int(tok) for tok in tokens], stress.n))
-    _print_flags(stability_flags(args.law, args.T, blocks, stress, plant, solution, epsilon))
+    print(_flags_text(stability_flags(args.law, args.T, blocks, stress, plant, solution, epsilon)), end="")
     return EXIT_OK
 
 

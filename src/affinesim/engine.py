@@ -71,14 +71,15 @@ class ScenarioSpec:
     name exactly the graph's edges, are assembled here into stress once.
     The linear law additionally needs a plant whose state dimension equals
     d; its gain comes from the Riccati solver with weight matrix q_matrix
-    (identity when omitted) and tolerance riccati_tol (1e-10 when omitted).
-    Under the linear law every agent, leaders included, evolves by the law,
-    so it takes no manoeuvre schedule, and its plant is already sampled, so
-    it refuses any T but 1.0. The other laws read no plant,
-    q_matrix, epsilon or riccati_tol, so they refuse them. Every number is
-    checked here, before a run writes any file: the budget is an integer,
-    T, tolerance, epsilon and riccati_tol are real numbers, stored as
-    floats, the rest is finite, and each schedule segment is evaluated
+    (identity when omitted) and tolerance riccati_tol (1e-10 when omitted),
+    and its stress coupling is epsilon (0.0 when omitted). Under the linear
+    law every agent, leaders included, evolves by the law, so it takes no
+    manoeuvre schedule, and its plant is already sampled, so it refuses any
+    T but 1.0. The other laws read no plant, q_matrix, epsilon or
+    riccati_tol, so they refuse each of them given, 0.0 included. Every
+    number is checked here, before a run writes any file: the budget is an
+    integer, T, tolerance, epsilon and riccati_tol are real numbers, stored
+    as floats, the rest is finite, and each schedule segment is evaluated
     against d.
     """
 
@@ -93,14 +94,14 @@ class ScenarioSpec:
     tolerance: float = 1e-9
     plant: LinearPlant | None = None
     q_matrix: np.ndarray | None = None
-    epsilon: float = 0.0
+    epsilon: float | None = None
     riccati_tol: float | None = None
     stress: StressMatrix | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("T", "tolerance", "epsilon", "riccati_tol"):
             value = getattr(self, name)
-            if value is None and name == "riccati_tol":
+            if value is None and name in ("epsilon", "riccati_tol"):
                 continue
             if not is_real(value):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
@@ -137,17 +138,14 @@ class ScenarioSpec:
                 raise ValueError(LINEAR_T_ERROR)
             q = np.eye(self.plant.m) if self.q_matrix is None else self.q_matrix
             object.__setattr__(self, "q_matrix", riccati_weight(q, self.plant.m, "q"))
+            if self.epsilon is None:
+                object.__setattr__(self, "epsilon", 0.0)
             if not np.isfinite(self.epsilon):
                 raise ValueError("epsilon must be finite")
             if self.riccati_tol is None:
                 object.__setattr__(self, "riccati_tol", 1e-10)
             check_riccati_limits(self.riccati_tol, name="riccati_tol")
-        elif (
-            self.plant is not None
-            or self.q_matrix is not None
-            or self.epsilon != 0.0
-            or self.riccati_tol is not None
-        ):
+        elif any(getattr(self, name) is not None for name in ("plant", "q_matrix", "epsilon", "riccati_tol")):
             raise ValueError(f"{self.law} law takes no plant, q, epsilon or riccati_tol")
 
 

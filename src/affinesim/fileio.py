@@ -33,7 +33,7 @@ SCENARIO_KEYS = frozenset(
     {f.name for f in dataclasses.fields(ScenarioSpec) if f.init} - {"partition", "q_matrix"} | {"q", "seed"}
 )
 # Scenario keys whose null means the key is absent.
-NULLABLE_KEYS = frozenset(("weights", "schedule", "plant", "q", "riccati_tol"))
+NULLABLE_KEYS = frozenset(("weights", "schedule", "plant", "q", "epsilon", "riccati_tol"))
 SEGMENT_KEYS = frozenset(("k0", "k1", "kind", "params", "interp"))
 
 
@@ -372,13 +372,8 @@ def _json_safe(value):
         return {k: _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
-    if isinstance(value, (np.floating, float)):
-        value = float(value)
-        return value if np.isfinite(value) else repr(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
+    if isinstance(value, float) and not np.isfinite(value):
+        return repr(value)
     return value
 
 

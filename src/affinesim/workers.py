@@ -1,7 +1,8 @@
 """Work split over forked worker processes, one per usable CPU.
 
-split is the one fork primitive of the package: cli.cmd_batch splits a
-batch's runs with it, and fileio.write_trace the rows of one large trace.
+split is the one fork primitive of the package: the run pipeline of
+simulate and batch (cli._run) splits its runs with it, and
+fileio.write_trace the rows of one large trace.
 """
 
 from __future__ import annotations

@@ -331,9 +331,9 @@ def tree(path):
 
 
 def run_aside(argv, out, aside):
-    """Run the batch argv, which writes under out, then move out to aside.
-    Every run writes to the same out, so the manifests, which name it,
-    compare byte for byte."""
+    """Run argv, which writes under out, then move out to aside. Every run
+    writes to the same out, so the manifests, which name it, compare byte
+    for byte."""
     code = main(argv)
     out.rename(aside)
     return code
@@ -424,6 +424,46 @@ def test_refused_batch_is_the_same_on_one_two_and_three_cpus(bench, tmp_path, mo
     manifest = tmp_path / "cpus1" / "refused" / "manifest.json"
     assert main(["simulate", str(manifest), "--out", str(tmp_path / "replay")]) == code
     assert capsys.readouterr().err.splitlines()[1:] == errs[0].splitlines()[1:]
+
+
+def diverging(data):
+    return {**data, "T": 1.4, "budget": 500}
+
+
+def short_budget(data):
+    return {**data, "budget": 1}
+
+
+def long_trace(data):
+    # Converges at k=4387, with 10 values a step: more than SPLIT_VALUES.
+    return {**data, "T": 0.1, "budget": 5000}
+
+
+@pytest.mark.parametrize(
+    "change, code",
+    [(dict, 0), (diverging, 3), (short_budget, 4), (negated_weights, 1), (singular_leaders, 5), (long_trace, 0)],
+    ids=["converged", "diverged", "budget", "certificate", "singular-leaders", "large-trace"],
+)
+def test_simulate_is_a_batch_of_one(bench, tmp_path, monkeypatch, capsys, change, code):
+    scenario = tmp_path / "x.json"
+    scenario.write_text(json.dumps(change(json.loads(bench.read_text()))))
+    use_cpus(monkeypatch, 2)
+    started = count_forks(monkeypatch)
+    out = tmp_path / "d"
+    assert run_aside(["simulate", str(scenario), "--out", str(out / "x"), "--plot"], out, tmp_path / "simulate") == code
+    simulated = capsys.readouterr()
+    forks = len(started)
+    assert run_aside(["batch", str(scenario), "--out", str(out), "--plot"], out, tmp_path / "batch") == code
+    batched = capsys.readouterr()
+    written, ran = tree(tmp_path / "simulate"), code in (0, 3, 4)
+    assert tree(tmp_path / "batch") == written
+    files = ["delta.svg", "manifest.json", "summary.json", "trace.csv", "trajectories.svg"] if ran else ["manifest.json"]
+    assert sorted(written) == [f"x/{name}" for name in files]
+    assert batched.err == (f"{scenario}: {simulated.err}" if simulated.err else "")
+    assert (simulated.err == "") == ran and batched.out.startswith(f"{scenario}: ") == ran
+    # A run forks no batch worker; a large trace splits its rows over both CPUs in either command.
+    assert len(started) == 2 * forks == (2 if change is long_trace else 0)
+    assert_no_child()
 
 
 def test_batch_whose_fork_fails_runs_in_one_process(bench, tmp_path, monkeypatch, capsys):
@@ -841,9 +881,10 @@ def test_linear_law_manifest_replays(bench, tmp_path, capsys):
         ("stationary", {"plant": {"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[1.0, 0.0], [0.0, 1.0]]}}),
         ("dynamic", {"q": [[2.0, 0.0], [0.0, 2.0]]}),
         ("stationary", {"epsilon": 0.1}),
+        ("dynamic", {"epsilon": 0.0}),
         ("dynamic", {"riccati_tol": 5.0}),
     ],
-    ids=["plant", "q", "epsilon", "riccati_tol"],
+    ids=["plant", "q", "epsilon", "zero-epsilon", "riccati_tol"],
 )
 def test_simulate_rejects_linear_law_inputs_under_other_laws(bench, tmp_path, capsys, law, extra):
     data = json.loads(bench.read_text())
@@ -998,12 +1039,15 @@ def test_omitted_and_null_scenario_keys_load_the_spec_defaults(bench):
     data = json.loads(bench.read_text())
     for key in ("T", "budget", "tolerance", "epsilon", "riccati_tol"):
         data.pop(key, None)
-    data.update(schedule=None, plant=None, q=None)
+    data.update(schedule=None, plant=None, q=None, epsilon=None)
     bench.write_text(json.dumps(data))
     spec = load_scenario(bench)
     for field in dataclasses.fields(ScenarioSpec):
         if field.name in ("T", "budget", "tolerance", "epsilon", "riccati_tol", "schedule", "plant", "q_matrix"):
             assert getattr(spec, field.name) == field.default, field.name
+    # The linear law reads an absent epsilon as 0.0.
+    bench.write_text(json.dumps({**data, **LINEAR, "epsilon": None}))
+    assert load_scenario(bench).epsilon == 0.0
 
 
 @pytest.mark.parametrize(

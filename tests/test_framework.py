@@ -201,11 +201,16 @@ def test_is_k_connected_matches_cut_enumeration():
 def test_leader_selection(framework, partition):
     report = validate_leader_selection(framework, partition)
     assert report.passed
-    assert report.n_leaders == 3 and report.required_leaders == 3
+    assert report.n_leaders == 3
     assert report.span_dimension == 2
 
-    too_few = LeaderPartition.from_leaders([1, 2], 5)
-    assert not validate_leader_selection(framework, too_few).count_ok
+    too_few = validate_leader_selection(framework, LeaderPartition.from_leaders([1, 2], 5))
+    assert too_few.span_dimension == 1 and not too_few.passed
+
+
+def test_leader_selection_passes_more_than_d_plus_1_spanning_leaders(framework):
+    report = validate_leader_selection(framework, LeaderPartition.from_leaders([1, 2, 3, 4], 5))
+    assert report.n_leaders == 4 and report.span_dimension == 2 and report.passed
 
 
 def test_leader_selection_collinear_fails():
@@ -214,4 +219,4 @@ def test_leader_selection_collinear_fails():
     g = Graph(5, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)])
     fw = Framework(g, config)
     report = validate_leader_selection(fw, LeaderPartition.from_leaders([1, 2, 3], 5))
-    assert report.count_ok and not report.span_ok and not report.passed
+    assert report.n_leaders == 3 and report.span_dimension == 1 and not report.passed

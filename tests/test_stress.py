@@ -405,15 +405,14 @@ def test_weights_are_assembled_once_per_scenario_at_load(tmp_path, monkeypatch, 
     scenario = write_benchmark_files(tmp_path)
     counts = count_calls(monkeypatch, ("normalize_weights", "assemble_stress"))
     in_runs = collections.Counter()
-    for name in ("run_scenario", "run_batch"):
 
-        def run(arg, _original=getattr(affinesim.cli, name)):
-            before = counts.copy()
-            result = _original(arg)
-            in_runs.update(counts - before)
-            return result
+    def run(arg, _original=affinesim.cli.run_batch):
+        before = counts.copy()
+        result = _original(arg)
+        in_runs.update(counts - before)
+        return result
 
-        monkeypatch.setattr(affinesim.cli, name, run)
+    monkeypatch.setattr(affinesim.cli, "run_batch", run)
     assert main(["simulate", str(scenario), "--out", str(tmp_path / "run")]) == 0
     # The file parse normalizes; the spec assembles, normalizing once more.
     assert counts == {"normalize_weights": 2, "assemble_stress": 1}
