@@ -1,14 +1,14 @@
 """Command-line front end.
 
 Subcommands: validate (the certificate's hypotheses, and with a stress the
-rigidity certificate), synth (stress synthesis), stability (prints
-engine.stability_flags for a law: the lines simulate prints for a run's
-flags), riccati (gain solver), and simulate and batch, which differ only in
-how they load their scenarios and report a run. simulate is a batch of one
-run, and both go through one pipeline, _run: every run is compiled here in
-input order, so that every refusal is decided before any file but the
-manifests is written; a refused run reports on stderr alone, after the
-scenario's path and ": " in a batch. The runs are then split with
+rigidity certificate), synth (stress synthesis), stability (compiles a
+scenario or manifest as simulate does and prints its run's flag lines,
+writing no file), riccati (gain solver), and simulate and batch, which
+differ only in how they load their scenarios and report a run. simulate is
+a batch of one run, and both go through one pipeline, _run: every run is
+compiled here in input order, so that every refusal is decided before any
+file but the manifests is written; a refused run reports on stderr alone,
+after the scenario's path and ": " in a batch. The runs are then split with
 workers.split over one forked worker per usable CPU, each writing its runs'
 manifests, traces, summaries and plots; their stdout texts are printed here
 in input order. One run is one share that forks no worker, so
@@ -20,14 +20,14 @@ affinely span R^d or a graph that is not (d+1)-connected, included: every
 command names it on stderr in the same words), 2 parse or validation
 failure (a linear-law scenario with a schedule or a T other than 1, another
 law's with a plant, q, epsilon or riccati_tol, an unknown key, an integer
-too large for a float, a stability option the law does not read or needs
-and lacks, a --leaders list with an empty token, validate given both
---stress and --weights or a stress whose size is not the framework's, a
-riccati --tol that is not positive and finite or a negative --max-iter,
-and a failed batch worker, with its message, included), 3 diverged (in a
-batch, before 4), 4 step budget exhausted, 5 numerical solver failure
-(singular follower block, Riccati budget). Console numerics are printed to
-6 significant digits; files carry full precision.
+too large for a float, validate given both --stress and --weights or a
+stress whose size is not the framework's or with a nonzero entry off the
+graph's edges, a riccati --tol that is not positive and finite or a
+negative --max-iter, and a failed batch worker, with its message,
+included), 3 diverged (in a batch, before 4), 4 step budget exhausted, 5
+numerical solver failure (singular follower block, Riccati budget).
+Console numerics are printed to 6 significant digits; files carry full
+precision.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ import numpy as np
 
 from . import __version__, fileio, workers
 from .control import SolverError, LinearPlant, solve_mare, spectral_radius
-from .engine import LAWS, CertificateError, compile_run, run_batch, stability_flags
-from .framework import LeaderPartition, real_array, validate_leader_selection
+from .engine import CertificateError, compile_run, run_batch
+from .framework import validate_leader_selection
 from .plotting import delta_svg, trajectory_svg
 from .stress import (
     HypothesisError,
@@ -49,7 +49,6 @@ from .stress import (
     SynthesisError,
     assemble_stress,
     check_rigidity_certificate,
-    partition_stress,
     synthesize_stress,
 )
 
@@ -220,35 +219,9 @@ def cmd_batch(args) -> int:
     return _run(runs, args.plot, "{}: ", _batch_report)
 
 
-# Each law's stability options: those it needs, then those it may take.
-STABILITY_OPTIONS = {
-    "stationary": (("stress", "leaders"), ()),
-    "dynamic": ((), ()),
-    "linear": (("stress", "A", "B"), ("epsilon",)),
-}
-
-
 def cmd_stability(args) -> int:
-    needed, optional = STABILITY_OPTIONS[args.law]
-    given = [name for name in ("stress", "leaders", "A", "B", "epsilon") if getattr(args, name) is not None]
-    unread = [f"--{name}" for name in given if name not in needed + optional]
-    if unread:
-        raise fileio.ParseError(f"{args.law} stability reads no {', '.join(unread)}")
-    if not set(needed) <= set(given):
-        *rest, last = [f"--{name}" for name in needed]
-        raise fileio.ParseError(f"{args.law} stability needs {', '.join(rest)} and {last}")
-    epsilon = float(real_array(0.0 if args.epsilon is None else args.epsilon, "epsilon"))
-    stress = None if args.stress is None else fileio.load_stress(args.stress)
-    plant = solution = blocks = None
-    if args.A is not None:
-        plant = LinearPlant(fileio.load_matrix(args.A), fileio.load_matrix(args.B))
-        solution = solve_mare(plant, np.eye(plant.m))
-    if args.leaders is not None:
-        tokens = args.leaders.split(",")
-        if not all(tok.strip() for tok in tokens):
-            raise fileio.ParseError(f"--leaders must be comma-separated node ids, got {args.leaders!r}")
-        blocks = partition_stress(stress, LeaderPartition.from_leaders([int(tok) for tok in tokens], stress.n))
-    print(_flags_text(stability_flags(args.law, args.T, blocks, stress, plant, solution, epsilon)), end="")
+    # The run's own compile, so every refusal is simulate's and the flags are the lines it prints.
+    print(_flags_text(compile_run(fileio.load_scenario(args.scenario)).stability_flags), end="")
     return EXIT_OK
 
 
@@ -296,14 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot", action="store_true")
     p.set_defaults(func=cmd_batch)
 
-    p = sub.add_parser("stability", help="stability report for a law and sampling period")
-    p.add_argument("--law", choices=LAWS, required=True)
-    p.add_argument("--T", type=float, required=True, help="sampling period")
-    p.add_argument("--stress", help="stress JSON (stationary and linear laws)")
-    p.add_argument("--leaders", help="comma-separated leader ids (stationary law)")
-    p.add_argument("--A", help="plant state matrix JSON (linear law)")
-    p.add_argument("--B", help="plant input matrix JSON (linear law)")
-    p.add_argument("--epsilon", type=float, help="stress coupling (linear law; default 0)")
+    p = sub.add_parser("stability", help="print the stability flags that simulate prints for a scenario")
+    p.add_argument("scenario", help="scenario or manifest JSON file")
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("riccati", help="solve the modified Riccati equation for a gain")

@@ -4,6 +4,7 @@ follower-target computation, and a concave-ascent stress synthesizer."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -208,12 +209,20 @@ def check_rigidity_certificate(stress: StressMatrix | None, framework: Framework
     """Universal-rigidity certificate (Connelly, DCG 2005): an equilibrium
     stress of rank n-d-1, PSD, on a framework that meets the hypotheses.
 
-    A stress of the wrong size raises ValueError and a failed hypothesis
-    HypothesisError. With stress None only the hypotheses are checked, and
-    None is returned.
+    A stress of the wrong size, or with a nonzero entry at a pair that is
+    not an edge, raises ValueError and a failed hypothesis HypothesisError.
+    With stress None only the hypotheses are checked, and None is returned.
     """
-    if stress is not None and stress.n != framework.config.n:
-        raise ValueError("stress size does not match framework")
+    if stress is not None:
+        if stress.n != framework.config.n:
+            raise ValueError("stress size does not match framework")
+        edges = framework.graph.edges
+        off_edge = np.triu(stress.entries, 1) != 0
+        ends = np.fromiter(itertools.chain.from_iterable(edges), np.intp, 2 * len(edges)) - 1
+        off_edge[ends[0::2], ends[1::2]] = False
+        if off_edge.any():
+            i, j = np.argwhere(off_edge)[0] + 1
+            raise ValueError(f"stress must be zero off the graph's edges; non-edge ({i}, {j}) is nonzero")
     _check_hypotheses(framework)
     return None if stress is None else _certificate(stress, framework)
 

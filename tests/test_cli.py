@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from affinesim import Configuration, Framework, Graph, ScenarioSpec, assemble_stress, synthesize_stress
+from affinesim import Configuration, Framework, Graph, ScenarioSpec, StressMatrix, assemble_stress, synthesize_stress
 from affinesim.cli import main
 from affinesim.fileio import load_scenario, load_weights, save_weights
 
@@ -79,6 +79,21 @@ def test_validate_negated_weights_fail(bench, tmp_path, capsys):
     assert rc == 1
     assert "PSD: no" in out
     assert "certificate: FAIL" in out
+
+
+def test_validate_refuses_a_stress_off_the_graph(bench, tmp_path, capsys):
+    # Omega = W^T diag(1, 2) W is an equilibrium stress on K5, PSD of rank 2,
+    # but nonzero at (1, 5), which is no edge of the framework.
+    affine = np.column_stack((REFERENCE_POSITIONS, np.ones(5)))
+    W = np.hstack((-affine[3:] @ np.linalg.inv(affine[:3]), np.eye(2)))
+    omega = W.T @ np.diag([1.0, 2.0]) @ W
+    assert omega[0, 4] == 4.0
+    write_stress(StressMatrix(omega), tmp_path / "off.json")
+    rc = main(["validate", str(tmp_path / "framework.json"), "--stress", str(tmp_path / "off.json")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "certificate" not in captured.out
+    assert captured.err == "error: stress must be zero off the graph's edges; non-edge (1, 5) is nonzero\n"
 
 
 def test_stress_out_of_equilibrium_fails_the_certificate(tmp_path, capsys):
@@ -545,116 +560,119 @@ def test_plot_outputs(bench, tmp_path, capsys):
     assert (plotted / "trace.csv").read_bytes() == (plain / "trace.csv").read_bytes()
 
 
-def test_stability_stationary_report(tmp_path, capsys):
-    write_stress(assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS), tmp_path / "stress.json")
-    rc = main(["stability", "--law", "stationary", "--T", "1.0",
-               "--stress", str(tmp_path / "stress.json"), "--leaders", "1,2,3"])
-    lines = capsys.readouterr().out.splitlines()
-    assert rc == 0
+def stability_lines(scenario, capsys):
+    assert main(["stability", str(scenario)]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_stability_stationary_report(bench, capsys):
+    lines = stability_lines(bench, capsys)
     assert "mu_min: -1.49311" in lines
     assert "T_mu_min: -1.49311" in lines
     assert "stable: True" in lines
     assert "spectral_radius: 0.951109" in lines
 
 
-@pytest.mark.parametrize("leaders", ["1", "1,2", "2,3", "4,5"])
-def test_stability_refuses_a_singular_follower_block(tmp_path, capsys, leaders):
+@pytest.mark.parametrize("leaders", [[1], [1, 2], [2, 3], [4, 5]], ids=["1", "1,2", "2,3", "4,5"])
+def test_stability_refuses_a_singular_follower_block(bench, capsys, leaders):
     # These leader sets leave the follower block singular, so simulate refuses them too.
-    write_stress(assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS), tmp_path / "stress.json")
-    rc = main(["stability", "--law", "stationary", "--T", "1.0",
-               "--stress", str(tmp_path / "stress.json"), "--leaders", leaders])
+    data = json.loads(bench.read_text())
+    bench.write_text(json.dumps({**data, "framework": {**FRAMEWORK, "leaders": leaders},
+                                 "initial_followers": [[0.0, 0.0]] * (5 - len(leaders))}))
+    rc = main(["stability", str(bench)])
     captured = capsys.readouterr()
     assert rc == 5
     assert captured.out == ""
     assert "follower stress block is singular" in captured.err
 
 
-@pytest.mark.parametrize("leaders", ["1,,2,3", "1,2,3,", ",1,2,3", "", "1, ,2"])
-def test_stability_refuses_an_empty_leader_token(tmp_path, capsys, leaders):
-    write_stress(assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS), tmp_path / "stress.json")
-    rc = main(["stability", "--law", "stationary", "--T", "1.0",
-               "--stress", str(tmp_path / "stress.json"), "--leaders", leaders])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.out == ""
-    assert f"--leaders must be comma-separated node ids, got {leaders!r}" in captured.err
-
-
-def test_stability_stationary_needs_inputs(capsys):
-    assert main(["stability", "--law", "stationary", "--T", "1.0"]) == 2
+def test_stability_stationary_needs_inputs(bench, capsys):
+    # The stress and the leaders come from the scenario's framework and weights.
+    data = json.loads(bench.read_text())
+    del data["framework"]
+    bench.write_text(json.dumps(data))
+    assert main(["stability", str(bench)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "needs --stress and --leaders" in captured.err
+    assert "missing required key 'framework'" in captured.err
 
 
-def test_stability_dynamic_reports(capsys):
-    assert main(["stability", "--law", "dynamic", "--T", "0.5"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert "decay_factor: 0.5" in lines
+def test_stability_dynamic_reports(bench, capsys):
+    data = {**json.loads(bench.read_text()), "law": "dynamic"}
+    for T, decay, stable in ((0.5, "0.5", True), (2.0, "1", False), (2.5, "1.5", False)):
+        bench.write_text(json.dumps({**data, "T": T}))
+        lines = stability_lines(bench, capsys)
+        assert f"decay_factor: {decay}" in lines
+        assert f"stable: {stable}" in lines
+
+
+def test_stability_linear_reports_modal_test(bench, capsys):
+    stress = assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS)
+    plant = {"A": [[1.2, 0.0], [0.0, 1.2]], "B": [[1.0, 0.0], [0.0, 1.0]]}
+    data = {**json.loads(bench.read_text()), **LINEAR, "plant": plant}
+    # K = -A, so each mode A + (1 - eps lambda_i) B K is 1.2 eps lambda_i I.
+    bench.write_text(json.dumps({**data, "epsilon": 1.0}))
+    lines = stability_lines(bench, capsys)
+    lam_max = np.linalg.eigvalsh(stress.entries)[-1]
+    assert f"modal_spectral_radius: {1.2 * lam_max:.6g}" in lines
+    assert "stable: False" in lines
+    bench.write_text(json.dumps({**data, "epsilon": None}))
+    lines = stability_lines(bench, capsys)
+    assert "modal_spectral_radius: 0" in lines
     assert "stable: True" in lines
 
-    assert main(["stability", "--law", "dynamic", "--T", "2.0"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert "decay_factor: 1" in lines
-    assert "stable: False" in lines
 
-    assert main(["stability", "--law", "dynamic", "--T", "2.5"]) == 0
-    assert "stable: False" in capsys.readouterr().out.splitlines()
-
-
-def test_stability_linear_reports_modal_test(tmp_path, capsys):
-    stress = assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS)
-    write_stress(stress, tmp_path / "stress.json")
-    a = write_matrix(tmp_path / "A.json", [[1.2, 0.0], [0.0, 1.2]])
-    b = write_matrix(tmp_path / "B.json", [[1.0, 0.0], [0.0, 1.0]])
-    base = ["stability", "--law", "linear", "--T", "1.0", "--stress", str(tmp_path / "stress.json"),
-            "--A", a, "--B", b]
-    # K = -A, so each mode A + (1 - eps lambda_i) B K is 1.2 eps lambda_i I.
-    assert main(base + ["--epsilon", "1.0"]) == 0
-    out = capsys.readouterr().out
-    lam_max = np.linalg.eigvalsh(stress.entries)[-1]
-    assert f"modal_spectral_radius: {1.2 * lam_max:.6g}" in out
-    assert "stable: False" in out
-    assert main(base) == 0
-    out = capsys.readouterr().out
-    assert "modal_spectral_radius: 0" in out
-    assert "stable: True" in out
-
-
-def test_stability_linear_needs_inputs(tmp_path, capsys):
-    assert main(["stability", "--law", "linear", "--T", "1.0"]) == 2
-    assert "needs --stress, --A and --B" in capsys.readouterr().err
-    write_stress(assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS), tmp_path / "stress.json")
-    eye = write_matrix(tmp_path / "I.json", [[1.0, 0.0], [0.0, 1.0]])
-    files = ["--stress", str(tmp_path / "stress.json"), "--A", eye, "--B", eye]
-    assert main(["stability", "--law", "linear", "--T", "0.5", *files]) == 2
+def test_stability_linear_needs_inputs(bench, capsys):
+    data = {**json.loads(bench.read_text()), "law": "linear"}
+    bench.write_text(json.dumps(data))
+    assert main(["stability", str(bench)]) == 2
+    assert "linear law requires a plant" in capsys.readouterr().err
+    bench.write_text(json.dumps({**data, **LINEAR, "T": 0.5}))
+    assert main(["stability", str(bench)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "linear law takes no T but 1.0: its plant is already sampled" in captured.err
 
 
-@pytest.mark.parametrize(
-    "changes, options",
-    [
-        ({}, ["--stress", "stress.json", "--leaders", "1,2,3"]),
-        (dict(law="dynamic", T=0.5), []),
-        ({**LINEAR, "epsilon": 0.5}, ["--stress", "stress.json", "--A", "I.json", "--B", "I.json", "--epsilon", "0.5"]),
-    ],
-    ids=["stationary", "dynamic", "linear"],
-)
-def test_stability_prints_the_flag_lines_simulate_prints(bench, tmp_path, monkeypatch, capsys, changes, options):
-    monkeypatch.chdir(tmp_path)
-    data = {**json.loads(bench.read_text()), **changes}
-    bench.write_text(json.dumps(data))
-    main(["simulate", str(bench), "--out", "run"])
-    outcome = ("steps:", "final delta:", "outcome:", "wrote:")
-    flag_lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith(outcome)]
+# A q-weighted linear run on a double integrator: the gain depends on q.
+Q_WEIGHTED = {**LINEAR, "plant": {"A": [[1.0, 0.5], [0.0, 1.0]], "B": [[0.0], [1.0]]}, "q": [[10.0, 0.0], [0.0, 1.0]],
+              "epsilon": 0.5}
 
-    write_stress(assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS), tmp_path / "stress.json")
-    write_matrix(tmp_path / "I.json", LINEAR["plant"]["A"])
-    assert main(["stability", "--law", data["law"], "--T", str(data["T"]), *options]) == 0
-    assert capsys.readouterr().out.splitlines() == flag_lines
-    assert f"law: {data['law']}" in flag_lines
+
+@pytest.mark.parametrize(
+    "changes, code, expected",
+    [
+        ({}, 0, ["law: stationary"]),
+        (dict(law="dynamic", T=0.5), 0, ["law: dynamic"]),
+        ({**LINEAR, "epsilon": 0.5}, 0, ["law: linear"]),
+        (Q_WEIGHTED, 0, ["closed_loop_spectral_radius: 0.234436", "modal_spectral_radius: 1.22743",
+                         "riccati_iterations: 10"]),
+        (dict(weights=None), 0, ["law: stationary"]),
+        (singular_leaders({}), 5, ["solver failure: follower stress block is singular or near-singular"]),
+        (negated_weights({}), 1, ["run refused:", "PSD: no"]),
+        ({**LINEAR, "plant": {"A": [[1.0]], "B": [[1.0]]}}, 2,
+         ["error: scenario: plant state dimension must equal the ambient dimension"]),
+    ],
+    ids=["stationary", "dynamic", "linear", "q-weighted-linear", "synthesizing", "singular-leaders", "negated-weights",
+         "plant-dimension"],
+)
+def test_stability_prints_the_flag_lines_simulate_prints(bench, tmp_path, capsys, changes, code, expected):
+    bench.write_text(json.dumps({**json.loads(bench.read_text()), **changes}))
+    simulated = main(["simulate", str(bench), "--out", str(tmp_path / "run")])
+    captured = capsys.readouterr()
+    outcome = ("steps:", "final delta:", "outcome:", "wrote:")
+    flag_lines = [line for line in captured.out.splitlines() if not line.startswith(outcome)]
+    lines = flag_lines + captured.err.splitlines()
+    assert all(any(line.startswith(text) for line in lines) for text in expected)
+    if code:
+        assert simulated == code
+    # The scenario, and the manifest that simulate wrote (a refused run's
+    # included), print the same lines or the same refusal, and write nothing.
+    written = tree(tmp_path)
+    for path in [bench, *(tmp_path / "run").glob("manifest.json")]:
+        assert main(["stability", str(path)]) == code
+        assert tuple(capsys.readouterr()) == ("".join(line + "\n" for line in flag_lines), captured.err)
+    assert tree(tmp_path) == written
 
 
 # Node 1 of this framework hangs off nodes 2 and 3 only.
@@ -1051,28 +1069,32 @@ def test_omitted_and_null_scenario_keys_load_the_spec_defaults(bench):
 
 
 @pytest.mark.parametrize(
-    "law, options, unread",
+    "law, options",
     [
-        ("dynamic", ["--stress", "nope.json", "--leaders", "1,2", "--epsilon", "3"], "--stress, --leaders, --epsilon"),
-        ("dynamic", ["--A", "A.json", "--B", "B.json"], "--A, --B"),
-        ("stationary", ["--stress", "s.json", "--leaders", "1,2,3", "--epsilon", "0"], "--epsilon"),
-        ("stationary", ["--stress", "s.json", "--leaders", "1,2,3", "--A", "A.json"], "--A"),
-        ("linear", ["--stress", "s.json", "--A", "A.json", "--B", "B.json", "--leaders", "1"], "--leaders"),
+        ("dynamic", ["--stress", "nope.json", "--leaders", "1,2", "--epsilon", "3"]),
+        ("dynamic", ["--A", "A.json", "--B", "B.json"]),
+        ("stationary", ["--stress", "s.json", "--leaders", "1,2,3", "--epsilon", "0"]),
+        ("stationary", ["--stress", "s.json", "--leaders", "1,2,3", "--A", "A.json"]),
+        ("linear", ["--stress", "s.json", "--A", "A.json", "--B", "B.json", "--leaders", "1"]),
     ],
     ids=["dynamic-stress-leaders-epsilon", "dynamic-plant", "stationary-epsilon", "stationary-A", "linear-leaders"],
 )
-def test_stability_refuses_options_its_law_does_not_read(capsys, law, options, unread):
-    T = "1.0" if law == "linear" else "0.5"
-    assert main(["stability", "--law", law, "--T", T, *options]) == 2
-    assert f"{law} stability reads no {unread}" in capsys.readouterr().err
+def test_stability_refuses_options_its_law_does_not_read(bench, capsys, law, options):
+    # The scenario holds every input of its law: stability reads no option.
+    bench.write_text(json.dumps({**json.loads(bench.read_text()), **(LINEAR if law == "linear" else {"law": law})}))
+    with pytest.raises(SystemExit) as exc:
+        main(["stability", str(bench), *options])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(options)}" in captured.err
 
 
-def test_stability_refuses_a_nonfinite_epsilon(tmp_path, capsys):
-    write_stress(assemble_stress(Graph(5, EDGES), EXACT_WEIGHTS), tmp_path / "stress.json")
-    eye = write_matrix(tmp_path / "I.json", [[1.0, 0.0], [0.0, 1.0]])
-    base = ["stability", "--law", "linear", "--T", "1.0", "--stress", str(tmp_path / "stress.json"), "--A", eye, "--B", eye]
-    for value in ("nan", "inf"):
-        assert main(base + ["--epsilon", value]) == 2
+def test_stability_refuses_a_nonfinite_epsilon(bench, capsys):
+    data = {**json.loads(bench.read_text()), **LINEAR}
+    for value in (float("nan"), float("inf")):
+        bench.write_text(json.dumps({**data, "epsilon": value}))
+        assert main(["stability", str(bench)]) == 2
         assert "epsilon must be finite" in capsys.readouterr().err
 
 
