@@ -33,6 +33,7 @@ precision.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -86,15 +87,16 @@ def _flags_text(flags: dict) -> str:
 
 def cmd_validate(args) -> int:
     framework, partition = fileio.load_framework(args.framework)
-    d = framework.config.d
-    print(f"nodes: {framework.config.n}  dimension: {d}  edges: {len(framework.graph.edges)}")
-
     stress = None
     if args.stress:
         stress = fileio.load_stress(args.stress)
     elif args.weights:
         stress = assemble_stress(framework.graph, fileio.load_weights(args.weights))
+    # Every refusal, and a failed hypothesis, comes before the first line on stdout.
+    cert = check_rigidity_certificate(stress, framework)
 
+    d = framework.config.d
+    print(f"nodes: {framework.config.n}  dimension: {d}  edges: {len(framework.graph.edges)}")
     leaders_ok = True
     if partition is not None:
         report = validate_leader_selection(framework, partition)
@@ -104,7 +106,6 @@ def cmd_validate(args) -> int:
             f"span {report.span_dimension}/{d}: {'ok' if report.passed else 'FAIL'}"
         )
 
-    cert = check_rigidity_certificate(stress, framework)
     if cert is None:
         print(f"structural checks: {'PASS' if leaders_ok else 'FAIL'} (no stress supplied)")
         return EXIT_OK if leaders_ok else EXIT_CERTIFICATE
@@ -237,7 +238,10 @@ def cmd_riccati(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: main and every
+    in-process caller share it, as parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="affinesim",
         description="Stress-based affine formation control: validation, synthesis, simulation.",

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, workers
+from . import __version__, floattext, workers
 from .control import LinearPlant
 from .engine import RunResult, ScenarioSpec
 from .framework import Configuration, Framework, Graph, LeaderPartition, is_integer, real_array
@@ -26,11 +26,20 @@ TRACE_HEADER = ("k", "agent_id", "coord_index", "value", "delta_norm", "converge
 # A trace with at least this many values is formatted on two CPUs, where
 # the fork of the second (about 2 ms) is a small part of the work it takes.
 SPLIT_VALUES = 2**15
+# write_rows formats and writes a trace in blocks of whole steps that hold
+# at most this many values.
+BLOCK_VALUES = 2**12
 # Keys a scenario mapping may hold: ScenarioSpec's init fields, with q for
 # q_matrix and the framework's leaders for partition; a legacy seed is
 # accepted and ignored.
 SCENARIO_KEYS = frozenset(
     {f.name for f in dataclasses.fields(ScenarioSpec) if f.init} - {"partition", "q_matrix"} | {"q", "seed"}
+)
+# Scenario keys that ScenarioSpec has no default for, in its field order.
+REQUIRED_KEYS = tuple(
+    f.name
+    for f in dataclasses.fields(ScenarioSpec)
+    if f.init and f.default is dataclasses.MISSING and f.name != "partition"
 )
 # Scenario keys whose null means the key is absent.
 NULLABLE_KEYS = frozenset(("weights", "schedule", "plant", "q", "epsilon", "riccati_tol"))
@@ -256,10 +265,10 @@ def load_scenario(path, *, _parsed=None) -> ScenarioSpec:
     if "scenario" in data:
         data = _require(data, "scenario", "manifest")
     _reject_unknown(data, SCENARIO_KEYS, "scenario")
+    for key in REQUIRED_KEYS:
+        _require(data, key, "scenario")
     base_dir, parsed = path.parent, {} if _parsed is None else _parsed
-    framework, partition = _resolve(
-        _require(data, "framework", "scenario"), base_dir, framework_from_dict, parsed
-    )
+    framework, partition = _resolve(data["framework"], base_dir, framework_from_dict, parsed)
     if partition is None:
         raise ParseError("scenario: framework must declare leaders")
     fields = {"framework": framework, "partition": partition}
@@ -309,19 +318,32 @@ def write_rows(fh, result: RunResult, start, stop):
     """Write the trace's rows from step start to step stop to fh, one per
     (step, agent, coordinate).
 
-    One write per step; the bytes are what csv.writer produces for the
-    same rows, as no field needs quoting."""
+    The rows go out in blocks of whole steps, at most BLOCK_VALUES values
+    (or one step, if a step holds more), one write per block. A block's
+    values and delta norms are formatted by floattext.repr_strings, in
+    the same bytes as repr, and its text is one join of each row's step,
+    agent and coordinate cells, value and step tail; the bytes are what
+    csv.writer produces for the same rows, as no field needs quoting."""
     _, n, d = result.states.shape
     cells = [f"{agent},{coord}," for agent in range(1, n + 1) for coord in range(d)]
-    width = n * d
-    values = memoryview(result.states[start:stop].reshape(-1))
-    flags = zip(result.deltas[start:stop].tolist(), result.converged_flags[start:stop].tolist(),
-                result.diverged_flags[start:stop].tolist())
-    for i, (delta, done, failed) in enumerate(flags):
-        head = f"{start + i},"
-        tail = f",{delta!r},{int(done)},{int(failed)}\n"
-        row = map(repr, values[i * width : (i + 1) * width])
-        fh.write(head + (tail + head).join(map(str.__add__, cells, row)) + tail)
+    steps = max(1, BLOCK_VALUES // len(cells))
+    for first in range(start, stop, steps):
+        rows = slice(first, min(first + steps, stop))
+        count = rows.stop - first
+        # One call formats the values and then the delta norms: one on the
+        # few delta norms alone would make small arrays of ever new sizes,
+        # which numpy keeps for reuse.
+        texts = floattext.repr_strings(np.concatenate((result.states[rows].reshape(-1), result.deltas[rows])))
+        values, deltas = texts[:-count], texts[-count:]
+        heads = [f"{k}," for k in range(first, rows.stop)]
+        tails = [f",{delta},{int(done)},{int(failed)}\n" for delta, done, failed in
+                 zip(deltas, result.converged_flags[rows].tolist(), result.diverged_flags[rows].tolist())]
+        parts = [None] * (4 * len(values))
+        parts[0::4] = [head for head in heads for _ in cells]
+        parts[1::4] = cells * count
+        parts[2::4] = values
+        parts[3::4] = [tail for tail in tails for _ in cells]
+        fh.write("".join(parts))
 
 
 def write_trace(result: RunResult, path):

@@ -92,7 +92,7 @@ def test_validate_refuses_a_stress_off_the_graph(bench, tmp_path, capsys):
     rc = main(["validate", str(tmp_path / "framework.json"), "--stress", str(tmp_path / "off.json")])
     captured = capsys.readouterr()
     assert rc == 2
-    assert "certificate" not in captured.out
+    assert captured.out == ""
     assert captured.err == "error: stress must be zero off the graph's edges; non-edge (1, 5) is nonzero\n"
 
 
@@ -296,6 +296,8 @@ def test_batch_parses_each_shared_file_once(bench, tmp_path, monkeypatch, capsys
     capsys.readouterr()
 
 
+# A change that removes the key from the scenario.
+MISSING = object()
 LINEAR = {"law": "linear", "plant": {"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[1.0, 0.0], [0.0, 1.0]]},
           "epsilon": 0.1, "budget": 200}
 
@@ -744,7 +746,28 @@ def test_validate_refuses_a_stress_of_another_size(bench, tmp_path, capsys):
     write_stress(assemble_stress(Graph(4, [(1, 2), (2, 3), (3, 4)]), {(1, 2): 1.0, (2, 3): 1.0, (3, 4): 1.0}),
                  tmp_path / "stress.json")
     assert main(["validate", str(tmp_path / "framework.json"), "--stress", str(tmp_path / "stress.json")]) == 2
-    assert capsys.readouterr().err == "error: stress size does not match framework\n"
+    captured = capsys.readouterr()
+    assert captured.err == "error: stress size does not match framework\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "option, data, message",
+    [
+        ("--stress", {"n": 5, "entries": [[float(i == j) for j in range(5)] for i in range(5)]},
+         "error: stress: row sums deviate from zero by 1\n"),
+        ("--stress", {"n": 5, "entries": [[1, -1, 0], [-1, 2, -1], [0, -1, 1]]},
+         "error: stress: entries are 3x3, header says 5\n"),
+        ("--weights", {"edges": WEIGHT_ROWS[1:]}, "error: weights must name exactly the graph's edges; non-edges [], "
+         "missing [(1, 2)]\n"),
+    ],
+    ids=["unbalanced-stress", "header-mismatch", "missing-weight"],
+)
+def test_validate_refusal_prints_no_report(bench, tmp_path, capsys, option, data, message):
+    # The stress or weights file is refused before the report's first line.
+    (tmp_path / "given.json").write_text(json.dumps(data))
+    assert main(["validate", str(tmp_path / "framework.json"), option, str(tmp_path / "given.json")]) == 2
+    assert capsys.readouterr() == ("", message)
 
 
 @pytest.mark.parametrize("scale", [1e-9, 1e-3, 1.0, 1e3])
@@ -1016,6 +1039,8 @@ def test_simulate_refuses_bad_segments_before_writing(bench, tmp_path, capsys, s
         ({**LINEAR, "T": 1.0, "q": [[-1, 0], [0, 1]]}, "scenario: q must be positive-semidefinite"),
         ({"framework": {**FRAMEWORK, "leaders": [1, 1, 3]}}, "leaders must be distinct nodes of 1..5; 1 is repeated"),
         ({"framework": {**FRAMEWORK, "leaders": [1, 2, 9]}}, "leaders must be distinct nodes of 1..5; 9 is outside"),
+        ({"law": MISSING}, "scenario: missing required key 'law'"),
+        ({"initial_followers": MISSING}, "scenario: missing required key 'initial_followers'"),
     ],
     ids=["unknown-key", "inf-budget", "float-budget", "bool-budget", "nan-tolerance", "inf-tolerance",
          "nan-weight", "str-weight", "bool-weight", "str-T", "bool-T", "str-tolerance", "str-epsilon",
@@ -1023,12 +1048,11 @@ def test_simulate_refuses_bad_segments_before_writing(bench, tmp_path, capsys, s
          "huge-follower", "missing-weights", "non-edge-weight", "float-weight-id", "float-leader", "float-edge",
          "str-edge", "triple-edge", "str-position", "bool-position", "str-follower", "bool-follower",
          "ragged-followers", "str-plant-A", "bool-plant-B", "str-q", "3x3-q", "asymmetric-q", "negative-q",
-         "repeated-leader", "outside-leader"],
+         "repeated-leader", "outside-leader", "missing-law", "missing-followers"],
 )
 def test_simulate_refuses_bad_scenarios_before_writing(bench, tmp_path, capsys, changes, message):
-    data = json.loads(bench.read_text())
-    data.update(changes)
-    bench.write_text(json.dumps(data))
+    data = {**json.loads(bench.read_text()), **changes}
+    bench.write_text(json.dumps({key: value for key, value in data.items() if value is not MISSING}))
     assert main(["simulate", str(bench), "--out", str(tmp_path / "run")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run" / "manifest.json").exists()

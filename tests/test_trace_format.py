@@ -21,6 +21,7 @@ import pytest
 from affinesim import ScenarioSpec, fileio, run_scenario, workers
 from affinesim.cli import main
 from affinesim.fileio import SPLIT_VALUES, TRACE_HEADER, load_scenario, write_trace
+from affinesim.floattext import repr_strings
 
 from conftest import EXACT_WEIGHTS, FOLLOWER_START, assert_no_child, count_forks, write_benchmark_files
 
@@ -100,7 +101,16 @@ def test_diverged_trace_matches_csv_writer(framework, partition, tmp_path):
     assert b"\n1,4,0,nan,nan,0,1\n1,4,1,-inf,nan,0,1\n" in data
 
 
-@pytest.mark.parametrize("value", [0.1, -0.0, 1e-300, 5e-324, 1.7976931348623157e308, 123456789.0])
+# Values where repr_strings' arithmetic switches: the ends of its range and
+# their neighbours, a power of two (a gap below half the one above), the
+# double below 0.1 (scaled by 10**17 it rounds up to 1e16), a tie between
+# two 17-digit decimals and one between two 16-digit decimals (both go to
+# the even one), 17 significant digits and one.
+EDGES = [1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), 1e15, np.nextafter(1e15, 0), 2.0**-13,
+         np.nextafter(0.1, 0), 1 + 2.0**-17, 8.634536743164062, 1 / 3, 5.0]
+
+
+@pytest.mark.parametrize("value", [0.1, -0.0, 1e-300, 5e-324, 1.7976931348623157e308, 123456789.0, *EDGES])
 def test_values_round_trip(framework, partition, tmp_path, value):
     result = run_scenario(spec(framework, partition, budget=1))
     states = np.full_like(result.states, value)
@@ -111,8 +121,51 @@ def test_values_round_trip(framework, partition, tmp_path, value):
 
 
 # Values at each switch of repr's notation: nan, the infinities, signed
-# zero, a subnormal, and both bounds of the positional form.
-SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 9999999999999998.0, 1e-5, 0.0001]
+# zero, a subnormal, EDGES negated, and both bounds of the positional form.
+SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, *(-v for v in EDGES), 1e16, 9999999999999998.0, 1e-5, 0.0001]
+
+
+def around(values, steps=2):
+    """values, the doubles up to steps away from each on either side, and
+    all of them negated."""
+    values = np.array(values, dtype=np.float64)
+    near = [values]
+    for direction in (np.inf, -np.inf):
+        step = values
+        for _ in range(steps):
+            step = np.nextafter(step, direction)
+            near.append(step)
+    near = np.concatenate(near)
+    return np.concatenate((near, -near))
+
+
+def test_repr_strings_match_repr_at_each_switch():
+    # Powers of two and of ten with their neighbours, the range's ends, and
+    # decimals of 1 to 17 significant digits across the range.
+    digits = "7319284650192837465"
+    values = np.concatenate((
+        around([2.0**e for e in range(-20, 64)] + [float(f"1e{e}") for e in range(-6, 19)] + [1e-4, 1e15]),
+        [float(f"0.{digits[:n]}e{e}") for n in range(1, 18) for e in range(-3, 16)],
+        EDGES,
+    ))
+    assert repr_strings(values) == [repr(v) for v in values.tolist()]
+
+
+def test_repr_strings_match_repr_on_any_float():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    arrays = pytest.importorskip("hypothesis.extra.numpy").arrays
+    # Floats of every magnitude from 1e-8 to 1e18, mixed in one array.
+    magnitudes = st.builds(lambda m, e: m * 10.0**e, st.floats(-10, 10), st.integers(-8, 18))
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(st.lists(st.floats()), arrays(np.float64, st.integers(0, 100), elements=st.one_of(
+        st.floats(), magnitudes)))
+    def check(values, array):
+        assert repr_strings(values) == [repr(v) for v in values]
+        assert repr_strings(array) == [repr(v) for v in array.tolist()]
+
+    check()
 
 
 def synthetic(result, rows, n=16, d=2, seed=3, marked=()):
