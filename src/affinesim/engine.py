@@ -8,14 +8,16 @@ G = -Omega_ff^-1 Omega_fl, the Riccati gain is solved and the stability
 flags are read; runs that share a memo, as a batch's do, compile what they
 share only once. run_scenario then builds the law's constant operators and
 generates every leader waypoint the run can reach as one array, and a
-single stepping loop advances the state, measures the disagreement against
-the instantaneous follower targets, records whether each row is in
-tolerance and whether it diverged, and stops on those two tests. The trace
-is the columns of RunResult: one row per step.
+single stepping loop advances the state (the followers alone where the
+leaders are those waypoints), measures the disagreement against the
+instantaneous follower targets, and stops once it diverges or has been
+in tolerance long enough. The trace is the columns of RunResult, one row
+per step, put together after the loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -313,38 +315,6 @@ def compile_run(spec, memo=None) -> CompiledRun:
     return CompiledRun(spec, stress, certificate, blocks, G, solution, flags)
 
 
-def _law_step(spec: ScenarioSpec, blocks: StressBlocks, stress, solution, G, leaders, targets):
-    """Map (k, z, target) -> (z, target) at k+1 for a leaders-first state z.
-
-    Steps past the end of leaders and targets hold their last entry."""
-    n_l = blocks.n_leaders
-    if spec.law == "linear":
-        perm = [i - 1 for i in spec.partition.order()]
-        coupling = np.eye(stress.n) - spec.epsilon * stress.entries[np.ix_(perm, perm)]
-        A_t, BK_t = spec.plant.A.T, (spec.plant.B @ solution.K).T
-
-        def step(k, z, target):
-            z = z @ A_t + coupling @ z @ BK_t
-            return z, G @ z[:n_l]
-
-        return step
-
-    T, last, ff, fl = spec.T, len(leaders) - 1, blocks.ff, blocks.fl
-
-    def step(k, z, target):
-        j = min(k + 1, last)
-        x_l, x_f = z[:n_l], z[n_l:]
-        if spec.law == "stationary":
-            x_f = x_f - T * (ff @ x_f + fl @ x_l)
-        else:
-            # Dynamic law: the follower error to the targets t = G x_l
-            # contracts by (1 - T); at T = 1 the followers land on t exactly.
-            x_f = (1.0 - T) * (x_f - target) + targets[j]
-        return np.concatenate((leaders[j], x_f)), targets[j]
-
-    return step
-
-
 def run_scenario(run) -> RunResult:
     """Execute a scenario, or the CompiledRun compile_run made of one, to
     convergence, divergence, or budget exhaustion.
@@ -356,54 +326,81 @@ def run_scenario(run) -> RunResult:
     boundary experiments need unstable runs to proceed. Convergence is
     declared after CONVERGENCE_WINDOW consecutive in-tolerance rows, and
     never before the schedule ends.
+
+    Under the stationary and dynamic laws the leaders of row k are the
+    waypoint leaders[min(k, last)], so the loop carries the followers
+    alone; the linear law moves its leaders too, and carries the whole
+    leaders-first state. delta is np.linalg.norm's arithmetic (ravel, dot,
+    sqrt) on the follower error, which the dynamic law steps on. The
+    states are put in agent order once, after the loop.
     """
     run = compile_run(run)
-    spec, stress, blocks, G, solution = run.spec, run.stress, run.blocks, run.G, run.solution
-    partition = spec.partition
+    spec, stress, blocks, G = run.spec, run.stress, run.blocks, run.G
+    partition, law, T = spec.partition, spec.law, spec.T
 
     settle_after = spec.schedule.last_step()
     count = min(spec.budget, settle_after + 1) + 1
     leaders = leader_waypoints(spec.schedule, spec.framework.config, partition, 0, count)
     targets = G @ leaders
-    step = _law_step(spec, blocks, stress, solution, G, leaders, targets)
-
-    n_l = blocks.n_leaders
-    z = np.concatenate((leaders[0], spec.initial_followers))
+    n_l, last, ff, fl = blocks.n_leaders, count - 1, blocks.ff, blocks.fl
+    if law == "linear":
+        perm = [i - 1 for i in partition.order()]
+        coupling = np.eye(stress.n) - spec.epsilon * stress.entries[np.ix_(perm, perm)]
+        A_t, BK_t = spec.plant.A.T, (spec.plant.B @ run.solution.K).T
+        x = np.concatenate((leaders[0], spec.initial_followers))
+    else:
+        x = spec.initial_followers
     target = targets[0]
-    zs, ts, deltas, in_tolerance, past_limit = [], [], [], [], []
+    xs, ts, deltas = [], [target], []
     run_below_tol = 0
     converged_at = None
     for k in range(spec.budget + 1):
-        delta = float(np.linalg.norm(z[n_l:] - target))
-        converged = delta <= spec.tolerance
+        error = (x[n_l:] if law == "linear" else x) - target
+        flat = error.ravel()
+        delta = math.sqrt(flat.dot(flat))
+        xs.append(x)
+        deltas.append(delta)
         # Written as a negation so that nan, which compares false, diverges.
         diverged = not delta <= DIVERGENCE_LIMIT
-        zs.append(z)
-        ts.append(target)
-        deltas.append(delta)
-        in_tolerance.append(converged)
-        past_limit.append(diverged)
         if diverged:
             break
-        run_below_tol = run_below_tol + 1 if converged and k >= settle_after else 0
+        run_below_tol = run_below_tol + 1 if delta <= spec.tolerance and k >= settle_after else 0
         if run_below_tol == CONVERGENCE_WINDOW:
             converged_at = k - CONVERGENCE_WINDOW + 1
             break
         if k == spec.budget:
             break
-        z, target = step(k, z, target)
+        if law == "linear":
+            x = x @ A_t + coupling @ x @ BK_t
+            target = G @ x[:n_l]
+            ts.append(target)
+            continue
+        target = targets[min(k + 1, last)]
+        if law == "stationary":
+            x = x - T * (ff @ x + fl @ leaders[min(k, last)])
+        else:
+            # The follower error to the targets t = G x_l contracts by
+            # (1 - T); at T = 1 the followers land on t exactly.
+            x = (1.0 - T) * error + target
 
-    # One buffer filled in agent order: no second full-size copy of the trace.
+    rows = len(deltas)
     order = np.array([i - 1 for i in partition.order()])
-    states = np.empty((len(zs), partition.n, spec.framework.config.d))
-    for k, z in enumerate(zs):
-        states[k, order] = z
+    states = np.empty((rows, partition.n, spec.framework.config.d))
+    if law == "linear":
+        states[:, order] = np.stack(xs)
+        targets = np.stack(ts)
+    else:
+        held = np.minimum(np.arange(rows), last)
+        states[:, order[:n_l]] = leaders[held]
+        states[:, order[n_l:]] = np.stack(xs)
+        targets = targets[held]
+    deltas = np.array(deltas)
     columns = {
         "states": states,
-        "targets": np.stack(ts),
-        "deltas": np.array(deltas),
-        "converged_flags": np.array(in_tolerance),
-        "diverged_flags": np.array(past_limit),
+        "targets": targets,
+        "deltas": deltas,
+        "converged_flags": deltas <= spec.tolerance,
+        "diverged_flags": ~(deltas <= DIVERGENCE_LIMIT),
     }
     for column in columns.values():
         column.setflags(write=False)

@@ -29,6 +29,19 @@ Method, for |x| in that range:
   each group of values with the same sign and decimal point position is
   copied into a fixed-width byte block, which is cut after each value's
   last significant digit.
+
+fixed2_text(values, separators) returns the join of format(x, ".2f")
+and a separator byte after each value, byte for byte, the form of SVG
+pixel coordinates. Values with |x| < 1e6 are formatted here; nan, the
+infinities and larger values go to format().
+
+Method, for |x| in that range: .2f is x * 100 rounded to an integer N,
+ties to even, on x's exact binary value. Dekker's product gives
+|x| * 100 = hi + lo exactly, with |lo| at most half an ulp of hi, and
+hi < 2**27. So N is hi rounded, ties to even, except where hi is itself
+a tie: there lo != 0 settles it, upward when lo > 0. Each value's text is
+a fixed-width row of bytes, NUL before its first digit; the rows of all
+values are compacted into one string at once.
 """
 
 from __future__ import annotations
@@ -38,6 +51,9 @@ import itertools
 import numpy as np
 
 LOW, HIGH = 1e-4, 1e15
+# repr_strings formats values outside [LOW, HIGH) as this one first: its
+# shortest digits are 17, so it leaves the digit search at the first power.
+STAND_IN = 0.30000000000000004
 # 10**k as exact doubles for k up to 20 (S's scale), and as integers for k
 # up to 17 (the digit steps 10**j and the four-digit groups).
 POW10 = np.array([float(10**k) for k in range(21)])
@@ -48,6 +64,17 @@ QUADS = np.stack([np.repeat(np.tile(DIGITS, 10**i), 10 ** (3 - i)) for i in rang
 # A value's text is at most a sign, "0.", three zeros and 17 digits.
 WIDTH = 23
 COLUMNS = np.arange(WIDTH, dtype=np.uint8)
+# fixed2_text's range. A value's text is a row of 16 bytes: eight digits
+# of its whole part, its cents as ".00" to ".99", its separator, and NUL.
+# As uint64, the first eight are blanked before the sign and the first
+# digit by KEEP[ndigits] and signed by SIGN[8 * negative + ndigits]; all
+# three tables are built from bytes, so they hold in either byte order.
+FIXED2_HIGH = 1e6
+CENTS = np.frombuffer(b"".join(b".%02d\0" % i for i in range(100)), np.uint32)
+KEEP = np.frombuffer(b"".join(b"\0" * (8 - i) + b"\xff" * i for i in range(9)), np.uint64)
+SIGN = np.frombuffer(b"\0" * 64 + b"".join(b"\0" * (7 - i) + b"-" + b"\0" * i for i in range(8)), np.uint64)
+# The number of digits of 0 to 9999, 0 having one.
+NDIGITS = 1 + np.searchsorted(POW10_INT[1:4], np.arange(10**4), side="right")
 
 
 def _product(a, p):
@@ -89,15 +116,21 @@ def _digits(a):
     repr writes."""
     k, s, f, low, high = _interval(a)
     # j: the largest power of ten with a multiple in [low, high], that is
-    # whose remainder of high is at most high - low.
+    # whose remainder of high is at most high - low. Where a power has
+    # none, no larger one has, so after the first power each pass tests
+    # only the values still searching, at the indices at.
     width = high - low
-    j = np.zeros(len(a), np.int64)
-    more = np.ones(len(a), bool)
-    for p in POW10_INT[1:]:
-        more &= high - high // p * p <= width
-        if not more.any():
+    at = np.flatnonzero(high - high // 10 * 10 <= width)
+    passed = [at]
+    for p in POW10_INT[2:]:
+        h = high[at]
+        at = at[h - h // p * p <= width[at]]
+        if not len(at):
             break
-        j += more
+        passed.append(at)
+    j = np.zeros(len(a), np.int64)
+    for at in passed:
+        j[at] += 1
     # The multiple of p nearest S = s + f, ties to an even quotient: round
     # s // p up where 2 * (s % p + f) = t + g, t an integer and g in [0, 1),
     # is more than p, or equal to it with an odd quotient.
@@ -120,11 +153,11 @@ def repr_strings(values) -> list:
     x = np.asarray(values, dtype=np.float64).reshape(-1)
     a = np.abs(x)
     fast = (a >= LOW) & (a < HIGH)
-    # The other values are formatted as 1.0 here and then by repr() one by
-    # one, which makes no array of their count: numpy keeps freed arrays of
-    # under 1 KiB for reuse, several of each size, so arrays of ever new
-    # small sizes would hold memory.
-    strings = _texts(x, np.where(fast, a, 1.0))
+    # The other values are formatted as STAND_IN here and then by repr()
+    # one by one, which makes no array of their count: numpy keeps freed
+    # arrays of under 1 KiB for reuse, several of each size, so arrays of
+    # ever new small sizes would hold memory.
+    strings = _texts(x, np.where(fast, a, STAND_IN))
     for i in itertools.compress(range(len(x)), (~fast).tolist()):
         strings[i] = repr(float(x[i]))
     return strings
@@ -169,3 +202,40 @@ def _texts(x, a) -> list:
     unsorted = np.empty_like(text)
     unsorted[order] = text
     return unsorted.astype(np.uint32).view(f"U{WIDTH}").ravel().tolist()
+
+
+def fixed2_text(values, separators) -> str:
+    """"".join(format(float(x), ".2f") + chr(sep) for x, sep in zip(values,
+    separators)), with the same bytes: computed on whole arrays for |x| <
+    1e6, by format() for every other x. separators holds one byte per
+    value, in the same shape, none of them NUL or 0x01."""
+    x = np.asarray(values, dtype=np.float64).reshape(-1)
+    a = np.abs(x)
+    fast = a < FIXED2_HIGH
+    hi, lo = _product(np.where(fast, a, 0.0), 100.0)
+    whole = np.floor(hi)
+    n = np.where((hi - whole == 0.5) & (lo != 0), whole + (lo > 0), np.rint(hi)).astype(np.int64)
+    whole, cents = np.divmod(n, 100)
+    high, low = np.divmod(whole, 10**4)
+    rows = np.empty((len(x), 2), np.uint64)
+    quads = rows.view(np.uint32)
+    quads[:, 0] = QUADS[high]
+    quads[:, 1] = QUADS[low]
+    quads[:, 2] = CENTS[cents]
+    quads[:, 3] = 0
+    # whole <= 10**6 has at most seven digits, so the sign has a place.
+    ndigits = np.where(high > 0, 4 + NDIGITS[high], NDIGITS[low])
+    rows[:, 0] &= KEEP[ndigits]
+    rows[:, 0] |= SIGN[np.signbit(x) * 8 + ndigits]
+    text = rows.view(np.uint8)
+    text[:, 11] = np.reshape(separators, -1)
+    # The text of every other value is left to format(), behind a 0x01.
+    slow = np.flatnonzero(~fast)
+    text[slow, :11] = 0
+    text[slow, 10] = 1
+    joined = text.tobytes().translate(None, b"\0").decode("ascii")
+    if not len(slow):
+        return joined
+    parts = joined.split("\x01")
+    strings = [format(v, ".2f") for v in x[slow].tolist()]
+    return "".join(itertools.chain.from_iterable(zip(parts, [*strings, ""])))

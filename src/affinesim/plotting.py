@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from .floattext import fixed2_text
+
 PALETTE = (
     "#1f77b4",
     "#d62728",
@@ -23,6 +25,7 @@ PALETTE = (
 WIDTH = 640
 HEIGHT = 640
 MARGIN = 40
+GROUP_VERTICES = 2**14
 
 
 def _finite_range(values):
@@ -47,20 +50,27 @@ def _scaler(points):
     return to_px
 
 
-def _points(px, py) -> str:
-    """SVG points of a polyline at pixel resolution.
+def _points(px, py) -> list:
+    """SVG points of polylines at pixel resolution: px and py hold one line
+    per column, and one string is returned per line.
 
     A vertex is kept when its rounded pixel differs from the previous
     vertex's; the first and last are always kept, and a nan vertex never
     equals its neighbour. Every dropped vertex shares a 1x1 px cell with
     the last kept vertex before it, so the path moves by at most sqrt(2) px.
+    The kept vertices of all lines are written as f"{x:.2f},{y:.2f}",
+    space-separated, in one floattext.fixed2_text pass.
     """
-    px, py = np.ravel(px), np.ravel(py)
-    keep = np.ones(px.size, dtype=bool)
+    keep = np.ones(px.shape, dtype=bool)
     rx, ry = np.rint(px), np.rint(py)
     keep[1:-1] = (rx[1:-1] != rx[:-2]) | (ry[1:-1] != ry[:-2])
-    pairs = zip(px[keep].tolist(), py[keep].tolist())
-    return " ".join(f"{x:.2f},{y:.2f}" for x, y in pairs)
+    # Line by line: the kept vertices as x, y pairs, the last pair of each
+    # line ending in a newline, which splits the text into lines.
+    keep = keep.T
+    pairs = np.stack((px.T[keep], py.T[keep]), axis=1)
+    separators = np.full(pairs.shape, [ord(","), ord(" ")], dtype=np.uint8)
+    separators[np.cumsum(keep.sum(axis=1)) - 1, 1] = ord("\n")
+    return fixed2_text(pairs, separators).split("\n")[:-1]
 
 
 def trajectory_svg(result, partition) -> str:
@@ -85,15 +95,23 @@ def trajectory_svg(result, partition) -> str:
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
-    for agent in range(1, n + 1):
+    # Drawn in groups of agents of at most GROUP_VERTICES vertices, so that
+    # the arrays made for one group stay small.
+    group = max(1, GROUP_VERTICES // len(states))
+    lines = []
+    for first in range(0, n, group):
+        agents = states[:, first : first + group]
+        lines += _points(*to_px(agents[..., 0], agents[..., 1]))
+    for agent, pts in enumerate(lines, start=1):
         color = PALETTE[(agent - 1) % len(PALETTE)]
-        pts = _points(*to_px(states[:, agent - 1, 0], states[:, agent - 1, 1]))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
-    for agent in range(1, n + 1):
+    # Each marker is a one-vertex line.
+    centres = _points(*to_px(markers[None, :, 0], markers[None, :, 1]))
+    for agent, centre in enumerate(centres, start=1):
         color = PALETTE[(agent - 1) % len(PALETTE)]
-        cx, cy = _points(*to_px(markers[agent - 1, 0], markers[agent - 1, 1])).split(",")
+        cx, cy = centre.split(",")
         shape = "3,1" if agent in partition.leaders else None
         dash = f' stroke-dasharray="{shape}"' if shape else ""
         parts.append(
@@ -118,7 +136,7 @@ def delta_svg(result) -> str:
     k_last = len(logs) - 1
     px = MARGIN + np.arange(len(logs)) / max(k_last, 1) * (WIDTH - 2 * MARGIN)
     py = HEIGHT - MARGIN - (logs - lo) / (hi - lo) * (HEIGHT - 2 * MARGIN)
-    pts = _points(px, py)
+    (pts,) = _points(px[:, None], py[:, None])
     axis = (
         f'<polyline points="{MARGIN},{MARGIN} {MARGIN},{HEIGHT - MARGIN} '
         f'{WIDTH - MARGIN},{HEIGHT - MARGIN}" fill="none" stroke="#333" stroke-width="1"/>'

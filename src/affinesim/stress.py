@@ -134,7 +134,21 @@ class RigidityCertificate:
         return self.rank == self.expected_rank and self.psd and self.equilibrium
 
 
-def normalize_weights(items) -> dict:
+class EdgeWeights(dict):
+    """Edge weights as normalize_weights returns them: keyed (i, j) with
+    i < j, each a finite float. They are read-only, so assemble_stress
+    takes them as they are instead of normalizing them again."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("normalized edge weights are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return normalize_weights, (tuple(self.items()),)
+
+
+def normalize_weights(items) -> EdgeWeights:
     """Edge weights keyed (i, j) with i < j, from ((i, j), w) pairs.
 
     An edge may be named more than once, in either orientation, only with equal
@@ -153,7 +167,7 @@ def normalize_weights(items) -> dict:
         if edge in resolved and resolved[edge] != value:
             raise ValueError(f"conflicting weights for edge {edge}")
         resolved[edge] = value
-    return resolved
+    return EdgeWeights(resolved)
 
 
 def assemble_stress(graph: Graph, weights) -> StressMatrix:
@@ -163,9 +177,10 @@ def assemble_stress(graph: Graph, weights) -> StressMatrix:
     the negated weights, zero elsewhere, so row sums vanish by construction
     and the weight of edge (i, j) reads back exactly as -entries[i-1, j-1].
     Weights must be given for exactly the edges of the graph; providing both
-    orientations of an edge is allowed only with identical values.
+    orientations of an edge is allowed only with identical values. Weights
+    that normalize_weights returned are not normalized again.
     """
-    resolved = normalize_weights(weights.items())
+    resolved = weights if isinstance(weights, EdgeWeights) else normalize_weights(weights.items())
     extra, missing = sorted(resolved.keys() - graph.edges), sorted(graph.edges - resolved.keys())
     if extra or missing:
         raise ValueError(f"weights must name exactly the graph's edges; non-edges {extra}, missing {missing}")

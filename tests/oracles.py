@@ -4,7 +4,10 @@ The engine runs one compiled matrix step per law. The per-agent forms of
 the stationary and dynamic laws here restate those laws agent by agent,
 so that compare_forms can check that each matrix update decomposes into
 neighbor-local computations. per_step_transform restates the schedule's
-cumulative transform one step and one segment at a time. reassemble_stress
+cumulative transform one step and one segment at a time, and
+per_step_run the engine's stepping loop with the whole leaders-first
+state carried, recorded and copied one step at a time, and
+per_vertex_points the SVG points of plotting one vertex at a time. reassemble_stress
 inverts partition_stress. equilibrium_residual measures equilibrium apart
 from the certificate's ratio. None of this is a path the package runs.
 """
@@ -22,6 +25,8 @@ from affinesim import (
     run_scenario,
 )
 from affinesim.control import check_period
+from affinesim.engine import CONVERGENCE_WINDOW, DIVERGENCE_LIMIT, RunResult, compile_run
+from affinesim.maneuvers import leader_waypoints
 
 # Per-agent dynamic law divides by the incident weight sum; smaller
 # magnitudes are rejected as degenerate.
@@ -128,3 +133,103 @@ def reassemble_stress(blocks: StressBlocks, partition: LeaderPartition) -> Stres
     perm = [i - 1 for i in partition.order()]
     inverse = np.argsort(perm)
     return StressMatrix(full[np.ix_(inverse, inverse)])
+
+
+def _law_step(spec: ScenarioSpec, blocks: StressBlocks, stress, solution, G, leaders, targets):
+    """Map (k, z, target) -> (z, target) at k+1 for a leaders-first state z.
+
+    Steps past the end of leaders and targets hold their last entry."""
+    n_l = blocks.n_leaders
+    if spec.law == "linear":
+        perm = [i - 1 for i in spec.partition.order()]
+        coupling = np.eye(stress.n) - spec.epsilon * stress.entries[np.ix_(perm, perm)]
+        A_t, BK_t = spec.plant.A.T, (spec.plant.B @ solution.K).T
+
+        def step(k, z, target):
+            z = z @ A_t + coupling @ z @ BK_t
+            return z, G @ z[:n_l]
+
+        return step
+
+    T, last, ff, fl = spec.T, len(leaders) - 1, blocks.ff, blocks.fl
+
+    def step(k, z, target):
+        j = min(k + 1, last)
+        x_l, x_f = z[:n_l], z[n_l:]
+        if spec.law == "stationary":
+            x_f = x_f - T * (ff @ x_f + fl @ x_l)
+        else:
+            x_f = (1.0 - T) * (x_f - target) + targets[j]
+        return np.concatenate((leaders[j], x_f)), targets[j]
+
+    return step
+
+
+def per_step_run(spec) -> RunResult:
+    """run_scenario as one closure step per law on the leaders-first state:
+    every row's state, target, delta (np.linalg.norm) and flags are appended
+    as the loop goes, and the states are copied into agent order row by row."""
+    run = compile_run(spec)
+    spec, stress, blocks, G, solution = run.spec, run.stress, run.blocks, run.G, run.solution
+    partition = spec.partition
+    settle_after = spec.schedule.last_step()
+    count = min(spec.budget, settle_after + 1) + 1
+    leaders = leader_waypoints(spec.schedule, spec.framework.config, partition, 0, count)
+    targets = G @ leaders
+    step = _law_step(spec, blocks, stress, solution, G, leaders, targets)
+
+    n_l = blocks.n_leaders
+    z = np.concatenate((leaders[0], spec.initial_followers))
+    target = targets[0]
+    zs, ts, deltas, in_tolerance, past_limit = [], [], [], [], []
+    run_below_tol = 0
+    converged_at = None
+    for k in range(spec.budget + 1):
+        delta = float(np.linalg.norm(z[n_l:] - target))
+        converged = delta <= spec.tolerance
+        diverged = not delta <= DIVERGENCE_LIMIT
+        zs.append(z)
+        ts.append(target)
+        deltas.append(delta)
+        in_tolerance.append(converged)
+        past_limit.append(diverged)
+        if diverged:
+            break
+        run_below_tol = run_below_tol + 1 if converged and k >= settle_after else 0
+        if run_below_tol == CONVERGENCE_WINDOW:
+            converged_at = k - CONVERGENCE_WINDOW + 1
+            break
+        if k == spec.budget:
+            break
+        z, target = step(k, z, target)
+
+    order = np.array([i - 1 for i in partition.order()])
+    states = np.empty((len(zs), partition.n, spec.framework.config.d))
+    for k, z in enumerate(zs):
+        states[k, order] = z
+    return RunResult(
+        states=states,
+        targets=np.stack(ts),
+        deltas=np.array(deltas),
+        converged_flags=np.array(in_tolerance),
+        diverged_flags=np.array(past_limit),
+        stress=stress,
+        blocks=blocks,
+        certificate=run.certificate,
+        stability_flags=run.stability_flags,
+        converged_at=converged_at,
+        diverged=diverged,
+        budget_exhausted=converged_at is None and not diverged,
+    )
+
+
+def per_vertex_points(px, py) -> list:
+    """plotting._points one line at a time, each kept vertex written by
+    f"{x:.2f},{y:.2f}": one string per column of px and py."""
+    lines = []
+    for x, y in zip(np.transpose(px), np.transpose(py)):
+        keep = np.ones(x.size, dtype=bool)
+        rx, ry = np.rint(x), np.rint(y)
+        keep[1:-1] = (rx[1:-1] != rx[:-2]) | (ry[1:-1] != ry[:-2])
+        lines.append(" ".join(f"{a:.2f},{b:.2f}" for a, b in zip(x[keep].tolist(), y[keep].tolist())))
+    return lines

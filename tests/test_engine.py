@@ -30,7 +30,7 @@ from affinesim.engine import CONVERGENCE_WINDOW
 from affinesim.fileio import ParseError, weights_from_dict
 
 from conftest import EXACT_WEIGHTS, FOLLOWER_START, FOLLOWER_TARGETS, MU_MIN
-from oracles import compare_forms, equilibrium_residual
+from oracles import compare_forms, equilibrium_residual, per_step_run
 
 
 def scenario(framework, partition, **overrides):
@@ -431,6 +431,42 @@ def test_compiled_run_matches_public_steps(framework, partition, law, budget):
     np.testing.assert_allclose(result.targets, targets, rtol=0.0, atol=1e-12)
     deltas = [np.linalg.norm(s[[3, 4]] - t) for s, t in zip(states, targets)]
     np.testing.assert_allclose(result.deltas, deltas, rtol=0.0, atol=1e-12)
+
+
+ROTATION = ManoeuvreSchedule((ScheduleSegment(k0=3, k1=60, kind="rotation", params={"angle": 1.2}, interp="linear"),))
+DOUBLE_INTEGRATOR = LinearPlant(np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([[0.0], [1.0]]))
+STEPPING_CASES = {
+    "stationary converged": dict(),
+    "stationary past the limit": dict(T=1.4, budget=500),
+    "stationary overflow": dict(T=1e300),
+    "stationary budget exhausted": dict(T=0.1, budget=40),
+    "stationary budget inside the schedule": dict(T=0.7, schedule=ROTATION, budget=30),
+    "dynamic converged": dict(law="dynamic", T=0.7, schedule=ROTATION, tolerance=1e-12),
+    "dynamic past the limit": dict(law="dynamic", T=2.5),
+    "dynamic budget exhausted": dict(law="dynamic", T=0.05, budget=70),
+    "dynamic budget inside the schedule": dict(law="dynamic", T=0.7, schedule=ROTATION, budget=30),
+    "linear converged": dict(law="linear", plant=DOUBLE_INTEGRATOR, epsilon=0.2),
+    "linear past the limit": dict(law="linear", plant=LinearPlant(1.2 * np.eye(2), np.eye(2)), epsilon=1.0),
+    "linear budget exhausted": dict(law="linear", plant=DOUBLE_INTEGRATOR, epsilon=0.2, budget=5),
+}
+
+
+@pytest.mark.parametrize("case", STEPPING_CASES)
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_stepping_matches_the_per_step_loop(framework, partition, case):
+    spec = scenario(framework, partition, **STEPPING_CASES[case])
+    result, oracle = run_scenario(spec), per_step_run(spec)
+    outcome = case.split(" ", 1)[1]
+    assert result.converged_at is not None if outcome == "converged" else result.converged_at is None
+    assert result.diverged == (outcome in ("past the limit", "overflow"))
+    assert result.budget_exhausted == outcome.startswith("budget")
+    if outcome == "overflow":
+        assert not np.isfinite(result.deltas[-1])
+    for column in ("states", "targets", "deltas", "converged_flags", "diverged_flags"):
+        got, want = getattr(result, column), getattr(oracle, column)
+        assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes()), column
+    for field in ("converged_at", "diverged", "budget_exhausted"):
+        assert getattr(result, field) == getattr(oracle, field), field
 
 
 def test_trace_columns_and_flags(framework, partition):

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from affinesim import (
     HypothesisError,
     LeaderPartition,
     LocalizabilityError,
+    ScenarioSpec,
     StressBlocks,
     StressMatrix,
     SynthesisError,
@@ -24,11 +26,13 @@ from affinesim import (
     synthesize_stress,
 )
 from affinesim.cli import main
-from affinesim.stress import _row_space, equilibrium_constraint_matrix
+from affinesim.fileio import load_scenario
+from affinesim.stress import _row_space, equilibrium_constraint_matrix, normalize_weights
 
 from conftest import (
     EDGES,
     EXACT_WEIGHTS,
+    FOLLOWER_START,
     FOLLOWER_TARGETS,
     MU_MAX,
     MU_MIN,
@@ -414,17 +418,44 @@ def test_weights_are_assembled_once_per_scenario_at_load(tmp_path, monkeypatch, 
 
     monkeypatch.setattr(affinesim.cli, "run_batch", run)
     assert main(["simulate", str(scenario), "--out", str(tmp_path / "run")]) == 0
-    # The file parse normalizes; the spec assembles, normalizing once more.
-    assert counts == {"normalize_weights": 2, "assemble_stress": 1}
+    # The file parse normalizes; the spec assembles what it normalized.
+    assert counts == {"normalize_weights": 1, "assemble_stress": 1}
     counts.clear()
     copies = [scenario, tmp_path / "T05.json", tmp_path / "T08.json"]
     for T, path in zip((0.5, 0.8), copies[1:]):
         path.write_text(json.dumps({**json.loads(scenario.read_text()), "T": T}))
     assert main(["batch", *map(str, copies), "--out", str(tmp_path / "batch")]) == 0
     # One parse of the shared weights file, then one assembly per scenario.
-    assert counts == {"normalize_weights": 4, "assemble_stress": 3}
+    assert counts == {"normalize_weights": 1, "assemble_stress": 3}
     assert not in_runs
     capsys.readouterr()
+
+
+def test_weights_are_normalized_once_per_load(framework, partition, tmp_path, monkeypatch):
+    scenario = write_benchmark_files(tmp_path)
+    inline = tmp_path / "inline.json"
+    weights = json.loads((tmp_path / "weights.json").read_text())
+    inline.write_text(json.dumps({**json.loads(scenario.read_text()), "weights": weights}))
+    counts = count_calls(monkeypatch, ("normalize_weights",))
+    for loads, path in enumerate([scenario, inline, scenario], start=1):
+        load_scenario(path)
+        assert counts["normalize_weights"] == loads
+    # A spec given plain weights normalizes them itself, once.
+    ScenarioSpec(framework=framework, partition=partition, law="stationary",
+                 initial_followers=FOLLOWER_START, weights=EXACT_WEIGHTS)
+    assert counts["normalize_weights"] == 4
+
+
+def test_normalized_weights_are_read_only():
+    weights = normalize_weights([((2, 1), 0.5), ((1, 3), 1)])
+    assert weights == {(1, 2): 0.5, (1, 3): 1.0}
+    for change in (lambda w: w.__setitem__((1, 2), "x"), lambda w: w.update({(1, 2): "x"}),
+                   lambda w: w.pop((1, 2)), lambda w: w.setdefault((2, 3), 1.0), lambda w: w.clear()):
+        with pytest.raises(TypeError, match="read-only"):
+            change(weights)
+    assert weights == {(1, 2): 0.5, (1, 3): 1.0}
+    copied = pickle.loads(pickle.dumps(weights))
+    assert copied == weights and type(copied) is type(weights)
 
 
 def test_failing_certificate_tests_connectivity_once(framework, separator_calls):
