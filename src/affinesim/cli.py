@@ -3,16 +3,17 @@
 Subcommands: validate (the certificate's hypotheses, and with a stress the
 rigidity certificate), synth (stress synthesis), stability (compiles a
 scenario or manifest as simulate does and prints its run's flag lines,
-writing no file), riccati (gain solver), and simulate and batch, which
-differ only in how they load their scenarios and report a run. simulate is
-a batch of one run, and both go through one pipeline, _run: every run is
-compiled here in input order, so that every refusal is decided before any
-file but the manifests is written; a refused run reports on stderr alone,
-after the scenario's path and ": " in a batch. The runs are then split with
-workers.split over one forked worker per usable CPU, each writing its runs'
-manifests, traces, summaries and plots; their stdout texts are printed here
-in input order. One run is one share that forks no worker, so
-fileio.write_trace still splits its large trace's rows over two CPUs.
+writing no file), riccati (the same for a linear-law run's Riccati
+solution), and simulate and batch, which differ only in how they load
+their scenarios and report a run. simulate is a batch of one run, and both
+go through one pipeline, _run: every run is compiled here in input order,
+so that every refusal is decided before any file but the manifests is
+written; a refused run reports on stderr alone, after the scenario's path
+and ": " in a batch. The runs are then split with workers.split over one
+forked worker per usable CPU, each writing its runs' manifests, traces,
+summaries and plots; their stdout texts are printed here in input order.
+One run is one share that forks no worker, so fileio.write_trace still
+splits its large trace's rows over two CPUs.
 
 Exit codes: 0 success/converged, 1 certificate or synthesis failure (a
 failed hypothesis of the certificate, n < d+2, positions that do not
@@ -22,10 +23,10 @@ failure (a linear-law scenario with a schedule or a T other than 1, another
 law's with a plant, q, epsilon or riccati_tol, an unknown key, an integer
 too large for a float, validate given both --stress and --weights or a
 stress whose size is not the framework's or with a nonzero entry off the
-graph's edges, a riccati --tol that is not positive and finite or a
-negative --max-iter, and a failed batch worker, with its message,
-included), 3 diverged (in a batch, before 4), 4 step budget exhausted, 5
-numerical solver failure (singular follower block, Riccati budget).
+graph's edges, a riccati scenario whose law is not linear, and a failed
+batch worker, with its message, included), 3 diverged (in a batch, before
+4), 4 step budget exhausted, 5 numerical solver failure (singular follower
+block, Riccati budget).
 Console numerics are printed to 6 significant digits; files carry full
 precision.
 """
@@ -40,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, fileio, workers
-from .control import SolverError, LinearPlant, solve_mare, spectral_radius
+from .control import SolverError
 from .engine import CertificateError, compile_run, run_batch
 from .framework import validate_leader_selection
 from .plotting import delta_svg, trajectory_svg
@@ -227,14 +228,17 @@ def cmd_stability(args) -> int:
 
 
 def cmd_riccati(args) -> int:
-    plant = LinearPlant(fileio.load_matrix(args.A), fileio.load_matrix(args.B))
-    Q = np.eye(plant.m) if args.Q is None else fileio.load_matrix(args.Q)
-    solution = solve_mare(plant, Q, tol=args.tol, max_iter=args.max_iter)
-    _print_matrix("P", solution.P)
-    _print_matrix("K", solution.K)
-    print(f"residual: {_fmt(solution.residual)}")
-    print(f"iterations: {solution.iterations}")
-    print(f"closed-loop spectral radius: {_fmt(spectral_radius(plant.A + plant.B @ solution.K))}")
+    # The run's own compile, as in stability: the refusals are simulate's and the gain is the run's.
+    spec = fileio.load_scenario(args.scenario)
+    if spec.law != "linear":
+        raise fileio.ParseError(f"riccati needs a linear-law scenario, got the {spec.law} law")
+    run = compile_run(spec)
+    _print_matrix("P", run.solution.P)
+    _print_matrix("K", run.solution.K)
+    flags = run.stability_flags
+    print(f"residual: {_fmt(flags['riccati_residual'])}")
+    print(f"iterations: {flags['riccati_iterations']}")
+    print(f"closed-loop spectral radius: {_fmt(flags['closed_loop_spectral_radius'])}")
     return EXIT_OK
 
 
@@ -277,12 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="scenario or manifest JSON file")
     p.set_defaults(func=cmd_stability)
 
-    p = sub.add_parser("riccati", help="solve the modified Riccati equation for a gain")
-    p.add_argument("--A", required=True, help="state matrix JSON")
-    p.add_argument("--B", required=True, help="input matrix JSON")
-    p.add_argument("--Q", help="weight matrix JSON (default identity)")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=100000, dest="max_iter")
+    p = sub.add_parser("riccati", help="print the Riccati solution of a linear-law scenario's run")
+    p.add_argument("scenario", help="scenario or manifest JSON file")
     p.set_defaults(func=cmd_riccati)
 
     return parser

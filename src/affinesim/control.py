@@ -21,8 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .framework import is_integer, numerical_rank, real_array
+from .framework import numerical_rank, real_array
 from .stress import COND_LIMIT, StressBlocks, StressMatrix, solve_follower_block
+
+# The most Riccati updates solve_mare makes before it gives up.
+RICCATI_MAX_ITER = 100000
 
 
 class SolverError(RuntimeError):
@@ -158,29 +161,28 @@ def riccati_weight(Q, m: int, name: str = "Q") -> np.ndarray:
     return Q
 
 
-def check_riccati_limits(tol, max_iter: int = 0, name: str = "tol") -> float:
-    """tol as a float, refused unless positive and finite; max_iter refused
-    unless an integer of at least 0. name labels tol in the message."""
+def check_riccati_limits(tol, name: str = "tol") -> float:
+    """tol as a float, refused unless positive and finite; name labels it
+    in the message."""
     if not 0.0 < tol < np.inf:
         raise ValueError(f"{name} must be positive and finite")
-    if not is_integer(max_iter) or max_iter < 0:
-        raise ValueError(f"max_iter must be an integer of at least 0, got {max_iter!r}")
     return float(tol)
 
 
-def solve_mare(plant: LinearPlant, Q, tol: float = 1e-10, max_iter: int = 100000) -> RiccatiSolution:
+def solve_mare(plant: LinearPlant, Q, tol: float = 1e-10) -> RiccatiSolution:
     """Fixed-point solve of the modified discrete Riccati equation.
 
     Iterates P <- A'PA - A'PB (B'PB)^{-1} B'PA + Q from P_0 = Q; the
     update step equals the equation residual at the current iterate, so
     iteration stops once this step is at most tol in max norm. Returns the
     iterate at which the residual was measured together with its gain
-    K = -(B'PB)^{-1} B'PA.
+    K = -(B'PB)^{-1} B'PA. A solve that has not stopped after
+    RICCATI_MAX_ITER updates raises SolverError.
     """
-    tol = check_riccati_limits(tol, max_iter)
+    tol = check_riccati_limits(tol)
     A, B = plant.A, plant.B
     P = Q = riccati_weight(Q, plant.m)
-    for iterations in range(max_iter + 1):
+    for iterations in range(RICCATI_MAX_ITER + 1):
         BtPB = B.T @ P @ B
         cond = np.linalg.cond(BtPB)
         if not np.isfinite(cond) or cond > COND_LIMIT:
@@ -193,7 +195,7 @@ def solve_mare(plant: LinearPlant, Q, tol: float = 1e-10, max_iter: int = 100000
             K = -np.linalg.solve(BtPB, BtPA)
             return RiccatiSolution(P=P, K=K, residual=residual, iterations=iterations)
         P = P_next
-    raise SolverError(f"Riccati iteration did not reach tol {tol:.3g} in {max_iter} iterations")
+    raise SolverError(f"Riccati iteration did not reach tol {tol:.3g} in {RICCATI_MAX_ITER} iterations")
 
 
 def linear_step(plant: LinearPlant, K, epsilon: float, stress: StressMatrix, x) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__, floattext, workers
 from .control import LinearPlant
 from .engine import RunResult, ScenarioSpec
-from .framework import Configuration, Framework, Graph, LeaderPartition, is_integer, real_array
+from .framework import Configuration, Framework, Graph, LeaderPartition, is_integer
 from .maneuvers import ManoeuvreSchedule, ScheduleSegment
 from .stress import StressMatrix, normalize_weights
 
@@ -30,10 +30,9 @@ SPLIT_VALUES = 2**15
 # at most this many values.
 BLOCK_VALUES = 2**12
 # Keys a scenario mapping may hold: ScenarioSpec's init fields, with q for
-# q_matrix and the framework's leaders for partition; a legacy seed is
-# accepted and ignored.
+# q_matrix and the framework's leaders for partition.
 SCENARIO_KEYS = frozenset(
-    {f.name for f in dataclasses.fields(ScenarioSpec) if f.init} - {"partition", "q_matrix"} | {"q", "seed"}
+    {f.name for f in dataclasses.fields(ScenarioSpec) if f.init} - {"partition", "q_matrix"} | {"q"}
 )
 # Scenario keys that ScenarioSpec has no default for, in its field order.
 REQUIRED_KEYS = tuple(
@@ -255,8 +254,7 @@ def load_scenario(path, *, _parsed=None) -> ScenarioSpec:
     The keys the file holds go to ScenarioSpec, which holds the defaults
     and checks the values. The framework, weights, schedule and plant
     fields accept either inline mappings or path strings relative to the
-    file. Omitted weights request synthesis. Unknown keys are refused, but
-    a `seed` key, written by older versions, is ignored.
+    file. Omitted weights request synthesis. Unknown keys are refused.
     _parsed is a batch's: scenarios loaded with the same dict share each
     framework, weights, schedule or plant file they reference, parsed once.
     """
@@ -274,7 +272,7 @@ def load_scenario(path, *, _parsed=None) -> ScenarioSpec:
     fields = {"framework": framework, "partition": partition}
     parsers = {"weights": weights_from_dict, "schedule": schedule_from_dict, "plant": _plant_from_dict}
     for key, value in data.items():
-        if key in ("framework", "seed") or (value is None and key in NULLABLE_KEYS):
+        if key == "framework" or (value is None and key in NULLABLE_KEYS):
             continue
         if key in parsers:
             value = _resolve(value, base_dir, parsers[key], parsed)
@@ -297,21 +295,6 @@ def manifest_dict(spec: ScenarioSpec, scenario_path, out_dir) -> dict:
 
 def save_manifest(spec: ScenarioSpec, scenario_path, out_dir, path):
     _write_json(manifest_dict(spec, scenario_path, out_dir), path)
-
-
-def load_matrix(path) -> np.ndarray:
-    data = _load_json(path)
-    if isinstance(data, dict):
-        data = _require(data, "matrix", "matrix file")
-    try:
-        mat = real_array(data, str(path))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-    if mat.ndim == 1:
-        mat = mat.reshape(1, -1) if mat.size else mat.reshape(0, 0)
-    if mat.ndim != 2:
-        raise ParseError(f"{path}: expected a 2-D array")
-    return mat
 
 
 def write_rows(fh, result: RunResult, start, stop):

@@ -133,8 +133,6 @@ def write_benchmark_files(directory):
         "weights": "weights.json",
         "budget": 2000,
         "tolerance": 1e-9,
-        # Older versions wrote a seed; the loader still accepts and ignores it.
-        "seed": 0,
     }
     with open(directory / "scenario.json", "w") as fh:
         json.dump(scenario, fh)

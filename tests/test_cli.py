@@ -13,6 +13,7 @@ import pytest
 
 from affinesim import Configuration, Framework, Graph, ScenarioSpec, StressMatrix, assemble_stress, synthesize_stress
 from affinesim.cli import main
+from affinesim.engine import compile_run
 from affinesim.fileio import load_scenario, load_weights, save_weights
 
 from conftest import (
@@ -31,11 +32,6 @@ from conftest import (
 FRAMEWORK = {"d": 2, "positions": [list(p) for p in REFERENCE_POSITIONS], "edges": [list(e) for e in EDGES],
              "leaders": list(LEADERS)}
 WEIGHT_ROWS = [[i, j, w] for (i, j), w in sorted(EXACT_WEIGHTS.items())]
-
-
-def write_matrix(path, rows):
-    path.write_text(json.dumps(rows))
-    return str(path)
 
 
 @pytest.fixture
@@ -174,15 +170,18 @@ def test_manifest_rerun_is_byte_identical(bench, tmp_path):
     assert (second / "summary.json").read_bytes() == (first / "summary.json").read_bytes()
 
 
-def test_older_manifest_with_seed_replays_byte_identical(bench, tmp_path):
+def test_older_manifest_with_seed_is_refused(bench, tmp_path, capsys):
+    # Older versions wrote a seed that no run reads; it is refused like any unknown key.
     first = tmp_path / "run1"
     assert main(["simulate", str(bench), "--out", str(first)]) == 0
     manifest = json.loads((first / "manifest.json").read_text())
-    manifest["seed"] = manifest["scenario"]["seed"] = 7
+    manifest["scenario"]["seed"] = 7
     older = tmp_path / "older_manifest.json"
     older.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    assert main(["simulate", str(older), "--out", str(tmp_path / "run2")]) == 0
-    assert (tmp_path / "run2" / "trace.csv").read_bytes() == (first / "trace.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["simulate", str(older), "--out", str(tmp_path / "run2")]) == 2
+    assert capsys.readouterr() == ("", "error: scenario: unknown keys ['seed']\n")
+    assert not (tmp_path / "run2").exists()
 
 
 def test_simulate_divergence_exit_code(bench, tmp_path, capsys):
@@ -249,12 +248,6 @@ def test_matrix_files_refuse_entries_that_are_not_numbers(bench, tmp_path, capsy
     (tmp_path / "stress.json").write_text(json.dumps({"n": 5, "entries": stress}))
     assert main(["validate", str(tmp_path / "framework.json"), "--stress", str(tmp_path / "stress.json")]) == 2
     assert "stress: stress matrix: '0.292' is not a real number" in capsys.readouterr().err
-    a = write_matrix(tmp_path / "A.json", [[1.0, "0"], [0.0, 0.8]])
-    assert main(["riccati", "--A", a, "--B", write_matrix(tmp_path / "B.json", [[0.0], [1.0]])]) == 2
-    assert f"{a}: '0' is not a real number" in capsys.readouterr().err
-    b = write_matrix(tmp_path / "B_bool.json", [[False], [1.0]])
-    assert main(["riccati", "--A", write_matrix(tmp_path / "A_unit.json", [[1.0]]), "--B", b]) == 2
-    assert f"{b}: False is not a real number" in capsys.readouterr().err
 
 
 def test_batch_loads_each_scenarios_own_files(tmp_path, capsys):
@@ -796,10 +789,16 @@ def test_synth_failure_reports_best_eigenvalue(tmp_path, capsys):
     assert not (tmp_path / "w.json").exists()
 
 
+# A d=1 linear scenario: four nodes on a line, all joined, leaders 1 and 2.
+LINE = {"framework": {"d": 1, "positions": [[0.0], [1.0], [3.0], [4.5]],
+                      "edges": [list(e) for e in itertools.combinations(range(1, 5), 2)], "leaders": [1, 2]},
+        "law": "linear", "initial_followers": [[2.0], [5.0]], "plant": {"A": [[1.0]], "B": [[1.0]]}}
+
+
 def test_riccati_scalar(tmp_path, capsys):
-    a = write_matrix(tmp_path / "A.json", [[1.0]])
-    b = write_matrix(tmp_path / "B.json", [[1.0]])
-    rc = main(["riccati", "--A", a, "--B", b])
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(LINE))
+    rc = main(["riccati", str(path)])
     out = capsys.readouterr().out
     assert rc == 0
     assert "iterations: 0" in out
@@ -808,37 +807,44 @@ def test_riccati_scalar(tmp_path, capsys):
 
 
 def test_riccati_rejects_degenerate_input_matrix(tmp_path, capsys):
-    a = write_matrix(tmp_path / "A.json", [[1.0]])
-    b = write_matrix(tmp_path / "B.json", [[0.0]])
-    assert main(["riccati", "--A", a, "--B", b]) == 2
-    assert "error:" in capsys.readouterr().err
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({**LINE, "plant": {"A": [[1.0]], "B": [[0.0]]}}))
+    assert main(["riccati", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: plant: B must have full column rank\n")
 
 
-def test_riccati_iteration_budget(tmp_path, capsys):
-    a = write_matrix(tmp_path / "A.json", [[1.2, 1.0], [0.0, 0.8]])
-    b = write_matrix(tmp_path / "B.json", [[0.0], [1.0]])
-    assert main(["riccati", "--A", a, "--B", b, "--max-iter", "1"]) == 5
-    assert "solver failure" in capsys.readouterr().err
-    assert main(["riccati", "--A", a, "--B", b]) == 0
+def test_riccati_iteration_budget(bench, capsys, monkeypatch):
+    from affinesim import control
+
+    plant = {"A": [[1.2, 1.0], [0.0, 0.8]], "B": [[0.0], [1.0]]}
+    bench.write_text(json.dumps({**json.loads(bench.read_text()), **LINEAR, "plant": plant}))
+    monkeypatch.setattr(control, "RICCATI_MAX_ITER", 1)
+    assert main(["riccati", str(bench)]) == 5
+    assert capsys.readouterr() == ("", "solver failure: Riccati iteration did not reach tol 1e-10 in 1 iterations\n")
+    monkeypatch.undo()
+    assert main(["riccati", str(bench)]) == 0
 
 
-@pytest.mark.parametrize(
-    "option, message",
-    [
-        (["--tol", "-1"], "tol must be positive and finite"),
-        (["--tol", "nan"], "tol must be positive and finite"),
-        (["--tol", "inf"], "tol must be positive and finite"),
-        (["--max-iter", "-5"], "max_iter must be an integer of at least 0, got -5"),
-    ],
-    ids=["negative-tol", "nan-tol", "inf-tol", "negative-max-iter"],
-)
-def test_riccati_refuses_bad_limits_before_iterating(tmp_path, capsys, option, message):
-    a = write_matrix(tmp_path / "A.json", [[1.2, 1.0], [0.0, 0.8]])
-    b = write_matrix(tmp_path / "B.json", [[0.0], [1.0]])
-    assert main(["riccati", "--A", a, "--B", b, *option]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+def test_riccati_prints_the_solution_of_the_runs_own_compile(bench, capsys):
+    bench.write_text(json.dumps({**json.loads(bench.read_text()), **Q_WEIGHTED}))
+    assert main(["riccati", str(bench)]) == 0
+    solution = compile_run(load_scenario(bench)).solution
+    P, K = ([f"  [{', '.join(f'{v:.6g}' for v in row)}]" for row in mat] for mat in (solution.P, solution.K))
+    assert capsys.readouterr().out.splitlines() == [
+        "P:", *P, "K:", *K, f"residual: {solution.residual:.6g}", "iterations: 10",
+        "closed-loop spectral radius: 0.234436",
+    ]
+
+
+def test_riccati_of_a_manifest_prints_what_its_scenario_prints(bench, tmp_path, capsys):
+    bench.write_text(json.dumps({**json.loads(bench.read_text()), **Q_WEIGHTED}))
+    # The run diverges (modal radius 1.22743), and its manifest is written all the same.
+    assert main(["simulate", str(bench), "--out", str(tmp_path / "run")]) == 3
+    capsys.readouterr()
+    assert main(["riccati", str(bench)]) == 0
+    printed = capsys.readouterr()
+    assert main(["riccati", str(tmp_path / "run" / "manifest.json")]) == 0
+    assert capsys.readouterr() == printed
 
 
 def test_synth_roundtrip(bench, tmp_path, capsys):
@@ -994,67 +1000,83 @@ def test_simulate_refuses_bad_segments_before_writing(bench, tmp_path, capsys, s
     assert not (tmp_path / "run" / "manifest.json").exists()
 
 
+BAD_SCENARIOS = [
+    ({"budjet": 100}, "unknown keys ['budjet']"),
+    ({"budget": float("inf")}, "step budget must be an integer"),
+    ({"budget": 0.7}, "step budget must be an integer"),
+    ({"budget": True}, "step budget must be an integer"),
+    ({"tolerance": float("nan")}, "tolerance must be positive and finite"),
+    ({"tolerance": float("inf")}, "tolerance must be positive and finite"),
+    ({"weights": {"edges": [[1, 2, float("nan")]]}}, "weight of edge (1, 2) is not finite"),
+    ({"weights": {"edges": [[1, 2, "0.5"]]}}, "weight of edge (1, 2) must be a real number, got '0.5'"),
+    ({"weights": {"edges": [[1, 2, True]]}}, "weight of edge (1, 2) must be a real number, got True"),
+    ({"T": "0.5"}, "T must be a real number, got '0.5'"),
+    ({"T": True}, "T must be a real number, got True"),
+    ({"tolerance": "1e-9"}, "tolerance must be a real number, got '1e-9'"),
+    ({"epsilon": "0"}, "epsilon must be a real number, got '0'"),
+    ({**LINEAR, "T": 1.0, "riccati_tol": "1e-10"}, "riccati_tol must be a real number, got '1e-10'"),
+    ({**LINEAR, "T": 1.0, "epsilon": float("nan")}, "epsilon must be finite"),
+    ({**LINEAR, "T": 1.0, "q": [[float("nan"), 0.0], [0.0, 1.0]]}, "q must be finite"),
+    ({**LINEAR, "T": 1.0, "riccati_tol": float("nan")}, "riccati_tol must be positive and finite"),
+    ({**LINEAR, "T": 1.0, "riccati_tol": 0.0}, "riccati_tol must be positive and finite"),
+    ({**LINEAR, "T": 1.0, "riccati_tol": -1.0}, "riccati_tol must be positive and finite"),
+    ({**LINEAR, "T": 1.0, "riccati_tol": float("inf")}, "riccati_tol must be positive and finite"),
+    ({"T": 10**400}, "int too large to convert to float"),
+    ({"initial_followers": [[10**400, 3], [-3, -2]]}, "int too large to convert to float"),
+    ({"weights": {"edges": [[1, 2, 0.5]]}}, "edges; non-edges [], missing [(1, 3), (1, 4), (2, 3)"),
+    ({"weights": {"edges": [*WEIGHT_ROWS, [1, 5, 0.1]]}}, "edges; non-edges [(1, 5)], missing []"),
+    ({"weights": {"edges": [[1.5, 2, 0.292], *WEIGHT_ROWS[1:]]}}, "edge (1.5, 2) is not a pair of integer node ids"),
+    ({"framework": {**FRAMEWORK, "leaders": [1.5, 2, 3]}}, "framework: node ids must be integers, got [1.5]"),
+    ({"framework": {**FRAMEWORK, "edges": [[1.5, 2], *EDGES[1:]]}}, "edge [1.5, 2] is not a pair of integer"),
+    ({"framework": {**FRAMEWORK, "edges": [["1", 2], *EDGES[1:]]}}, "edge ['1', 2] is not a pair of integer"),
+    ({"framework": {**FRAMEWORK, "edges": [[1, 2, 3], *EDGES[1:]]}}, "edge [1, 2, 3] is not a pair of integer"),
+    ({"framework": {**FRAMEWORK, "positions": [*FRAMEWORK["positions"][:4], ["-2", 0]]}},
+     "framework: positions: '-2' is not a real number"),
+    ({"framework": {**FRAMEWORK, "positions": [*FRAMEWORK["positions"][:4], [True, 0]]}},
+     "framework: positions: True is not a real number"),
+    ({"initial_followers": [["-4", 3], [-3, -2]]}, "scenario: initial_followers: '-4' is not a real number"),
+    ({"initial_followers": [[True, 3], [-3, -2]]}, "scenario: initial_followers: True is not a real number"),
+    ({"initial_followers": [[-4, 3], [-3]]}, "scenario: initial_followers: [-4, 3] is not a real number"),
+    ({**LINEAR, "T": 1.0, "plant": {**LINEAR["plant"], "A": [["1", 0], [0, 1]]}}, "plant: A: '1' is not a real"),
+    ({**LINEAR, "T": 1.0, "plant": {**LINEAR["plant"], "B": [[1, 0], [0, True]]}}, "plant: B: True is not a real"),
+    ({**LINEAR, "T": 1.0, "q": [[1, 0], [0, "1"]]}, "scenario: q: '1' is not a real number"),
+    ({**LINEAR, "T": 1.0, "q": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, "scenario: q must be 2x2"),
+    ({**LINEAR, "T": 1.0, "q": [[1, 0.5], [0, 1]]}, "scenario: q must be symmetric"),
+    ({**LINEAR, "T": 1.0, "q": [[-1, 0], [0, 1]]}, "scenario: q must be positive-semidefinite"),
+    ({"framework": {**FRAMEWORK, "leaders": [1, 1, 3]}}, "leaders must be distinct nodes of 1..5; 1 is repeated"),
+    ({"framework": {**FRAMEWORK, "leaders": [1, 2, 9]}}, "leaders must be distinct nodes of 1..5; 9 is outside"),
+    ({"law": MISSING}, "scenario: missing required key 'law'"),
+    ({"initial_followers": MISSING}, "scenario: missing required key 'initial_followers'"),
+]
+BAD_SCENARIO_IDS = [
+    "unknown-key", "inf-budget", "float-budget", "bool-budget", "nan-tolerance", "inf-tolerance",
+    "nan-weight", "str-weight", "bool-weight", "str-T", "bool-T", "str-tolerance", "str-epsilon",
+    "str-riccati-tol", "nan-epsilon", "nan-q", "nan-riccati-tol", "zero-riccati-tol",
+    "negative-riccati-tol", "inf-riccati-tol", "huge-T",
+    "huge-follower", "missing-weights", "non-edge-weight", "float-weight-id", "float-leader", "float-edge",
+    "str-edge", "triple-edge", "str-position", "bool-position", "str-follower", "bool-follower",
+    "ragged-followers", "str-plant-A", "bool-plant-B", "str-q", "3x3-q", "asymmetric-q", "negative-q",
+    "repeated-leader", "outside-leader", "missing-law", "missing-followers",
+]
+# riccati refuses the linear-law cases as simulate does, and a scenario of another law.
+LINEAR_CASES = [i for i, (changes, _) in enumerate(BAD_SCENARIOS) if changes.get("law") == "linear"]
+
+
 @pytest.mark.parametrize(
-    "changes, message",
-    [
-        ({"budjet": 100}, "unknown keys ['budjet']"),
-        ({"budget": float("inf")}, "step budget must be an integer"),
-        ({"budget": 0.7}, "step budget must be an integer"),
-        ({"budget": True}, "step budget must be an integer"),
-        ({"tolerance": float("nan")}, "tolerance must be positive and finite"),
-        ({"tolerance": float("inf")}, "tolerance must be positive and finite"),
-        ({"weights": {"edges": [[1, 2, float("nan")]]}}, "weight of edge (1, 2) is not finite"),
-        ({"weights": {"edges": [[1, 2, "0.5"]]}}, "weight of edge (1, 2) must be a real number, got '0.5'"),
-        ({"weights": {"edges": [[1, 2, True]]}}, "weight of edge (1, 2) must be a real number, got True"),
-        ({"T": "0.5"}, "T must be a real number, got '0.5'"),
-        ({"T": True}, "T must be a real number, got True"),
-        ({"tolerance": "1e-9"}, "tolerance must be a real number, got '1e-9'"),
-        ({"epsilon": "0"}, "epsilon must be a real number, got '0'"),
-        ({**LINEAR, "T": 1.0, "riccati_tol": "1e-10"}, "riccati_tol must be a real number, got '1e-10'"),
-        ({**LINEAR, "T": 1.0, "epsilon": float("nan")}, "epsilon must be finite"),
-        ({**LINEAR, "T": 1.0, "q": [[float("nan"), 0.0], [0.0, 1.0]]}, "q must be finite"),
-        ({**LINEAR, "T": 1.0, "riccati_tol": float("nan")}, "riccati_tol must be positive and finite"),
-        ({**LINEAR, "T": 1.0, "riccati_tol": 0.0}, "riccati_tol must be positive and finite"),
-        ({"T": 10**400}, "int too large to convert to float"),
-        ({"initial_followers": [[10**400, 3], [-3, -2]]}, "int too large to convert to float"),
-        ({"weights": {"edges": [[1, 2, 0.5]]}}, "edges; non-edges [], missing [(1, 3), (1, 4), (2, 3)"),
-        ({"weights": {"edges": [*WEIGHT_ROWS, [1, 5, 0.1]]}}, "edges; non-edges [(1, 5)], missing []"),
-        ({"weights": {"edges": [[1.5, 2, 0.292], *WEIGHT_ROWS[1:]]}}, "edge (1.5, 2) is not a pair of integer node ids"),
-        ({"framework": {**FRAMEWORK, "leaders": [1.5, 2, 3]}}, "framework: node ids must be integers, got [1.5]"),
-        ({"framework": {**FRAMEWORK, "edges": [[1.5, 2], *EDGES[1:]]}}, "edge [1.5, 2] is not a pair of integer"),
-        ({"framework": {**FRAMEWORK, "edges": [["1", 2], *EDGES[1:]]}}, "edge ['1', 2] is not a pair of integer"),
-        ({"framework": {**FRAMEWORK, "edges": [[1, 2, 3], *EDGES[1:]]}}, "edge [1, 2, 3] is not a pair of integer"),
-        ({"framework": {**FRAMEWORK, "positions": [*FRAMEWORK["positions"][:4], ["-2", 0]]}},
-         "framework: positions: '-2' is not a real number"),
-        ({"framework": {**FRAMEWORK, "positions": [*FRAMEWORK["positions"][:4], [True, 0]]}},
-         "framework: positions: True is not a real number"),
-        ({"initial_followers": [["-4", 3], [-3, -2]]}, "scenario: initial_followers: '-4' is not a real number"),
-        ({"initial_followers": [[True, 3], [-3, -2]]}, "scenario: initial_followers: True is not a real number"),
-        ({"initial_followers": [[-4, 3], [-3]]}, "scenario: initial_followers: [-4, 3] is not a real number"),
-        ({**LINEAR, "T": 1.0, "plant": {**LINEAR["plant"], "A": [["1", 0], [0, 1]]}}, "plant: A: '1' is not a real"),
-        ({**LINEAR, "T": 1.0, "plant": {**LINEAR["plant"], "B": [[1, 0], [0, True]]}}, "plant: B: True is not a real"),
-        ({**LINEAR, "T": 1.0, "q": [[1, 0], [0, "1"]]}, "scenario: q: '1' is not a real number"),
-        ({**LINEAR, "T": 1.0, "q": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, "scenario: q must be 2x2"),
-        ({**LINEAR, "T": 1.0, "q": [[1, 0.5], [0, 1]]}, "scenario: q must be symmetric"),
-        ({**LINEAR, "T": 1.0, "q": [[-1, 0], [0, 1]]}, "scenario: q must be positive-semidefinite"),
-        ({"framework": {**FRAMEWORK, "leaders": [1, 1, 3]}}, "leaders must be distinct nodes of 1..5; 1 is repeated"),
-        ({"framework": {**FRAMEWORK, "leaders": [1, 2, 9]}}, "leaders must be distinct nodes of 1..5; 9 is outside"),
-        ({"law": MISSING}, "scenario: missing required key 'law'"),
-        ({"initial_followers": MISSING}, "scenario: missing required key 'initial_followers'"),
-    ],
-    ids=["unknown-key", "inf-budget", "float-budget", "bool-budget", "nan-tolerance", "inf-tolerance",
-         "nan-weight", "str-weight", "bool-weight", "str-T", "bool-T", "str-tolerance", "str-epsilon",
-         "str-riccati-tol", "nan-epsilon", "nan-q", "nan-riccati-tol", "zero-riccati-tol", "huge-T",
-         "huge-follower", "missing-weights", "non-edge-weight", "float-weight-id", "float-leader", "float-edge",
-         "str-edge", "triple-edge", "str-position", "bool-position", "str-follower", "bool-follower",
-         "ragged-followers", "str-plant-A", "bool-plant-B", "str-q", "3x3-q", "asymmetric-q", "negative-q",
-         "repeated-leader", "outside-leader", "missing-law", "missing-followers"],
+    "command, changes, message",
+    [("simulate", *case) for case in BAD_SCENARIOS]
+    + [("riccati", *BAD_SCENARIOS[i]) for i in LINEAR_CASES]
+    + [("riccati", {}, "riccati needs a linear-law scenario, got the stationary law")],
+    ids=BAD_SCENARIO_IDS + [f"riccati-{BAD_SCENARIO_IDS[i]}" for i in LINEAR_CASES] + ["riccati-stationary"],
 )
-def test_simulate_refuses_bad_scenarios_before_writing(bench, tmp_path, capsys, changes, message):
+def test_simulate_refuses_bad_scenarios_before_writing(bench, tmp_path, capsys, command, changes, message):
     data = {**json.loads(bench.read_text()), **changes}
     bench.write_text(json.dumps({key: value for key, value in data.items() if value is not MISSING}))
-    assert main(["simulate", str(bench), "--out", str(tmp_path / "run")]) == 2
-    assert message in capsys.readouterr().err
+    out = ["--out", str(tmp_path / "run")] if command == "simulate" else []
+    assert main([command, str(bench), *out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
     assert not (tmp_path / "run" / "manifest.json").exists()
 
 

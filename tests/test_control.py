@@ -17,6 +17,7 @@ from affinesim import (
     stability_flags,
     stationary_leader_step,
 )
+from affinesim import control
 from affinesim.control import RiccatiSolution, check_period
 from affinesim.engine import LINEAR_T_ERROR
 
@@ -270,10 +271,12 @@ def test_solve_mare_input_checks():
         solve_mare(plant, -np.eye(2))
 
 
-def test_solve_mare_iteration_budget():
+def test_solve_mare_iteration_budget(monkeypatch):
     plant = LinearPlant(np.array([[1.2, 1.0], [0.0, 0.8]]), np.array([[0.0], [1.0]]))
-    with pytest.raises(SolverError):
-        solve_mare(plant, np.eye(2), tol=1e-10, max_iter=1)
+    monkeypatch.setattr(control, "RICCATI_MAX_ITER", 1)
+    with pytest.raises(SolverError, match="did not reach tol 1e-10 in 1 iterations"):
+        solve_mare(plant, np.eye(2), tol=1e-10)
+    monkeypatch.undo()
     solution = solve_mare(plant, np.eye(2), tol=1e-10)
     assert solution.residual <= 1e-10
     assert spectral_radius(plant.A + plant.B @ solution.K) < 1.0
