@@ -141,9 +141,9 @@ def _write_run_outputs(spec, result, out_dir: Path, plot: bool):
     return written, notes
 
 
-def _save_manifest(raw, spec, out_dir: Path):
+def _save_manifest(texts, raw, spec, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
-    fileio.save_manifest(spec, raw, out_dir, out_dir / "manifest.json")
+    fileio.save_manifest(spec, raw, out_dir, out_dir / "manifest.json", texts)
 
 
 def _run(runs, plot: bool, where: str, report) -> int:
@@ -156,20 +156,24 @@ def _run(runs, plot: bool, where: str, report) -> int:
     Otherwise the runs are split with workers.split: each share writes its
     runs' manifests, runs them, writes their outputs, and returns for each
     its exit code and its stdout text, report(run, result, written). The
-    texts are printed here in input order.
+    texts are printed here in input order. The manifests written together,
+    a share's or a refused batch's, encode each framework and weights text
+    once (fileio.save_manifest).
     """
     memo, compiled = {}, []
     for raw, spec, _ in runs:
         try:
             compiled.append(compile_run(spec, memo))
         except REPORTED as exc:
+            texts = {}
             for run in runs:
-                _save_manifest(*run)
+                _save_manifest(texts, *run)
             return _report(exc, where.format(raw))
 
     def share(indices):
+        texts = {}
         for i in indices:
-            _save_manifest(*runs[i])
+            _save_manifest(texts, *runs[i])
         outputs = []
         for i, result in zip(indices, run_batch([compiled[i] for i in indices])):
             _, spec, out_dir = runs[i]

@@ -18,7 +18,7 @@ per step, put together after the loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -34,12 +34,14 @@ from .control import (
 from .framework import Framework, LeaderPartition, is_integer, is_real, real_array
 from .maneuvers import ManoeuvreSchedule, leader_waypoints
 from .stress import (
+    EdgeWeights,
     RigidityCertificate,
     StressBlocks,
     StressMatrix,
     assemble_stress,
     check_follower_block,
     check_rigidity_certificate,
+    normalize_weights,
     partition_stress,
     solve_follower_block,
     synthesize_stress,
@@ -70,7 +72,9 @@ class ScenarioSpec:
 
     The framework's configuration is the reference the schedule transforms.
     weights=None requests stress synthesis (deterministic); weights, which must
-    name exactly the graph's edges, are assembled here into stress once.
+    name exactly the graph's edges, are kept as normalize_weights returns
+    them (weights it returned are not normalized again) and assembled here
+    into stress.
     The linear law additionally needs a plant whose state dimension equals
     d; its gain comes from the Riccati solver with weight matrix q_matrix
     (identity when omitted) and tolerance riccati_tol (1e-10 when omitted),
@@ -83,6 +87,12 @@ class ScenarioSpec:
     integer, T, tolerance, epsilon and riccati_tol are real numbers, stored
     as floats, the rest is finite, and each schedule segment is evaluated
     against d.
+
+    memo is a dict that the specs of one load share, as a batch's do
+    (fileio.load_scenario's _parsed): with it each pair of graph and
+    normalized weights is assembled, and each pair of schedule and d
+    checked, once per memo. It keys the weights and the schedule by
+    identity and holds them, which is sound as both are read-only.
     """
 
     framework: Framework
@@ -99,8 +109,10 @@ class ScenarioSpec:
     epsilon: float | None = None
     riccati_tol: float | None = None
     stress: StressMatrix | None = field(default=None, init=False, repr=False, compare=False)
+    memo: InitVar[dict | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, memo):
+        memo = {} if memo is None else memo
         for name in ("T", "tolerance", "epsilon", "riccati_tol"):
             value = getattr(self, name)
             if value is None and name in ("epsilon", "riccati_tol"):
@@ -122,13 +134,19 @@ class ScenarioSpec:
             raise ValueError("step budget must be an integer of at least 1")
         if not 0.0 < self.tolerance < np.inf:
             raise ValueError("convergence tolerance must be positive and finite")
+        graph, d = self.framework.graph, self.framework.config.d
         if self.weights is not None:
-            object.__setattr__(self, "stress", assemble_stress(self.framework.graph, self.weights))
-            entries = self.stress.entries.tolist()
-            weights = {(i, j): -entries[i - 1][j - 1] for i, j in sorted(self.framework.graph.edges)}
+            weights = self.weights if isinstance(self.weights, EdgeWeights) else normalize_weights(self.weights.items())
+            key = ("stress", graph, id(weights))
+            if key not in memo:
+                memo[key] = weights, assemble_stress(graph, weights)
             object.__setattr__(self, "weights", weights)
-        # Each segment at full progress: checks vector lengths, axes and finiteness.
-        self.schedule.transforms(self.framework.config.d, self.schedule.last_step(), 1)
+            object.__setattr__(self, "stress", memo[key][1])
+        key = ("schedule", id(self.schedule), d)
+        if key not in memo:
+            # Each segment at full progress: checks vector lengths, axes and finiteness.
+            self.schedule.transforms(d, self.schedule.last_step(), 1)
+            memo[key] = self.schedule
         if self.law == "linear":
             if self.plant is None:
                 raise ValueError("linear law requires a plant")
@@ -186,11 +204,14 @@ class RunResult:
         return self.states[-1]
 
 
-def stability_flags(law, T, blocks=None, stress=None, plant=None, solution=None, epsilon=0.0):
+def stability_flags(law, T, blocks=None, stress=None, plant=None, solution=None, epsilon=0.0, spectra=None):
     """Stability diagnostics of one law at period T, which compile_run
     records as theorem_flags and the stability command prints. A law reads
     LAW_INPUTS[law], and the linear law epsilon too; an unknown law, a
     missing input and a linear-law T other than 1.0 raise ValueError.
+    spectra is a dict that belongs to these blocks and this stress: the
+    checks and eigensolves that depend on them alone are done once per
+    spectra, as compile_run's memo keeps one for each.
 
     The stationary law's propagator is I - T * ff, so it is stable when
     each eigenvalue mu of the negated follower block has -2 < T * mu < 0.
@@ -208,15 +229,18 @@ def stability_flags(law, T, blocks=None, stress=None, plant=None, solution=None,
     T = check_period(T)
     if law == "linear" and T != 1.0:
         raise ValueError(LINEAR_T_ERROR)
+    spectra = {} if spectra is None else spectra
     if law == "stationary":
-        if not np.array_equal(blocks.ff, blocks.ff.T):
-            raise ValueError("follower block must be symmetric")
-        mu = np.linalg.eigvalsh(-blocks.ff)
-        mu_min, mu_max = float(mu[0]), float(mu[-1])
-        if mu_min >= 0.0:
-            raise ValueError(f"mu_min must be negative, got {mu_min}; stress certificate is broken")
-        # compile_run's guard, so that the same leader sets are refused.
-        check_follower_block(blocks)
+        if "follower" not in spectra:
+            if not np.array_equal(blocks.ff, blocks.ff.T):
+                raise ValueError("follower block must be symmetric")
+            mu = np.linalg.eigvalsh(-blocks.ff)
+            if mu[0] >= 0.0:
+                raise ValueError(f"mu_min must be negative, got {float(mu[0])}; stress certificate is broken")
+            # compile_run's guard, so that the same leader sets are refused.
+            check_follower_block(blocks)
+            spectra["follower"] = float(mu[0]), float(mu[-1])
+        mu_min, mu_max = spectra["follower"]
         return {
             "law": "stationary",
             "T": T,
@@ -230,8 +254,10 @@ def stability_flags(law, T, blocks=None, stress=None, plant=None, solution=None,
         return {"law": "dynamic", "T": T, "decay_factor": decay_factor, "stable": decay_factor < 1.0}
     # Diagonalising the stress splits the closed loop into the modes
     # A + (1 - eps * lambda_i) B K, one per eigenvalue lambda_i of the stress.
+    if "stress" not in spectra:
+        spectra["stress"] = np.linalg.eigvalsh(stress.entries)
     A, BK = plant.A, plant.B @ solution.K
-    modes = A + (1.0 - epsilon * np.linalg.eigvalsh(stress.entries))[:, None, None] * BK
+    modes = A + (1.0 - epsilon * spectra["stress"])[:, None, None] * BK
     modal = float(np.abs(np.linalg.eigvals(modes)).max())
     return {
         "law": "linear",
@@ -292,8 +318,9 @@ def compile_run(spec, memo=None) -> CompiledRun:
     dict that the runs of one batch share, so that each input below is
     worked out once per memo. Keys compare exact bytes and values:
     positions, graph, stress (None for synthesis) and leader list for the
-    stress, certificate, blocks and G; A, B, Q and riccati_tol for the
-    Riccati solution.
+    stress, certificate, blocks and G, and the stability flags'
+    eigensolves of the follower block and the stress; A, B, Q and
+    riccati_tol for the Riccati solution.
     """
     if isinstance(spec, CompiledRun):
         return spec
@@ -302,8 +329,8 @@ def compile_run(spec, memo=None) -> CompiledRun:
     given = None if spec.stress is None else _array_key(spec.stress.entries)
     stress_key = ("stress", _array_key(framework.config.positions), framework.graph, given, spec.partition)
     if stress_key not in memo:
-        memo[stress_key] = _resolve_stress(spec)
-    stress, certificate, blocks, G = memo[stress_key]
+        memo[stress_key] = (*_resolve_stress(spec), {})
+    stress, certificate, blocks, G, spectra = memo[stress_key]
     solution = None
     if spec.law == "linear":
         plant = spec.plant
@@ -311,7 +338,7 @@ def compile_run(spec, memo=None) -> CompiledRun:
         if riccati_key not in memo:
             memo[riccati_key] = solve_mare(plant, spec.q_matrix, tol=spec.riccati_tol)
         solution = memo[riccati_key]
-    flags = stability_flags(spec.law, spec.T, blocks, stress, spec.plant, solution, spec.epsilon)
+    flags = stability_flags(spec.law, spec.T, blocks, stress, spec.plant, solution, spec.epsilon, spectra)
     return CompiledRun(spec, stress, certificate, blocks, G, solution, flags)
 
 

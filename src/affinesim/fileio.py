@@ -43,6 +43,8 @@ REQUIRED_KEYS = tuple(
 # Scenario keys whose null means the key is absent.
 NULLABLE_KEYS = frozenset(("weights", "schedule", "plant", "q", "epsilon", "riccati_tol"))
 SEGMENT_KEYS = frozenset(("k0", "k1", "kind", "params", "interp"))
+# Keys a manifest may hold, manifest_dict's.
+MANIFEST_KEYS = frozenset(("kind", "tool_version", "inputs", "out_dir", "scenario"))
 
 
 class ParseError(ValueError):
@@ -58,12 +60,20 @@ def _load_json(path) -> dict:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _write_json(data, path):
-    """Write data as one line of strict JSON (RFC 8259) with sorted keys.
+def _dumps(data) -> str:
+    """data as one line of strict JSON (RFC 8259) with sorted keys.
 
     json.dumps without indent runs the C encoder; nan and inf raise
-    ValueError before the file is opened."""
-    text = json.dumps(data, sort_keys=True, allow_nan=False)
+    ValueError."""
+    return json.dumps(data, sort_keys=True, allow_nan=False)
+
+
+def _write_json(data, path):
+    """Write _dumps(data) to path; nan and inf raise before the file is opened."""
+    _write_text(_dumps(data), path)
+
+
+def _write_text(text, path):
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
@@ -207,11 +217,15 @@ def schedule_to_dict(schedule: ManoeuvreSchedule) -> dict:
 
 def _resolve(value, base_dir: Path, parse, parsed: dict):
     """parse() of an inline mapping, or of the file a path string names
-    (relative to the referencing file); a file is parsed once per parsed
-    dict, which is keyed by its absolute path. Symlinks are not followed:
-    an alias is parsed again, which costs time but never mixes files."""
+    (relative to the referencing file), once per parsed dict: a file is
+    keyed by its absolute path, an inline mapping by its JSON text.
+    Symlinks are not followed: an alias is parsed again, which costs time
+    but never mixes files."""
     if not isinstance(value, str):
-        return parse(value)
+        key = (parse, json.dumps(value, sort_keys=True))
+        if key not in parsed:
+            parsed[key] = parse(value)
+        return parsed[key]
     path = Path(value)
     if not path.is_absolute():
         path = base_dir / path
@@ -230,12 +244,19 @@ def _plant_from_dict(raw: dict) -> LinearPlant:
 
 def scenario_to_dict(spec: ScenarioSpec) -> dict:
     """Fully-inline scenario mapping (no external file references)."""
-    data = {
+    return {
         "framework": framework_to_dict(spec.framework, spec.partition),
+        "weights": None if spec.weights is None else weights_to_dict(spec.weights),
+        **_run_dict(spec),
+    }
+
+
+def _run_dict(spec: ScenarioSpec) -> dict:
+    """scenario_to_dict without its framework and weights."""
+    data = {
         "law": spec.law,
         "T": spec.T,
         "initial_followers": spec.initial_followers.tolist(),
-        "weights": None if spec.weights is None else weights_to_dict(spec.weights),
         "schedule": schedule_to_dict(spec.schedule),
         "budget": spec.budget,
         "tolerance": spec.tolerance,
@@ -254,13 +275,17 @@ def load_scenario(path, *, _parsed=None) -> ScenarioSpec:
     The keys the file holds go to ScenarioSpec, which holds the defaults
     and checks the values. The framework, weights, schedule and plant
     fields accept either inline mappings or path strings relative to the
-    file. Omitted weights request synthesis. Unknown keys are refused.
-    _parsed is a batch's: scenarios loaded with the same dict share each
-    framework, weights, schedule or plant file they reference, parsed once.
+    file. Omitted weights request synthesis. Unknown keys, of the scenario
+    and of a manifest, are refused. _parsed is a batch's: scenarios loaded
+    with the same dict share each framework, weights, schedule or plant
+    they reference, a file or an equal inline mapping parsed once, and it
+    is ScenarioSpec's memo, so that each weights is assembled and each
+    schedule checked once per graph and d.
     """
     path = Path(path)
     data = _load_json(path)
     if "scenario" in data:
+        _reject_unknown(data, MANIFEST_KEYS, "manifest")
         data = _require(data, "scenario", "manifest")
     _reject_unknown(data, SCENARIO_KEYS, "scenario")
     for key in REQUIRED_KEYS:
@@ -278,23 +303,56 @@ def load_scenario(path, *, _parsed=None) -> ScenarioSpec:
             value = _resolve(value, base_dir, parsers[key], parsed)
         fields["q_matrix" if key == "q" else key] = value
     try:
-        return ScenarioSpec(**fields)
+        return ScenarioSpec(**fields, memo=parsed)
     except (ValueError, TypeError) as exc:
         raise ParseError(f"scenario: {exc}") from exc
 
 
 def manifest_dict(spec: ScenarioSpec, scenario_path, out_dir) -> dict:
+    return _manifest(scenario_to_dict(spec), scenario_path, out_dir)
+
+
+def _manifest(scenario, scenario_path, out_dir) -> dict:
     return {
         "kind": "run-manifest",
         "tool_version": __version__,
         "inputs": {"scenario": str(scenario_path)},
         "out_dir": str(out_dir),
-        "scenario": scenario_to_dict(spec),
+        "scenario": scenario,
     }
 
 
-def save_manifest(spec: ScenarioSpec, scenario_path, out_dir, path):
-    _write_json(manifest_dict(spec, scenario_path, out_dir), path)
+def save_manifest(spec: ScenarioSpec, scenario_path, out_dir, path, texts=None):
+    """Write _dumps(manifest_dict(spec, scenario_path, out_dir)) to path.
+
+    texts is a dict that the manifests of a batch share: the text of each
+    framework with its leaders, keyed by the pair, and of each weights is
+    encoded into it once and spliced into every manifest that holds it. It
+    keys the framework and weights by identity and holds them."""
+    texts = {} if texts is None else texts
+    shared = {
+        "framework": _text_of(texts, spec.framework, spec.partition,
+                              lambda: framework_to_dict(spec.framework, spec.partition)),
+        "weights": "null" if spec.weights is None else _text_of(texts, spec.weights, None,
+                                                                lambda: weights_to_dict(spec.weights)),
+    }
+    scenario = _object_text(_run_dict(spec), shared)
+    _write_text(_object_text(_manifest(None, scenario_path, out_dir), {"scenario": scenario}), path)
+
+
+def _text_of(texts: dict, value, detail, build) -> str:
+    """_dumps(build()), encoded once per texts for value, by identity, and detail."""
+    key = (id(value), detail)
+    if key not in texts:
+        texts[key] = value, _dumps(build())
+    return texts[key][1]
+
+
+def _object_text(data: dict, texts: dict) -> str:
+    """_dumps of data with texts' keys added, their values given as their
+    JSON texts: the C encoder's sorted keys and separators, value by value."""
+    return "{" + ", ".join(f"{json.dumps(key)}: {texts[key] if key in texts else _dumps(data[key])}"
+                           for key in sorted(data.keys() | texts.keys())) + "}"
 
 
 def write_rows(fh, result: RunResult, start, stop):
@@ -304,9 +362,12 @@ def write_rows(fh, result: RunResult, start, stop):
     The rows go out in blocks of whole steps, at most BLOCK_VALUES values
     (or one step, if a step holds more), one write per block. A block's
     values and delta norms are formatted by floattext.repr_strings, in
-    the same bytes as repr, and its text is one join of each row's step,
-    agent and coordinate cells, value and step tail; the bytes are what
-    csv.writer produces for the same rows, as no field needs quoting."""
+    the same bytes as repr: with numpy for signed zeros and 1e-25 <= |x| <
+    1e15, e-notation below 1e-4 included, and by repr for every other
+    value and the rare one whose digits its arithmetic cannot settle. Its
+    text is one join of each row's step, agent and coordinate cells, value
+    and step tail; the bytes are what csv.writer produces for the same
+    rows, as no field needs quoting."""
     _, n, d = result.states.shape
     cells = [f"{agent},{coord}," for agent in range(1, n + 1) for coord in range(d)]
     steps = max(1, BLOCK_VALUES // len(cells))

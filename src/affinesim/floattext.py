@@ -1,34 +1,46 @@
 """Shortest round-trip text of float64 values, computed on whole arrays.
 
 repr_strings(values) returns [repr(float(x)) for x in values], byte for
-byte. Values with 1e-4 <= |x| < 1e15, which repr writes as plain
-decimals, are formatted here with numpy; every other value goes to
-repr().
+byte. Signed zeros and values with 1e-25 <= |x| < 1e15 are formatted here
+with numpy: repr writes those from 1e-4 on as plain decimals and smaller
+ones in e-notation. Every other value, and the rare one whose arithmetic
+below cannot settle a decision, goes to repr().
 
 Method, for |x| in that range:
 - Scale. With k = 16 - floor(log10|x|), corrected by one where log10 is
-  off, S = |x| * 10**k lies in [1e16, 1e17). 10**k (k <= 20) is an exact
-  double, so Dekker's error-free product (Numer. Math. 18, 1971) gives
-  S = hi + lo exactly: hi is an even integer and |lo| <= 8.
+  off, S = |x| * 10**k lies in [1e16, 1e17). 10**k = 2**k * 5**k is an
+  exact double up to k = 22, as 5**22 < 2**53, so from 1e-6 on Dekker's
+  error-free product (Numer. Math. 18, 1971) gives S = hi + lo exactly:
+  hi is an even integer and |lo| <= 8. Below 1e-6, 10**k is the product
+  of the exact doubles 10**22 and 10**(k - 22), k <= 44: a second product,
+  of hi, gives S = hi + lo with an error in lo under 2**-47.
 - Interval. Scaled by 10**k, the decimals that read back as x lie
   within w = 2**(e - 54) * 10**k of S, e being x's exponent from frexp:
-  they are the integers of [L, U] = [ceil(S - w), floor(S + w)]. w is
-  exact, and so are f +- w with f = lo - floor(lo), since all their bits
-  lie between 2**-48 and 2**4; that bound is why the range starts at 1e-4.
+  they are the integers of [L, U] = [ceil(S - w), floor(S + w)]. From
+  1e-4 on, w is exact, and so are f +- w with f = lo - floor(lo), since
+  all their bits lie between 2**-48 and 2**4. Below 1e-4, w is off by
+  less than 2**-48 and f +- w by less than 2**-46, so the floors, ceils
+  and ties that settle the digits are exact unless f, 2f, f - w or f + w
+  lies within NEAR = 2**-40 of an integer: such a value goes to repr().
   Two refinements of the general method change no digit in this range,
   so they are left out. Whether an end is included never matters, as S
-  +- w is never an integer: a midpoint between doubles below 2**52 has
-  more than k decimals. And below a power of two the gap is half the one
-  above, but the shortest digits of every power of two in the range lie
-  within the narrower bound, as the tests check for each of them.
+  +- w is never an integer: a midpoint between doubles has more than k
+  decimals below 2**52, and more than k binary places below 1. And below
+  a power of two the gap is half the one above, but the shortest digits
+  of every power of two from 1e-4 on lie within the narrower bound, as
+  the tests check for each of them; a power of two below 1e-4 goes to
+  repr().
 - Digits. The shortest digits are the multiple D of 10**j in [L, U]
   nearest S, for the largest j that has one, ties going to an even
   D / 10**j (the integer-interval form of Adams, "Ryu", PLDI 2018). This
-  is what repr's dtoa (mode 0) returns.
+  is what repr's dtoa (mode 0) returns. D is 1e17 where x is the double
+  just below a power of ten (1e-6 is one): its one digit is then a 1,
+  one place further left.
 - Text. D's 17 digits come from a 10,000-entry table of four ASCII digits;
-  each group of values with the same sign and decimal point position is
-  copied into a fixed-width byte block, which is cut after each value's
-  last significant digit.
+  each group of values with the same sign and decimal point position (or
+  with e-notation, or zero) is copied into a fixed-width byte block, which
+  is cut after each value's last significant digit; e-notation then gets
+  its "e-" and two exponent digits there.
 
 fixed2_text(values, separators) returns the join of format(x, ".2f")
 and a separator byte after each value, byte for byte, the form of SVG
@@ -50,18 +62,28 @@ import itertools
 
 import numpy as np
 
-LOW, HIGH = 1e-4, 1e15
+# repr_strings' range, and the bound below which repr writes e-notation
+# and the arithmetic is no longer exact.
+LOW, POINT, HIGH = 1e-25, 1e-4, 1e15
 # repr_strings formats values outside [LOW, HIGH) as this one first: its
 # shortest digits are 17, so it leaves the digit search at the first power.
 STAND_IN = 0.30000000000000004
-# 10**k as exact doubles for k up to 20 (S's scale), and as integers for k
-# up to 17 (the digit steps 10**j and the four-digit groups).
-POW10 = np.array([float(10**k) for k in range(21)])
-POW10_INT = POW10[:18].astype(np.int64)
+# 10**k as exact doubles for k up to 22, the largest exact one (S's
+# scale), and as integers for k up to 17 (the digit steps 10**j and the
+# four-digit groups).
+POW10 = np.array([float(10**k) for k in range(23)])
+POW10_INT = np.array([10**k for k in range(18)], np.int64)
+# Below POINT, a decision closer than this to its integer goes to repr().
+NEAR = 2.0**-40
+# The codes of repr_strings' layouts, beside the decimal point positions
+# -3 to 15 that take codes 0 to 18: e-notation, and zero.
+SCIENTIFIC, ZERO = 19, 20
+ZERO_TEXT = np.frombuffer(b"0.0", np.uint8)
 # The ASCII text of 0000 to 9999, each as one uint32 in memory order.
 DIGITS = np.frombuffer(b"0123456789", np.uint8)
 QUADS = np.stack([np.repeat(np.tile(DIGITS, 10**i), 10 ** (3 - i)) for i in range(4)], axis=1).view(np.uint32).ravel()
-# A value's text is at most a sign, "0.", three zeros and 17 digits.
+# A value's text is at most a sign, "0.", three zeros and 17 digits, or a
+# sign, 17 digits, a point and "e-" with two digits.
 WIDTH = 23
 COLUMNS = np.arange(WIDTH, dtype=np.uint8)
 # fixed2_text's range. A value's text is a row of 16 bytes: eight digits
@@ -90,31 +112,55 @@ def _product(a, p):
     return hi, ((ah * ph - hi) + ah * pl + al * ph) + al * pl
 
 
+def _scaled(a, k):
+    """hi, lo and 10**k with a * 10**k = hi + lo, all exact for k <= 22;
+    up to k = 44, where a * 10**k < 2**57, lo is off by less than 2**-47
+    and 10**k by less than half an ulp."""
+    if k.max(initial=0) <= 22:
+        power = POW10[k]
+        return *_product(a, power), power
+    first = np.minimum(k, 22)
+    head, rest = POW10[first], POW10[k - first]
+    hi, lo = _product(a, head)
+    hi, rest_lo = _product(hi, rest)
+    return hi, rest_lo + lo * rest, head * rest
+
+
+def _near_integer(y):
+    return np.abs(y - np.rint(y)) < NEAR
+
+
 def _interval(a):
-    """k, s, f, low, high for positive a in [LOW, HIGH): S = a * 10**k in
-    [1e16, 1e17) is s + f, s its integer part, and the decimals that read
-    back as a, scaled by 10**k, are the integers of [low, high]."""
+    """k, s, f, low, high, unsure for positive a in [LOW, HIGH): S = a *
+    10**k in [1e16, 1e17) is s + f, s its integer part, and the decimals
+    that read back as a, scaled by 10**k, are the integers of [low, high],
+    except where unsure: there a is a power of two below POINT, or the
+    error below POINT could have moved a decision."""
     k = 16 - np.floor(np.log10(a)).astype(np.int64)
-    hi, lo = _product(a, POW10[k])
+    hi, lo, power = _scaled(a, k)
     shift = ((hi < 1e16) | ((hi == 1e16) & (lo < 0))).astype(np.int64) - ((hi > 1e17) | ((hi == 1e17) & (lo >= 0)))
     if shift.any():
         k += shift
-        hi, lo = _product(a, POW10[k])
+        hi, lo, power = _scaled(a, k)
     whole = np.floor(lo)
     f = lo - whole
     s = hi.astype(np.int64) + whole.astype(np.int64)
-    w = np.ldexp(POW10[k], np.frexp(a)[1] - 54)
+    fraction, e = np.frexp(a)
+    w = np.ldexp(power, e - 54)
     low = s + np.ceil(f - w).astype(np.int64)
     high = s + np.floor(f + w).astype(np.int64)
-    return k, s, f, low, high
+    unsure = a < POINT
+    if unsure.any():
+        unsure &= (fraction == 0.5) | _near_integer(2 * f) | _near_integer(f - w) | _near_integer(f + w)
+    return k, s, f, low, high, unsure
 
 
 def _digits(a):
-    """d, point, ndigits for positive a in [LOW, HIGH): a's shortest
-    round-trip digits, padded with zeros to the integer d in [1e16, 1e17),
-    the number of them before the decimal point, and the number of them
-    repr writes."""
-    k, s, f, low, high = _interval(a)
+    """d, point, ndigits, unsure for positive a in [LOW, HIGH): a's
+    shortest round-trip digits, padded with zeros to the integer d in
+    [1e16, 1e17), the number of them before the decimal point, the number
+    of them repr writes, and where they are not settled (_interval)."""
+    k, s, f, low, high, unsure = _interval(a)
     # j: the largest power of ten with a multiple in [low, high], that is
     # whose remainder of high is at most high - low. Where a power has
     # none, no larger one has, so after the first power each pass tests
@@ -140,36 +186,48 @@ def _digits(a):
     g = 2 * f - half
     t = 2 * (s - q * p) + half
     # It lies in [low, high], which is symmetric about S and holds a
-    # multiple of p; and below 1e17, which is in no interval, as 10**-1 to
-    # 10**-4 are nearer to the double above them and the other powers of ten
-    # are doubles.
+    # multiple of p.
     d = (q + ((t > p) | ((t >= p) & ((g > 0) | ((q & 1) > 0))))) * p
-    return d, 17 - k, 17 - j
+    point, ndigits = 17 - k, 17 - j
+    if len(passed) == 17:
+        # Where that is 1e17 (j = 17), a is the double below a power of
+        # ten, below POINT: its one digit moves a place left.
+        at = passed[-1]
+        d[at] //= 10
+        point[at] += 1
+        ndigits[at] = 1
+    return d, point, ndigits, unsure
 
 
 def repr_strings(values) -> list:
     """[repr(float(x)) for x in values], with the same bytes: computed on
-    whole arrays for 1e-4 <= |x| < 1e15, by repr() for every other x."""
+    whole arrays for signed zeros and LOW <= |x| < HIGH, by repr() for
+    every other x and the few that _interval leaves unsure."""
     x = np.asarray(values, dtype=np.float64).reshape(-1)
     a = np.abs(x)
     fast = (a >= LOW) & (a < HIGH)
+    zero = a == 0
     # The other values are formatted as STAND_IN here and then by repr()
     # one by one, which makes no array of their count: numpy keeps freed
     # arrays of under 1 KiB for reuse, several of each size, so arrays of
     # ever new small sizes would hold memory.
-    strings = _texts(x, np.where(fast, a, STAND_IN))
-    for i in itertools.compress(range(len(x)), (~fast).tolist()):
+    d, point, ndigits, unsure = _digits(np.where(fast, a, STAND_IN))
+    strings = _texts(np.signbit(x).view(np.uint8), zero, point, d, ndigits)
+    for i in itertools.compress(range(len(x)), (~(fast | zero) | unsure).tolist()):
         strings[i] = repr(float(x[i]))
     return strings
 
 
-def _texts(x, a) -> list:
-    """repr's text of each x, with a = |x| in [LOW, HIGH)."""
-    d, point, ndigits = _digits(a)
-    # Sorted by layout, the sign and the decimal point's place, the values
-    # of each layout are one run of rows, filled by slice copies.
-    sign = (x < 0).view(np.uint8)
-    layout = (sign * 32 + point + 3).astype(np.uint8)
+def _texts(sign, zero, point, d, ndigits) -> list:
+    """repr's text of each value, from its sign, whether it is zero, and
+    its digits d, point and ndigits (_digits)."""
+    # Sorted by layout, the sign and the decimal point's place, e-notation
+    # or zero, the values of each layout are one run of rows, filled by
+    # slice copies.
+    code = point + 3
+    code[point < -3] = SCIENTIFIC
+    code[zero] = ZERO
+    layout = (sign * 32 + code).astype(np.uint8)
     order = np.argsort(layout, kind="stable")
     d, sign, point, ndigits = d[order], sign[order], point[order], ndigits[order]
     # d's 17 digits are bytes 3 to 19 of its four-digit groups.
@@ -179,15 +237,30 @@ def _texts(x, a) -> list:
         groups[:, i] = QUADS[q]
         d = d - q * p
     digits = groups.view(np.uint8)[:, 3:]
-    text = np.zeros((len(x), WIDTH), np.uint8)
+    text = np.zeros((len(d), WIDTH), np.uint8)
     text[:, 0] = sign * ord("-")
+    # Each text is cut after its last significant digit, or after the one
+    # zero that follows its point; zero is "0.0", and in e-notation a lone
+    # digit has no point, and "e-" and the exponent's two digits follow.
+    length = sign + np.where(point <= 0, 2 - point + ndigits, point + 1 + np.maximum(ndigits - point, 1))
+    scientific = []
     counts = np.bincount(layout, minlength=64)
-    codes = np.flatnonzero(counts)
-    stops = np.cumsum(counts[codes]).tolist()
-    for code, start, stop in zip(codes.tolist(), [0, *stops], stops):
-        left = (code & 31) - 3
-        rows, digit = text[start:stop, code >> 5 :], digits[start:stop]
-        if left <= 0:
+    keys = np.flatnonzero(counts)
+    stops = np.cumsum(counts[keys]).tolist()
+    for key, start, stop in zip(keys.tolist(), [0, *stops], stops):
+        left = (key & 31) - 3
+        rows, digit = text[start:stop, key >> 5 :], digits[start:stop]
+        if key & 31 == ZERO:
+            rows[:, :3] = ZERO_TEXT
+            length[start:stop] = (key >> 5) + 3
+        elif key & 31 == SCIENTIFIC:
+            rows[:, 0] = digit[:, 0]
+            rows[:, 1] = ord(".")
+            rows[:, 2:18] = digit[:, 1:]
+            n = ndigits[start:stop]
+            length[start:stop] = (key >> 5) + n + (n > 1)
+            scientific.append(slice(start, stop))
+        elif left <= 0:
             rows[:, : 2 - left] = ord("0")
             rows[:, 1] = ord(".")
             rows[:, 2 - left : 19 - left] = digit
@@ -195,10 +268,13 @@ def _texts(x, a) -> list:
             rows[:, :left] = digit[:, :left]
             rows[:, left] = ord(".")
             rows[:, left + 1 : 18] = digit[:, left:]
-    # Cut each text after its last significant digit, or after the one
-    # zero that follows its point.
-    length = sign + np.where(point <= 0, 2 - point + ndigits, point + 1 + np.maximum(ndigits - point, 1))
     text *= COLUMNS < length[:, None].astype(np.uint8)
+    for rows in scientific:
+        at, end, exponent = np.arange(rows.start, rows.stop), length[rows], 1 - point[rows]
+        text[at, end] = ord("e")
+        text[at, end + 1] = ord("-")
+        text[at, end + 2] = exponent // 10 + ord("0")
+        text[at, end + 3] = exponent % 10 + ord("0")
     unsorted = np.empty_like(text)
     unsorted[order] = text
     return unsorted.astype(np.uint32).view(f"U{WIDTH}").ravel().tolist()

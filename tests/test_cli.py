@@ -336,6 +336,170 @@ def use_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
+def reference_manifest(spec, scenario, out_dir) -> str:
+    from affinesim import fileio
+
+    return json.dumps(fileio.manifest_dict(spec, str(scenario), out_dir), sort_keys=True) + "\n"
+
+
+def test_batch_manifests_equal_the_reference_encoding(bench, tmp_path, monkeypatch, capsys):
+    # On one CPU every manifest is written by one share, from one set of texts.
+    use_cpus(monkeypatch, 1)
+    data = json.loads(bench.read_text())
+    framework = json.loads((tmp_path / "framework.json").read_text())
+    files = {
+        "scaled_framework.json": {**framework, "positions": [[2.0 * x for x in p] for p in framework["positions"]]},
+        "other_leaders.json": {**framework, "leaders": [1, 2, 5]},
+    }
+    for name, content in files.items():
+        (tmp_path / name).write_text(json.dumps(content))
+    variants = {
+        "T05": dict(T=0.5),
+        "scaled": dict(framework="scaled_framework.json"),
+        "scaled_T05": dict(framework="scaled_framework.json", T=0.5),
+        "leaders": dict(framework="other_leaders.json"),
+        "leaders_T08": dict(framework="other_leaders.json", T=0.8),
+        "synth": dict(weights=None),
+        "q_linear": Q_WEIGHTED,
+    }
+    scenarios = [bench]
+    for name, changes in variants.items():
+        scenarios.append(tmp_path / f"{name}.json")
+        scenarios[-1].write_text(json.dumps({**data, **changes}))
+    # Q_WEIGHTED's modes are unstable: its run diverges.
+    assert main(["batch", *map(str, scenarios), "--out", str(tmp_path / "batch")]) == 3
+    capsys.readouterr()
+    for scenario in scenarios:
+        out_dir = tmp_path / "batch" / scenario.stem
+        written = (out_dir / "manifest.json").read_text()
+        assert written == reference_manifest(load_scenario(scenario), scenario, out_dir)
+
+
+def test_manifests_sharing_texts_key_the_framework_text_by_its_leaders(benchmark_scenario, tmp_path):
+    from affinesim import LeaderPartition, fileio
+    from affinesim.control import LinearPlant
+
+    # One framework object under three leader sets, with and without weights,
+    # and under a linear law with q: each manifest names its own leaders.
+    specs = [benchmark_scenario]
+    for leaders in ((1, 2, 5), (2, 3, 4)):
+        partition = LeaderPartition.from_leaders(leaders, 5)
+        specs.append(dataclasses.replace(benchmark_scenario, partition=partition))
+        specs.append(dataclasses.replace(benchmark_scenario, partition=partition, weights=None))
+    plant = LinearPlant(Q_WEIGHTED["plant"]["A"], Q_WEIGHTED["plant"]["B"])
+    specs.append(dataclasses.replace(benchmark_scenario, law="linear", plant=plant, q_matrix=Q_WEIGHTED["q"],
+                                     epsilon=0.5))
+    texts = {}
+    for i, spec in enumerate(specs):
+        fileio.save_manifest(spec, f"s{i}.json", tmp_path, tmp_path / f"{i}.json", texts)
+    for i, spec in enumerate(specs):
+        written = (tmp_path / f"{i}.json").read_text()
+        assert written == reference_manifest(spec, f"s{i}.json", tmp_path)
+        assert json.loads(written)["scenario"]["framework"]["leaders"] == list(spec.partition.leaders)
+    # Three (framework, leaders) pairs and one weights.
+    assert len(texts) == 4
+
+
+def test_finished_batch_retains_no_spec(bench, tmp_path, monkeypatch, capsys):
+    import gc
+    import weakref
+
+    from affinesim import fileio
+
+    specs = []
+    load = fileio.load_scenario
+
+    def loaded(*args, **kwargs):
+        spec = load(*args, **kwargs)
+        specs.append(weakref.ref(spec))
+        return spec
+
+    monkeypatch.setattr(fileio, "load_scenario", loaded)
+    scenarios = batch_variants(bench, tmp_path)
+    assert main(["batch", *map(str, scenarios), "--out", str(tmp_path / "batch")]) == 0
+    capsys.readouterr()
+    gc.collect()
+    assert len(specs) == len(scenarios)
+    assert all(ref() is None for ref in specs)
+
+
+def test_batch_builds_each_shared_plant_and_checks_each_shared_schedule_once(bench, tmp_path, monkeypatch, capsys):
+    import affinesim.cli
+    from affinesim.control import LinearPlant
+    from affinesim.maneuvers import ManoeuvreSchedule
+
+    counts = {"plant": 0, "schedule": 0}
+    post_init, transforms = LinearPlant.__post_init__, ManoeuvreSchedule.transforms
+
+    def built(self):
+        counts["plant"] += 1
+        post_init(self)
+
+    def checked(self, *args):
+        counts["schedule"] += 1
+        return transforms(self, *args)
+
+    monkeypatch.setattr(LinearPlant, "__post_init__", built)
+    # Counted at load only: each run's waypoints evaluate the schedule too.
+    monkeypatch.setattr(ManoeuvreSchedule, "transforms", checked)
+    monkeypatch.setattr(affinesim.cli, "_run", lambda *args: 0)
+    data = json.loads(bench.read_text())
+    schedule = {"segments": [{"k0": 0, "k1": 9, "kind": "rotation", "params": {"angle": 0.5}, "interp": "linear"}]}
+    (tmp_path / "schedule.json").write_text(json.dumps(schedule))
+    variants = {
+        **{f"linear{i}": {**LINEAR, "epsilon": 0.1 * i} for i in range(1, 4)},
+        "other_plant": {**LINEAR, "plant": Q_WEIGHTED["plant"]},
+        **{f"scheduled{i}": dict(schedule="schedule.json", T=0.1 * i) for i in range(1, 4)},
+        **{f"inline_schedule{i}": dict(schedule=schedule, T=0.1 * i) for i in range(1, 3)},
+    }
+    scenarios = []
+    for name, changes in variants.items():
+        scenarios.append(tmp_path / f"{name}.json")
+        scenarios[-1].write_text(json.dumps({**data, **changes}))
+    assert main(["batch", *map(str, scenarios), "--out", str(tmp_path / "batch")]) == 0
+    # Two plants. Three schedules: the file, the equal inline ones, parsed
+    # apart from the file, and the empty one of the linear runs.
+    assert counts == {"plant": 2, "schedule": 3}
+
+
+def test_batch_encodes_each_shared_text_once_per_worker(bench, tmp_path, monkeypatch, capsys):
+    from affinesim import fileio
+
+    use_cpus(monkeypatch, 1)
+    counts = {"framework_to_dict": 0, "weights_to_dict": 0}
+    for name in counts:
+        original = getattr(fileio, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(fileio, name, counted)
+    data = json.loads(bench.read_text())
+    scenarios = [bench]
+    for T in (0.5, 0.8):
+        scenarios.append(tmp_path / f"T{T}.json")
+        scenarios[-1].write_text(json.dumps({**data, "T": T}))
+    assert main(["batch", *map(str, scenarios), "--out", str(tmp_path / "batch")]) == 0
+    assert counts == {"framework_to_dict": 1, "weights_to_dict": 1}
+    capsys.readouterr()
+
+
+def test_manifest_with_unknown_top_level_keys_is_refused(bench, tmp_path, capsys):
+    first = tmp_path / "run1"
+    assert main(["simulate", str(bench), "--out", str(first)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    manifest.update(kindd="x", seed=7)
+    misspelt = tmp_path / "misspelt_manifest.json"
+    misspelt.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    for argv in (["simulate", str(misspelt), "--out", str(tmp_path / "run2")], ["stability", str(misspelt)],
+                 ["batch", str(bench), str(misspelt), "--out", str(tmp_path / "batch")]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: manifest: unknown keys ['kindd', 'seed']\n")
+    assert not (tmp_path / "run2").exists() and not (tmp_path / "batch").exists()
+
+
 def tree(path):
     return {p.relative_to(path).as_posix(): p.read_bytes() for p in sorted(path.rglob("*")) if p.is_file()}
 

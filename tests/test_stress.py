@@ -403,7 +403,7 @@ def test_synth_command_tests_connectivity_once(tmp_path, separator_calls, certif
     assert "certificate: PASS" in capsys.readouterr().out
 
 
-def test_weights_are_assembled_once_per_scenario_at_load(tmp_path, monkeypatch, capsys):
+def test_weights_are_assembled_once_per_batch_at_load(tmp_path, monkeypatch, capsys):
     import affinesim.cli
 
     scenario = write_benchmark_files(tmp_path)
@@ -425,8 +425,18 @@ def test_weights_are_assembled_once_per_scenario_at_load(tmp_path, monkeypatch, 
     for T, path in zip((0.5, 0.8), copies[1:]):
         path.write_text(json.dumps({**json.loads(scenario.read_text()), "T": T}))
     assert main(["batch", *map(str, copies), "--out", str(tmp_path / "batch")]) == 0
-    # One parse of the shared weights file, then one assembly per scenario.
-    assert counts == {"normalize_weights": 1, "assemble_stress": 3}
+    # One parse of the shared weights file, and one assembly on the shared graph.
+    assert counts == {"normalize_weights": 1, "assemble_stress": 1}
+    counts.clear()
+    # Weights that differ, inline or in another file, are assembled apart.
+    weights = json.loads((tmp_path / "weights.json").read_text())
+    doubled = {"edges": [[i, j, 2.0 * w] for i, j, w in weights["edges"]]}
+    (tmp_path / "doubled.json").write_text(json.dumps(doubled))
+    for name, value in (("inline.json", doubled), ("file.json", "doubled.json")):
+        (tmp_path / name).write_text(json.dumps({**json.loads(scenario.read_text()), "T": 0.5, "weights": value}))
+        copies.append(tmp_path / name)
+    assert main(["batch", *map(str, copies), "--out", str(tmp_path / "batch2")]) == 0
+    assert counts == {"normalize_weights": 3, "assemble_stress": 3}
     assert not in_runs
     capsys.readouterr()
 

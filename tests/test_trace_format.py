@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from affinesim import ScenarioSpec, fileio, run_scenario, workers
+from affinesim import ScenarioSpec, fileio, floattext, run_scenario, workers
 from affinesim.cli import main
 from affinesim.fileio import SPLIT_VALUES, TRACE_HEADER, load_scenario, write_trace
 from affinesim.floattext import repr_strings
@@ -108,9 +108,18 @@ def test_diverged_trace_matches_csv_writer(framework, partition, tmp_path):
 # the even one), 17 significant digits and one.
 EDGES = [1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), 1e15, np.nextafter(1e15, 0), 2.0**-13,
          np.nextafter(0.1, 0), 1 + 2.0**-17, 8.634536743164062, 1 / 3, 5.0]
+# Below 1e-4, in e-notation: the low end of the range and its neighbours,
+# where 10**k stops being one exact double (1e-6 and below take a second
+# product) and where it would take a third (1e-28), the double below a
+# power of ten (1e-6), a power of two, the smallest normal double, and
+# zero.
+TINY_EDGES = [1e-25, np.nextafter(1e-25, 0), np.nextafter(1e-25, 1), 1e-6, np.nextafter(1e-6, 0),
+              np.nextafter(1e-6, 1), 1e-28, np.nextafter(1e-28, 1), 9.5367431640625e-07, 2.2250738585072014e-308,
+              1.2345678901234567e-17, 0.0]
 
 
-@pytest.mark.parametrize("value", [0.1, -0.0, 1e-300, 5e-324, 1.7976931348623157e308, 123456789.0, *EDGES])
+@pytest.mark.parametrize("value", [0.1, -0.0, 1e-300, 5e-324, 1.7976931348623157e308, 123456789.0, *EDGES,
+                                   *TINY_EDGES])
 def test_values_round_trip(framework, partition, tmp_path, value):
     result = run_scenario(spec(framework, partition, budget=1))
     states = np.full_like(result.states, value)
@@ -121,8 +130,10 @@ def test_values_round_trip(framework, partition, tmp_path, value):
 
 
 # Values at each switch of repr's notation: nan, the infinities, signed
-# zero, a subnormal, EDGES negated, and both bounds of the positional form.
-SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, *(-v for v in EDGES), 1e16, 9999999999999998.0, 1e-5, 0.0001]
+# zero, a subnormal, EDGES negated, and both bounds of the positional form,
+# then some of TINY_EDGES, negated.
+SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, *(-v for v in EDGES), 1e16, 9999999999999998.0, 1e-5, 0.0001,
+            *(-v for v in TINY_EDGES[3:9])]
 
 
 def around(values, steps=2):
@@ -140,23 +151,53 @@ def around(values, steps=2):
 
 
 def test_repr_strings_match_repr_at_each_switch():
-    # Powers of two and of ten with their neighbours, the range's ends, and
-    # decimals of 1 to 17 significant digits across the range.
+    # Powers of two and of ten with their neighbours, from 1e-30, the
+    # range's ends, and decimals of 1 to 17 significant digits across the
+    # range; and the doubles around 10**-k for each k where the product by
+    # 10**k takes one more exact double, with each such double's
+    # neighbours scaled into the range.
     digits = "7319284650192837465"
+    chunks = [10.0**-22, 10.0**-44]
     values = np.concatenate((
-        around([2.0**e for e in range(-20, 64)] + [float(f"1e{e}") for e in range(-6, 19)] + [1e-4, 1e15]),
-        [float(f"0.{digits[:n]}e{e}") for n in range(1, 18) for e in range(-3, 16)],
+        around([2.0**e for e in range(-100, 64)] + [float(f"1e{e}") for e in range(-30, 19)] + [1e-4, 1e15]),
+        around([c * 10.0**e for c in chunks for e in range(16, 20)]),
+        [float(f"0.{digits[:n]}e{e}") for n in range(1, 18) for e in range(-26, 16)],
+        around(TINY_EDGES + [np.finfo(float).tiny, 5e-324]),
         EDGES,
     ))
     assert repr_strings(values) == [repr(v) for v in values.tolist()]
+
+
+def test_tiny_values_are_formatted_without_repr(monkeypatch):
+    calls = []
+    monkeypatch.setattr(floattext, "repr", lambda value: calls.append(value) or repr(value), raising=False)
+    values = 10.0 ** np.random.default_rng(5).uniform(-25, -4, 10**4)
+    values = np.concatenate((values, -values, [0.0, -0.0]))
+    assert repr_strings(values) == [repr(v) for v in values.tolist()]
+    assert calls == []
+    # Below the range, a power of two below 1e-4, and above the range.
+    values = [1e-26, 2.0**-20, 1e15]
+    assert repr_strings(values) == [repr(v) for v in values]
+    assert calls == values
+
+
+def test_values_whose_decisions_are_near_go_to_repr(monkeypatch):
+    # With NEAR at 1/2 every value below 1e-4 is near one of its decisions.
+    monkeypatch.setattr(floattext, "NEAR", 0.5)
+    calls = []
+    monkeypatch.setattr(floattext, "repr", lambda value: calls.append(value) or repr(value), raising=False)
+    tiny = 10.0 ** np.random.default_rng(6).uniform(-25, -4, 1000)
+    values = np.concatenate((tiny, np.random.default_rng(7).uniform(1e-4, 1e3, 1000)))
+    assert repr_strings(values) == [repr(v) for v in values.tolist()]
+    assert calls == tiny.tolist()
 
 
 def test_repr_strings_match_repr_on_any_float():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     arrays = pytest.importorskip("hypothesis.extra.numpy").arrays
-    # Floats of every magnitude from 1e-8 to 1e18, mixed in one array.
-    magnitudes = st.builds(lambda m, e: m * 10.0**e, st.floats(-10, 10), st.integers(-8, 18))
+    # Floats of every magnitude from 1e-30 to 1e18, mixed in one array.
+    magnitudes = st.builds(lambda m, e: m * 10.0**e, st.floats(-10, 10), st.integers(-30, 18))
 
     @hypothesis.settings(max_examples=100, deadline=None, database=None)
     @hypothesis.given(st.lists(st.floats()), arrays(np.float64, st.integers(0, 100), elements=st.one_of(
