@@ -6,13 +6,14 @@ raises every refusal of the run: the stress is resolved and certified,
 the follower-block guard runs once while forming the target map
 G = -Omega_ff^-1 Omega_fl, the Riccati gain is solved and the stability
 flags are read; runs that share a memo, as a batch's do, compile what they
-share only once. run_scenario then builds the law's constant operators and
-generates every leader waypoint the run can reach as one array, and a
-single stepping loop advances the state (the followers alone where the
-leaders are those waypoints), measures the disagreement against the
-instantaneous follower targets, and stops once it diverges or has been
-in tolerance long enough. The trace is the columns of RunResult, one row
-per step, put together after the loop.
+share only once. compile_run also generates every leader waypoint the run
+can reach as one array, once per memo for the runs that share them.
+run_scenario then forms their follower targets and the law's constant
+operators, and a single stepping loop advances the state (the followers
+alone where the leaders are those waypoints), measures the disagreement
+against the instantaneous follower targets, and stops once it diverges or
+has been in tolerance long enough. The trace is the columns of RunResult,
+one row per step, put together after the loop.
 """
 
 from __future__ import annotations
@@ -90,8 +91,9 @@ class ScenarioSpec:
 
     memo is a dict that the specs of one load share, as a batch's do
     (fileio.load_scenario's _parsed): with it each pair of graph and
-    normalized weights is assembled, and each pair of schedule and d
-    checked, once per memo. It keys the weights and the schedule by
+    normalized weights is assembled, each pair of schedule and d checked,
+    and the omitted q of each plant dimension checked, once per memo; the
+    specs share that q, read-only. It keys the weights and the schedule by
     identity and holds them, which is sound as both are read-only.
     """
 
@@ -156,8 +158,15 @@ class ScenarioSpec:
                 raise ValueError("linear law takes no schedule: its leaders evolve under the law")
             if self.T != 1.0:
                 raise ValueError(LINEAR_T_ERROR)
-            q = np.eye(self.plant.m) if self.q_matrix is None else self.q_matrix
-            object.__setattr__(self, "q_matrix", riccati_weight(q, self.plant.m, "q"))
+            if self.q_matrix is None:
+                # The omitted q, the m x m identity, is checked once per m.
+                key = ("q", self.plant.m)
+                if key not in memo:
+                    memo[key] = riccati_weight(np.eye(self.plant.m), self.plant.m, "q")
+                    memo[key].setflags(write=False)
+                object.__setattr__(self, "q_matrix", memo[key])
+            else:
+                object.__setattr__(self, "q_matrix", riccati_weight(self.q_matrix, self.plant.m, "q"))
             if self.epsilon is None:
                 object.__setattr__(self, "epsilon", 0.0)
             if not np.isfinite(self.epsilon):
@@ -296,7 +305,9 @@ def _resolve_stress(spec: ScenarioSpec):
 class CompiledRun:
     """A scenario with the constants of its run worked out: the stress, its
     certificate and blocks, the target map G, the Riccati solution (linear
-    law, else None) and the stability flags. compile_run makes one."""
+    law, else None), the stability flags, and every leader waypoint the
+    run can reach, leaders (count, n_l, d), read-only. compile_run makes
+    one."""
 
     spec: ScenarioSpec
     stress: StressMatrix
@@ -305,6 +316,7 @@ class CompiledRun:
     G: np.ndarray
     solution: RiccatiSolution | None
     stability_flags: dict
+    leaders: np.ndarray
 
 
 def compile_run(spec, memo=None) -> CompiledRun:
@@ -320,14 +332,17 @@ def compile_run(spec, memo=None) -> CompiledRun:
     positions, graph, stress (None for synthesis) and leader list for the
     stress, certificate, blocks and G, and the stability flags'
     eigensolves of the follower block and the stress; A, B, Q and
-    riccati_tol for the Riccati solution.
+    riccati_tol for the Riccati solution; the positions and leader list,
+    the schedule, by identity (the memo holds it), and the waypoint count
+    for the leader waypoints.
     """
     if isinstance(spec, CompiledRun):
         return spec
     memo = {} if memo is None else memo
     framework = spec.framework
     given = None if spec.stress is None else _array_key(spec.stress.entries)
-    stress_key = ("stress", _array_key(framework.config.positions), framework.graph, given, spec.partition)
+    positions = _array_key(framework.config.positions)
+    stress_key = ("stress", positions, framework.graph, given, spec.partition)
     if stress_key not in memo:
         memo[stress_key] = (*_resolve_stress(spec), {})
     stress, certificate, blocks, G, spectra = memo[stress_key]
@@ -339,7 +354,13 @@ def compile_run(spec, memo=None) -> CompiledRun:
             memo[riccati_key] = solve_mare(plant, spec.q_matrix, tol=spec.riccati_tol)
         solution = memo[riccati_key]
     flags = stability_flags(spec.law, spec.T, blocks, stress, spec.plant, solution, spec.epsilon, spectra)
-    return CompiledRun(spec, stress, certificate, blocks, G, solution, flags)
+    count = min(spec.budget, spec.schedule.last_step() + 1) + 1
+    waypoints_key = ("waypoints", positions, spec.partition, id(spec.schedule), count)
+    if waypoints_key not in memo:
+        leaders = leader_waypoints(spec.schedule, framework.config, spec.partition, 0, count)
+        leaders.setflags(write=False)
+        memo[waypoints_key] = spec.schedule, leaders
+    return CompiledRun(spec, stress, certificate, blocks, G, solution, flags, memo[waypoints_key][1])
 
 
 def run_scenario(run) -> RunResult:
@@ -366,10 +387,11 @@ def run_scenario(run) -> RunResult:
     partition, law, T = spec.partition, spec.law, spec.T
 
     settle_after = spec.schedule.last_step()
-    count = min(spec.budget, settle_after + 1) + 1
-    leaders = leader_waypoints(spec.schedule, spec.framework.config, partition, 0, count)
+    leaders = run.leaders
+    # The targets are formed per run: a compiled run outlives its stepping
+    # while the outputs are written, and (count, n_f, d) is the larger array.
     targets = G @ leaders
-    n_l, last, ff, fl = blocks.n_leaders, count - 1, blocks.ff, blocks.fl
+    n_l, last, ff, fl = blocks.n_leaders, len(leaders) - 1, blocks.ff, blocks.fl
     if law == "linear":
         perm = [i - 1 for i in partition.order()]
         coupling = np.eye(stress.n) - spec.epsilon * stress.entries[np.ix_(perm, perm)]

@@ -29,6 +29,8 @@ SPLIT_VALUES = 2**15
 # write_rows formats and writes a trace in blocks of whole steps that hold
 # at most this many values.
 BLOCK_VALUES = 2**12
+# The widest repr of a float64: "-2.2250738585072014e-308".
+REPR_WIDTH = 24
 # Keys a scenario mapping may hold: ScenarioSpec's init fields, with q for
 # q_matrix and the framework's leaders for partition.
 SCENARIO_KEYS = frozenset(
@@ -356,48 +358,64 @@ def _object_text(data: dict, texts: dict) -> str:
 
 
 def write_rows(fh, result: RunResult, start, stop):
-    """Write the trace's rows from step start to step stop to fh, one per
-    (step, agent, coordinate).
+    """Write the trace's rows from step start to step stop to fh, a file
+    opened in binary mode, one per (step, agent, coordinate).
 
     The rows go out in blocks of whole steps, at most BLOCK_VALUES values
     (or one step, if a step holds more), one write per block. A block's
-    values and delta norms are formatted by floattext.repr_strings, in
-    the same bytes as repr: with numpy for signed zeros and 1e-25 <= |x| <
-    1e15, e-notation below 1e-4 included, and by repr for every other
-    value and the rare one whose digits its arithmetic cannot settle. Its
-    text is one join of each row's step, agent and coordinate cells, value
-    and step tail; the bytes are what csv.writer produces for the same
-    rows, as no field needs quoting."""
+    values are formatted by floattext.repr_text, in the same bytes as
+    repr: with numpy for signed zeros and 1e-25 <= |x| < 1e15, e-notation
+    below 1e-4 included, and by repr for every other value and the rare
+    one whose digits its arithmetic cannot settle. The block is laid out
+    as one (steps, n * d, width) uint8 array whose rows hold the step's
+    "k," head, the column's "agent,coord," cell, the value and the step's
+    ",delta,converged,diverged" tail with its newline, each field padded
+    with NUL. The heads and tails are made with % formatting, one per
+    step (%a writes a float as repr does), and broadcast to the step's
+    rows; repr_text writes the values into their field, and repr's text
+    goes into the field of each value it leaves to repr. One
+    bytes.translate drops every NUL. The bytes are what csv.writer
+    produces for the same rows, as no field needs quoting."""
     _, n, d = result.states.shape
-    cells = [f"{agent},{coord}," for agent in range(1, n + 1) for coord in range(d)]
-    steps = max(1, BLOCK_VALUES // len(cells))
+    cells = _padded([b"%d,%d," % (agent, coord) for agent in range(1, n + 1) for coord in range(d)])
+    width = len(cells)
+    steps = max(1, BLOCK_VALUES // width)
     for first in range(start, stop, steps):
-        rows = slice(first, min(first + steps, stop))
-        count = rows.stop - first
-        # One call formats the values and then the delta norms: one on the
-        # few delta norms alone would make small arrays of ever new sizes,
-        # which numpy keeps for reuse.
-        texts = floattext.repr_strings(np.concatenate((result.states[rows].reshape(-1), result.deltas[rows])))
-        values, deltas = texts[:-count], texts[-count:]
-        heads = [f"{k}," for k in range(first, rows.stop)]
-        tails = [f",{delta},{int(done)},{int(failed)}\n" for delta, done, failed in
-                 zip(deltas, result.converged_flags[rows].tolist(), result.diverged_flags[rows].tolist())]
-        parts = [None] * (4 * len(values))
-        parts[0::4] = [head for head in heads for _ in cells]
-        parts[1::4] = cells * count
-        parts[2::4] = values
-        parts[3::4] = [tail for tail in tails for _ in cells]
-        fh.write("".join(parts))
+        last = min(first + steps, stop)
+        values = result.states[first:last].reshape(-1)
+        heads = _padded([b"%d," % k for k in range(first, last)])
+        flags = zip(result.deltas[first:last].tolist(), result.converged_flags[first:last].tolist(),
+                    result.diverged_flags[first:last].tolist())
+        tails = _padded([b",%a,%d,%d\n" % row for row in flags])
+        value = heads.shape[1] + cells.shape[1]
+        tail = value + REPR_WIDTH
+        block = np.empty((last - first, width, tail + tails.shape[1]), np.uint8)
+        block[:, :, : heads.shape[1]] = heads[:, None]
+        block[:, :, heads.shape[1] : value] = cells
+        # Only repr's widest texts reach the value field's last byte.
+        block[:, :, tail - 1] = 0
+        block[:, :, tail:] = tails[:, None]
+        rows = block.reshape(len(values), -1)
+        for i in floattext.repr_text(values, rows[:, value : tail - 1]):
+            rows[i, value:tail] = np.frombuffer(repr(float(values[i])).encode().ljust(REPR_WIDTH, b"\0"), np.uint8)
+        fh.write(block.tobytes().translate(None, b"\0"))
+
+
+def _padded(texts) -> np.ndarray:
+    """The byte strings texts as the rows of a uint8 array, NUL-padded to the longest."""
+    size = max(map(len, texts))
+    return np.frombuffer(b"".join(text.ljust(size, b"\0") for text in texts), np.uint8).reshape(len(texts), size)
 
 
 def write_trace(result: RunResult, path):
-    """Write a run's trace to a CSV file, one row per (step, agent,
-    coordinate), in the bytes csv.writer produces for the same rows.
+    """Write a run's trace to a CSV file, opened in binary mode, one row per
+    (step, agent, coordinate), in the bytes csv.writer produces for the
+    same rows.
 
     A trace that holds at least SPLIT_VALUES values (K * n * d) is cut at
     rows // 2 and its halves go to workers.split: where that forks, the
     child formats the rows from the cut on, with the same write_rows, into
-    a temporary file opened before the fork, while this process writes the
+    a temporary binary file opened before the fork, while this process writes the
     header and the rows before the cut to path; the tail is then appended
     to path in bounded pieces. On one CPU, inside a batch worker's share,
     or when the fork fails, this process formats both halves; the bytes
@@ -409,7 +427,7 @@ def write_trace(result: RunResult, path):
         _write_head(result, path, rows)
         return
     start = rows // 2
-    with tempfile.TemporaryFile("w+", newline="") as tail:
+    with tempfile.TemporaryFile() as tail:
 
         def half(indices):
             for i in indices:
@@ -422,14 +440,14 @@ def write_trace(result: RunResult, path):
 
         workers.split(2, half)
         tail.seek(0)
-        with open(path, "a", newline="") as fh:
+        with open(path, "ab") as fh:
             shutil.copyfileobj(tail, fh)
 
 
 def _write_head(result, path, stop):
     """Write the trace's header and its rows before stop to a new file."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_HEADER) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(",".join(TRACE_HEADER).encode() + b"\n")
         write_rows(fh, result, 0, stop)
 
 

@@ -1,10 +1,12 @@
 """Shortest round-trip text of float64 values, computed on whole arrays.
 
-repr_strings(values) returns [repr(float(x)) for x in values], byte for
-byte. Signed zeros and values with 1e-25 <= |x| < 1e15 are formatted here
-with numpy: repr writes those from 1e-4 on as plain decimals and smaller
-ones in e-notation. Every other value, and the rare one whose arithmetic
-below cannot settle a decision, goes to repr().
+repr_text(values, out) writes to out a uint8 row for each value whose
+bytes, once its NUL bytes are dropped, are repr(float(values[i])), and
+returns the indices it leaves to repr(); repr_strings(values) returns
+[repr(float(x)) for x in values] from it. Signed zeros and values with
+1e-25 <= |x| < 1e15 are formatted here with numpy: repr writes those
+from 1e-4 on as plain decimals and smaller ones in e-notation. Every other value, and the
+rare one whose arithmetic below cannot settle a decision, goes to repr().
 
 Method, for |x| in that range:
 - Scale. With k = 16 - floor(log10|x|), corrected by one where log10 is
@@ -36,11 +38,17 @@ Method, for |x| in that range:
   is what repr's dtoa (mode 0) returns. D is 1e17 where x is the double
   just below a power of ten (1e-6 is one): its one digit is then a 1,
   one place further left.
-- Text. D's 17 digits come from a 10,000-entry table of four ASCII digits;
-  each group of values with the same sign and decimal point position (or
-  with e-notation, or zero) is copied into a fixed-width byte block, which
-  is cut after each value's last significant digit; e-notation then gets
-  its "e-" and two exponent digits there.
+- Text. D has 17 digits, and its trailing zeros are exactly the j the
+  search found: with one more, D would be a multiple of 10**(j + 1). The
+  digits come from a 10,000-entry table of four ASCII digits, in which a
+  group that only zeros follow has its trailing zeros as NUL. Each run of
+  values with the same decimal point position (or with e-notation, or
+  zero) is copied into its rows of a fixed-width uint8 block by slices,
+  after a column that holds "-" or NUL for the sign. A NUL before the
+  point, or right after it, is written as "0" ("100.0"); e-notation takes
+  "e-" and its two exponent digits in the last four columns. Dropping a
+  row's NUL bytes leaves repr's text, and a writer drops them from many
+  rows at once with one bytes.translate.
 
 fixed2_text(values, separators) returns the join of format(x, ".2f")
 and a separator byte after each value, byte for byte, the form of SVG
@@ -62,10 +70,10 @@ import itertools
 
 import numpy as np
 
-# repr_strings' range, and the bound below which repr writes e-notation
+# repr_text's range, and the bound below which repr writes e-notation
 # and the arithmetic is no longer exact.
 LOW, POINT, HIGH = 1e-25, 1e-4, 1e15
-# repr_strings formats values outside [LOW, HIGH) as this one first: its
+# repr_text formats values outside [LOW, HIGH) as this one first: its
 # shortest digits are 17, so it leaves the digit search at the first power.
 STAND_IN = 0.30000000000000004
 # 10**k as exact doubles for k up to 22, the largest exact one (S's
@@ -75,17 +83,22 @@ POW10 = np.array([float(10**k) for k in range(23)])
 POW10_INT = np.array([10**k for k in range(18)], np.int64)
 # Below POINT, a decision closer than this to its integer goes to repr().
 NEAR = 2.0**-40
-# The codes of repr_strings' layouts, beside the decimal point positions
+# The codes of repr_text's layouts, beside the decimal point positions
 # -3 to 15 that take codes 0 to 18: e-notation, and zero.
 SCIENTIFIC, ZERO = 19, 20
 ZERO_TEXT = np.frombuffer(b"0.0", np.uint8)
+EXPONENT = np.frombuffer(b"e-", np.uint8)
 # The ASCII text of 0000 to 9999, each as one uint32 in memory order.
 DIGITS = np.frombuffer(b"0123456789", np.uint8)
 QUADS = np.stack([np.repeat(np.tile(DIGITS, 10**i), 10 ** (3 - i)) for i in range(4)], axis=1).view(np.uint32).ravel()
+# QUADS, then the same texts with their trailing zeros as NUL.
+_QUAD_BYTES = QUADS.view(np.uint8).reshape(-1, 4)
+_TRAILING = np.logical_and.accumulate(_QUAD_BYTES[:, ::-1] == ord("0"), axis=1)[:, ::-1]
+TRIMMED = np.concatenate((QUADS, (_QUAD_BYTES * ~_TRAILING).view(np.uint32).ravel()))
 # A value's text is at most a sign, "0.", three zeros and 17 digits, or a
-# sign, 17 digits, a point and "e-" with two digits.
+# sign, 17 digits, a point and "e-" with two digits: column 0 holds the
+# sign or NUL.
 WIDTH = 23
-COLUMNS = np.arange(WIDTH, dtype=np.uint8)
 # fixed2_text's range. A value's text is a row of 16 bytes: eight digits
 # of its whole part, its cents as ".00" to ".99", its separator, and NUL.
 # As uint64, the first eight are blanked before the sign and the first
@@ -138,9 +151,10 @@ def _interval(a):
     error below POINT could have moved a decision."""
     k = 16 - np.floor(np.log10(a)).astype(np.int64)
     hi, lo, power = _scaled(a, k)
-    shift = ((hi < 1e16) | ((hi == 1e16) & (lo < 0))).astype(np.int64) - ((hi > 1e17) | ((hi == 1e17) & (lo >= 0)))
-    if shift.any():
-        k += shift
+    # Where log10 is off, S = hi + lo leaves [1e16, 1e17), which it can only
+    # do where hi is one of its ends or outside it.
+    if ((hi <= 1e16) | (hi >= 1e17)).any():
+        k += ((hi < 1e16) | ((hi == 1e16) & (lo < 0))).astype(np.int64) - ((hi > 1e17) | ((hi == 1e17) & (lo >= 0)))
         hi, lo, power = _scaled(a, k)
     whole = np.floor(lo)
     f = lo - whole
@@ -156,10 +170,11 @@ def _interval(a):
 
 
 def _digits(a):
-    """d, point, ndigits, unsure for positive a in [LOW, HIGH): a's
-    shortest round-trip digits, padded with zeros to the integer d in
-    [1e16, 1e17), the number of them before the decimal point, the number
-    of them repr writes, and where they are not settled (_interval)."""
+    """d, point, unsure for positive a in [LOW, HIGH): a's shortest
+    round-trip digits, padded with zeros to the integer d in [1e16, 1e17),
+    the number of them before the decimal point, and where they are not
+    settled (_interval). d's trailing zeros are the padding: a digit
+    string ending in zero would be a multiple of a larger power."""
     k, s, f, low, high, unsure = _interval(a)
     # j: the largest power of ten with a multiple in [low, high], that is
     # whose remainder of high is at most high - low. Where a power has
@@ -188,96 +203,104 @@ def _digits(a):
     # It lies in [low, high], which is symmetric about S and holds a
     # multiple of p.
     d = (q + ((t > p) | ((t >= p) & ((g > 0) | ((q & 1) > 0))))) * p
-    point, ndigits = 17 - k, 17 - j
+    point = 17 - k
     if len(passed) == 17:
         # Where that is 1e17 (j = 17), a is the double below a power of
         # ten, below POINT: its one digit moves a place left.
         at = passed[-1]
         d[at] //= 10
         point[at] += 1
-        ndigits[at] = 1
-    return d, point, ndigits, unsure
+    return d, point, unsure
 
 
-def repr_strings(values) -> list:
-    """[repr(float(x)) for x in values], with the same bytes: computed on
-    whole arrays for signed zeros and LOW <= |x| < HIGH, by repr() for
-    every other x and the few that _interval leaves unsure."""
+def repr_text(values, out) -> list:
+    """Write the text of each float64 of values to its row of out, a
+    (len(values), WIDTH) uint8 array or view, and return the indices it
+    leaves to repr(), in increasing order. Dropping a row's NUL bytes
+    leaves repr(float(values[i])), except at those indices, whose row holds
+    a stand-in. The rows are computed on whole arrays for signed zeros and
+    LOW <= |x| < HIGH; repr() is left every other x and the few that
+    _interval leaves unsure."""
     x = np.asarray(values, dtype=np.float64).reshape(-1)
     a = np.abs(x)
     fast = (a >= LOW) & (a < HIGH)
     zero = a == 0
-    # The other values are formatted as STAND_IN here and then by repr()
-    # one by one, which makes no array of their count: numpy keeps freed
+    # The other values are formatted as STAND_IN here, and their indices
+    # are a list, which makes no array of their count: numpy keeps freed
     # arrays of under 1 KiB for reuse, several of each size, so arrays of
     # ever new small sizes would hold memory.
-    d, point, ndigits, unsure = _digits(np.where(fast, a, STAND_IN))
-    strings = _texts(np.signbit(x).view(np.uint8), zero, point, d, ndigits)
-    for i in itertools.compress(range(len(x)), (~(fast | zero) | unsure).tolist()):
+    d, point, unsure = _digits(np.where(fast, a, STAND_IN))
+    _texts(np.signbit(x).view(np.uint8), zero, point, d, out)
+    slow = ~(fast | zero) | unsure
+    return list(itertools.compress(range(len(x)), slow.tolist())) if slow.any() else []
+
+
+def repr_strings(values) -> list:
+    """[repr(float(x)) for x in values], with the same bytes: repr_text's
+    rows as strings, and repr() at its slow indices."""
+    x = np.asarray(values, dtype=np.float64).reshape(-1)
+    lines = np.empty((len(x), WIDTH + 1), np.uint8)
+    lines[:, WIDTH] = ord("\n")
+    slow = repr_text(x, lines[:, :WIDTH])
+    strings = lines.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+    for i in slow:
         strings[i] = repr(float(x[i]))
     return strings
 
 
-def _texts(sign, zero, point, d, ndigits) -> list:
-    """repr's text of each value, from its sign, whether it is zero, and
-    its digits d, point and ndigits (_digits)."""
-    # Sorted by layout, the sign and the decimal point's place, e-notation
-    # or zero, the values of each layout are one run of rows, filled by
-    # slice copies.
+def _texts(sign, zero, point, d, out):
+    """Write repr's text of each value to its row of out, WIDTH bytes with
+    NUL bytes among them, from its sign, whether it is zero, and its digits
+    d and point (_digits)."""
+    # Sorted by layout, the decimal point's place, e-notation or zero, the
+    # values of each layout are one run of rows, filled by slice copies.
     code = point + 3
     code[point < -3] = SCIENTIFIC
     code[zero] = ZERO
-    layout = (sign * 32 + code).astype(np.uint8)
-    order = np.argsort(layout, kind="stable")
-    d, sign, point, ndigits = d[order], sign[order], point[order], ndigits[order]
-    # d's 17 digits are bytes 3 to 19 of its four-digit groups.
+    code = code.astype(np.uint8)
+    order = np.argsort(code, kind="stable")
+    d, point = d[order], point[order]
+    # d's 17 digits are bytes 3 to 19 of its four-digit groups, and its
+    # trailing zeros are NUL: each group that all later ones leave zero is
+    # looked up in the second half of TRIMMED.
     groups = np.empty((len(d), 5), np.uint32)
     for i, p in enumerate(POW10_INT[16::-4]):
         q = d // p
-        groups[:, i] = QUADS[q]
         d = d - q * p
+        groups[:, i] = TRIMMED[q + 10**4 * (d == 0)]
     digits = groups.view(np.uint8)[:, 3:]
+    # Column 0 is the sign's; a layout writes from column 1 on. The digits
+    # before the point, and the one after it, are kept as "0" where they
+    # are trailing zeros; in e-notation a lone digit has no point, and "e-"
+    # and the exponent's two digits take the last four columns.
     text = np.zeros((len(d), WIDTH), np.uint8)
-    text[:, 0] = sign * ord("-")
-    # Each text is cut after its last significant digit, or after the one
-    # zero that follows its point; zero is "0.0", and in e-notation a lone
-    # digit has no point, and "e-" and the exponent's two digits follow.
-    length = sign + np.where(point <= 0, 2 - point + ndigits, point + 1 + np.maximum(ndigits - point, 1))
-    scientific = []
-    counts = np.bincount(layout, minlength=64)
+    counts = np.bincount(code, minlength=32)
     keys = np.flatnonzero(counts)
     stops = np.cumsum(counts[keys]).tolist()
     for key, start, stop in zip(keys.tolist(), [0, *stops], stops):
-        left = (key & 31) - 3
-        rows, digit = text[start:stop, key >> 5 :], digits[start:stop]
-        if key & 31 == ZERO:
-            rows[:, :3] = ZERO_TEXT
-            length[start:stop] = (key >> 5) + 3
-        elif key & 31 == SCIENTIFIC:
-            rows[:, 0] = digit[:, 0]
-            rows[:, 1] = ord(".")
-            rows[:, 2:18] = digit[:, 1:]
-            n = ndigits[start:stop]
-            length[start:stop] = (key >> 5) + n + (n > 1)
-            scientific.append(slice(start, stop))
+        left = key - 3
+        rows, digit = text[start:stop], digits[start:stop]
+        if key == ZERO:
+            rows[:, 1:4] = ZERO_TEXT
+        elif key == SCIENTIFIC:
+            rows[:, 1] = digit[:, 0]
+            rows[:, 2] = (digit[:, 1] > 0) * ord(".")
+            rows[:, 3:19] = digit[:, 1:]
+            exponent = (1 - point[start:stop]).astype(np.uint8)
+            rows[:, 19:21] = EXPONENT
+            rows[:, 21] = exponent // 10 + ord("0")
+            rows[:, 22] = exponent % 10 + ord("0")
         elif left <= 0:
-            rows[:, : 2 - left] = ord("0")
-            rows[:, 1] = ord(".")
-            rows[:, 2 - left : 19 - left] = digit
+            rows[:, 1 : 3 - left] = ord("0")
+            rows[:, 2] = ord(".")
+            rows[:, 3 - left : 20 - left] = digit
         else:
-            rows[:, :left] = digit[:, :left]
-            rows[:, left] = ord(".")
-            rows[:, left + 1 : 18] = digit[:, left:]
-    text *= COLUMNS < length[:, None].astype(np.uint8)
-    for rows in scientific:
-        at, end, exponent = np.arange(rows.start, rows.stop), length[rows], 1 - point[rows]
-        text[at, end] = ord("e")
-        text[at, end + 1] = ord("-")
-        text[at, end + 2] = exponent // 10 + ord("0")
-        text[at, end + 3] = exponent % 10 + ord("0")
-    unsorted = np.empty_like(text)
-    unsorted[order] = text
-    return unsorted.astype(np.uint32).view(f"U{WIDTH}").ravel().tolist()
+            np.maximum(digit[:, :left], ord("0"), out=rows[:, 1 : left + 1])
+            rows[:, left + 1] = ord(".")
+            np.maximum(digit[:, left], ord("0"), out=rows[:, left + 2])
+            rows[:, left + 3 : 19] = digit[:, left + 1 :]
+    out[order] = text
+    out[:, 0] = sign * ord("-")
 
 
 def fixed2_text(values, separators) -> str:

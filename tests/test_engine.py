@@ -323,12 +323,60 @@ def test_run_batch_shares_certificate_and_riccati_solve(framework, partition, mo
     assert not results[0].blocks.ff.flags.writeable
 
 
+def test_run_batch_builds_each_shared_set_of_waypoints_once(framework, partition, monkeypatch):
+    import affinesim.engine as engine
+
+    counts = []
+    waypoints = engine.leader_waypoints
+    monkeypatch.setattr(engine, "leader_waypoints", lambda *args: counts.append(args[-1]) or waypoints(*args))
+    seg = ScheduleSegment(k0=0, k1=20, kind="rotation", params={"angle": 0.5}, interp="linear")
+    schedule, equal = ManoeuvreSchedule((seg,)), ManoeuvreSchedule((seg,))
+    double = {edge: 2.0 * w for edge, w in EXACT_WEIGHTS.items()}
+    other_leaders = LeaderPartition.from_leaders((1, 2, 5), 5)
+    # Shared: other periods, another law and another stress.
+    specs = [scenario(framework, partition, schedule=schedule, T=T, budget=60) for T in (0.3, 0.6)]
+    specs.append(scenario(framework, partition, schedule=schedule, law="dynamic", T=0.5, budget=60))
+    specs.append(scenario(framework, partition, schedule=schedule, weights=double, budget=60))
+    # Not shared: a budget that reaches fewer waypoints, an equal schedule
+    # that is another object, and another leader set.
+    specs.append(scenario(framework, partition, schedule=schedule, budget=10))
+    specs.append(scenario(framework, partition, schedule=equal, budget=60))
+    specs.append(scenario(framework, other_leaders, schedule=schedule, budget=60))
+    batch = run_batch(specs)
+    assert counts == [22, 11, 22, 22]
+    assert batch[0].stress is batch[2].stress is not batch[3].stress
+    for spec, got in zip(specs, batch):
+        solo = run_scenario(spec)
+        for column in ("states", "targets", "deltas"):
+            assert np.array_equal(getattr(solo, column), getattr(got, column))
+    assert not compile_run(specs[0]).leaders.flags.writeable
+
+
+def test_specs_of_one_load_check_the_omitted_q_once_per_dimension(framework, partition, monkeypatch):
+    import affinesim.engine as engine
+
+    calls = []
+    weight = engine.riccati_weight
+    monkeypatch.setattr(engine, "riccati_weight", lambda Q, m, name: calls.append(m) or weight(Q, m, name))
+    plant = LinearPlant(np.eye(2), np.eye(2))
+    memo = {}
+    linear = dict(law="linear", plant=plant, memo=memo)
+    specs = [scenario(framework, partition, epsilon=eps, **linear) for eps in (0.1, 0.2, 0.3)]
+    assert calls == [2]
+    assert specs[0].q_matrix is specs[2].q_matrix
+    assert np.array_equal(specs[0].q_matrix, np.eye(2)) and not specs[0].q_matrix.flags.writeable
+    # A given q is checked for each spec, and a spec without the memo checks its own.
+    scenario(framework, partition, q_matrix=2.0 * np.eye(2), **linear)
+    scenario(framework, partition, law="linear", plant=plant)
+    assert calls == [2, 2, 2]
+
+
 def test_run_batch_refuses_before_any_run_steps(framework, partition, monkeypatch):
     import affinesim.engine as engine
 
     stepped = []
-    waypoints = engine.leader_waypoints
-    monkeypatch.setattr(engine, "leader_waypoints", lambda *args: stepped.append(args) or waypoints(*args))
+    run = engine.run_scenario
+    monkeypatch.setattr(engine, "run_scenario", lambda *args: stepped.append(args) or run(*args))
     negated = {e: -w for e, w in EXACT_WEIGHTS.items()}
     specs = [scenario(framework, partition, budget=40), scenario(framework, partition, weights=negated)]
     with pytest.raises(CertificateError):

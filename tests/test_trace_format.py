@@ -226,6 +226,35 @@ def synthetic(result, rows, n=16, d=2, seed=3, marked=()):
     return replace(result, states=states, deltas=deltas, converged_flags=converged, diverged_flags=diverged)
 
 
+def test_repr_texts_land_in_their_rows(framework, partition, tmp_path):
+    # A 16-agent planar block holds BLOCK_VALUES // 32 steps. Around the
+    # first block boundary, the last step of a block and the first of the
+    # next hold several SPECIALS, which go to repr, and a delta norm that
+    # goes to repr (nan, inf); a step before them has a delta norm that
+    # goes to repr (1e-30, below the numpy range) and no such value.
+    steps = fileio.BLOCK_VALUES // 32
+    base = run_scenario(spec(framework, partition, budget=1))
+    result = synthetic(base, 3 * steps, marked=(steps - 1, steps))
+    assert result.states.size < SPLIT_VALUES
+    deltas = result.deltas.copy()
+    deltas[5] = 1e-30
+    result = replace(result, deltas=deltas)
+    text = np.empty((2 * 32, floattext.WIDTH), np.uint8)
+    assert floattext.repr_text(result.states[5], text[:32]) == []
+    assert len(floattext.repr_text(result.states[steps - 1 : steps + 1], text)) > 4
+    write_trace(result, tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == reference_trace(result)
+
+
+def test_step_of_more_values_than_a_block_holds(framework, partition, tmp_path):
+    # Each step of 2 * (BLOCK_VALUES // 2 + 5) values is a block of its own.
+    base = run_scenario(spec(framework, partition, budget=1))
+    result = synthetic(base, 7, n=fileio.BLOCK_VALUES // 2 + 5, marked=(2, 3))
+    assert fileio.BLOCK_VALUES < result.states[0].size and result.states.size < SPLIT_VALUES
+    write_trace(result, tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == reference_trace(result)
+
+
 @pytest.fixture
 def large_result(framework, partition):
     """A 1100-step, 16-agent planar trace, above the two-CPU split size,
