@@ -7,11 +7,12 @@ writing no file), riccati (the same for a linear-law run's Riccati
 solution), and simulate and batch, which differ only in how they load
 their scenarios and report a run. simulate is a batch of one run, and both
 go through one pipeline, _run: every run is compiled here in input order,
-so that every refusal is decided before any file but the manifests is
-written; a refused run reports on stderr alone, after the scenario's path
-and ": " in a batch. The runs are then split with workers.split over one
-forked worker per usable CPU, each writing its runs' manifests, traces,
-summaries and plots; their stdout texts are printed here in input order.
+with the memo of engine.shared that its load filled, so that every refusal
+is decided before any file but the manifests is written; a refused run
+reports on stderr alone, after the scenario's path and ": " in a batch.
+The runs are then split with workers.split over one forked worker per
+usable CPU, each writing its runs' manifests, traces, summaries and
+plots; their stdout texts are printed here in input order.
 One run is one share that forks no worker, so fileio.write_trace still
 splits its large trace's rows over two CPUs.
 
@@ -141,39 +142,38 @@ def _write_run_outputs(spec, result, out_dir: Path, plot: bool):
     return written, notes
 
 
-def _save_manifest(texts, raw, spec, out_dir: Path):
+def _save_manifest(memo, raw, spec, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
-    fileio.save_manifest(spec, raw, out_dir, out_dir / "manifest.json", texts)
+    fileio.save_manifest(spec, raw, out_dir, out_dir / "manifest.json", memo)
 
 
-def _run(runs, plot: bool, where: str, report) -> int:
+def _run(runs, plot: bool, where: str, report, memo) -> int:
     """Run every (raw, spec, out_dir) of runs, the one pipeline of simulate
     and batch; return the exit code.
 
-    Every run is compiled, in input order with one memo, before any file is
-    written. A refusal writes every run's manifest and nothing else, and is
-    reported on stderr after where.format(raw), raw the refused run's.
-    Otherwise the runs are split with workers.split: each share writes its
-    runs' manifests, runs them, writes their outputs, and returns for each
-    its exit code and its stdout text, report(run, result, written). The
-    texts are printed here in input order. The manifests written together,
-    a share's or a refused batch's, encode each framework and weights text
-    once (fileio.save_manifest).
+    memo is engine.shared's, the one the runs were loaded with: every run
+    is compiled with it, in input order, before any file is written, and
+    the manifests written with it encode each framework and weights text
+    once (fileio.save_manifest). A refusal writes every run's manifest and
+    nothing else, and is reported on stderr after where.format(raw), raw
+    the refused run's. Otherwise the runs are split with workers.split,
+    whose forked workers inherit the memo: each share writes its runs'
+    manifests, runs them, writes their outputs, and returns for each its
+    exit code and its stdout text, report(run, result, written). The texts
+    are printed here in input order.
     """
-    memo, compiled = {}, []
+    compiled = []
     for raw, spec, _ in runs:
         try:
             compiled.append(compile_run(spec, memo))
         except REPORTED as exc:
-            texts = {}
             for run in runs:
-                _save_manifest(texts, *run)
+                _save_manifest(memo, *run)
             return _report(exc, where.format(raw))
 
     def share(indices):
-        texts = {}
         for i in indices:
-            _save_manifest(texts, *runs[i])
+            _save_manifest(memo, *runs[i])
         outputs = []
         for i, result in zip(indices, run_batch([compiled[i] for i in indices])):
             _, spec, out_dir = runs[i]
@@ -203,8 +203,9 @@ def _simulate_report(run, result, written) -> str:
 
 
 def cmd_simulate(args) -> int:
-    spec = fileio.load_scenario(args.scenario)
-    return _run([(args.scenario, spec, Path(args.out))], args.plot, "", _simulate_report)
+    memo = {}
+    spec = fileio.load_scenario(args.scenario, memo)
+    return _run([(args.scenario, spec, Path(args.out))], args.plot, "", _simulate_report, memo)
 
 
 def _batch_report(run, result, written) -> str:
@@ -213,16 +214,16 @@ def _batch_report(run, result, written) -> str:
 
 
 def cmd_batch(args) -> int:
-    parsed = {}
+    memo = {}
     # Every scenario is loaded, and so checked, before any file is written.
-    specs = [fileio.load_scenario(raw, _parsed=parsed) for raw in args.scenarios]
+    specs = [fileio.load_scenario(raw, memo) for raw in args.scenarios]
     runs = [(raw, spec, Path(args.out) / Path(raw).stem) for raw, spec in zip(args.scenarios, specs)]
     owners = {}
     for raw, _, out_dir in runs:
         if out_dir in owners:
             raise fileio.ParseError(f"{owners[out_dir]} and {raw} would both write {out_dir}")
         owners[out_dir] = raw
-    return _run(runs, args.plot, "{}: ", _batch_report)
+    return _run(runs, args.plot, "{}: ", _batch_report, memo)
 
 
 def cmd_stability(args) -> int:

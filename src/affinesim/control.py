@@ -149,7 +149,8 @@ def dynamic_leader_step(blocks: StressBlocks, T, x_f, x_l, x_l_next) -> np.ndarr
 
 
 def riccati_weight(Q, m: int, name: str = "Q") -> np.ndarray:
-    """Q symmetrized; refused unless a finite m x m matrix, symmetric up to roundoff and PSD."""
+    """Q symmetrized, read-only; refused unless a finite m x m matrix,
+    symmetric up to roundoff and PSD."""
     Q = real_array(Q, name)
     if Q.shape != (m, m):
         raise ValueError(f"{name} must be {m}x{m}")
@@ -158,6 +159,7 @@ def riccati_weight(Q, m: int, name: str = "Q") -> np.ndarray:
     Q = (Q + Q.T) / 2.0
     if np.linalg.eigvalsh(Q)[0] < -1e-12 * max(1.0, np.abs(Q).max()):
         raise ValueError(f"{name} must be positive-semidefinite")
+    Q.setflags(write=False)
     return Q
 
 

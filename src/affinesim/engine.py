@@ -5,9 +5,9 @@ control laws into a run. Each run is compiled once, by compile_run, which
 raises every refusal of the run: the stress is resolved and certified,
 the follower-block guard runs once while forming the target map
 G = -Omega_ff^-1 Omega_fl, the Riccati gain is solved and the stability
-flags are read; runs that share a memo, as a batch's do, compile what they
-share only once. compile_run also generates every leader waypoint the run
-can reach as one array, once per memo for the runs that share them.
+flags are read. compile_run also generates every leader waypoint the run
+can reach as one array. What runs share, as a batch's do, is built once
+per memo by shared, the one sharing rule of the package.
 run_scenario then forms their follower targets and the law's constant
 operators, and a single stepping loop advances the state (the followers
 alone where the leaders are those waypoints), measures the disagreement
@@ -40,7 +40,6 @@ from .stress import (
     StressBlocks,
     StressMatrix,
     assemble_stress,
-    check_follower_block,
     check_rigidity_certificate,
     normalize_weights,
     partition_stress,
@@ -56,6 +55,27 @@ DIVERGENCE_LIMIT = 1e9
 # Convergence is declared after this many consecutive in-tolerance trace rows.
 CONVERGENCE_WINDOW = 10
 LINEAR_T_ERROR = "linear law takes no T but 1.0: its plant is already sampled"
+
+
+def shared(memo, key, build, *held):
+    """build(), made once per key in memo and returned again for that key.
+
+    memo is the dict that one CLI command or one run_batch call passes to
+    every load, compile and manifest of its runs, and drops when it
+    returns; None shares nothing. A key's first element names its kind;
+    README (Engine and trace) lists the kinds. held are the objects that
+    the key names by id(): the memo keeps them alive with the value, so
+    that no id is reused while it lives."""
+    if memo is None:
+        return build()
+    if key not in memo:
+        memo[key] = build(), held
+    return memo[key][0]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 class CertificateError(RuntimeError):
@@ -89,12 +109,10 @@ class ScenarioSpec:
     as floats, the rest is finite, and each schedule segment is evaluated
     against d.
 
-    memo is a dict that the specs of one load share, as a batch's do
-    (fileio.load_scenario's _parsed): with it each pair of graph and
-    normalized weights is assembled, each pair of schedule and d checked,
-    and the omitted q of each plant dimension checked, once per memo; the
-    specs share that q, read-only. It keys the weights and the schedule by
-    identity and holds them, which is sound as both are read-only.
+    memo is shared's, the one that the specs of a load share, as a batch's
+    do (fileio.load_scenario): through it each pair of graph and normalized
+    weights is assembled, each pair of schedule and d checked, and the
+    omitted q of each plant dimension checked once; the specs share that q.
     """
 
     framework: Framework
@@ -114,7 +132,6 @@ class ScenarioSpec:
     memo: InitVar[dict | None] = None
 
     def __post_init__(self, memo):
-        memo = {} if memo is None else memo
         for name in ("T", "tolerance", "epsilon", "riccati_tol"):
             value = getattr(self, name)
             if value is None and name in ("epsilon", "riccati_tol"):
@@ -139,16 +156,12 @@ class ScenarioSpec:
         graph, d = self.framework.graph, self.framework.config.d
         if self.weights is not None:
             weights = self.weights if isinstance(self.weights, EdgeWeights) else normalize_weights(self.weights.items())
-            key = ("stress", graph, id(weights))
-            if key not in memo:
-                memo[key] = weights, assemble_stress(graph, weights)
+            stress = shared(memo, ("stress", graph, id(weights)), lambda: assemble_stress(graph, weights), weights)
             object.__setattr__(self, "weights", weights)
-            object.__setattr__(self, "stress", memo[key][1])
-        key = ("schedule", id(self.schedule), d)
-        if key not in memo:
-            # Each segment at full progress: checks vector lengths, axes and finiteness.
-            self.schedule.transforms(d, self.schedule.last_step(), 1)
-            memo[key] = self.schedule
+            object.__setattr__(self, "stress", stress)
+        # Each segment at full progress: checks vector lengths, axes and finiteness.
+        shared(memo, ("schedule", id(self.schedule), d),
+               lambda: self.schedule.transforms(d, self.schedule.last_step(), 1), self.schedule)
         if self.law == "linear":
             if self.plant is None:
                 raise ValueError("linear law requires a plant")
@@ -158,15 +171,13 @@ class ScenarioSpec:
                 raise ValueError("linear law takes no schedule: its leaders evolve under the law")
             if self.T != 1.0:
                 raise ValueError(LINEAR_T_ERROR)
+            m = self.plant.m
             if self.q_matrix is None:
                 # The omitted q, the m x m identity, is checked once per m.
-                key = ("q", self.plant.m)
-                if key not in memo:
-                    memo[key] = riccati_weight(np.eye(self.plant.m), self.plant.m, "q")
-                    memo[key].setflags(write=False)
-                object.__setattr__(self, "q_matrix", memo[key])
+                q = shared(memo, ("q", m), lambda: riccati_weight(np.eye(m), m, "q"))
             else:
-                object.__setattr__(self, "q_matrix", riccati_weight(self.q_matrix, self.plant.m, "q"))
+                q = riccati_weight(self.q_matrix, m, "q")
+            object.__setattr__(self, "q_matrix", q)
             if self.epsilon is None:
                 object.__setattr__(self, "epsilon", 0.0)
             if not np.isfinite(self.epsilon):
@@ -213,19 +224,19 @@ class RunResult:
         return self.states[-1]
 
 
-def stability_flags(law, T, blocks=None, stress=None, plant=None, solution=None, epsilon=0.0, spectra=None):
+def stability_flags(law, T, blocks=None, stress=None, plant=None, solution=None, epsilon=0.0):
     """Stability diagnostics of one law at period T, which compile_run
     records as theorem_flags and the stability command prints. A law reads
     LAW_INPUTS[law], and the linear law epsilon too; an unknown law, a
     missing input and a linear-law T other than 1.0 raise ValueError.
-    spectra is a dict that belongs to these blocks and this stress: the
-    checks and eigensolves that depend on them alone are done once per
-    spectra, as compile_run's memo keeps one for each.
+    The eigensolves that read the blocks or the stress alone are their
+    cached properties, so runs that share them through shared solve each
+    once.
 
     The stationary law's propagator is I - T * ff, so it is stable when
-    each eigenvalue mu of the negated follower block has -2 < T * mu < 0.
-    Its follower block must be symmetric, with mu_min negative (else the
-    stress certificate upstream is broken), and pass check_follower_block.
+    each eigenvalue mu of the negated follower block has -2 < T * mu < 0;
+    StressBlocks.follower_spectrum refuses a follower block that is not
+    symmetric, has mu_min >= 0 or fails check_follower_block.
     The dynamic law contracts its disagreement by |1 - T| per step, so it
     is stable when that factor is below 1.
     """
@@ -238,18 +249,8 @@ def stability_flags(law, T, blocks=None, stress=None, plant=None, solution=None,
     T = check_period(T)
     if law == "linear" and T != 1.0:
         raise ValueError(LINEAR_T_ERROR)
-    spectra = {} if spectra is None else spectra
     if law == "stationary":
-        if "follower" not in spectra:
-            if not np.array_equal(blocks.ff, blocks.ff.T):
-                raise ValueError("follower block must be symmetric")
-            mu = np.linalg.eigvalsh(-blocks.ff)
-            if mu[0] >= 0.0:
-                raise ValueError(f"mu_min must be negative, got {float(mu[0])}; stress certificate is broken")
-            # compile_run's guard, so that the same leader sets are refused.
-            check_follower_block(blocks)
-            spectra["follower"] = float(mu[0]), float(mu[-1])
-        mu_min, mu_max = spectra["follower"]
+        mu_min, mu_max = blocks.follower_spectrum
         return {
             "law": "stationary",
             "T": T,
@@ -263,10 +264,8 @@ def stability_flags(law, T, blocks=None, stress=None, plant=None, solution=None,
         return {"law": "dynamic", "T": T, "decay_factor": decay_factor, "stable": decay_factor < 1.0}
     # Diagonalising the stress splits the closed loop into the modes
     # A + (1 - eps * lambda_i) B K, one per eigenvalue lambda_i of the stress.
-    if "stress" not in spectra:
-        spectra["stress"] = np.linalg.eigvalsh(stress.entries)
     A, BK = plant.A, plant.B @ solution.K
-    modes = A + (1.0 - epsilon * spectra["stress"])[:, None, None] * BK
+    modes = A + (1.0 - epsilon * stress.spectrum)[:, None, None] * BK
     modal = float(np.abs(np.linalg.eigvals(modes)).max())
     return {
         "law": "linear",
@@ -296,9 +295,7 @@ def _resolve_stress(spec: ScenarioSpec):
         raise CertificateError(certificate)
     blocks = partition_stress(stress, spec.partition)
     # The follower-block guard runs here; G maps leaders to follower targets.
-    G = -solve_follower_block(blocks, blocks.fl)
-    G.setflags(write=False)
-    return stress, certificate, blocks, G
+    return stress, certificate, blocks, _read_only(-solve_follower_block(blocks, blocks.fl))
 
 
 @dataclass(frozen=True)
@@ -326,41 +323,28 @@ def compile_run(spec, memo=None) -> CompiledRun:
     The refusals: a failed hypothesis of the certificate (HypothesisError),
     a failed synthesis (SynthesisError) or certificate (CertificateError),
     a singular follower block (LocalizabilityError), a Riccati solve that
-    breaks down (SolverError) and stability_flags' ValueError. memo is a
-    dict that the runs of one batch share, so that each input below is
-    worked out once per memo. Keys compare exact bytes and values:
-    positions, graph, stress (None for synthesis) and leader list for the
-    stress, certificate, blocks and G, and the stability flags'
-    eigensolves of the follower block and the stress; A, B, Q and
-    riccati_tol for the Riccati solution; the positions and leader list,
-    the schedule, by identity (the memo holds it), and the waypoint count
-    for the leader waypoints.
+    breaks down (SolverError) and stability_flags' ValueError. memo is
+    shared's: the runs compiled with one memo, as a batch's are, share
+    their stress, certificate, blocks and G, their Riccati solution and
+    their leader waypoints wherever the keys README lists are equal.
     """
     if isinstance(spec, CompiledRun):
         return spec
-    memo = {} if memo is None else memo
-    framework = spec.framework
+    framework, partition, schedule = spec.framework, spec.partition, spec.schedule
     given = None if spec.stress is None else _array_key(spec.stress.entries)
     positions = _array_key(framework.config.positions)
-    stress_key = ("stress", positions, framework.graph, given, spec.partition)
-    if stress_key not in memo:
-        memo[stress_key] = (*_resolve_stress(spec), {})
-    stress, certificate, blocks, G, spectra = memo[stress_key]
+    stress, certificate, blocks, G = shared(memo, ("certified", positions, framework.graph, given, partition),
+                                            lambda: _resolve_stress(spec))
     solution = None
     if spec.law == "linear":
         plant = spec.plant
-        riccati_key = ("riccati", *map(_array_key, (plant.A, plant.B, spec.q_matrix)), spec.riccati_tol)
-        if riccati_key not in memo:
-            memo[riccati_key] = solve_mare(plant, spec.q_matrix, tol=spec.riccati_tol)
-        solution = memo[riccati_key]
-    flags = stability_flags(spec.law, spec.T, blocks, stress, spec.plant, solution, spec.epsilon, spectra)
-    count = min(spec.budget, spec.schedule.last_step() + 1) + 1
-    waypoints_key = ("waypoints", positions, spec.partition, id(spec.schedule), count)
-    if waypoints_key not in memo:
-        leaders = leader_waypoints(spec.schedule, framework.config, spec.partition, 0, count)
-        leaders.setflags(write=False)
-        memo[waypoints_key] = spec.schedule, leaders
-    return CompiledRun(spec, stress, certificate, blocks, G, solution, flags, memo[waypoints_key][1])
+        key = ("riccati", *map(_array_key, (plant.A, plant.B, spec.q_matrix)), spec.riccati_tol)
+        solution = shared(memo, key, lambda: solve_mare(plant, spec.q_matrix, tol=spec.riccati_tol))
+    flags = stability_flags(spec.law, spec.T, blocks, stress, spec.plant, solution, spec.epsilon)
+    count = min(spec.budget, schedule.last_step() + 1) + 1
+    leaders = shared(memo, ("waypoints", positions, partition, id(schedule), count),
+                     lambda: _read_only(leader_waypoints(schedule, framework.config, partition, 0, count)), schedule)
+    return CompiledRun(spec, stress, certificate, blocks, G, solution, flags, leaders)
 
 
 def run_scenario(run) -> RunResult:
@@ -469,7 +453,7 @@ def run_batch(runs):
     """Run scenarios one after another; results in input order.
 
     runs holds ScenarioSpecs or their CompiledRuns. Every spec is compiled,
-    in input order, before any run steps, so the first refusal in input
+    in input order with one memo of shared, before any run steps, so the first refusal in input
     order is raised before any run has stepped. Runs that share a
     framework, weights and leader set share one stress, certificate and
     target map; runs that share a plant, Q and riccati_tol share one

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, floattext, workers
 from .control import LinearPlant
-from .engine import RunResult, ScenarioSpec
+from .engine import RunResult, ScenarioSpec, shared
 from .framework import Configuration, Framework, Graph, LeaderPartition, is_integer
 from .maneuvers import ManoeuvreSchedule, ScheduleSegment
 from .stress import StressMatrix, normalize_weights
@@ -217,24 +217,18 @@ def schedule_to_dict(schedule: ManoeuvreSchedule) -> dict:
     }
 
 
-def _resolve(value, base_dir: Path, parse, parsed: dict):
+def _resolve(value, base_dir: Path, parse, memo):
     """parse() of an inline mapping, or of the file a path string names
-    (relative to the referencing file), once per parsed dict: a file is
-    keyed by its absolute path, an inline mapping by its JSON text.
+    (relative to the referencing file), once per memo (engine.shared): a
+    file is keyed by its absolute path, an inline mapping by its JSON text.
     Symlinks are not followed: an alias is parsed again, which costs time
     but never mixes files."""
     if not isinstance(value, str):
-        key = (parse, json.dumps(value, sort_keys=True))
-        if key not in parsed:
-            parsed[key] = parse(value)
-        return parsed[key]
+        return shared(memo, (parse, json.dumps(value, sort_keys=True)), lambda: parse(value))
     path = Path(value)
     if not path.is_absolute():
         path = base_dir / path
-    key = (parse, path.absolute())
-    if key not in parsed:
-        parsed[key] = parse(_load_json(path))
-    return parsed[key]
+    return shared(memo, (parse, path.absolute()), lambda: parse(_load_json(path)))
 
 
 def _plant_from_dict(raw: dict) -> LinearPlant:
@@ -271,18 +265,17 @@ def _run_dict(spec: ScenarioSpec) -> dict:
     return data
 
 
-def load_scenario(path, *, _parsed=None) -> ScenarioSpec:
+def load_scenario(path, memo=None) -> ScenarioSpec:
     """Load a scenario or manifest file into a ScenarioSpec.
 
     The keys the file holds go to ScenarioSpec, which holds the defaults
     and checks the values. The framework, weights, schedule and plant
     fields accept either inline mappings or path strings relative to the
     file. Omitted weights request synthesis. Unknown keys, of the scenario
-    and of a manifest, are refused. _parsed is a batch's: scenarios loaded
-    with the same dict share each framework, weights, schedule or plant
-    they reference, a file or an equal inline mapping parsed once, and it
-    is ScenarioSpec's memo, so that each weights is assembled and each
-    schedule checked once per graph and d.
+    and of a manifest, are refused. memo is engine.shared's: scenarios
+    loaded with one memo, as a batch's are, share each framework, weights,
+    schedule or plant they reference, a file or an equal inline mapping
+    parsed once, and the memo goes on to ScenarioSpec.
     """
     path = Path(path)
     data = _load_json(path)
@@ -292,8 +285,8 @@ def load_scenario(path, *, _parsed=None) -> ScenarioSpec:
     _reject_unknown(data, SCENARIO_KEYS, "scenario")
     for key in REQUIRED_KEYS:
         _require(data, key, "scenario")
-    base_dir, parsed = path.parent, {} if _parsed is None else _parsed
-    framework, partition = _resolve(data["framework"], base_dir, framework_from_dict, parsed)
+    base_dir = path.parent
+    framework, partition = _resolve(data["framework"], base_dir, framework_from_dict, memo)
     if partition is None:
         raise ParseError("scenario: framework must declare leaders")
     fields = {"framework": framework, "partition": partition}
@@ -302,10 +295,10 @@ def load_scenario(path, *, _parsed=None) -> ScenarioSpec:
         if key == "framework" or (value is None and key in NULLABLE_KEYS):
             continue
         if key in parsers:
-            value = _resolve(value, base_dir, parsers[key], parsed)
+            value = _resolve(value, base_dir, parsers[key], memo)
         fields["q_matrix" if key == "q" else key] = value
     try:
-        return ScenarioSpec(**fields, memo=parsed)
+        return ScenarioSpec(**fields, memo=memo)
     except (ValueError, TypeError) as exc:
         raise ParseError(f"scenario: {exc}") from exc
 
@@ -324,30 +317,21 @@ def _manifest(scenario, scenario_path, out_dir) -> dict:
     }
 
 
-def save_manifest(spec: ScenarioSpec, scenario_path, out_dir, path, texts=None):
+def save_manifest(spec: ScenarioSpec, scenario_path, out_dir, path, memo=None):
     """Write _dumps(manifest_dict(spec, scenario_path, out_dir)) to path.
 
-    texts is a dict that the manifests of a batch share: the text of each
-    framework with its leaders, keyed by the pair, and of each weights is
-    encoded into it once and spliced into every manifest that holds it. It
-    keys the framework and weights by identity and holds them."""
-    texts = {} if texts is None else texts
-    shared = {
-        "framework": _text_of(texts, spec.framework, spec.partition,
-                              lambda: framework_to_dict(spec.framework, spec.partition)),
-        "weights": "null" if spec.weights is None else _text_of(texts, spec.weights, None,
-                                                                lambda: weights_to_dict(spec.weights)),
+    memo is engine.shared's: the manifests written with one memo encode
+    the text of each framework with its leaders, and of each weights, once,
+    and splice it into every manifest that holds it."""
+    framework, partition, weights = spec.framework, spec.partition, spec.weights
+    texts = {
+        "framework": shared(memo, ("framework text", id(framework), partition),
+                            lambda: _dumps(framework_to_dict(framework, partition)), framework),
+        "weights": "null" if weights is None else shared(memo, ("weights text", id(weights)),
+                                                         lambda: _dumps(weights_to_dict(weights)), weights),
     }
-    scenario = _object_text(_run_dict(spec), shared)
+    scenario = _object_text(_run_dict(spec), texts)
     _write_text(_object_text(_manifest(None, scenario_path, out_dir), {"scenario": scenario}), path)
-
-
-def _text_of(texts: dict, value, detail, build) -> str:
-    """_dumps(build()), encoded once per texts for value, by identity, and detail."""
-    key = (id(value), detail)
-    if key not in texts:
-        texts[key] = value, _dumps(build())
-    return texts[key][1]
 
 
 def _object_text(data: dict, texts: dict) -> str:

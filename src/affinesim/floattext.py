@@ -2,8 +2,7 @@
 
 repr_text(values, out) writes to out a uint8 row for each value whose
 bytes, once its NUL bytes are dropped, are repr(float(values[i])), and
-returns the indices it leaves to repr(); repr_strings(values) returns
-[repr(float(x)) for x in values] from it. Signed zeros and values with
+returns the indices it leaves to repr(). Signed zeros and values with
 1e-25 <= |x| < 1e15 are formatted here with numpy: repr writes those
 from 1e-4 on as plain decimals and smaller ones in e-notation. Every other value, and the
 rare one whose arithmetic below cannot settle a decision, goes to repr().
@@ -233,19 +232,6 @@ def repr_text(values, out) -> list:
     _texts(np.signbit(x).view(np.uint8), zero, point, d, out)
     slow = ~(fast | zero) | unsure
     return list(itertools.compress(range(len(x)), slow.tolist())) if slow.any() else []
-
-
-def repr_strings(values) -> list:
-    """[repr(float(x)) for x in values], with the same bytes: repr_text's
-    rows as strings, and repr() at its slow indices."""
-    x = np.asarray(values, dtype=np.float64).reshape(-1)
-    lines = np.empty((len(x), WIDTH + 1), np.uint8)
-    lines[:, WIDTH] = ord("\n")
-    slow = repr_text(x, lines[:, :WIDTH])
-    strings = lines.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
-    for i in slow:
-        strings[i] = repr(float(x[i]))
-    return strings
 
 
 def _texts(sign, zero, point, d, out):

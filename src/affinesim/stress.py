@@ -4,6 +4,7 @@ follower-target computation, and a concave-ascent stress synthesizer."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -81,6 +82,15 @@ class StressMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray:
+        """The eigenvalues of entries, ascending, read-only: solved once per
+        stress for its certificate and the linear law's stability flags,
+        and the runs of a batch share a stress (engine.shared)."""
+        spectrum = np.linalg.eigvalsh(self.entries)
+        spectrum.setflags(write=False)
+        return spectrum
+
 
 @dataclass(frozen=True)
 class StressBlocks:
@@ -110,6 +120,22 @@ class StressBlocks:
     @property
     def n_followers(self) -> int:
         return self.ff.shape[0]
+
+    @functools.cached_property
+    def follower_spectrum(self) -> tuple:
+        """(mu_min, mu_max), the extreme eigenvalues of the negated follower
+        block: solved once per blocks, which the runs of a batch share
+        (engine.shared). ValueError refuses a block that is not symmetric or
+        has mu_min >= 0 (the stress certificate upstream is broken), and
+        check_follower_block's guard runs too; a refusal is not cached."""
+        if not np.array_equal(self.ff, self.ff.T):
+            raise ValueError("follower block must be symmetric")
+        mu = np.linalg.eigvalsh(-self.ff)
+        if mu[0] >= 0.0:
+            raise ValueError(f"mu_min must be negative, got {float(mu[0])}; stress certificate is broken")
+        # compile_run's guard, so that the same leader sets are refused.
+        check_follower_block(self)
+        return float(mu[0]), float(mu[-1])
 
 
 @dataclass(frozen=True)
@@ -267,7 +293,7 @@ def _certificate(stress: StressMatrix, framework: Framework) -> RigidityCertific
     |eigenvalues| above it, PSD allows lambda_min down to minus it, and
     |Omega [P 1]|_2 may reach it times |[P 1]|_2."""
     n, d = stress.n, framework.config.d
-    eig = np.linalg.eigvalsh(stress.entries)
+    eig = stress.spectrum
     magnitudes = np.abs(eig)
     min_eig, top = float(eig[0]), float(magnitudes.max())
     psd = min_eig >= -max(n, d) * RANK_RTOL * top

@@ -371,6 +371,47 @@ def test_specs_of_one_load_check_the_omitted_q_once_per_dimension(framework, par
     assert calls == [2, 2, 2]
 
 
+def test_a_given_q_is_read_only(framework, partition):
+    plant = LinearPlant(np.eye(2), np.eye(2))
+    spec = scenario(framework, partition, law="linear", plant=plant, q_matrix=[[2.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="read-only"):
+        spec.q_matrix[0, 0] = 5.0
+    assert np.array_equal(spec.q_matrix, [[2.0, 0.0], [0.0, 1.0]])
+
+
+def test_run_batch_solves_each_spectrum_once_per_stress(framework, partition, monkeypatch):
+    import functools
+
+    from affinesim import StressBlocks, StressMatrix
+
+    counts = {"follower_spectrum": 0, "spectrum": 0}
+    for cls, name in ((StressBlocks, "follower_spectrum"), (StressMatrix, "spectrum")):
+        solve = getattr(cls, name).func
+
+        def counted(self, _name=name, _solve=solve):
+            counts[_name] += 1
+            return _solve(self)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, prop)
+    plant = LinearPlant(np.eye(2), np.eye(2))
+    specs = [scenario(framework, partition, T=T, budget=40) for T in (0.5, 1.0, 1.5)]
+    specs += [scenario(framework, partition, law="linear", plant=plant, epsilon=eps, budget=40) for eps in (0.1, 0.2)]
+    results = run_batch(specs)
+    # Three stationary runs on one stress key, two linear runs on that stress.
+    assert counts == {"follower_spectrum": 1, "spectrum": 1}
+    assert len({result.stability_flags["T_mu_min"] for result in results[:3]}) == 3
+    assert len({result.stability_flags["modal_spectral_radius"] for result in results[3:]}) == 2
+    # A follower block that fails the guard is refused on every call: the
+    # refusal is not cached.
+    collinear = partition_stress(results[0].stress, LeaderPartition.from_leaders((1, 4, 5), 5))
+    for _ in range(2):
+        with pytest.raises(LocalizabilityError):
+            stability_flags("stationary", 1.0, collinear)
+    assert counts["follower_spectrum"] == 3
+
+
 def test_run_batch_refuses_before_any_run_steps(framework, partition, monkeypatch):
     import affinesim.engine as engine
 

@@ -21,9 +21,24 @@ import pytest
 from affinesim import ScenarioSpec, fileio, floattext, run_scenario, workers
 from affinesim.cli import main
 from affinesim.fileio import SPLIT_VALUES, TRACE_HEADER, load_scenario, write_trace
-from affinesim.floattext import repr_strings
 
 from conftest import EXACT_WEIGHTS, FOLLOWER_START, assert_no_child, count_forks, write_benchmark_files
+
+
+def repr_strings(values, calls=None) -> list:
+    """[repr(float(x)) for x in values], from floattext.repr_text: its rows
+    as strings, and repr() at each index it leaves to repr; the values
+    there are appended to the list calls, if given."""
+    x = np.asarray(values, dtype=np.float64).reshape(-1)
+    lines = np.empty((len(x), floattext.WIDTH + 1), np.uint8)
+    lines[:, floattext.WIDTH] = ord("\n")
+    slow = floattext.repr_text(x, lines[:, : floattext.WIDTH])
+    strings = lines.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+    for i in slow:
+        strings[i] = repr(float(x[i]))
+    if calls is not None:
+        calls += [float(x[i]) for i in slow]
+    return strings
 
 
 def reference_trace(result) -> bytes:
@@ -168,16 +183,15 @@ def test_repr_strings_match_repr_at_each_switch():
     assert repr_strings(values) == [repr(v) for v in values.tolist()]
 
 
-def test_tiny_values_are_formatted_without_repr(monkeypatch):
+def test_tiny_values_are_formatted_without_repr():
     calls = []
-    monkeypatch.setattr(floattext, "repr", lambda value: calls.append(value) or repr(value), raising=False)
     values = 10.0 ** np.random.default_rng(5).uniform(-25, -4, 10**4)
     values = np.concatenate((values, -values, [0.0, -0.0]))
-    assert repr_strings(values) == [repr(v) for v in values.tolist()]
+    assert repr_strings(values, calls) == [repr(v) for v in values.tolist()]
     assert calls == []
     # Below the range, a power of two below 1e-4, and above the range.
     values = [1e-26, 2.0**-20, 1e15]
-    assert repr_strings(values) == [repr(v) for v in values]
+    assert repr_strings(values, calls) == [repr(v) for v in values]
     assert calls == values
 
 
@@ -185,10 +199,9 @@ def test_values_whose_decisions_are_near_go_to_repr(monkeypatch):
     # With NEAR at 1/2 every value below 1e-4 is near one of its decisions.
     monkeypatch.setattr(floattext, "NEAR", 0.5)
     calls = []
-    monkeypatch.setattr(floattext, "repr", lambda value: calls.append(value) or repr(value), raising=False)
     tiny = 10.0 ** np.random.default_rng(6).uniform(-25, -4, 1000)
     values = np.concatenate((tiny, np.random.default_rng(7).uniform(1e-4, 1e3, 1000)))
-    assert repr_strings(values) == [repr(v) for v in values.tolist()]
+    assert repr_strings(values, calls) == [repr(v) for v in values.tolist()]
     assert calls == tiny.tolist()
 
 
