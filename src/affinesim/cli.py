@@ -43,7 +43,7 @@ import numpy as np
 
 from . import __version__, fileio, workers
 from .control import SolverError
-from .engine import CertificateError, compile_run, run_batch
+from .engine import CertificateError, compile_run, run_scenario
 from .framework import validate_leader_selection
 from .plotting import delta_svg, trajectory_svg
 from .stress import (
@@ -157,10 +157,11 @@ def _run(runs, plot: bool, where: str, report, memo) -> int:
     once (fileio.save_manifest). A refusal writes every run's manifest and
     nothing else, and is reported on stderr after where.format(raw), raw
     the refused run's. Otherwise the runs are split with workers.split,
-    whose forked workers inherit the memo: each share writes its runs'
-    manifests, runs them, writes their outputs, and returns for each its
-    exit code and its stdout text, report(run, result, written). The texts
-    are printed here in input order.
+    whose forked workers inherit the memo: each share, run by run, writes
+    the manifest, steps the run and writes its outputs, so that it holds
+    one result at a time, and returns for each run its exit code and its
+    stdout text, report(run, result, written). The texts are printed here
+    in input order.
     """
     compiled = []
     for raw, spec, _ in runs:
@@ -172,10 +173,10 @@ def _run(runs, plot: bool, where: str, report, memo) -> int:
             return _report(exc, where.format(raw))
 
     def share(indices):
+        outputs = []
         for i in indices:
             _save_manifest(memo, *runs[i])
-        outputs = []
-        for i, result in zip(indices, run_batch([compiled[i] for i in indices])):
+            result = run_scenario(compiled[i])
             _, spec, out_dir = runs[i]
             written, notes = _write_run_outputs(spec, result, out_dir, plot)
             code = EXIT_DIVERGED if result.diverged else EXIT_BUDGET if result.budget_exhausted else EXIT_OK
@@ -197,7 +198,7 @@ def _simulate_report(run, result, written) -> str:
         outcome = "step budget exhausted"
     return (
         f"steps: {result.steps}\nfinal delta: {_fmt(result.final_delta)}\n"
-        + _flags_text(result.stability_flags)
+        + _flags_text(result.run.stability_flags)
         + f"outcome: {outcome}\nwrote: {' '.join(str(run[2] / name) for name in written)}\n"
     )
 

@@ -12,8 +12,9 @@ run_scenario then forms their follower targets and the law's constant
 operators, and a single stepping loop advances the state (the followers
 alone where the leaders are those waypoints), measures the disagreement
 against the instantaneous follower targets, and stops once it diverges or
-has been in tolerance long enough. The trace is the columns of RunResult,
-one row per step, put together after the loop.
+has been in tolerance long enough. A RunResult is the compiled run with
+what the loop observed: the states and deltas, one row per step, put
+together after the loop, the last row's targets and the outcome.
 """
 
 from __future__ import annotations
@@ -189,41 +190,6 @@ class ScenarioSpec:
             raise ValueError(f"{self.law} law takes no plant, q, epsilon or riccati_tol")
 
 
-@dataclass(frozen=True)
-class RunResult:
-    """A finished run: its trace as columns, the stress it used, and outcome flags.
-
-    Row k of each column is step k, before the law fires: states
-    (K+1, n, d) in agent order, targets (K+1, n_f, d), deltas (K+1,), and
-    the per-row flags converged_flags (delta in tolerance) and
-    diverged_flags (delta past DIVERGENCE_LIMIT or not finite).
-    """
-
-    states: np.ndarray
-    targets: np.ndarray
-    deltas: np.ndarray
-    converged_flags: np.ndarray
-    diverged_flags: np.ndarray
-    stress: StressMatrix
-    blocks: StressBlocks
-    certificate: RigidityCertificate
-    stability_flags: dict
-    converged_at: int | None
-    diverged: bool
-    budget_exhausted: bool
-
-    @property
-    def steps(self) -> int:
-        return len(self.deltas) - 1
-
-    @property
-    def final_delta(self) -> float:
-        return float(self.deltas[-1])
-
-    def final_positions(self) -> np.ndarray:
-        return self.states[-1]
-
-
 def stability_flags(law, T, blocks=None, stress=None, plant=None, solution=None, epsilon=0.0):
     """Stability diagnostics of one law at period T, which compile_run
     records as theorem_flags and the stability command prints. A law reads
@@ -316,6 +282,42 @@ class CompiledRun:
     leaders: np.ndarray
 
 
+@dataclass(frozen=True)
+class RunResult:
+    """A finished run: the CompiledRun it stepped and what its loop observed.
+
+    Row k of states (K+1, n, d), in agent order, and of deltas (K+1,) is
+    step k, before the law fires; final_targets (n_f, d) are the follower
+    targets of the last row. All three are read-only arrays of their own.
+    The stress, its certificate and blocks, and the stability flags are
+    run's. A row's flags are the loop's two tests on its delta: in
+    tolerance when delta <= run.spec.tolerance, diverged when
+    delta <= DIVERGENCE_LIMIT fails, as it does for nan.
+    """
+
+    run: CompiledRun
+    states: np.ndarray
+    deltas: np.ndarray
+    final_targets: np.ndarray
+    converged_at: int | None
+    diverged: bool
+
+    @property
+    def budget_exhausted(self) -> bool:
+        return self.converged_at is None and not self.diverged
+
+    @property
+    def steps(self) -> int:
+        return len(self.deltas) - 1
+
+    @property
+    def final_delta(self) -> float:
+        return float(self.deltas[-1])
+
+    def final_positions(self) -> np.ndarray:
+        return self.states[-1]
+
+
 def compile_run(spec, memo=None) -> CompiledRun:
     """Compile a scenario's run, raising every refusal of it; a CompiledRun
     is returned as it is.
@@ -364,7 +366,8 @@ def run_scenario(run) -> RunResult:
     alone; the linear law moves its leaders too, and carries the whole
     leaders-first state. delta is np.linalg.norm's arithmetic (ravel, dot,
     sqrt) on the follower error, which the dynamic law steps on. The
-    states are put in agent order once, after the loop.
+    states are put in agent order once, after the loop; of the targets the
+    result keeps the last row's.
     """
     run = compile_run(run)
     spec, stress, blocks, G = run.spec, run.stress, run.blocks, run.G
@@ -376,15 +379,16 @@ def run_scenario(run) -> RunResult:
     # while the outputs are written, and (count, n_f, d) is the larger array.
     targets = G @ leaders
     n_l, last, ff, fl = blocks.n_leaders, len(leaders) - 1, blocks.ff, blocks.fl
+    # Agent rows in leaders-first order: the loop's state rows are these agents.
+    order = np.array([i - 1 for i in partition.order()])
     if law == "linear":
-        perm = [i - 1 for i in partition.order()]
-        coupling = np.eye(stress.n) - spec.epsilon * stress.entries[np.ix_(perm, perm)]
+        coupling = np.eye(stress.n) - spec.epsilon * stress.entries[np.ix_(order, order)]
         A_t, BK_t = spec.plant.A.T, (spec.plant.B @ run.solution.K).T
         x = np.concatenate((leaders[0], spec.initial_followers))
     else:
         x = spec.initial_followers
     target = targets[0]
-    xs, ts, deltas = [], [target], []
+    xs, deltas = [], []
     run_below_tol = 0
     converged_at = None
     for k in range(spec.budget + 1):
@@ -406,7 +410,6 @@ def run_scenario(run) -> RunResult:
         if law == "linear":
             x = x @ A_t + coupling @ x @ BK_t
             target = G @ x[:n_l]
-            ts.append(target)
             continue
         target = targets[min(k + 1, last)]
         if law == "stationary":
@@ -417,49 +420,29 @@ def run_scenario(run) -> RunResult:
             x = (1.0 - T) * error + target
 
     rows = len(deltas)
-    order = np.array([i - 1 for i in partition.order()])
     states = np.empty((rows, partition.n, spec.framework.config.d))
     if law == "linear":
         states[:, order] = np.stack(xs)
-        targets = np.stack(ts)
     else:
-        held = np.minimum(np.arange(rows), last)
-        states[:, order[:n_l]] = leaders[held]
+        states[:, order[:n_l]] = leaders[np.minimum(np.arange(rows), last)]
         states[:, order[n_l:]] = np.stack(xs)
-        targets = targets[held]
-    deltas = np.array(deltas)
-    columns = {
-        "states": states,
-        "targets": targets,
-        "deltas": deltas,
-        "converged_flags": deltas <= spec.tolerance,
-        "diverged_flags": ~(deltas <= DIVERGENCE_LIMIT),
-    }
-    for column in columns.values():
+    # The last row's targets are copied, so that the result does not keep
+    # the per-run targets array alive.
+    observed = states, np.array(deltas), target.copy()
+    for column in observed:
         column.setflags(write=False)
-    return RunResult(
-        **columns,
-        stress=stress,
-        blocks=blocks,
-        certificate=run.certificate,
-        stability_flags=run.stability_flags,
-        converged_at=converged_at,
-        diverged=diverged,
-        budget_exhausted=converged_at is None and not diverged,
-    )
+    return RunResult(run, *observed, converged_at, diverged)
 
 
 def run_batch(runs):
     """Run scenarios one after another; results in input order.
 
     runs holds ScenarioSpecs or their CompiledRuns. Every spec is compiled,
-    in input order with one memo of shared, before any run steps, so the first refusal in input
-    order is raised before any run has stepped. Runs that share a
-    framework, weights and leader set share one stress, certificate and
-    target map; runs that share a plant, Q and riccati_tol share one
-    Riccati solve. Each result equals its run_scenario result. affinesim
-    batch compiles its runs itself, then gives each worker process its
-    share of them here.
+    in input order with one memo of shared, before any run steps, so the
+    first refusal in input order is raised before any run has stepped.
+    Runs that share a framework, weights and leader set share one stress,
+    certificate and target map; runs that share a plant, Q and riccati_tol
+    share one Riccati solve. Each result equals its run_scenario result.
     """
     memo = {}
     compiled = [compile_run(run, memo) for run in runs]

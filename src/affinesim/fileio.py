@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, floattext, workers
 from .control import LinearPlant
-from .engine import RunResult, ScenarioSpec, shared
+from .engine import DIVERGENCE_LIMIT, RunResult, ScenarioSpec, shared
 from .framework import Configuration, Framework, Graph, LeaderPartition, is_integer
 from .maneuvers import ManoeuvreSchedule, ScheduleSegment
 from .stress import StressMatrix, normalize_weights
@@ -354,13 +354,16 @@ def write_rows(fh, result: RunResult, start, stop):
     as one (steps, n * d, width) uint8 array whose rows hold the step's
     "k," head, the column's "agent,coord," cell, the value and the step's
     ",delta,converged,diverged" tail with its newline, each field padded
-    with NUL. The heads and tails are made with % formatting, one per
-    step (%a writes a float as repr does), and broadcast to the step's
-    rows; repr_text writes the values into their field, and repr's text
-    goes into the field of each value it leaves to repr. One
-    bytes.translate drops every NUL. The bytes are what csv.writer
-    produces for the same rows, as no field needs quoting."""
+    with NUL. A step's flags are the stepping loop's tests on its delta:
+    converged when delta <= result.run.spec.tolerance, diverged when
+    delta <= DIVERGENCE_LIMIT fails. The heads and tails are made with %
+    formatting, one per step (%a writes a float as repr does), and
+    broadcast to the step's rows; repr_text writes the values into their
+    field, and repr's text goes into the field of each value it leaves to
+    repr. One bytes.translate drops every NUL. The bytes are what
+    csv.writer produces for the same rows, as no field needs quoting."""
     _, n, d = result.states.shape
+    tolerance = result.run.spec.tolerance
     cells = _padded([b"%d,%d," % (agent, coord) for agent in range(1, n + 1) for coord in range(d)])
     width = len(cells)
     steps = max(1, BLOCK_VALUES // width)
@@ -368,8 +371,8 @@ def write_rows(fh, result: RunResult, start, stop):
         last = min(first + steps, stop)
         values = result.states[first:last].reshape(-1)
         heads = _padded([b"%d," % k for k in range(first, last)])
-        flags = zip(result.deltas[first:last].tolist(), result.converged_flags[first:last].tolist(),
-                    result.diverged_flags[first:last].tolist())
+        deltas = result.deltas[first:last]
+        flags = zip(deltas.tolist(), (deltas <= tolerance).tolist(), (~(deltas <= DIVERGENCE_LIMIT)).tolist())
         tails = _padded([b",%a,%d,%d\n" % row for row in flags])
         value = heads.shape[1] + cells.shape[1]
         tail = value + REPR_WIDTH
@@ -452,7 +455,7 @@ def summary_dict(result: RunResult, partition: LeaderPartition) -> dict:
             "final_delta": result.final_delta,
             "steps": result.steps,
             "converged_at": result.converged_at,
-            "theorem_flags": result.stability_flags,
+            "theorem_flags": result.run.stability_flags,
             "diverged": result.diverged,
             "budget_exhausted": result.budget_exhausted,
             "final_followers": [final[i - 1].tolist() for i in partition.followers],

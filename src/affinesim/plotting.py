@@ -84,7 +84,7 @@ def trajectory_svg(result, partition) -> str:
         raise ValueError("trajectory plots are only available for d=2")
     n = partition.n
     markers = states[-1].copy()
-    markers[[i - 1 for i in partition.followers]] = result.targets[-1]
+    markers[[i - 1 for i in partition.followers]] = result.final_targets
 
     # Framed by the finite values, so an overflowed run still draws its finite rows.
     ranges = [_finite_range(states[..., c]) for c in (0, 1)]

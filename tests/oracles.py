@@ -85,7 +85,7 @@ def compare_forms(spec: ScenarioSpec) -> float:
     adjacency = spec.framework.graph.adjacency()
     # The stress holds edge weight w_ij as -Omega_ij.
     incident = {
-        i: {j: -result.stress.entries[i - 1, j - 1] for j in sorted(adjacency[i])}
+        i: {j: -result.run.stress.entries[i - 1, j - 1] for j in sorted(adjacency[i])}
         for i in spec.partition.followers
     }
     worst = 0.0
@@ -167,8 +167,8 @@ def _law_step(spec: ScenarioSpec, blocks: StressBlocks, stress, solution, G, lea
 
 def per_step_run(spec) -> RunResult:
     """run_scenario as one closure step per law on the leaders-first state:
-    every row's state, target, delta (np.linalg.norm) and flags are appended
-    as the loop goes, and the states are copied into agent order row by row."""
+    every row's state and delta (np.linalg.norm) are appended as the loop
+    goes, and the states are copied into agent order row by row."""
     run = compile_run(spec)
     spec, stress, blocks, G, solution = run.spec, run.stress, run.blocks, run.G, run.solution
     partition = spec.partition
@@ -181,21 +181,17 @@ def per_step_run(spec) -> RunResult:
     n_l = blocks.n_leaders
     z = np.concatenate((leaders[0], spec.initial_followers))
     target = targets[0]
-    zs, ts, deltas, in_tolerance, past_limit = [], [], [], [], []
+    zs, deltas = [], []
     run_below_tol = 0
     converged_at = None
     for k in range(spec.budget + 1):
         delta = float(np.linalg.norm(z[n_l:] - target))
-        converged = delta <= spec.tolerance
         diverged = not delta <= DIVERGENCE_LIMIT
         zs.append(z)
-        ts.append(target)
         deltas.append(delta)
-        in_tolerance.append(converged)
-        past_limit.append(diverged)
         if diverged:
             break
-        run_below_tol = run_below_tol + 1 if converged and k >= settle_after else 0
+        run_below_tol = run_below_tol + 1 if delta <= spec.tolerance and k >= settle_after else 0
         if run_below_tol == CONVERGENCE_WINDOW:
             converged_at = k - CONVERGENCE_WINDOW + 1
             break
@@ -207,20 +203,7 @@ def per_step_run(spec) -> RunResult:
     states = np.empty((len(zs), partition.n, spec.framework.config.d))
     for k, z in enumerate(zs):
         states[k, order] = z
-    return RunResult(
-        states=states,
-        targets=np.stack(ts),
-        deltas=np.array(deltas),
-        converged_flags=np.array(in_tolerance),
-        diverged_flags=np.array(past_limit),
-        stress=stress,
-        blocks=blocks,
-        certificate=run.certificate,
-        stability_flags=run.stability_flags,
-        converged_at=converged_at,
-        diverged=diverged,
-        budget_exhausted=converged_at is None and not diverged,
-    )
+    return RunResult(run, states, np.array(deltas), np.array(target), converged_at, diverged)
 
 
 def per_vertex_points(px, py) -> list:

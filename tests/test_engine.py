@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ from affinesim import (
     stationary_leader_step,
 )
 from affinesim.engine import CONVERGENCE_WINDOW
-from affinesim.fileio import ParseError, weights_from_dict
+from affinesim.fileio import ParseError, weights_from_dict, write_trace
 
 from conftest import EXACT_WEIGHTS, FOLLOWER_START, FOLLOWER_TARGETS, MU_MIN
 from oracles import compare_forms, equilibrium_residual, per_step_run
@@ -46,6 +48,23 @@ def scenario(framework, partition, **overrides):
     )
     base.update(overrides)
     return ScenarioSpec(**base)
+
+
+def row_targets(result):
+    """Each row's follower targets: G times the row's leader states."""
+    leaders = [i - 1 for i in result.run.spec.partition.leaders]
+    return result.run.G @ result.states[:, leaders]
+
+
+def written_flags(result, path):
+    """Each step's (converged, diverged) columns as write_trace writes them
+    to path; every row of a step must hold the same pair."""
+    write_trace(result, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    flags = sorted({(int(row[0]), int(row[5]), int(row[6])) for row in rows})
+    assert [k for k, _, _ in flags] == list(range(len(result.deltas)))
+    return [(converged, diverged) for _, converged, diverged in flags]
 
 
 def test_spec_validation(framework, partition):
@@ -95,8 +114,8 @@ def test_benchmark_run_converges(framework, partition):
     final = result.final_positions()
     np.testing.assert_allclose(final[3], FOLLOWER_TARGETS[0], atol=1e-6)
     np.testing.assert_allclose(final[4], FOLLOWER_TARGETS[1], atol=1e-6)
-    assert result.stability_flags["stable"] is True
-    assert result.stability_flags["T_mu_min"] == pytest.approx(MU_MIN, abs=1e-12)
+    assert result.run.stability_flags["stable"] is True
+    assert result.run.stability_flags["T_mu_min"] == pytest.approx(MU_MIN, abs=1e-12)
 
 
 def test_start_at_targets_converges_immediately(framework, partition):
@@ -111,18 +130,24 @@ def test_budget_exhaustion(framework, partition):
     assert result.steps == 1
 
 
-def test_divergence_flagged(framework, partition):
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_divergence_flagged(framework, partition, tmp_path):
     result = run_scenario(scenario(framework, partition, T=1.4, budget=500))
     assert result.diverged
-    assert result.diverged_flags[-1]
+    assert 1e9 < result.final_delta < np.inf
+    assert written_flags(result, tmp_path / "trace.csv")[-1] == (0, 1)
     assert result.steps <= 500
-    assert result.stability_flags["stable"] is False
-    assert result.stability_flags["spectral_radius"] > 1.0
+    assert result.run.stability_flags["stable"] is False
+    assert result.run.stability_flags["spectral_radius"] > 1.0
+    # An overflow row is not in tolerance and diverged.
+    overflow = run_scenario(scenario(framework, partition, T=1e300))
+    assert overflow.diverged and overflow.final_delta == np.inf
+    assert written_flags(overflow, tmp_path / "inf.csv") == [(0, 0), (0, 1)]
 
 
 def test_trace_records_are_recomputable(framework, partition):
     result = run_scenario(scenario(framework, partition, budget=50))
-    for x, target, delta in zip(result.states, result.targets, result.deltas):
+    for x, target, delta in zip(result.states, row_targets(result), result.deltas):
         x_f = x[[3, 4]].ravel()
         assert abs(np.linalg.norm(x_f - target.ravel()) - delta) <= 1e-12
 
@@ -131,9 +156,9 @@ def test_targets_form_equilibrium_configuration(framework, partition):
     seg = ScheduleSegment(k0=5, k1=40, kind="rotation", params={"angle": 1.0}, interp="linear")
     spec = scenario(framework, partition, schedule=ManoeuvreSchedule((seg,)), budget=60)
     result = run_scenario(spec)
-    for x, target in zip(result.states, result.targets):
+    for x, target in zip(result.states, row_targets(result)):
         full_target = np.vstack([x[[0, 1, 2]], target])
-        assert equilibrium_residual(result.stress, Configuration(full_target)) <= 1e-6
+        assert equilibrium_residual(result.run.stress, Configuration(full_target)) <= 1e-6
 
 
 def test_determinism_bitwise(framework, partition):
@@ -202,7 +227,7 @@ def test_linear_law_runs(framework, partition):
         tolerance=1e-9,
     )
     result = run_scenario(spec)
-    flags = result.stability_flags
+    flags = result.run.stability_flags
     assert flags["law"] == "linear"
     assert flags["closed_loop_spectral_radius"] < 1.0
     assert flags["riccati_residual"] <= 1e-10
@@ -212,7 +237,7 @@ def test_linear_law_runs(framework, partition):
     from affinesim import linear_step, solve_mare
 
     K = solve_mare(plant, np.eye(2)).K
-    np.testing.assert_allclose(x1, linear_step(plant, K, 0.1, result.stress, x0), atol=1e-12)
+    np.testing.assert_allclose(x1, linear_step(plant, K, 0.1, result.run.stress, x0), atol=1e-12)
 
 
 def test_compare_forms_stationary(benchmark_scenario):
@@ -286,16 +311,16 @@ def test_run_batch_matches_individual_runs(framework, partition):
         scenario(framework, partition, plant=plants[0], weights=double, **linear),
     ]
     batch = run_batch(specs)
-    assert len({id(result.stress) for result in batch}) == 4
+    assert len({id(result.run.stress) for result in batch}) == 4
     for spec, got in zip(specs, batch):
         solo = run_scenario(spec)
-        for column in ("states", "targets", "deltas", "converged_flags", "diverged_flags"):
+        for column in ("states", "deltas", "final_targets"):
             assert np.array_equal(getattr(solo, column), getattr(got, column))
-        assert solo.stability_flags == got.stability_flags
-        assert np.array_equal(solo.stress.entries, got.stress.entries)
+        assert solo.run.stability_flags == got.run.stability_flags
+        assert np.array_equal(solo.run.stress.entries, got.run.stress.entries)
         assert (solo.converged_at, solo.diverged) == (got.converged_at, got.diverged)
-    assert not np.array_equal(batch[0].stress.entries, batch[2].stress.entries)
-    flags = [result.stability_flags for result in batch[5:]]
+    assert not np.array_equal(batch[0].run.stress.entries, batch[2].run.stress.entries)
+    flags = [result.run.stability_flags for result in batch[5:]]
     assert len({f["modal_spectral_radius"] for f in flags}) == 4
 
 
@@ -319,8 +344,8 @@ def test_run_batch_shares_certificate_and_riccati_solve(framework, partition, mo
     specs += [scenario(framework, partition, T=T, budget=40) for T in (0.5, 1.0)]
     results = run_batch(specs)
     assert calls == {"check_rigidity_certificate": 1, "solve_mare": 1}
-    assert all(result.stress is results[0].stress for result in results)
-    assert not results[0].blocks.ff.flags.writeable
+    assert all(result.run.stress is results[0].run.stress for result in results)
+    assert not results[0].run.blocks.ff.flags.writeable
 
 
 def test_run_batch_builds_each_shared_set_of_waypoints_once(framework, partition, monkeypatch):
@@ -344,10 +369,10 @@ def test_run_batch_builds_each_shared_set_of_waypoints_once(framework, partition
     specs.append(scenario(framework, other_leaders, schedule=schedule, budget=60))
     batch = run_batch(specs)
     assert counts == [22, 11, 22, 22]
-    assert batch[0].stress is batch[2].stress is not batch[3].stress
+    assert batch[0].run.stress is batch[2].run.stress is not batch[3].run.stress
     for spec, got in zip(specs, batch):
         solo = run_scenario(spec)
-        for column in ("states", "targets", "deltas"):
+        for column in ("states", "deltas", "final_targets"):
             assert np.array_equal(getattr(solo, column), getattr(got, column))
     assert not compile_run(specs[0]).leaders.flags.writeable
 
@@ -401,11 +426,11 @@ def test_run_batch_solves_each_spectrum_once_per_stress(framework, partition, mo
     results = run_batch(specs)
     # Three stationary runs on one stress key, two linear runs on that stress.
     assert counts == {"follower_spectrum": 1, "spectrum": 1}
-    assert len({result.stability_flags["T_mu_min"] for result in results[:3]}) == 3
-    assert len({result.stability_flags["modal_spectral_radius"] for result in results[3:]}) == 2
+    assert len({result.run.stability_flags["T_mu_min"] for result in results[:3]}) == 3
+    assert len({result.run.stability_flags["modal_spectral_radius"] for result in results[3:]}) == 2
     # A follower block that fails the guard is refused on every call: the
     # refusal is not cached.
-    collinear = partition_stress(results[0].stress, LeaderPartition.from_leaders((1, 4, 5), 5))
+    collinear = partition_stress(results[0].run.stress, LeaderPartition.from_leaders((1, 4, 5), 5))
     for _ in range(2):
         with pytest.raises(LocalizabilityError):
             stability_flags("stationary", 1.0, collinear)
@@ -427,17 +452,24 @@ def test_run_batch_refuses_before_any_run_steps(framework, partition, monkeypatc
     compiled = compile_run(specs[0])
     assert compile_run(compiled) is compiled
     assert np.array_equal(run_batch([compiled])[0].deltas, run_scenario(specs[0]).deltas)
-    assert run_scenario(compiled).stability_flags == compiled.stability_flags
+    assert run_scenario(compiled).run is compiled
 
 
-def test_trace_record_flags_are_instantaneous(framework, partition):
+def test_trace_record_flags_are_instantaneous(framework, partition, tmp_path):
     result = run_scenario(scenario(framework, partition, tolerance=1e-6))
-    crossing = result.converged_flags.tolist()
+    flags = written_flags(result, tmp_path / "trace.csv")
+    crossing = [converged for converged, _ in flags]
     # Once inside tolerance with stationary leaders the run stays inside.
-    first = crossing.index(True)
+    first = crossing.index(1)
     assert all(crossing[first:])
-    assert not result.diverged_flags.any()
-    assert result.converged_flags.dtype == result.diverged_flags.dtype == bool
+    assert set(flags) == {(0, 0), (1, 0)}
+    # On target until the leaders jump at k = 40: each row before it reads
+    # converged, yet no convergence is declared before the schedule ends.
+    seg = ScheduleSegment(k0=40, k1=40, kind="scaling", params={"c": 0.5})
+    held = run_scenario(scenario(framework, partition, initial_followers=FOLLOWER_TARGETS,
+                                 schedule=ManoeuvreSchedule((seg,))))
+    assert written_flags(held, tmp_path / "held.csv")[:40] == [(1, 0)] * 40
+    assert held.converged_at > 40
 
 
 def first_window(in_tolerance, settle_after):
@@ -449,7 +481,7 @@ def first_window(in_tolerance, settle_after):
 
 
 @pytest.mark.parametrize("case", ["on target", "hold", "linear"])
-def test_convergence_window(framework, partition, case):
+def test_convergence_window(framework, partition, case, tmp_path):
     if case == "on target":
         overrides = dict(initial_followers=FOLLOWER_TARGETS)
     elif case == "hold":
@@ -469,13 +501,12 @@ def test_convergence_window(framework, partition, case):
     assert result.converged_at is not None
     assert result.converged_at == first_window(in_tolerance, settle_after)
     assert len(result.deltas) == result.converged_at + CONVERGENCE_WINDOW
-    np.testing.assert_array_equal(result.converged_flags, result.deltas <= spec.tolerance)
-    assert not result.diverged_flags.any()
+    assert written_flags(result, tmp_path / "trace.csv") == [(int(x), 0) for x in in_tolerance]
 
 
 def public_steps(spec, result):
     """Step the scenario through the public one-step functions."""
-    blocks, config = result.blocks, spec.framework.config
+    blocks, config = result.run.blocks, spec.framework.config
     f_rows = [i - 1 for i in spec.partition.followers]
     l_rows = [i - 1 for i in spec.partition.leaders]
     x = np.zeros((config.n, config.d))
@@ -488,7 +519,7 @@ def public_steps(spec, result):
         targets.append(follower_targets(blocks, x[l_rows]).reshape(-1, config.d))
         now, nxt = leader_waypoints(spec.schedule, config, spec.partition, k, 2)
         if spec.law == "linear":
-            x = linear_step(spec.plant, K, spec.epsilon, result.stress, x).reshape(config.n, config.d)
+            x = linear_step(spec.plant, K, spec.epsilon, result.run.stress, x).reshape(config.n, config.d)
             continue
         if spec.law == "stationary":
             x_f = stationary_leader_step(blocks, spec.T, x[f_rows], now)
@@ -517,7 +548,7 @@ def test_compiled_run_matches_public_steps(framework, partition, law, budget):
     assert result.steps >= min(budget, 60)
     states, targets = public_steps(spec, result)
     np.testing.assert_allclose(result.states, states, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(result.targets, targets, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(row_targets(result), targets, rtol=0.0, atol=1e-12)
     deltas = [np.linalg.norm(s[[3, 4]] - t) for s, t in zip(states, targets)]
     np.testing.assert_allclose(result.deltas, deltas, rtol=0.0, atol=1e-12)
 
@@ -551,23 +582,46 @@ def test_stepping_matches_the_per_step_loop(framework, partition, case):
     assert result.budget_exhausted == outcome.startswith("budget")
     if outcome == "overflow":
         assert not np.isfinite(result.deltas[-1])
-    for column in ("states", "targets", "deltas", "converged_flags", "diverged_flags"):
+    for column in ("states", "deltas", "final_targets"):
         got, want = getattr(result, column), getattr(oracle, column)
         assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes()), column
     for field in ("converged_at", "diverged", "budget_exhausted"):
         assert getattr(result, field) == getattr(oracle, field), field
 
 
-def test_trace_columns_and_flags(framework, partition):
+def test_trace_columns_and_flags(framework, partition, tmp_path):
     result = run_scenario(scenario(framework, partition, T=1.4, budget=500))
     steps = result.steps
     assert result.states.shape == (steps + 1, 5, 2)
-    assert result.targets.shape == (steps + 1, 2, 2)
-    assert result.deltas.shape == result.converged_flags.shape == (steps + 1,)
-    assert result.diverged_flags.tolist() == [False] * steps + [True]
-    np.testing.assert_array_equal(result.converged_flags, result.deltas <= 1e-9)
-    for column in ("states", "targets", "deltas", "converged_flags", "diverged_flags"):
+    assert result.final_targets.shape == (2, 2)
+    assert result.deltas.shape == (steps + 1,)
+    flags = written_flags(result, tmp_path / "trace.csv")
+    assert [diverged for _, diverged in flags] == [0] * steps + [1]
+    assert [converged for converged, _ in flags] == (result.deltas <= 1e-9).astype(int).tolist()
+    for column in ("states", "deltas", "final_targets"):
         assert not getattr(result, column).flags.writeable
+
+
+FINAL_TARGET_CASES = {
+    "stationary": dict(law="stationary", T=0.7, schedule=ROTATION),
+    "dynamic": dict(law="dynamic", T=0.7, schedule=ROTATION),
+    # Diverges at k = 48, before the schedule's last waypoint.
+    "dynamic inside the schedule": dict(law="dynamic", T=2.5, schedule=ROTATION),
+    "linear": dict(law="linear", plant=DOUBLE_INTEGRATOR, epsilon=0.2),
+}
+
+
+@pytest.mark.parametrize("case", FINAL_TARGET_CASES)
+def test_final_targets_are_the_last_rows_targets(framework, partition, case):
+    result = run_scenario(scenario(framework, partition, budget=150, **FINAL_TARGET_CASES[case]))
+    if case == "dynamic inside the schedule":
+        assert result.diverged and result.steps < 60
+    leaders = [i - 1 for i in partition.leaders]
+    np.testing.assert_allclose(result.final_targets, result.run.G @ result.states[-1, leaders], rtol=0.0,
+                               atol=1e-12)
+    assert result.final_targets.base is None
+    with pytest.raises(ValueError, match="read-only"):
+        result.final_targets[0, 0] = 0.0
 
 
 def test_linear_law_flags_predict_divergence(framework, partition):
@@ -576,9 +630,9 @@ def test_linear_law_flags_predict_divergence(framework, partition):
     plant = LinearPlant(1.2 * np.eye(2), np.eye(2))
     result = run_scenario(scenario(framework, partition, law="linear", plant=plant, epsilon=1.0))
     assert result.diverged and result.steps == 21
-    flags = result.stability_flags
+    flags = result.run.stability_flags
     assert flags["closed_loop_spectral_radius"] == 0.0
-    lam_max = np.linalg.eigvalsh(result.stress.entries)[-1]
+    lam_max = np.linalg.eigvalsh(result.run.stress.entries)[-1]
     assert flags["modal_spectral_radius"] == pytest.approx(1.2 * lam_max, rel=1e-12)
     assert flags["stable"] is False
 

@@ -42,7 +42,8 @@ def full_resolution(result, partition):
     """Every vertex of each agent's polyline, in pixels, framed as trajectory_svg frames them."""
     states = result.states
     markers = states[-1].copy()
-    markers[[i - 1 for i in partition.followers]] = result.targets[-1]
+    leaders = [i - 1 for i in partition.leaders]
+    markers[[i - 1 for i in partition.followers]] = result.run.G @ states[-1, leaders]
     corners = (np.nanmin(states, axis=(0, 1)), np.nanmax(states, axis=(0, 1)))
     to_px = _scaler(np.vstack((*corners, markers)))
     return [to_px(states[:, i, 0], states[:, i, 1]) for i in range(partition.n)]
@@ -119,8 +120,10 @@ def test_diverged_run_renders(framework, partition, T, finite, monkeypatch):
 @pytest.mark.parametrize("rows", [1, 2])
 def test_short_run_renders(framework, partition, rows, monkeypatch):
     result = run(framework, partition)
+    leaders = [i - 1 for i in partition.leaders]
     result = dataclasses.replace(
-        result, states=result.states[:rows], targets=result.targets[:rows], deltas=result.deltas[:rows]
+        result, states=result.states[:rows], deltas=result.deltas[:rows],
+        final_targets=result.run.G @ result.states[rows - 1, leaders],
     )
     trajectories, deltas = rendered(result, partition, monkeypatch)
     root, polylines = parse(trajectories)

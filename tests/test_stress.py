@@ -391,7 +391,7 @@ def test_synthesizing_run_tests_connectivity_once(benchmark_scenario, separator_
     assert len(separator_calls) == 1
     # Synthesis assembles and certifies the stress it accepts; the run reuses both.
     assert certify_calls == {"_certificate": 1, "assemble_stress": 1}
-    assert np.array_equal(result.stress.entries, synthesize_stress(spec.framework)[1].entries)
+    assert np.array_equal(result.run.stress.entries, synthesize_stress(spec.framework)[1].entries)
 
 
 def test_synth_command_tests_connectivity_once(tmp_path, separator_calls, certify_calls, capsys):
@@ -410,13 +410,13 @@ def test_weights_are_assembled_once_per_batch_at_load(tmp_path, monkeypatch, cap
     counts = count_calls(monkeypatch, ("normalize_weights", "assemble_stress"))
     in_runs = collections.Counter()
 
-    def run(arg, _original=affinesim.cli.run_batch):
+    def run(arg, _original=affinesim.cli.run_scenario):
         before = counts.copy()
         result = _original(arg)
         in_runs.update(counts - before)
         return result
 
-    monkeypatch.setattr(affinesim.cli, "run_batch", run)
+    monkeypatch.setattr(affinesim.cli, "run_scenario", run)
     assert main(["simulate", str(scenario), "--out", str(tmp_path / "run")]) == 0
     # The file parse normalizes; the spec assembles what it normalized.
     assert counts == {"normalize_weights": 1, "assemble_stress": 1}

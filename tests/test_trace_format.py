@@ -20,6 +20,7 @@ import pytest
 
 from affinesim import ScenarioSpec, fileio, floattext, run_scenario, workers
 from affinesim.cli import main
+from affinesim.engine import DIVERGENCE_LIMIT
 from affinesim.fileio import SPLIT_VALUES, TRACE_HEADER, load_scenario, write_trace
 
 from conftest import EXACT_WEIGHTS, FOLLOWER_START, assert_no_child, count_forks, write_benchmark_files
@@ -46,7 +47,10 @@ def reference_trace(result) -> bytes:
     buf = io.StringIO(newline="")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(TRACE_HEADER)
-    rows = zip(result.states, result.deltas, result.converged_flags, result.diverged_flags)
+    # The stepping loop's tests on each row's delta.
+    in_tolerance = result.deltas <= result.run.spec.tolerance
+    past_limit = ~(result.deltas <= DIVERGENCE_LIMIT)
+    rows = zip(result.states, result.deltas, in_tolerance, past_limit)
     for k, (state, delta, converged, diverged) in enumerate(rows):
         for agent in range(1, n + 1):
             for coord in range(d):
@@ -233,10 +237,8 @@ def synthetic(result, rows, n=16, d=2, seed=3, marked=()):
         states[k, -1, :2] = SPECIALS[-2:]
         deltas[k] = SPECIALS[i]
     deltas[-1] = np.inf
-    converged = deltas <= 1e-9
-    diverged = ~(deltas <= 1e9)
-    assert diverged[-1] and converged.any()
-    return replace(result, states=states, deltas=deltas, converged_flags=converged, diverged_flags=diverged)
+    assert (deltas <= result.run.spec.tolerance).any()
+    return replace(result, states=states, deltas=deltas)
 
 
 def test_repr_texts_land_in_their_rows(framework, partition, tmp_path):
