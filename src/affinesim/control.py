@@ -1,18 +1,19 @@
 """Discrete-time control laws, the sampling-period check and the Riccati gain.
 
 Three laws are provided. The stationary-leader law updates followers
-toward fixed leader targets; its stability needs -2 < T * mu < 0 for
-every eigenvalue mu of the negated follower stress block.
-The dynamic-leader law tracks moving leaders by solving the follower rows
-of the closed-loop stress relation; its disagreement contracts by (1 - T)
-per step, so it is stable for T < 2 and deadbeat at T = 1. The general
-linear law couples identical linear plants through the stress matrix with
-a gain from a modified discrete Riccati equation.
+toward fixed leader targets through the propagator I - T * ff_block. The
+dynamic-leader law tracks moving leaders by solving the follower rows of
+the closed-loop stress relation, contracting its disagreement by (1 - T)
+per step. The general linear law couples identical linear plants through
+the stress matrix with a gain from a modified discrete Riccati equation.
 
-The engine runs each law as one compiled step and states each law's
-stability verdict once, in engine.stability_flags. The step functions here
-restate the laws on stacked states for the tests; the per-agent forms of
-the first two laws are test oracles (tests/oracles.py).
+Each law is stable when the spectral radius over its error's modes is
+below 1: 1 + T * mu_i over the eigenvalues mu_i of the negated follower
+block, the one mode 1 - T, and A + (1 - eps * lambda_i) B K over the
+eigenvalues lambda_i of the stress. engine.stability_flags applies that
+rule once, and the engine runs each law as one compiled step. The step
+functions here restate the laws on stacked states for the tests; the
+per-agent forms of the first two laws are test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .framework import numerical_rank, real_array
+from .framework import is_real, numerical_rank, real_array
 from .stress import COND_LIMIT, StressBlocks, StressMatrix, solve_follower_block
 
 # The most Riccati updates solve_mare makes before it gives up.
@@ -33,6 +34,8 @@ class SolverError(RuntimeError):
 
 
 def check_period(T) -> float:
+    if not is_real(T):
+        raise ValueError(f"sampling period must be a real number, got {T!r}")
     T = float(T)
     if not np.isfinite(T) or T <= 0.0:
         raise ValueError(f"sampling period must be positive and finite, got {T}")

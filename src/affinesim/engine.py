@@ -194,17 +194,19 @@ def stability_flags(law, T, blocks=None, stress=None, plant=None, solution=None,
     """Stability diagnostics of one law at period T, which compile_run
     records as theorem_flags and the stability command prints. A law reads
     LAW_INPUTS[law], and the linear law epsilon too; an unknown law, a
-    missing input and a linear-law T other than 1.0 raise ValueError.
-    The eigensolves that read the blocks or the stress alone are their
-    cached properties, so runs that share them through shared solve each
-    once.
+    missing input, a T that is not a positive real number and a linear-law
+    T other than 1.0 raise ValueError. The eigensolves that read the blocks
+    or the stress alone are their cached properties, so runs that share
+    them through shared solve each once.
 
-    The stationary law's propagator is I - T * ff, so it is stable when
-    each eigenvalue mu of the negated follower block has -2 < T * mu < 0;
+    Each law's error follows a linear recursion whose modes are read from
+    those spectra, and stable is radius < 1 for every law, radius being the
+    largest modulus over the modes: the stationary spectral_radius,
+    max |1 + T * mu_i| over the eigenvalues mu_i of the negated follower
+    block (the propagator is I - T * ff); the dynamic decay_factor, |1 - T|;
+    and the linear modal_spectral_radius over A + (1 - eps * lambda_i) B K.
     StressBlocks.follower_spectrum refuses a follower block that is not
     symmetric, has mu_min >= 0 or fails check_follower_block.
-    The dynamic law contracts its disagreement by |1 - T| per step, so it
-    is stable when that factor is below 1.
     """
     if law not in LAW_INPUTS:
         raise ValueError(f"unknown law {law!r}; expected one of {LAWS}")
@@ -216,33 +218,26 @@ def stability_flags(law, T, blocks=None, stress=None, plant=None, solution=None,
     if law == "linear" and T != 1.0:
         raise ValueError(LINEAR_T_ERROR)
     if law == "stationary":
-        mu_min, mu_max = blocks.follower_spectrum
-        return {
-            "law": "stationary",
-            "T": T,
-            "mu_min": mu_min,
-            "T_mu_min": T * mu_min,
-            "stable": T * mu_min > -2.0 and mu_max < 0.0,
-            "spectral_radius": spectral_radius(np.eye(blocks.n_followers) - T * blocks.ff),
+        mu = blocks.follower_spectrum
+        radius = float(np.abs(1.0 + T * mu).max())
+        flags = {"mu_min": float(mu[0]), "T_mu_min": T * float(mu[0]), "spectral_radius": radius}
+    elif law == "dynamic":
+        radius = abs(1.0 - T)
+        flags = {"decay_factor": radius}
+    else:
+        # Diagonalising the stress splits the closed loop into the modes
+        # A + (1 - eps * lambda_i) B K, one per eigenvalue lambda_i of the stress.
+        A, BK = plant.A, plant.B @ solution.K
+        modes = A + (1.0 - epsilon * stress.spectrum)[:, None, None] * BK
+        radius = float(np.abs(np.linalg.eigvals(modes)).max())
+        flags = {
+            "epsilon": epsilon,
+            "closed_loop_spectral_radius": spectral_radius(A + BK),
+            "modal_spectral_radius": radius,
+            "riccati_residual": solution.residual,
+            "riccati_iterations": solution.iterations,
         }
-    if law == "dynamic":
-        decay_factor = abs(1.0 - T)
-        return {"law": "dynamic", "T": T, "decay_factor": decay_factor, "stable": decay_factor < 1.0}
-    # Diagonalising the stress splits the closed loop into the modes
-    # A + (1 - eps * lambda_i) B K, one per eigenvalue lambda_i of the stress.
-    A, BK = plant.A, plant.B @ solution.K
-    modes = A + (1.0 - epsilon * stress.spectrum)[:, None, None] * BK
-    modal = float(np.abs(np.linalg.eigvals(modes)).max())
-    return {
-        "law": "linear",
-        "T": T,
-        "epsilon": epsilon,
-        "closed_loop_spectral_radius": spectral_radius(A + BK),
-        "modal_spectral_radius": modal,
-        "riccati_residual": solution.residual,
-        "riccati_iterations": solution.iterations,
-        "stable": modal < 1.0,
-    }
+    return {"law": law, "T": T, **flags, "stable": radius < 1.0}
 
 
 def _array_key(a: np.ndarray):

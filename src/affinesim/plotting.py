@@ -129,7 +129,7 @@ def trajectory_svg(result, partition) -> str:
 def delta_svg(result) -> str:
     """Disagreement norm of a run against step index, log10-scaled vertically."""
     floor = 1e-16
-    logs = np.array([math.log10(max(delta, floor)) for delta in result.deltas.tolist()])
+    logs = np.fromiter(map(math.log10, np.maximum(result.deltas, floor).tolist()), float, len(result.deltas))
     lo, hi = _finite_range(logs)
     if hi == lo:
         hi = lo + 1.0

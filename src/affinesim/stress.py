@@ -122,9 +122,9 @@ class StressBlocks:
         return self.ff.shape[0]
 
     @functools.cached_property
-    def follower_spectrum(self) -> tuple:
-        """(mu_min, mu_max), the extreme eigenvalues of the negated follower
-        block: solved once per blocks, which the runs of a batch share
+    def follower_spectrum(self) -> np.ndarray:
+        """The eigenvalues mu of the negated follower block, ascending,
+        read-only: solved once per blocks, which the runs of a batch share
         (engine.shared). ValueError refuses a block that is not symmetric or
         has mu_min >= 0 (the stress certificate upstream is broken), and
         check_follower_block's guard runs too; a refusal is not cached."""
@@ -135,7 +135,8 @@ class StressBlocks:
             raise ValueError(f"mu_min must be negative, got {float(mu[0])}; stress certificate is broken")
         # compile_run's guard, so that the same leader sets are refused.
         check_follower_block(self)
-        return float(mu[0]), float(mu[-1])
+        mu.setflags(write=False)
+        return mu
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from affinesim import (
 )
 from affinesim import control
 from affinesim.control import RiccatiSolution, check_period
-from affinesim.engine import LINEAR_T_ERROR
+from affinesim.engine import LAWS, LINEAR_T_ERROR
 
 from conftest import FOLLOWER_TARGETS, MU_MAX
 from oracles import local_control_input_dynamic, local_control_input_stationary
@@ -37,9 +37,21 @@ def follower_blocks(ff):
 
 def test_check_period():
     assert check_period(0.5) == 0.5
+    assert check_period(np.float64(0.5)) == 0.5 and check_period(1) == 1.0
     for bad in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive and finite"):
             check_period(bad)
+
+
+@pytest.mark.parametrize("bad", ["0.5", "1.0", True, None], ids=["str", "str-1", "bool", "None"])
+@pytest.mark.parametrize("law", LAWS)
+def test_stability_flags_refuses_a_period_that_is_not_a_real_number(law, bad, blocks, exact_stress):
+    """A string, a bool or None is not read as a number, as ScenarioSpec
+    refuses them too: the message names the value."""
+    plant = LinearPlant(np.eye(2), np.eye(2))
+    inputs = {"stationary": (blocks,), "dynamic": (), "linear": (None, exact_stress, plant, solve_mare(plant, np.eye(2)))}
+    with pytest.raises(ValueError, match=re.escape(f"sampling period must be a real number, got {bad!r}")):
+        stability_flags(law, bad, *inputs[law])
 
 
 def test_stationary_fixed_point(blocks, reference):
@@ -225,6 +237,65 @@ def test_dynamic_stability_condition():
     assert stable(1.99)
     assert not stable(2.0)
     assert not stable(2.5)
+
+
+def test_stable_is_a_radius_below_one_for_every_law():
+    """One rule: stable is radius < 1, for random SPD follower blocks
+    (n_f <= 12), periods in (0, 3), stresses and stabilizable plants. The
+    stationary radius is max |1 + T mu| over follower_spectrum, which is
+    ascending and read-only, and agrees with the eigenvalues of I - T * ff
+    to 64 n_f ulp."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    arrays = pytest.importorskip("hypothesis.extra.numpy").arrays
+    periods = st.floats(0.0, 3.0, exclude_min=True, exclude_max=True)
+
+    def square(n):
+        return arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0))
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.data(), periods)
+    def check(data, T):
+        n_f = data.draw(st.integers(1, 12), label="n_f")
+        S = data.draw(square(n_f), label="S")
+        ff = S @ S.T + data.draw(st.floats(0.05, 2.0), label="shift") * np.eye(n_f)
+        ff = (ff + ff.T) / 2.0
+        blocks = follower_blocks(ff)
+        flags = stability_flags("stationary", T, blocks)
+        mu = blocks.follower_spectrum
+        assert not mu.flags.writeable and np.all(np.diff(mu) >= 0.0)
+        radius = flags["spectral_radius"]
+        assert radius == float(np.abs(1.0 + T * mu).max())
+        assert flags["stable"] is (radius < 1.0)
+        assert flags["mu_min"] == mu[0] and flags["T_mu_min"] == T * mu[0]
+        assert abs(spectral_radius(np.eye(n_f) - T * ff) - radius) <= 64 * n_f * np.spacing(radius)
+
+        # The edge of the stationary region, T nu_max = 2 exactly, is unstable.
+        nu = data.draw(st.lists(st.integers(1, 12), min_size=n_f, max_size=n_f), label="nu")
+        edge = 2.0 / max(nu)
+        assert edge * max(nu) == 2.0
+        assert stability_flags("stationary", edge, follower_blocks(np.diag(np.array(nu, float))))["stable"] is False
+
+        flags = stability_flags("dynamic", T)
+        assert flags["decay_factor"] == abs(1.0 - T) and flags["stable"] is (flags["decay_factor"] < 1.0)
+
+        # Plants on a grid of quarters, so that B'PB stays well-conditioned.
+        m = data.draw(st.integers(1, 3), label="m")
+        quarters = st.integers(-6, 6).map(lambda k: k / 4.0)
+        A = data.draw(arrays(np.float64, (m, m), elements=quarters), label="A")
+        B = data.draw(arrays(np.float64, (m, data.draw(st.integers(1, m), label="q")), elements=quarters), label="B")
+        try:
+            plant = LinearPlant(A, B)
+        except ValueError:
+            hypothesis.assume(False)
+        W = np.abs(data.draw(square(n_f + 1), label="W"))
+        W = np.triu(W, 1) + np.triu(W, 1).T
+        stress = StressMatrix(np.diag(W.sum(axis=1)) - W)
+        epsilon = data.draw(st.floats(0.0, 1.0), label="epsilon")
+        flags = stability_flags("linear", 1.0, None, stress, plant, solve_mare(plant, np.eye(m)), epsilon)
+        assert flags["stable"] is (flags["modal_spectral_radius"] < 1.0)
+
+    check()
 
 
 def test_spectral_radius(blocks):

@@ -133,6 +133,31 @@ def test_short_run_renders(framework, partition, rows, monkeypatch):
     assert len(delta_lines[-1]) == rows
 
 
+def test_delta_svg_matches_the_per_value_log10(framework, partition, monkeypatch):
+    """delta.svg's log10 column is math.log10 of max(delta, 1e-16) per value,
+    as a comprehension takes it: a run's column with 0, the smallest
+    subnormal, the floor and its neighbour, nan and inf added gives the same
+    column and the same SVG bytes when the comprehension's values are
+    written into delta_svg's column in their place."""
+    result = run(framework, partition)
+    specials = [0.0, 5e-324, 1e-16, np.nextafter(1e-16, 0), np.nan, np.inf, 1e300]
+    deltas = np.concatenate((result.deltas, specials, 10.0 ** np.random.default_rng(5).uniform(-20, 3, 1000)))
+    result = dataclasses.replace(result, deltas=deltas)
+    expected = np.array([math.log10(max(delta, 1e-16)) for delta in deltas.tolist()])
+    svg = delta_svg(result)
+    finite_range = plotting._finite_range
+    columns = []
+
+    def comprehension_column(logs):
+        columns.append(logs.tobytes())
+        logs[:] = expected
+        return finite_range(logs)
+
+    monkeypatch.setattr(plotting, "_finite_range", comprehension_column)
+    assert delta_svg(result) == svg
+    assert columns == [expected.tobytes()]
+
+
 def formatted(values):
     """fixed2_text of values, one per line."""
     values = np.asarray(values, dtype=np.float64)
