@@ -35,10 +35,8 @@ from .framework import (
     Framework,
     Graph,
     LeaderPartition,
-    LeaderSelectionReport,
     affine_span_dimension,
     is_k_connected,
-    validate_leader_selection,
     vertex_separator,
 )
 from .maneuvers import (

@@ -44,7 +44,7 @@ import numpy as np
 from . import __version__, fileio, workers
 from .control import SolverError
 from .engine import CertificateError, compile_run, run_scenario
-from .framework import validate_leader_selection
+from .framework import affine_span_dimension
 from .plotting import delta_svg, trajectory_svg
 from .stress import (
     HypothesisError,
@@ -101,12 +101,12 @@ def cmd_validate(args) -> int:
     print(f"nodes: {framework.config.n}  dimension: {d}  edges: {len(framework.graph.edges)}")
     leaders_ok = True
     if partition is not None:
-        report = validate_leader_selection(framework, partition)
-        leaders_ok = report.passed
-        print(
-            f"leaders: {report.n_leaders}/{d + 1} required, "
-            f"span {report.span_dimension}/{d}: {'ok' if report.passed else 'FAIL'}"
-        )
+        # The leaders must affinely span R^d: with a certified stress the
+        # follower block is then nonsingular (Zhao, IEEE TAC 2018).
+        n_l = partition.n_leaders
+        span = affine_span_dimension(framework.config.positions[partition.rows[:n_l]]) if n_l else 0
+        leaders_ok = span == d
+        print(f"leaders: {n_l}/{d + 1} required, span {span}/{d}: {'ok' if leaders_ok else 'FAIL'}")
 
     if cert is None:
         print(f"structural checks: {'PASS' if leaders_ok else 'FAIL'} (no stress supplied)")

@@ -14,6 +14,8 @@ eigenvalues lambda_i of the stress. engine.stability_flags applies that
 rule once, and the engine runs each law as one compiled step. The step
 functions here restate the laws on stacked states for the tests; the
 per-agent forms of the first two laws are test oracles (tests/oracles.py).
+The dynamic step solves through stress.solve_follower_block, after the
+follower block's one test, StressBlocks.follower_spectrum.
 """
 
 from __future__ import annotations

@@ -3,12 +3,12 @@
 Wires a framework, a stress matrix, a manoeuvre schedule and one of the
 control laws into a run. Each run is compiled once, by compile_run, which
 raises every refusal of the run: the stress is resolved and certified,
-the follower-block guard runs once while forming the target map
-G = -Omega_ff^-1 Omega_fl, the Riccati gain is solved and the stability
-flags are read. compile_run also generates every leader waypoint the run
-can reach as one array. What runs share, as a batch's do, is built once
-per memo by shared, the one sharing rule of the package.
-run_scenario then forms their follower targets and the law's constant
+the follower block's one test, its eigensolve (follower_spectrum), runs
+once, for every law, while forming the target map G = -Omega_ff^-1 Omega_fl,
+the Riccati gain is solved and the stability flags are read. compile_run
+also generates every leader waypoint the run can reach as one array.
+What runs share, as a batch's do, is built once per memo by shared, the
+one sharing rule of the package. run_scenario then forms their follower targets and the law's constant
 operators, and a single stepping loop advances the state (the followers
 alone where the leaders are those waypoints), measures the disagreement
 against the instantaneous follower targets, and stops once it diverges or
@@ -205,8 +205,9 @@ def stability_flags(law, T, blocks=None, stress=None, plant=None, solution=None,
     max |1 + T * mu_i| over the eigenvalues mu_i of the negated follower
     block (the propagator is I - T * ff); the dynamic decay_factor, |1 - T|;
     and the linear modal_spectral_radius over A + (1 - eps * lambda_i) B K.
-    StressBlocks.follower_spectrum refuses a follower block that is not
-    symmetric, has mu_min >= 0 or fails check_follower_block.
+    StressBlocks.follower_spectrum, the follower block's one test, refuses
+    a block that is not symmetric, too ill-conditioned to invert or has
+    mu_min >= 0; a compiled run's flags read the result it cached.
     """
     if law not in LAW_INPUTS:
         raise ValueError(f"unknown law {law!r}; expected one of {LAWS}")
@@ -255,7 +256,7 @@ def _resolve_stress(spec: ScenarioSpec):
     if not certificate.passed:
         raise CertificateError(certificate)
     blocks = partition_stress(stress, spec.partition)
-    # The follower-block guard runs here; G maps leaders to follower targets.
+    # The follower block's test runs here, for every law; G maps leaders to follower targets.
     return stress, certificate, blocks, _read_only(-solve_follower_block(blocks, blocks.fl))
 
 
@@ -375,7 +376,7 @@ def run_scenario(run) -> RunResult:
     targets = G @ leaders
     n_l, last, ff, fl = blocks.n_leaders, len(leaders) - 1, blocks.ff, blocks.fl
     # Agent rows in leaders-first order: the loop's state rows are these agents.
-    order = np.array([i - 1 for i in partition.order()])
+    order = partition.rows
     if law == "linear":
         coupling = np.eye(stress.n) - spec.epsilon * stress.entries[np.ix_(order, order)]
         A_t, BK_t = spec.plant.A.T, (spec.plant.B @ run.solution.K).T

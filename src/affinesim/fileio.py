@@ -86,9 +86,11 @@ def _reject_unknown(data, known: frozenset, context: str):
         raise ParseError(f"{context}: unknown keys {unknown}")
 
 
-def _require(data: dict, key: str, context: str):
+def _require(data: dict, key: str, context: str, kind=object):
     if not isinstance(data, dict) or key not in data:
         raise ParseError(f"{context}: missing required key {key!r}")
+    if not isinstance(data[key], kind):
+        raise ParseError(f"{context}: {key!r} must be a {kind.__name__}, got {data[key]!r}")
     return data[key]
 
 
@@ -156,10 +158,10 @@ def load_stress(path) -> StressMatrix:
 
 def weights_from_dict(data: dict) -> dict:
     """Build an edge -> weight mapping from {"edges": [[i, j, w], ...]}."""
-    rows = _require(data, "edges", "weights")
+    rows = _require(data, "edges", "weights", list)
     for row in rows:
-        if len(row) != 3:
-            raise ParseError(f"weights: row {row!r} is not [i, j, w]")
+        if not isinstance(row, list) or len(row) != 3:
+            raise ParseError(f"weights: 'edges' row {row!r} is not [i, j, w]")
     try:
         return normalize_weights(((i, j), w) for i, j, w in rows)
     except ValueError as exc:
@@ -182,7 +184,7 @@ def save_weights(weights: dict, path):
 def schedule_from_dict(data: dict) -> ManoeuvreSchedule:
     """Build a ManoeuvreSchedule from {"segments": [{...}, ...]}."""
     segments = []
-    for raw in _require(data, "segments", "schedule"):
+    for raw in _require(data, "segments", "schedule", list):
         _reject_unknown(raw, SEGMENT_KEYS, "schedule segment")
         try:
             segments.append(
@@ -449,7 +451,7 @@ def _json_safe(value):
 
 
 def summary_dict(result: RunResult, partition: LeaderPartition) -> dict:
-    final = result.final_positions()
+    final, rows, n_l = result.final_positions(), partition.rows, partition.n_leaders
     return _json_safe(
         {
             "final_delta": result.final_delta,
@@ -458,8 +460,8 @@ def summary_dict(result: RunResult, partition: LeaderPartition) -> dict:
             "theorem_flags": result.run.stability_flags,
             "diverged": result.diverged,
             "budget_exhausted": result.budget_exhausted,
-            "final_followers": [final[i - 1].tolist() for i in partition.followers],
-            "final_leaders": [final[i - 1].tolist() for i in partition.leaders],
+            "final_followers": final[rows[n_l:]].tolist(),
+            "final_leaders": final[rows[:n_l]].tolist(),
         }
     )
 

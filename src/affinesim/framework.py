@@ -3,6 +3,7 @@ affine-span predicates used by rigidity certification and leader selection."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,8 +128,8 @@ class Framework:
 class LeaderPartition:
     """Split of nodes 1..n into an ordered leader list and follower list.
 
-    The leaders-first ordering (leaders + followers) is the reindexing every
-    block computation uses.
+    rows, the leaders-first ordering (leaders + followers) as 0-based rows,
+    is the reindexing every block computation uses.
     """
 
     leaders: tuple
@@ -166,18 +167,13 @@ class LeaderPartition:
     def n_followers(self) -> int:
         return len(self.followers)
 
-    def order(self) -> tuple:
-        """Node ids in leaders-first order."""
-        return self.leaders + self.followers
-
-
-@dataclass(frozen=True)
-class LeaderSelectionReport:
-    """Diagnostic result of a leader-selection check."""
-
-    n_leaders: int
-    span_dimension: int
-    passed: bool
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """The 0-based rows of the nodes in leaders-first order, read-only:
+        rows[:n_leaders] are the leaders' and rows[n_leaders:] the followers'."""
+        rows = np.array(self.leaders + self.followers, dtype=np.intp) - 1
+        rows.setflags(write=False)
+        return rows
 
 
 def affine_span_dimension(points) -> int:
@@ -246,20 +242,3 @@ def vertex_separator(graph: Graph, k: int):
                 b = parent[b]
     return None
 
-
-def validate_leader_selection(
-    framework: Framework, partition: LeaderPartition
-) -> LeaderSelectionReport:
-    """Check that the leaders affinely span R^d, which takes at least d+1
-    of them: with a stress that passes the certificate, the follower block
-    is then nonsingular (Zhao, IEEE TAC 2018)."""
-    if partition.n != framework.config.n:
-        raise ValueError("partition size does not match framework")
-    if partition.n_leaders == 0:
-        span = 0
-    else:
-        idx = [i - 1 for i in partition.leaders]
-        span = affine_span_dimension(framework.config.positions[idx])
-    return LeaderSelectionReport(
-        n_leaders=partition.n_leaders, span_dimension=span, passed=span == framework.config.d
-    )

@@ -166,6 +166,6 @@ def leader_waypoints(
     """
     if partition.n != reference.n:
         raise ValueError("partition does not match configuration")
-    leaders = reference.positions[[i - 1 for i in partition.leaders]]
+    leaders = reference.positions[partition.rows[: partition.n_leaders]]
     thetas, bs = schedule.transforms(reference.d, k, count)
     return leaders @ thetas.transpose(0, 2, 1) + bs[:, None, :]

@@ -1,6 +1,7 @@
 """Stress matrices: assembly from edge weights, the universal-rigidity
-certificate and its hypotheses, leader/follower block partitioning,
-follower-target computation, and a concave-ascent stress synthesizer."""
+certificate and its hypotheses, the follower rows of a stress split at the
+leaders (StressBlocks, whose follower_spectrum is the follower block's one
+test), follower-target computation, and a concave-ascent stress synthesizer."""
 
 from __future__ import annotations
 
@@ -94,28 +95,24 @@ class StressMatrix:
 
 @dataclass(frozen=True)
 class StressBlocks:
-    """Leader/follower blocks of a stress matrix in leaders-first order."""
+    """The follower rows of a stress matrix, split at the leaders: ff, the
+    follower block, and fl, the follower-leader block."""
 
-    ll: np.ndarray
-    lf: np.ndarray
-    fl: np.ndarray
     ff: np.ndarray
+    fl: np.ndarray
 
     def __post_init__(self):
-        ll, lf, fl, ff = (real_array(getattr(self, name), name) for name in ("ll", "lf", "fl", "ff"))
-        n_l, n_f = ll.shape[0], ff.shape[0]
-        if ll.shape != (n_l, n_l) or ff.shape != (n_f, n_f):
-            raise ValueError("diagonal blocks must be square")
-        if lf.shape != (n_l, n_f) or fl.shape != (n_f, n_l):
-            raise ValueError("off-diagonal block shapes are inconsistent")
-        if not np.array_equal(fl, lf.T):
-            raise ValueError("follower-leader block must be the transpose of leader-follower")
-        for name, b in zip(("ll", "lf", "fl", "ff"), (ll, lf, fl, ff)):
-            object.__setattr__(self, name, b)
+        ff, fl = real_array(self.ff, "ff", 2), real_array(self.fl, "fl", 2)
+        if ff.shape[0] != ff.shape[1]:
+            raise ValueError("follower block must be square")
+        if fl.shape[0] != ff.shape[0]:
+            raise ValueError("follower-leader block must have the follower block's rows")
+        object.__setattr__(self, "ff", ff)
+        object.__setattr__(self, "fl", fl)
 
     @property
     def n_leaders(self) -> int:
-        return self.ll.shape[0]
+        return self.fl.shape[1]
 
     @property
     def n_followers(self) -> int:
@@ -125,16 +122,25 @@ class StressBlocks:
     def follower_spectrum(self) -> np.ndarray:
         """The eigenvalues mu of the negated follower block, ascending,
         read-only: solved once per blocks, which the runs of a batch share
-        (engine.shared). ValueError refuses a block that is not symmetric or
-        has mu_min >= 0 (the stress certificate upstream is broken), and
-        check_follower_block's guard runs too; a refusal is not cached."""
+        (engine.shared), and the block's one test. ValueError refuses an
+        empty or asymmetric block, LocalizabilityError one whose max|mu| /
+        min|mu| (infinite when min|mu| is 0) exceeds COND_LIMIT, and
+        ValueError one with mu_min >= 0 (the stress certificate upstream is
+        broken); a refusal is not cached."""
+        if self.ff.size == 0:
+            raise ValueError("follower block is empty: every node is a leader")
         if not np.array_equal(self.ff, self.ff.T):
             raise ValueError("follower block must be symmetric")
         mu = np.linalg.eigvalsh(-self.ff)
+        magnitudes = np.abs(mu)
+        cond = magnitudes.max() / magnitudes.min() if magnitudes.min() > 0.0 else np.inf
+        if not cond <= COND_LIMIT:
+            raise LocalizabilityError(
+                f"follower stress block is singular or near-singular (cond {cond:.3g}); "
+                "the leader selection or stress is inadequate"
+            )
         if mu[0] >= 0.0:
             raise ValueError(f"mu_min must be negative, got {float(mu[0])}; stress certificate is broken")
-        # compile_run's guard, so that the same leader sets are refused.
-        check_follower_block(self)
         mu.setflags(write=False)
         return mu
 
@@ -233,18 +239,11 @@ def _stress_entries(n: int, i: np.ndarray, j: np.ndarray, weights: np.ndarray) -
 
 
 def partition_stress(stress: StressMatrix, partition: LeaderPartition) -> StressBlocks:
-    """Extract leader/follower blocks after reindexing leaders-first."""
+    """The follower rows of the stress at the follower and the leader columns."""
     if partition.n != stress.n:
         raise ValueError("partition size does not match stress matrix")
-    perm = [i - 1 for i in partition.order()]
-    full = stress.entries[np.ix_(perm, perm)]
-    n_l = partition.n_leaders
-    return StressBlocks(
-        ll=full[:n_l, :n_l],
-        lf=full[:n_l, n_l:],
-        fl=full[n_l:, :n_l],
-        ff=full[n_l:, n_l:],
-    )
+    leaders, followers = np.split(partition.rows, [partition.n_leaders])
+    return StressBlocks(stress.entries[np.ix_(followers, followers)], stress.entries[np.ix_(followers, leaders)])
 
 
 def check_rigidity_certificate(stress: StressMatrix | None, framework: Framework) -> RigidityCertificate | None:
@@ -304,19 +303,9 @@ def _certificate(stress: StressMatrix, framework: Framework) -> RigidityCertific
     return RigidityCertificate(numerical_rank(magnitudes, max(n, d)), n - d - 1, min_eig, psd, ratio)
 
 
-def check_follower_block(blocks: StressBlocks) -> None:
-    """The condition-number guard: LocalizabilityError unless ff_block is invertible."""
-    cond = np.linalg.cond(blocks.ff)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise LocalizabilityError(
-            f"follower stress block is singular or near-singular (cond {cond:.3g}); "
-            "the leader selection or stress is inadequate"
-        )
-
-
 def solve_follower_block(blocks: StressBlocks, rhs: np.ndarray) -> np.ndarray:
-    """Solve ff_block @ X = rhs once check_follower_block passes."""
-    check_follower_block(blocks)
+    """Solve ff_block @ X = rhs once the block's test, follower_spectrum, passes."""
+    blocks.follower_spectrum  # cached: the test runs once per blocks
     return np.linalg.solve(blocks.ff, rhs)
 
 

@@ -7,9 +7,9 @@ neighbor-local computations. per_step_transform restates the schedule's
 cumulative transform one step and one segment at a time, and
 per_step_run the engine's stepping loop with the whole leaders-first
 state carried, recorded and copied one step at a time, and
-per_vertex_points the SVG points of plotting one vertex at a time. reassemble_stress
-inverts partition_stress. equilibrium_residual measures equilibrium apart
-from the certificate's ratio. None of this is a path the package runs.
+per_vertex_points the SVG points of plotting one vertex at a time.
+equilibrium_residual measures equilibrium apart from the certificate's
+ratio. None of this is a path the package runs.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from affinesim import (
-    LeaderPartition,
     ManoeuvreSchedule,
     ScenarioSpec,
     StressBlocks,
@@ -125,24 +124,14 @@ def equilibrium_residual(stress: StressMatrix, config) -> float:
     return float(np.abs(stress.entries @ config.positions).max())
 
 
-def reassemble_stress(blocks: StressBlocks, partition: LeaderPartition) -> StressMatrix:
-    """Inverse of partition_stress: blocks back to the original node order."""
-    if partition.n != blocks.n_leaders + blocks.n_followers:
-        raise ValueError("partition size does not match blocks")
-    full = np.block([[blocks.ll, blocks.lf], [blocks.fl, blocks.ff]])
-    perm = [i - 1 for i in partition.order()]
-    inverse = np.argsort(perm)
-    return StressMatrix(full[np.ix_(inverse, inverse)])
-
-
 def _law_step(spec: ScenarioSpec, blocks: StressBlocks, stress, solution, G, leaders, targets):
     """Map (k, z, target) -> (z, target) at k+1 for a leaders-first state z.
 
     Steps past the end of leaders and targets hold their last entry."""
     n_l = blocks.n_leaders
     if spec.law == "linear":
-        perm = [i - 1 for i in spec.partition.order()]
-        coupling = np.eye(stress.n) - spec.epsilon * stress.entries[np.ix_(perm, perm)]
+        rows = spec.partition.rows
+        coupling = np.eye(stress.n) - spec.epsilon * stress.entries[np.ix_(rows, rows)]
         A_t, BK_t = spec.plant.A.T, (spec.plant.B @ solution.K).T
 
         def step(k, z, target):
@@ -199,10 +188,9 @@ def per_step_run(spec) -> RunResult:
             break
         z, target = step(k, z, target)
 
-    order = np.array([i - 1 for i in partition.order()])
     states = np.empty((len(zs), partition.n, spec.framework.config.d))
     for k, z in enumerate(zs):
-        states[k, order] = z
+        states[k, partition.rows] = z
     return RunResult(run, states, np.array(deltas), np.array(target), converged_at, diverged)
 
 

@@ -138,6 +138,27 @@ def test_validate_malformed_json(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, key, value, report",
+    [
+        ("validate", "weights", {"edges": 5}, "error: weights: 'edges' must be a list, got 5\n"),
+        ("validate", "weights", {"edges": [5]}, "error: weights: 'edges' row 5 is not [i, j, w]\n"),
+        ("simulate", "schedule", {"segments": 5}, "error: schedule: 'segments' must be a list, got 5\n"),
+    ],
+    ids=["edges", "row", "segments"],
+)
+def test_malformed_lists_name_their_file_kind_and_key(bench, tmp_path, capsys, command, key, value, report):
+    (tmp_path / "given.json").write_text(json.dumps(value))
+    if command == "validate":
+        argv = ["validate", str(tmp_path / "framework.json"), "--weights", str(tmp_path / "given.json")]
+    else:
+        scenario = json.loads(bench.read_text())
+        bench.write_text(json.dumps({**scenario, key: "given.json"}))
+        argv = ["simulate", str(bench), "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", report)
+
+
 def test_simulate_writes_outputs(bench, tmp_path, capsys):
     out_dir = tmp_path / "out"
     rc = main(["simulate", str(bench), "--out", str(out_dir)])

@@ -32,7 +32,7 @@ def leader_stack(reference):
 def follower_blocks(ff):
     """Blocks of one uncoupled leader and the given follower block."""
     ff = np.asarray(ff, dtype=float)
-    return StressBlocks(ll=np.zeros((1, 1)), lf=np.zeros((1, len(ff))), fl=np.zeros((len(ff), 1)), ff=ff)
+    return StressBlocks(ff=ff, fl=np.zeros((len(ff), 1)))
 
 
 def test_check_period():
@@ -200,9 +200,12 @@ def test_stability_flags_guards():
     # An asymmetric follower block is refused before its eigenvalues are read.
     with pytest.raises(ValueError, match="follower block must be symmetric"):
         stability_flags("stationary", 1.0, follower_blocks([[1.0, 0.5], [0.0, 1.0]]))
-    # mu_min = 0 exactly: a certified stress never gives a nonnegative mu_min.
-    with pytest.raises(ValueError, match="mu_min must be negative, got -0.0; stress certificate is broken"):
+    # mu_min = 0 exactly: the block is singular, and the guard runs before the sign check.
+    with pytest.raises(LocalizabilityError, match=r"follower stress block is singular or near-singular \(cond inf\)"):
         stability_flags("stationary", 1.0, follower_blocks([[-1.0, 0.0], [0.0, 0.0]]))
+    # A certified stress never gives a nonnegative mu_min.
+    with pytest.raises(ValueError, match="mu_min must be negative, got 1.0; stress certificate is broken"):
+        stability_flags("stationary", 1.0, follower_blocks([[-1.0, 0.0], [0.0, -2.0]]))
 
 
 def test_stationary_stability_needs_a_definite_follower_block():

@@ -409,7 +409,7 @@ def test_run_batch_solves_each_spectrum_once_per_stress(framework, partition, mo
 
     from affinesim import StressBlocks, StressMatrix
 
-    counts = {"follower_spectrum": 0, "spectrum": 0}
+    counts = {"follower_spectrum": 0, "spectrum": 0, "cond": 0}
     for cls, name in ((StressBlocks, "follower_spectrum"), (StressMatrix, "spectrum")):
         solve = getattr(cls, name).func
 
@@ -420,21 +420,41 @@ def test_run_batch_solves_each_spectrum_once_per_stress(framework, partition, mo
         prop = functools.cached_property(counted)
         prop.__set_name__(cls, name)
         monkeypatch.setattr(cls, name, prop)
+    cond = np.linalg.cond
+
+    def counted_cond(*args):
+        counts["cond"] += 1
+        return cond(*args)
+
+    monkeypatch.setattr(np.linalg, "cond", counted_cond)
     plant = LinearPlant(np.eye(2), np.eye(2))
-    specs = [scenario(framework, partition, T=T, budget=40) for T in (0.5, 1.0, 1.5)]
-    specs += [scenario(framework, partition, law="linear", plant=plant, epsilon=eps, budget=40) for eps in (0.1, 0.2)]
-    results = run_batch(specs)
+    stationary = [scenario(framework, partition, T=T, budget=40) for T in (0.5, 1.0, 1.5)]
+    linear = [scenario(framework, partition, law="linear", plant=plant, epsilon=eps, budget=40) for eps in (0.1, 0.2)]
+    results = run_batch(stationary + linear)
     # Three stationary runs on one stress key, two linear runs on that stress.
-    assert counts == {"follower_spectrum": 1, "spectrum": 1}
+    assert counts["follower_spectrum"] == 1 and counts["spectrum"] == 1
     assert len({result.run.stability_flags["T_mu_min"] for result in results[:3]}) == 3
     assert len({result.run.stability_flags["modal_spectral_radius"] for result in results[3:]}) == 2
+    # A dynamic-only batch and a linear-only batch each solve the follower
+    # block once too: its eigensolve is the block's one test, for every law.
+    dynamic = [scenario(framework, partition, law="dynamic", T=T, budget=40) for T in (0.5, 1.0)]
+    for batch in (dynamic, linear):
+        counts["follower_spectrum"] = 0
+        run_batch(batch)
+        assert counts["follower_spectrum"] == 1
+    # No follower block is tested by a condition number.
+    counts["cond"] = 0
+    for spec in stationary + dynamic:
+        compile_run(spec)
+    assert counts["cond"] == 0
     # A follower block that fails the guard is refused on every call: the
     # refusal is not cached.
+    counts["follower_spectrum"] = 0
     collinear = partition_stress(results[0].run.stress, LeaderPartition.from_leaders((1, 4, 5), 5))
     for _ in range(2):
         with pytest.raises(LocalizabilityError):
             stability_flags("stationary", 1.0, collinear)
-    assert counts["follower_spectrum"] == 3
+    assert counts["follower_spectrum"] == 2
 
 
 def test_run_batch_refuses_before_any_run_steps(framework, partition, monkeypatch):

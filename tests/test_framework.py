@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from affinesim import (
     LeaderPartition,
     affine_span_dimension,
     is_k_connected,
-    validate_leader_selection,
     vertex_separator,
 )
+from affinesim.cli import main
+from affinesim.fileio import framework_to_dict
 from affinesim.framework import numerical_rank, real_array
 
 
@@ -53,7 +55,8 @@ def test_partition_from_leaders():
     p = LeaderPartition.from_leaders([2, 4], 5)
     assert p.leaders == (2, 4)
     assert p.followers == (1, 3, 5)
-    assert p.order() == (2, 4, 1, 3, 5)
+    assert p.rows.dtype == np.intp and p.rows.tolist() == [1, 3, 0, 2, 4]
+    assert p.rows is p.rows and not p.rows.flags.writeable
     assert p.n == 5 and p.n_leaders == 2 and p.n_followers == 3
 
 
@@ -198,25 +201,27 @@ def test_is_k_connected_matches_cut_enumeration():
     check()
 
 
-def test_leader_selection(framework, partition):
-    report = validate_leader_selection(framework, partition)
-    assert report.passed
-    assert report.n_leaders == 3
-    assert report.span_dimension == 2
-
-    too_few = validate_leader_selection(framework, LeaderPartition.from_leaders([1, 2], 5))
-    assert too_few.span_dimension == 1 and not too_few.passed
+def validate_leaders(framework, leaders, tmp_path, capsys):
+    """validate's exit code and its leaders line for the framework with leaders."""
+    path = tmp_path / "framework.json"
+    path.write_text(json.dumps(framework_to_dict(framework, LeaderPartition.from_leaders(leaders, framework.config.n))))
+    rc = main(["validate", str(path)])
+    return rc, next(line for line in capsys.readouterr().out.splitlines() if line.startswith("leaders: "))
 
 
-def test_leader_selection_passes_more_than_d_plus_1_spanning_leaders(framework):
-    report = validate_leader_selection(framework, LeaderPartition.from_leaders([1, 2, 3, 4], 5))
-    assert report.n_leaders == 4 and report.span_dimension == 2 and report.passed
+def test_leader_selection(framework, tmp_path, capsys):
+    assert validate_leaders(framework, [1, 2, 3], tmp_path, capsys) == (0, "leaders: 3/3 required, span 2/2: ok")
+    assert validate_leaders(framework, [1, 2], tmp_path, capsys) == (1, "leaders: 2/3 required, span 1/2: FAIL")
+    assert validate_leaders(framework, [], tmp_path, capsys) == (1, "leaders: 0/3 required, span 0/2: FAIL")
 
 
-def test_leader_selection_collinear_fails():
+def test_leader_selection_passes_more_than_d_plus_1_spanning_leaders(framework, tmp_path, capsys):
+    assert validate_leaders(framework, [1, 2, 3, 4], tmp_path, capsys) == (0, "leaders: 4/3 required, span 2/2: ok")
+
+
+def test_leader_selection_collinear_fails(tmp_path, capsys):
     # Three leaders on a line span only 1 dimension.
     config = Configuration([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)])
     g = Graph(5, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)])
     fw = Framework(g, config)
-    report = validate_leader_selection(fw, LeaderPartition.from_leaders([1, 2, 3], 5))
-    assert report.n_leaders == 3 and report.span_dimension == 1 and not report.passed
+    assert validate_leaders(fw, [1, 2, 3], tmp_path, capsys) == (1, "leaders: 3/3 required, span 1/2: FAIL")

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import itertools
 import json
 import pickle
 
@@ -27,7 +28,7 @@ from affinesim import (
 )
 from affinesim.cli import main
 from affinesim.fileio import load_scenario
-from affinesim.stress import _row_space, equilibrium_constraint_matrix, normalize_weights
+from affinesim.stress import COND_LIMIT, _row_space, equilibrium_constraint_matrix, normalize_weights
 
 from conftest import (
     EDGES,
@@ -38,7 +39,7 @@ from conftest import (
     MU_MIN,
     write_benchmark_files,
 )
-from oracles import equilibrium_residual, reassemble_stress
+from oracles import equilibrium_residual
 
 
 def test_assemble_matches_hand_blocks(exact_stress):
@@ -100,27 +101,93 @@ def test_equilibrium_ratio_agrees_with_the_residual(exact_stress, rounded_stress
         check_rigidity_certificate(exact_stress, small)
 
 
+def assert_follower_rows(blocks, stress, partition):
+    """ff and fl are the stress at the follower rows and at the follower
+    and leader columns, bit for bit, with the rows of partition.rows."""
+    leaders, followers = partition.rows[: partition.n_leaders], partition.rows[partition.n_leaders :]
+    for block, columns in ((blocks.ff, followers), (blocks.fl, leaders)):
+        expected = stress.entries[np.ix_(followers, columns)]
+        assert block.shape == expected.shape and block.tobytes() == expected.tobytes()
+    assert (blocks.n_leaders, blocks.n_followers) == (partition.n_leaders, partition.n_followers)
+
+
 def test_partition_blocks(exact_stress, partition, blocks):
     np.testing.assert_allclose(blocks.ff, [[1.292, -0.5], [-0.5, 0.25]], atol=1e-12)
     np.testing.assert_allclose(
         blocks.fl, [[0.292, -0.542, -0.542], [0.0, 0.125, 0.125]], atol=1e-12
     )
-    assert np.array_equal(blocks.fl, blocks.lf.T)
-    rebuilt = reassemble_stress(blocks, partition)
-    assert np.array_equal(rebuilt.entries, exact_stress.entries)
+    assert_follower_rows(blocks, exact_stress, partition)
 
 
 def test_partition_nontrivial_order(exact_stress):
     # Leaders need not be the lowest-numbered nodes.
     part = LeaderPartition.from_leaders([2, 4, 5], 5)
     blocks = partition_stress(exact_stress, part)
-    rebuilt = reassemble_stress(blocks, part)
-    assert np.array_equal(rebuilt.entries, exact_stress.entries)
+    assert_follower_rows(blocks, exact_stress, part)
+    assert blocks.fl[0].tolist() == [exact_stress.entries[0, j] for j in (1, 3, 4)]
 
 
-def test_blocks_transpose_validation():
-    with pytest.raises(ValueError):
-        StressBlocks(ll=np.eye(2), lf=np.ones((2, 1)), fl=np.zeros((1, 2)), ff=np.eye(1))
+def test_partition_of_random_stresses_takes_the_follower_rows():
+    """For random partitions of random symmetric stresses on the complete
+    graph, ff and fl are entries[np.ix_(f, f)] and entries[np.ix_(f, l)]."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 9), label="n")
+        graph = Graph(n, list(itertools.combinations(range(1, n + 1), 2)))
+        weights = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=len(graph.edges), max_size=len(graph.edges)))
+        stress = assemble_stress(graph, dict(zip(sorted(graph.edges), weights)))
+        nodes = data.draw(st.permutations(range(1, n + 1)), label="nodes")
+        partition = LeaderPartition.from_leaders(nodes[: data.draw(st.integers(0, n), label="n_l")], n)
+        assert_follower_rows(partition_stress(stress, partition), stress, partition)
+
+    check()
+
+
+def test_follower_block_guard_follows_the_condition_number():
+    """For random SPD follower blocks Q diag(s) Q^T with a chosen condition
+    number, follower_spectrum accepts every block with np.linalg.cond <= 1e11
+    and refuses every block with np.linalg.cond >= 1e13, as COND_LIMIT = 1e12
+    says."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    assert COND_LIMIT == 1e12
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.integers(1, 8), st.floats(0.0, 16.0), st.integers(0, 2**32 - 1))
+    def check(n_f, log_cond, seed):
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.normal(size=(n_f, n_f)))[0]
+        s = 10.0 ** np.concatenate(([0.0, log_cond], rng.uniform(0.0, log_cond, n_f)))[:n_f]
+        ff = q @ np.diag(s) @ q.T
+        blocks = StressBlocks((ff + ff.T) / 2.0, np.zeros((n_f, 1)))
+        cond = np.linalg.cond(blocks.ff)
+        if cond <= 1e11:
+            assert blocks.follower_spectrum[0] < 0.0
+        elif cond >= 1e13:
+            with pytest.raises(LocalizabilityError, match="follower stress block is singular or near-singular"):
+                blocks.follower_spectrum
+
+    check()
+
+
+def test_blocks_shape_validation():
+    with pytest.raises(ValueError, match="follower-leader block must have the follower block's rows"):
+        StressBlocks(ff=np.eye(1), fl=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="follower block must be square"):
+        StressBlocks(ff=np.ones((1, 2)), fl=np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="ff must be 2-dimensional"):
+        StressBlocks(ff=np.ones(2), fl=np.zeros((2, 1)))
+
+
+def test_an_empty_follower_block_is_refused_by_name(exact_stress):
+    blocks = partition_stress(exact_stress, LeaderPartition.from_leaders([1, 2, 3, 4, 5], 5))
+    assert blocks.ff.shape == (0, 0) and blocks.fl.shape == (0, 5)
+    with pytest.raises(ValueError, match="^follower block is empty: every node is a leader$"):
+        follower_targets(blocks, np.zeros(10))
 
 
 def test_certificate_exact_stress(exact_stress, framework):
@@ -153,9 +220,7 @@ def test_follower_targets(blocks, reference):
 
 
 def test_follower_targets_singular_block():
-    blocks = StressBlocks(
-        ll=np.zeros((2, 2)), lf=np.ones((2, 1)), fl=np.ones((1, 2)), ff=np.zeros((1, 1))
-    )
+    blocks = StressBlocks(ff=np.zeros((1, 1)), fl=np.ones((1, 2)))
     with pytest.raises(LocalizabilityError):
         follower_targets(blocks, np.zeros(4))
 
